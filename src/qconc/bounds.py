@@ -375,12 +375,13 @@ def assemble_rank3_max(lam: float, a: float, b: float) -> DensityOperator:
 
 
 def rank4_max_concurrence(lambda1: float, lambda2: float) -> float:
-    """Closed form for the maximal rank-4 member at a b = 1/2.
+    """Literal closed form for the maximal rank-4 member at a b = 1/2.
 
     Evaluates lam2 ab/3 + (1 - lam1 - lam2)/2 - lam1/4 - lam2/3 with
-    ab = 1/2. Its root is the boundary 9 lam1 + 8 lam2 = 6, which the
-    validation harness confirms against the oracle; the overall scale of the
-    expression is graded empirically there as well.
+    ab = 1/2, which is (1 - 3 lam1/2 - 4 lam2/3)/2: exactly half the
+    concurrence max(0, 1 - 3 lam1/2 - 4 lam2/3) wherever it is positive. Its
+    root is the boundary 9 lam1 + 8 lam2 = 6. The validation harness gates
+    the exact form against the oracle and reports this one.
     """
     if lambda1 < 0.0 or lambda2 < 0.0 or lambda1 + lambda2 > 1.0 + 1e-12:
         raise ValueError("weights must be nonnegative with sum at most 1")

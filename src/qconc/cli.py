@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -60,20 +59,6 @@ from .validate import SUITES, run_suites
 
 class _ValidationFailed(Exception):
     """Internal signal that a validate run tripped a suite threshold."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed flags of one subcommand invocation."""
-
-    subcommand: str
-    seed: int = 0
-    samples: int = 1000
-    tolerance: float = 1e-10
-    threads: int = 1
-    input_path: str | None = None
-    output_path: str | None = None
-    fmt: str = "json"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -242,15 +227,14 @@ def cmd_gen(rank, named, seed, out_path, fmt):
     """Generate a state and write it as JSON; rank and purity go to stderr."""
     if (rank is None) == (named is None):
         raise click.UsageError("give exactly one of --rank or --named")
-    config = RunConfig(subcommand="gen", seed=seed, output_path=out_path, fmt=fmt)
     if rank is not None:
-        rho = random_rank_k(rank, config.seed)
-        header = report_header(seed=config.seed)
+        rho = random_rank_k(rank, seed)
+        header = report_header(seed=seed)
     else:
         rho = _parse_named(named)
         header = report_header()
     payload = {"header": header, **state_to_dict(rho)}
-    _emit(canonical_dumps(payload), config.output_path)
+    _emit(canonical_dumps(payload), out_path)
     purity = float(np.trace(rho.matrix @ rho.matrix).real)
     click.echo(f"rank={rank_of(rho)} purity={_fmt_float(purity)}", err=True)
 
@@ -262,28 +246,21 @@ def cmd_gen(rank, named, seed, out_path, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="text", show_default=True)
 def cmd_concurrence(state_path, tol, out_path, fmt):
     """Report oracle concurrence, spectrum, invariants, and family estimates."""
-    config = RunConfig(
-        subcommand="concurrence",
-        tolerance=tol,
-        input_path=state_path,
-        output_path=out_path,
-        fmt=fmt,
-    )
-    rho = _load_state(config.input_path)
+    rho = _load_state(state_path)
     diag = concurrence_oracle(rho)
     inv = invariant_vector(decompose(rho))
     rank = rank_of(rho)
-    estimates = _applicable_estimates(rho, diag.value, config.tolerance)
-    if config.fmt == "json":
+    estimates = _applicable_estimates(rho, diag.value, tol)
+    if fmt == "json":
         payload = {
-            "header": report_header(tolerance=config.tolerance),
+            "header": report_header(tolerance=tol),
             "oracle": diag.value,
             "lambdas": list(diag.lambdas),
             "rank": rank,
             "invariants": inv.to_dict(),
             "estimates": estimates,
         }
-        _emit(canonical_dumps(payload), config.output_path)
+        _emit(canonical_dumps(payload), out_path)
         return
     lines = [
         f"oracle      {_fmt_float(diag.value)}",
@@ -303,26 +280,17 @@ def cmd_concurrence(state_path, tol, out_path, fmt):
                 )
     else:
         lines.append("estimate    none applicable")
-    _emit("\n".join(lines) + "\n", config.output_path)
+    _emit("\n".join(lines) + "\n", out_path)
 
 
 @cli.command("validate")
 @click.option("--suite", "suites", multiple=True, help="suite name; repeatable (default all)")
 @click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", "out_path", default=None)
 @click.option("--format", "fmt", type=click.Choice(["json"]), default="json", show_default=True)
-def cmd_validate(suites, samples, seed, threads, out_path, fmt):
+def cmd_validate(suites, samples, seed, out_path, fmt):
     """Run Monte-Carlo suites; exit 2 if any thresholded suite fails."""
-    config = RunConfig(
-        subcommand="validate",
-        seed=seed,
-        samples=samples,
-        threads=threads,
-        output_path=out_path,
-        fmt=fmt,
-    )
     names = list(suites) if suites else None
     if names:
         unknown = [n for n in names if n not in SUITES]
@@ -330,13 +298,13 @@ def cmd_validate(suites, samples, seed, threads, out_path, fmt):
             raise click.UsageError(
                 f"unknown suite(s) {', '.join(unknown)}; choose from {', '.join(SUITES)}"
             )
-    reports = run_suites(names, samples=config.samples, seed=config.seed, threads=config.threads)
+    reports = run_suites(names, samples=samples, seed=seed)
     payload = {
-        "header": report_header(seed=config.seed, samples=config.samples),
+        "header": report_header(seed=seed, samples=samples),
         "suites": [r.to_dict() for r in reports],
         "all_passed": all(r.passed for r in reports),
     }
-    _emit(canonical_dumps(payload), config.output_path)
+    _emit(canonical_dumps(payload), out_path)
     if not payload["all_passed"]:
         failed = ", ".join(r.suite for r in reports if not r.passed)
         raise _ValidationFailed(f"suite(s) failed: {failed}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigSolveFailure, NotNormalized
-from .qstate import NORM_TOL, PureState, SIGMA_Y, _as_matrix
+from .qstate import NORM_TOL, PureState, SIGMA_Y, _as_matrix, _validated_matrix
 
 #: clamp for small negative eigenvalues produced by round-off
 EIG_CLAMP = 1e-12
@@ -30,18 +30,6 @@ def spin_flip(rho) -> np.ndarray:
     return _YY @ m.conj() @ _YY
 
 
-def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix via eigendecomposition.
-
-    Eigenvalues below EIG_CLAMP relative to the largest are zeroed so that
-    round-off in the null space cannot leak sqrt(eps)-sized noise into the
-    root.
-    """
-    w, v = np.linalg.eigh(m)
-    w = np.where(w > EIG_CLAMP * max(w[-1], 0.0), w, 0.0)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 @dataclass(frozen=True)
 class ConcurrenceDiagnostics:
     """Spin-flip spectrum (descending square roots) and the concurrence value."""
@@ -56,23 +44,41 @@ class ConcurrenceDiagnostics:
         return cls(lambdas=lam, value=value)
 
 
-def concurrence_oracle(rho) -> ConcurrenceDiagnostics:
-    """Exact concurrence for any two-qubit density operator.
+def batch_lambdas(mats: np.ndarray) -> np.ndarray:
+    """Descending spin-flip roots of an (n, 4, 4) stack of trusted states.
 
     Works through the Hermitian equivalent sqrt(rho) rho_tilde sqrt(rho),
     whose spectrum matches the non-Hermitian product rho rho_tilde. The
-    four sorted square roots are read off as the singular values of
-    sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)), which factors that
-    Hermitian matrix and so avoids taking sqrt of eigenvalues that sit at
-    round-off level.
+    square root comes from an eigendecomposition in which eigenvalues below
+    EIG_CLAMP relative to the largest are zeroed, so round-off in the null
+    space cannot leak sqrt(eps)-sized noise into it. The four roots are read
+    off as the singular values of sqrt(rho) (sigma_y x sigma_y)
+    conj(sqrt(rho)), which factors that Hermitian matrix and so avoids
+    taking sqrt of eigenvalues that sit at round-off level.
     """
-    m = _as_matrix(rho)
+    mats = np.asarray(mats, dtype=complex)
     try:
-        sq = _sqrtm_psd(m)
-        core = sq @ _YY @ sq.conj()
-        lam = np.linalg.svd(core, compute_uv=False)
+        w, v = np.linalg.eigh(mats)
+        w = np.where(w > EIG_CLAMP * np.maximum(w[:, -1:], 0.0), w, 0.0)
+        sq = (v * np.sqrt(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        return np.linalg.svd(sq @ _YY @ sq.conj(), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise EigSolveFailure(str(exc)) from exc
+
+
+def batch_oracle(mats: np.ndarray) -> np.ndarray:
+    """Concurrence of each state in an (n, 4, 4) stack of trusted states."""
+    lam = batch_lambdas(mats)
+    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+
+
+def concurrence_oracle(rho) -> ConcurrenceDiagnostics:
+    """Exact concurrence for any two-qubit density operator.
+
+    A raw array is validated first and raises InvalidState if unphysical;
+    the arithmetic is that of :func:`batch_lambdas`.
+    """
+    lam = batch_lambdas(_validated_matrix(rho)[None])[0]
     return ConcurrenceDiagnostics.from_lambdas(lam)
 
 

@@ -2,8 +2,9 @@
 
 From the polarizations p, s and the correlation matrix pi we form the
 derived vectors a = pi s and b = pi^T p (each rotates with its own qubit's
-frame), their cross products, and the symmetric matrix t = pi pi^T. The nine
-scalars below are unchanged under independent rotations of the two qubits.
+frame), their cross products alpha = p x a and beta = s x b, and the
+symmetric matrix t = pi pi^T. The nine scalars below are unchanged under
+independent rotations of the two qubits.
 """
 
 from __future__ import annotations
@@ -16,34 +17,6 @@ from .errors import I3Mismatch
 from .qstate import BlochDecomposition
 
 I3_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class DerivedCorrelates:
-    """Covariant vectors and matrix derived from one Bloch decomposition.
-
-    a = pi s and alpha = p x a live on qubit A's frame, b = pi^T p and
-    beta = s x b on qubit B's, and t = pi pi^T conjugates with A's rotation.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    t: np.ndarray
-
-
-def derived_correlates(bloch: BlochDecomposition) -> DerivedCorrelates:
-    p, s, pi = bloch.p, bloch.s, bloch.pi
-    a = pi @ s
-    b = pi.T @ p
-    return DerivedCorrelates(
-        a=a,
-        b=b,
-        alpha=np.cross(p, a),
-        beta=np.cross(s, b),
-        t=pi @ pi.T,
-    )
 
 
 @dataclass(frozen=True)
@@ -72,31 +45,58 @@ class InvariantVector:
         return cls(**{f"i{k}": float(d[f"i{k}"]) for k in range(1, 10)})
 
 
-def invariant_vector(bloch: BlochDecomposition, tol: float = I3_TOL) -> InvariantVector:
-    """Evaluate all nine invariants.
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of two (n, 3) stacks."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of two (n, 3) stacks; same rounding as np.cross,
+    without its per-call overhead."""
+    return x[:, _NEXT] * y[:, _PREV] - x[:, _PREV] * y[:, _NEXT]
+
+
+def batch_invariants(
+    p: np.ndarray, s: np.ndarray, pi: np.ndarray, tol: float = I3_TOL
+) -> np.ndarray:
+    """The nine invariants of each state in a stack of Bloch fields, shape (n, 9).
 
     The third invariant is computed along both contractions, p . (pi s) and
     s . (pi^T p); they are equal for any correlation matrix, so a mismatch
-    beyond tol signals corrupted input and raises I3Mismatch.
+    beyond tol signals corrupted input and raises I3Mismatch. The fields are
+    made C-contiguous first so every row rounds like a single-state call.
     """
-    p, s, pi = bloch.p, bloch.s, bloch.pi
-    d = derived_correlates(bloch)
-    i3_pa = float(p @ d.a)
-    i3_sb = float(s @ d.b)
-    if abs(i3_pa - i3_sb) > tol:
-        raise I3Mismatch(f"p.a = {i3_pa} but s.b = {i3_sb}")
-    t = d.t
-    return InvariantVector(
-        i1=float(p @ p),
-        i2=float(s @ s),
-        i3=i3_pa,
-        i4=float(d.a @ d.a),
-        i5=float(d.b @ d.b),
-        i6=float(np.trace(t)),
-        i7=float(d.a @ pi @ d.b),
-        i8=float(np.sum(t * t)),
-        i9=float(d.alpha @ pi @ d.beta),
-    )
+    p, s, pi = (np.ascontiguousarray(x, dtype=float) for x in (p, s, pi))
+    pi_t = pi.transpose(0, 2, 1)
+    a = (pi @ s[:, :, None])[:, :, 0]
+    b = (pi_t @ p[:, :, None])[:, :, 0]
+    t = pi @ pi_t
+    out = np.empty((p.shape[0], 9))
+    out[:, 2] = _dot(p, a)
+    i3_sb = _dot(s, b)
+    mismatch = np.abs(out[:, 2] - i3_sb) > tol
+    if mismatch.any():
+        k = int(np.argmax(mismatch))
+        raise I3Mismatch(f"p.a = {out[k, 2]} but s.b = {i3_sb[k]}")
+    out[:, 0] = _dot(p, p)
+    out[:, 1] = _dot(s, s)
+    out[:, 3] = _dot(a, a)
+    out[:, 4] = _dot(b, b)
+    out[:, 5] = np.trace(t, axis1=1, axis2=2)
+    out[:, 6] = _dot((a[:, None, :] @ pi)[:, 0, :], b)
+    out[:, 7] = (t * t).reshape(-1, 9).sum(axis=1)
+    alpha_pi = (_cross(p, a)[:, None, :] @ pi)[:, 0, :]
+    out[:, 8] = _dot(alpha_pi, _cross(s, b))
+    return out
+
+
+def invariant_vector(bloch: BlochDecomposition, tol: float = I3_TOL) -> InvariantVector:
+    """Evaluate all nine invariants of one state; see :func:`batch_invariants`."""
+    row = batch_invariants(bloch.p[None], bloch.s[None], bloch.pi[None], tol)[0]
+    return InvariantVector(*(float(v) for v in row))
 
 
 def purity_residuals(bloch: BlochDecomposition) -> tuple[float, float]:

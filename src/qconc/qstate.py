@@ -37,8 +37,10 @@ def pauli_pair(i: str, j: str) -> np.ndarray:
     return np.kron(PAULI[i], PAULI[j])
 
 
-# all sixteen two-qubit Pauli products, indexed [i][j] over ("0","x","y","z")
-_PAULI_GRID = [[pauli_pair(i, j) for j in ("0",) + AXES] for i in ("0",) + AXES]
+# all sixteen two-qubit Pauli products, indexed [i, j] over ("0","x","y","z")
+_PAULI_GRID = np.array(
+    [[pauli_pair(i, j) for j in ("0",) + AXES] for i in ("0",) + AXES]
+)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -57,12 +59,24 @@ def _as_matrix(rho) -> np.ndarray:
     return m
 
 
+def _validated_matrix(rho) -> np.ndarray:
+    """Matrix of a DensityOperator, or of a raw array after validating it."""
+    if isinstance(rho, DensityOperator):
+        return rho.matrix
+    return DensityOperator(rho).matrix
+
+
+def _require_finite(*arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InvalidState("entries must be finite")
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Validated, immutable two-qubit density matrix.
 
-    Construction checks hermiticity, unit trace and positivity within fixed
-    tolerances and raises InvalidState otherwise.
+    Construction checks finiteness, hermiticity, unit trace and positivity
+    within fixed tolerances and raises InvalidState otherwise.
     """
 
     matrix: np.ndarray
@@ -71,6 +85,7 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise InvalidState(f"expected a 4x4 matrix, got shape {m.shape}")
+        _require_finite(m)
         if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
             raise InvalidState("matrix is not Hermitian within tolerance")
         tr = np.trace(m).real
@@ -128,7 +143,7 @@ class BlochDecomposition:
     """Polarizations p (qubit A), s (qubit B) and correlation matrix pi.
 
     pi[i, j] is the expectation of sigma_i on A times sigma_j on B for
-    i, j in (x, y, z).
+    i, j in (x, y, z). Non-finite entries raise InvalidState.
     """
 
     p: np.ndarray
@@ -141,6 +156,7 @@ class BlochDecomposition:
         pi = np.asarray(self.pi, dtype=float)
         if pi.shape != (3, 3):
             raise InvalidState(f"correlation matrix must be 3x3, got {pi.shape}")
+        _require_finite(p, s, pi)
         object.__setattr__(self, "p", _freeze(p))
         object.__setattr__(self, "s", _freeze(s))
         object.__setattr__(self, "pi", _freeze(pi))
@@ -196,20 +212,28 @@ def haar_unitary2(rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def batch_decompose(mats: np.ndarray):
+    """Bloch fields of an (n, 4, 4) stack of trusted density matrices.
+
+    Returns C-contiguous (p, s, pi) of shapes (n, 3), (n, 3), (n, 3, 3), so
+    that stacked products on them round like the single-state ones.
+    """
+    mats = np.ascontiguousarray(mats, dtype=complex)
+    comp = np.einsum("nab,ijba->nij", mats, _PAULI_GRID).real
+    p = np.ascontiguousarray(comp[:, 1:, 0])
+    s = np.ascontiguousarray(comp[:, 0, 1:])
+    return p, s, np.ascontiguousarray(comp[:, 1:, 1:])
+
+
 def decompose(rho) -> BlochDecomposition:
     """Expand a density operator over the two-qubit Pauli basis.
 
     Returns the A and B polarizations and the 3x3 correlation matrix; the
-    expansion is exact and inverted by :func:`assemble`.
+    expansion is exact and inverted by :func:`assemble`. A raw array is
+    validated first and raises InvalidState if unphysical.
     """
-    m = _as_matrix(rho)
-    if not isinstance(rho, DensityOperator):
-        DensityOperator(m)  # validates, raises InvalidState if unphysical
-    comp = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            comp[i, j] = np.einsum("ab,ba->", m, _PAULI_GRID[i][j]).real
-    return BlochDecomposition(p=comp[1:, 0], s=comp[0, 1:], pi=comp[1:, 1:])
+    p, s, pi = batch_decompose(_validated_matrix(rho)[None])
+    return BlochDecomposition(p=p[0], s=s[0], pi=pi[0])
 
 
 def assemble(bloch: BlochDecomposition) -> DensityOperator:
@@ -218,12 +242,12 @@ def assemble(bloch: BlochDecomposition) -> DensityOperator:
     Raises NotAState when the data does not correspond to a positive
     semidefinite unit-trace operator.
     """
-    m = np.array(_PAULI_GRID[0][0], dtype=complex)
+    m = np.array(_PAULI_GRID[0, 0], dtype=complex)
     for i in range(3):
-        m += bloch.p[i] * _PAULI_GRID[i + 1][0]
-        m += bloch.s[i] * _PAULI_GRID[0][i + 1]
+        m += bloch.p[i] * _PAULI_GRID[i + 1, 0]
+        m += bloch.s[i] * _PAULI_GRID[0, i + 1]
         for j in range(3):
-            m += bloch.pi[i, j] * _PAULI_GRID[i + 1][j + 1]
+            m += bloch.pi[i, j] * _PAULI_GRID[i + 1, j + 1]
     m *= 0.25
     evals = np.linalg.eigvalsh(m)
     if evals[0] < -PSD_TOL:

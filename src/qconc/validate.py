@@ -5,19 +5,18 @@ formula under test next to the oracle, and reduces the deviations into a
 SuiteReport: sample count, max and mean deviation, violation count against
 the suite tolerance, and the worst offenders with enough state detail to
 replay them. Suites with no trusted closed form (the rank-2 invariant
-candidate, the X-state invariant expression, the rank-4 maximal closed
-form) carry no tolerance; they always pass and exist to publish statistics.
+candidate, the X-state invariant expression) carry no tolerance; they always
+pass and exist to publish statistics.
 
 Heavy suites vectorize the linear algebra over stacked (n, 4, 4) arrays and
-can split their sampling across a bounded thread pool; chunks own spawned
-seed streams and are merged in spawn order, so results depend only on the
-seed, the sample count, and the thread count.
+split their sampling into fixed chunks; chunks own spawned seed streams and
+are merged in spawn order, so results depend only on the seed and the
+sample count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable
 
@@ -38,7 +37,7 @@ from .bounds import (
     rank4_max_concurrence,
     rank4_region,
 )
-from .concurrence import concurrence_oracle
+from .concurrence import batch_oracle, concurrence_oracle
 from .errors import DomainError, I1Zero, Infeasible
 from .estimators import (
     Rank2Canonical,
@@ -60,23 +59,18 @@ from .estimators import (
     xstate_concurrence,
     xstate_concurrence_invariant,
 )
-from .invariants import invariant_vector
+from .invariants import batch_invariants, invariant_vector
 from .measurement import (
     expectation,
     lambda_from_szpz,
     lambdas_from_correlations,
     sample_expectation,
 )
-from .qstate import SIGMA_Y, decompose, pauli_pair
-
-_AX = ("0", "x", "y", "z")
-_PAULI_STACK = np.stack([pauli_pair(i, j) for i in _AX for j in _AX])
-_YY = np.kron(SIGMA_Y, SIGMA_Y)
-_EIG_CLAMP = 1e-12
+from .qstate import batch_decompose, decompose
 
 
 # ---------------------------------------------------------------------------
-# stacked batch primitives
+# stacked samplers
 # ---------------------------------------------------------------------------
 
 
@@ -105,45 +99,6 @@ def batch_random_mixed(rng, n: int, rank: int) -> np.ndarray:
             break
         w[bad] = rng.dirichlet(np.ones(rank), size=int(bad.sum()))
     return np.einsum("nik,nk,njk->nij", q, w, q.conj())
-
-
-def batch_decompose(mats: np.ndarray):
-    """Bloch fields of a matrix stack: (p, s, pi) with shapes (n,3), (n,3), (n,3,3)."""
-    comp = np.einsum("nab,pba->np", mats, _PAULI_STACK).real
-    p = comp[:, [4, 8, 12]]
-    s = comp[:, [1, 2, 3]]
-    pi = comp[:, [5, 6, 7, 9, 10, 11, 13, 14, 15]].reshape(-1, 3, 3)
-    return p, s, pi
-
-
-def batch_invariants(p: np.ndarray, s: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """The nine invariants of each sample, shape (n, 9)."""
-    a = np.einsum("nij,nj->ni", pi, s)
-    b = np.einsum("nji,nj->ni", pi, p)
-    t = np.einsum("nik,njk->nij", pi, pi)
-    alpha = np.cross(p, a)
-    beta = np.cross(s, b)
-    out = np.empty((p.shape[0], 9))
-    out[:, 0] = np.einsum("ni,ni->n", p, p)
-    out[:, 1] = np.einsum("ni,ni->n", s, s)
-    out[:, 2] = np.einsum("ni,ni->n", p, a)
-    out[:, 3] = np.einsum("ni,ni->n", a, a)
-    out[:, 4] = np.einsum("ni,ni->n", b, b)
-    out[:, 5] = np.trace(t, axis1=1, axis2=2)
-    out[:, 6] = np.einsum("ni,nij,nj->n", a, pi, b)
-    out[:, 7] = np.einsum("nij,nij->n", t, t)
-    out[:, 8] = np.einsum("ni,nij,nj->n", alpha, pi, beta)
-    return out
-
-
-def batch_oracle(mats: np.ndarray) -> np.ndarray:
-    """Oracle concurrence of a matrix stack, same algorithm as the scalar path."""
-    w, v = np.linalg.eigh(mats)
-    w = np.where(w > _EIG_CLAMP * np.clip(w[:, -1:], 0.0, None), w, 0.0)
-    sq = np.einsum("nik,nk,njk->nij", v, np.sqrt(w), v.conj())
-    core = sq @ _YY @ sq.conj()
-    lam = np.linalg.svd(core, compute_uv=False)
-    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -245,25 +200,18 @@ def _report(
 
 
 #: chunk count is fixed so reports depend only on the seed and sample count;
-#: the thread flag bounds the worker pool without moving any sample between
-#: seed streams
+#: it also bounds the size of each chunk's stacked arrays
 _CHUNKS = 8
 
 
-def _run_chunked(kernel: Callable, seq: np.random.SeedSequence, samples: int, threads: int):
+def _run_chunked(kernel: Callable, seq: np.random.SeedSequence, samples: int):
     """Split `samples` across fixed seed-spawned chunks; merge in spawn order."""
     n_chunks = max(1, min(_CHUNKS, samples))
     base, remainder = divmod(samples, n_chunks)
     sizes = [base + (1 if i < remainder else 0) for i in range(n_chunks)]
     sizes = [s for s in sizes if s > 0]
     children = seq.spawn(len(sizes))
-    runner = lambda child, m: kernel(np.random.default_rng(child), m)
-    workers = max(1, min(threads, len(sizes)))
-    if workers == 1:
-        results = [runner(c, m) for c, m in zip(children, sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(runner, children, sizes))
+    results = [kernel(np.random.default_rng(c), m) for c, m in zip(children, sizes)]
     devs = np.concatenate([r[0] for r in results])
     offenders = _merge_offenders([r[1] for r in results])
     extras = [r[2] for r in results if len(r) > 2]
@@ -343,7 +291,7 @@ def sample_xstate(rng, rank3: bool = False) -> XState:
 # ---------------------------------------------------------------------------
 
 
-def _suite_pure(seq, samples, threads):
+def _suite_pure(seq, samples):
     def kernel(rng, n):
         amps = batch_random_pure(rng, n)
         mats = np.einsum("ni,nj->nij", amps, amps.conj())
@@ -363,7 +311,7 @@ def _suite_pure(seq, samples, threads):
         }
         return devs, _top_offenders(devs, payload), residual
 
-    devs, offenders, extras = _run_chunked(kernel, seq, samples, threads)
+    devs, offenders, extras = _run_chunked(kernel, seq, samples)
     residual = max(extras) if extras else 0.0
     passed = bool(devs.max() <= 1e-8 and residual <= 1e-10) if devs.size else True
     return _report(
@@ -377,7 +325,7 @@ def _suite_pure(seq, samples, threads):
     )
 
 
-def _suite_lu_invariance(seq, samples, threads):
+def _suite_lu_invariance(seq, samples):
     def kernel(rng, n):
         per_rank = [n // 4] * 4
         per_rank[3] += n - sum(per_rank)
@@ -402,7 +350,7 @@ def _suite_lu_invariance(seq, samples, threads):
         }
         return devs, _top_offenders(devs, payload)
 
-    devs, offenders, _ = _run_chunked(kernel, seq, samples, threads)
+    devs, offenders, _ = _run_chunked(kernel, seq, samples)
     return _report(
         "lu-invariance",
         devs,
@@ -412,7 +360,7 @@ def _suite_lu_invariance(seq, samples, threads):
     )
 
 
-def _suite_rank2_roundtrip(seq, samples, threads):
+def _suite_rank2_roundtrip(seq, samples):
     def kernel(rng, n):
         devs = np.empty(n)
         payloads = []
@@ -435,7 +383,7 @@ def _suite_rank2_roundtrip(seq, samples, threads):
         }
         return devs, _top_offenders(devs, payload)
 
-    devs, offenders, _ = _run_chunked(kernel, seq, samples, threads)
+    devs, offenders, _ = _run_chunked(kernel, seq, samples)
     return _report(
         "rank2-roundtrip",
         devs,
@@ -445,7 +393,7 @@ def _suite_rank2_roundtrip(seq, samples, threads):
     )
 
 
-def _suite_rank2_sep2(seq, samples, threads):
+def _suite_rank2_sep2(seq, samples):
     def kernel(rng, n):
         devs = np.empty(n)
         payloads = []
@@ -463,7 +411,7 @@ def _suite_rank2_sep2(seq, samples, threads):
         }
         return devs, _top_offenders(devs, payload)
 
-    devs, offenders, _ = _run_chunked(kernel, seq, samples, threads)
+    devs, offenders, _ = _run_chunked(kernel, seq, samples)
     return _report(
         "rank2-sep2",
         devs,
@@ -480,7 +428,7 @@ def _suite_rank2_sep2(seq, samples, threads):
     )
 
 
-def _suite_rank2_degenerate(seq, samples, threads):
+def _suite_rank2_degenerate(seq, samples):
     def kernel(rng, n):
         devs = np.empty(n)
         payloads = []
@@ -497,7 +445,7 @@ def _suite_rank2_degenerate(seq, samples, threads):
         }
         return devs, _top_offenders(devs, payload)
 
-    devs, offenders, _ = _run_chunked(kernel, seq, samples, threads)
+    devs, offenders, _ = _run_chunked(kernel, seq, samples)
     return _report(
         "rank2-degenerate",
         devs,
@@ -507,7 +455,7 @@ def _suite_rank2_degenerate(seq, samples, threads):
     )
 
 
-def _suite_projection2(seq, samples, threads):
+def _suite_projection2(seq, samples):
     def kernel(rng, n):
         devs = np.empty(n)
         payloads = []
@@ -525,7 +473,7 @@ def _suite_projection2(seq, samples, threads):
         }
         return devs, _top_offenders(devs, payload)
 
-    devs, offenders, _ = _run_chunked(kernel, seq, samples, threads)
+    devs, offenders, _ = _run_chunked(kernel, seq, samples)
     return _report(
         "projection2",
         devs,
@@ -535,7 +483,7 @@ def _suite_projection2(seq, samples, threads):
     )
 
 
-def _suite_xstate(seq, samples, threads):
+def _suite_xstate(seq, samples):
     def kernel(rng, n):
         devs = np.empty(n)
         payloads = []
@@ -552,7 +500,7 @@ def _suite_xstate(seq, samples, threads):
         }
         return devs, _top_offenders(devs, payload)
 
-    devs, offenders, _ = _run_chunked(kernel, seq, samples, threads)
+    devs, offenders, _ = _run_chunked(kernel, seq, samples)
     return _report(
         "xstate",
         devs,
@@ -562,7 +510,7 @@ def _suite_xstate(seq, samples, threads):
     )
 
 
-def _suite_xstate_invariant(seq, samples, threads):
+def _suite_xstate_invariant(seq, samples):
     rng = np.random.default_rng(seq)
     devs = []
     payloads = []
@@ -608,7 +556,7 @@ def _suite_xstate_invariant(seq, samples, threads):
     )
 
 
-def _suite_ladder(seq, samples, threads):
+def _suite_ladder(seq, samples):
     lams = np.linspace(0.0, 1.0, max(samples, 2))
     devs = np.empty(lams.size)
     for i, lam in enumerate(lams):
@@ -629,7 +577,7 @@ def _suite_ladder(seq, samples, threads):
     )
 
 
-def _suite_bounds(seq, samples, threads):
+def _suite_bounds(seq, samples):
     def kernel(rng, n):
         half = n // 2
         margins = np.empty(n)
@@ -661,7 +609,7 @@ def _suite_bounds(seq, samples, threads):
         ]
         return devs, offenders
 
-    devs, offenders, _ = _run_chunked(kernel, seq, samples, threads)
+    devs, offenders, _ = _run_chunked(kernel, seq, samples)
     return _report(
         "bounds",
         devs,
@@ -674,40 +622,45 @@ def _suite_bounds(seq, samples, threads):
     )
 
 
-def _suite_rank4_max(seq, samples, threads):
+def _suite_rank4_max(seq, samples):
     rng = np.random.default_rng(seq)
     l1 = rng.uniform(0.0, 1.0, size=samples)
     l2 = rng.uniform(0.0, 1.0 - l1)
-    expr = np.array([rank4_max_concurrence(a, b) for a, b in zip(l1, l2)])
+    literal = np.array([rank4_max_concurrence(a, b) for a, b in zip(l1, l2)])
     mats = np.array([assemble_rank4_max(a, b).matrix for a, b in zip(l1, l2)])
     oracle = batch_oracle(mats)
-    devs = np.abs(np.maximum(expr, 0.0) - oracle)
-    positive = expr > 1e-6
-    ratios = oracle[positive] / expr[positive]
+    exact = np.maximum(0.0, 1.0 - 1.5 * l1 - 4.0 * l2 / 3.0)
+    devs = np.abs(exact - oracle)
+    positive = literal > 1e-6
+    ratios = oracle[positive] / literal[positive]
     payload = lambda i: {
         "oracle": float(oracle[i]),
-        "estimate": float(expr[i]),
+        "estimate": float(exact[i]),
         "state": {"lambda1": float(l1[i]), "lambda2": float(l2[i])},
     }
     return _report(
         "rank4-max",
         devs,
-        None,
+        1e-12,
         _top_offenders(devs, payload),
         extra={
+            "literal_max_deviation": float(
+                np.abs(np.maximum(literal, 0.0) - oracle).max()
+            ),
             "oracle_to_formula_ratio_min": float(ratios.min()) if ratios.size else 0.0,
             "oracle_to_formula_ratio_max": float(ratios.max()) if ratios.size else 0.0,
             "boundary_root_1": abs(rank4_max_concurrence(0.0, 0.75)),
             "boundary_root_2": abs(rank4_max_concurrence(2.0 / 3.0, 0.0)),
         },
         notes=(
-            "rank-4 closed form next to the oracle; the ratio is "
-            "reported empirically and the boundary root is checked exactly"
+            "max(0, 1 - 3 lam1/2 - 4 lam2/3) against the oracle on the maximal "
+            "rank-4 family; the literal closed form, half of it, is reported "
+            "through its deviation, its oracle ratio and its boundary roots"
         ),
     )
 
 
-def _suite_threshold(seq, samples, threads):
+def _suite_threshold(seq, samples):
     r = 1.0 / math.sqrt(2.0)
     low = concurrence_oracle(assemble_rank3_max(0.74, r, r)).value
     high = concurrence_oracle(assemble_rank3_max(0.76, r, r)).value
@@ -729,7 +682,7 @@ def _suite_threshold(seq, samples, threads):
     )
 
 
-def _suite_region(seq, samples, threads):
+def _suite_region(seq, samples):
     grid_n = 101
     rows = rank4_region(grid_n)
     h = 1.0 / (grid_n - 1)
@@ -787,7 +740,7 @@ def _suite_region(seq, samples, threads):
     )
 
 
-def _suite_inversions(seq, samples, threads):
+def _suite_inversions(seq, samples):
     devs = []
     for lam in np.linspace(0.0, 1.0, 21):
         for t in (math.pi / 4.0, math.pi / 6.0, 1.0):
@@ -813,7 +766,7 @@ def _suite_inversions(seq, samples, threads):
     )
 
 
-def _suite_shots(seq, samples, threads):
+def _suite_shots(seq, samples):
     rng = np.random.default_rng(seq)
     shots = 10_000
     r = 1.0 / math.sqrt(2.0)
@@ -888,9 +841,7 @@ SUITES: dict[str, Callable] = {
 }
 
 
-def run_suites(
-    names=None, samples: int = 1000, seed: int = 0, threads: int = 1
-) -> list[SuiteReport]:
+def run_suites(names=None, samples: int = 1000, seed: int = 0) -> list[SuiteReport]:
     """Run the named suites (all by default) with per-suite spawned seeds."""
     if names is None:
         names = list(SUITES)
@@ -900,4 +851,4 @@ def run_suites(
     root = np.random.SeedSequence(seed)
     streams = root.spawn(len(SUITES))
     order = {name: i for i, name in enumerate(SUITES)}
-    return [SUITES[name](streams[order[name]], samples, threads) for name in names]
+    return [SUITES[name](streams[order[name]], samples) for name in names]

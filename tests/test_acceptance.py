@@ -137,6 +137,8 @@ def test_criterion_5_family_formulas(acceptance):
         statistical = run_suites(
             names=["rank2-sep2", "xstate-invariant"], samples=1000, seed=SEED
         )
+        # the persisted reports are golden: once written, a rerun must
+        # reproduce them byte for byte
         REPORTS_DIR.mkdir(exist_ok=True)
         for rep in statistical:
             assert rep.tolerance is None
@@ -145,7 +147,10 @@ def test_criterion_5_family_formulas(acceptance):
                 "header": report_header(seed=SEED, samples=1000),
                 "report": rep.to_dict(),
             }
-            path.write_text(canonical_dumps(payload), encoding="utf-8")
+            text = canonical_dumps(payload)
+            previous = path.read_text(encoding="utf-8") if path.exists() else None
+            path.write_text(text, encoding="utf-8")
+            assert previous is None or text == previous, f"{path.name} drifted"
             back = json.loads(path.read_text(encoding="utf-8"))
             assert back["report"]["suite"] == rep.suite
             assert back["report"]["notes"]

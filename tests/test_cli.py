@@ -108,6 +108,28 @@ class TestConcurrence:
         code, _, _ = run(capsys, "concurrence", str(path))
         assert code == 1
 
+    def test_nan_matrix_payload(self, capsys, tmp_path):
+        entries = [[{"re": 0.0, "im": 0.0} for _ in range(4)] for _ in range(4)]
+        for i in range(4):
+            entries[i][i]["re"] = 0.25
+        entries[0][0]["re"] = float("nan")
+        path = tmp_path / "nan-matrix.json"
+        path.write_text(json.dumps({"matrix": entries}))
+        code, out, err = run(capsys, "concurrence", str(path))
+        assert code == 1
+        assert out == ""
+        assert "error: InvalidState" in err
+
+    def test_nan_bloch_payload(self, capsys, tmp_path):
+        path = tmp_path / "nan-bloch.json"
+        path.write_text(json.dumps(
+            {"bloch": {"p": [float("nan"), 0, 0], "s": [0, 0, 0], "pi": [[0] * 3] * 3}}
+        ))
+        code, out, err = run(capsys, "concurrence", str(path))
+        assert code == 1
+        assert out == ""
+        assert "error: InvalidState" in err
+
 
 class TestValidateCommand:
     def test_small_run_passes(self, capsys):
@@ -130,6 +152,11 @@ class TestValidateCommand:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_threads_flag_is_gone(self, capsys):
+        code, _, err = run(capsys, "validate", "--threads", "2", "--samples", "5")
+        assert code == 1
+        assert "--threads" in err
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "validate", "--suite", "bogus", "--samples", "5")

@@ -9,7 +9,7 @@ from qconc.concurrence import (
     concurrence_pure,
     spin_flip,
 )
-from qconc.errors import NotNormalized
+from qconc.errors import InvalidState, NotNormalized
 from qconc.qstate import (
     DensityOperator,
     PureState,
@@ -115,6 +115,29 @@ def test_concurrence_pure_rejects_bad_shape():
 def test_oracle_accepts_raw_matrix():
     raw = bell_state("psi+").density().matrix
     assert concurrence_oracle(raw).value == pytest.approx(1.0, abs=1e-12)
+
+
+def _bell_matrix():
+    return bell_state("phi+").density().matrix.copy()
+
+
+def _non_hermitian_bell():
+    m = _bell_matrix()
+    m[0, 3] += 0.1
+    return m
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param(lambda: 3.0 * _bell_matrix(), id="trace-3"),
+        pytest.param(lambda: np.eye(4) / 2.0, id="trace-2"),
+        pytest.param(_non_hermitian_bell, id="non-hermitian"),
+    ],
+)
+def test_oracle_validates_raw_matrix(raw):
+    with pytest.raises(InvalidState):
+        concurrence_oracle(raw())
 
 
 def test_oracle_on_rank2_mixture_of_bells():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from qconc.errors import I3Mismatch
 from qconc.invariants import (
-    derived_correlates,
     invariant_vector,
     InvariantVector,
     purity_residuals,
@@ -21,17 +20,6 @@ from qconc.qstate import (
     random_rank_k,
     werner_state,
 )
-
-
-def test_derived_vectors_definitions():
-    rho = random_rank_k(3, seed=2)
-    bloch = decompose(rho)
-    d = derived_correlates(bloch)
-    np.testing.assert_allclose(d.a, bloch.pi @ bloch.s)
-    np.testing.assert_allclose(d.b, bloch.pi.T @ bloch.p)
-    np.testing.assert_allclose(d.t, bloch.pi @ bloch.pi.T)
-    np.testing.assert_allclose(d.alpha, np.cross(bloch.p, d.a))
-    np.testing.assert_allclose(d.beta, np.cross(bloch.s, d.b))
 
 
 def test_maximally_mixed_invariants_vanish():

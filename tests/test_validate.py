@@ -83,14 +83,6 @@ def test_seed_determines_the_report():
     assert [r.to_dict() for r in a] != [r.to_dict() for r in c]
 
 
-def test_thread_count_does_not_move_samples():
-    serial = run_suites(names=["pure", "rank2-roundtrip"], samples=64, seed=9)
-    pooled = run_suites(
-        names=["pure", "rank2-roundtrip"], samples=64, seed=9, threads=4
-    )
-    assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
-
-
 def test_suite_selection_preserves_seed_streams():
     # a suite's stream is tied to its registry slot, not the request order
     alone = run_suites(names=["ladder"], samples=_SMOKE, seed=4)[0]
