@@ -222,8 +222,7 @@ def cli() -> None:
 @click.option("--named", default=None, help="named state, e.g. bell-phi+ or werner:0.5")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", default=None, help="output path (default stdout)")
-@click.option("--format", "fmt", type=click.Choice(["json"]), default="json", show_default=True)
-def cmd_gen(rank, named, seed, out_path, fmt):
+def cmd_gen(rank, named, seed, out_path):
     """Generate a state and write it as JSON; rank and purity go to stderr."""
     if (rank is None) == (named is None):
         raise click.UsageError("give exactly one of --rank or --named")
@@ -288,8 +287,7 @@ def cmd_concurrence(state_path, tol, out_path, fmt):
 @click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", default=None)
-@click.option("--format", "fmt", type=click.Choice(["json"]), default="json", show_default=True)
-def cmd_validate(suites, samples, seed, out_path, fmt):
+def cmd_validate(suites, samples, seed, out_path):
     """Run Monte-Carlo suites; exit 2 if any thresholded suite fails."""
     names = list(suites) if suites else None
     if names:

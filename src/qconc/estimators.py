@@ -17,6 +17,7 @@ Each estimator targets a specific family of low-rank states:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -342,7 +343,8 @@ def estimate_projection2(inv: InvariantVector) -> float:
 @dataclass(frozen=True)
 class XState:
     """Diagonal weights (u_plus, w1, w2, u_minus) with one coherence z
-    between |01> and |10>. Positivity requires |z|^2 <= w1 w2."""
+    between |01> and |10>. Positivity requires |z|^2 <= w1 w2; non-finite
+    entries raise ValueError."""
 
     u_plus: float
     w1: float
@@ -352,6 +354,8 @@ class XState:
 
     def __post_init__(self):
         weights = (self.u_plus, self.w1, self.w2, self.u_minus)
+        if not (all(map(math.isfinite, weights)) and cmath.isfinite(self.z)):
+            raise ValueError("weights and z must be finite")
         if min(weights) < -1e-12:
             raise ValueError("diagonal weights must be nonnegative")
         if abs(sum(weights) - 1.0) > WEIGHT_TOL:

@@ -20,9 +20,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Infeasible
-from .qstate import DensityOperator, pauli_pair
+from .qstate import _PAULI_GRID, DensityOperator
 
 OBS_LABELS = ("0", "x", "y", "z")
+#: position of each label along both axes of the Pauli-product grid
+_GRID_INDEX = {label: k for k, label in enumerate(OBS_LABELS)}
 FEASIBILITY_TOL = 1e-9
 
 #: the fifteen nontrivial observable pairs, identity-qubit entries first
@@ -63,7 +65,7 @@ def expectation(rho: DensityOperator, obs: tuple[str, str]) -> float:
     i, j = obs
     if i not in OBS_LABELS or j not in OBS_LABELS:
         raise ValueError(f"unknown observable pair {obs!r}")
-    op = pauli_pair(i, j)
+    op = _PAULI_GRID[_GRID_INDEX[i], _GRID_INDEX[j]]
     return float(np.einsum("ab,ba->", rho.matrix, op).real)
 
 
@@ -117,7 +119,7 @@ def lambda_from_szpz(szpz: float) -> LambdaEstimate:
     outside [0, 1] and are clamped with the flag set, since finite-shot
     data legitimately strays.
     """
-    if abs(szpz) > 1.0 + 1e-12:
+    if not abs(szpz) <= 1.0 + 1e-12:
         raise ValueError("correlation must lie in [-1, 1]")
     raw = 0.75 * (szpz + 1.0)
     value = min(max(raw, 0.0), 1.0)
@@ -142,7 +144,7 @@ def lambdas_from_correlations(
     this family); violations within tol are clamped and flagged.
     """
     for name, v in (("sxpx", sxpx), ("szpz", szpz)):
-        if abs(v) > 1.0 + 1e-12:
+        if not abs(v) <= 1.0 + 1e-12:
             raise ValueError(f"{name} must lie in [-1, 1]")
     l2 = 1.5 * (sxpx + szpz)
     l1 = 1.0 - 2.0 * sxpx - szpz

@@ -49,14 +49,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _complex_matrix(raw) -> np.ndarray:
+    """A raw input as a complex 4x4 array; anything else raises InvalidState."""
+    try:
+        m = np.asarray(raw, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidState(f"expected a numeric 4x4 matrix: {exc}") from None
+    if m.shape != (4, 4):
+        raise InvalidState(f"expected a 4x4 matrix, got shape {m.shape}")
+    return m
+
+
 def _as_matrix(rho) -> np.ndarray:
     """Accept a DensityOperator or a raw 4x4 array and return the matrix."""
     if isinstance(rho, DensityOperator):
         return rho.matrix
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise InvalidState(f"expected a 4x4 matrix, got shape {m.shape}")
-    return m
+    return _complex_matrix(rho)
 
 
 def _validated_matrix(rho) -> np.ndarray:
@@ -75,16 +83,15 @@ def _require_finite(*arrays) -> None:
 class DensityOperator:
     """Validated, immutable two-qubit density matrix.
 
-    Construction checks finiteness, hermiticity, unit trace and positivity
-    within fixed tolerances and raises InvalidState otherwise.
+    Construction checks that the input is a numeric 4x4 array, then
+    finiteness, hermiticity, unit trace and positivity within fixed
+    tolerances, and raises InvalidState otherwise.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise InvalidState(f"expected a 4x4 matrix, got shape {m.shape}")
+        m = _complex_matrix(self.matrix)
         _require_finite(m)
         if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
             raise InvalidState("matrix is not Hermitian within tolerance")

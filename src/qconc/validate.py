@@ -8,10 +8,13 @@ replay them. Suites with no trusted closed form (the rank-2 invariant
 candidate, the X-state invariant expression) carry no tolerance; they always
 pass and exist to publish statistics.
 
-Heavy suites vectorize the linear algebra over stacked (n, 4, 4) arrays and
-split their sampling into fixed chunks; chunks own spawned seed streams and
-are merged in spawn order, so results depend only on the seed and the
-sample count.
+Every sampled suite evaluates decomposition, invariants and the oracle on
+stacked (n, 4, 4) arrays, one call per chunk, while sampling, assembly with
+its DensityOperator validation and the family estimators stay per state;
+only `threshold` calls the single-state oracle, on its two fixed bracket
+states. Most suites split their samples into fixed chunks; chunks own
+spawned seed streams and are merged in spawn order, so results depend only
+on the seed and the sample count.
 """
 
 from __future__ import annotations
@@ -59,14 +62,14 @@ from .estimators import (
     xstate_concurrence,
     xstate_concurrence_invariant,
 )
-from .invariants import batch_invariants, invariant_vector
+from .invariants import InvariantVector, batch_invariants
 from .measurement import (
     expectation,
     lambda_from_szpz,
     lambdas_from_correlations,
     sample_expectation,
 )
-from .qstate import batch_decompose, decompose
+from .qstate import batch_decompose
 
 
 # ---------------------------------------------------------------------------
@@ -360,28 +363,41 @@ def _suite_lu_invariance(seq, samples):
     )
 
 
+def _stack(states) -> np.ndarray:
+    """The matrices of validated states as one (n, 4, 4) stack."""
+    return np.array([rho.matrix for rho in states]).reshape(-1, 4, 4)
+
+
+def _invariant_rows(mats: np.ndarray) -> list[InvariantVector]:
+    """Invariants of each state of a stack, in the form the estimators take."""
+    rows = batch_invariants(*batch_decompose(mats)).tolist()
+    return [InvariantVector(*row) for row in rows]
+
+
+def _offenders(devs, states, oracle, estimates) -> list:
+    payload = lambda i: {
+        "oracle": float(oracle[i]),
+        "estimate": float(estimates[i]),
+        "state": _jsonable(states[i]),
+    }
+    return _top_offenders(devs, payload)
+
+
+def _graded(states, estimates, oracle):
+    """Deviations |estimate - oracle| per state and the worst offenders."""
+    devs = np.abs(np.asarray(estimates, dtype=float) - oracle)
+    return devs, _offenders(devs, states, oracle, estimates)
+
+
 def _suite_rank2_roundtrip(seq, samples):
     def kernel(rng, n):
-        devs = np.empty(n)
-        payloads = []
-        for i in range(n):
-            params = sample_nondegenerate_rank2(rng)
-            p, s = local_observables_rank2(params)
-            rec = reconstruct_rank2(p, s)
-            rho0 = assemble_rank2(params)
-            rho1 = assemble_rank2(rec)
-            inv0 = invariant_vector(decompose(rho0)).as_array()
-            inv1 = invariant_vector(decompose(rho1)).as_array()
-            c0 = concurrence_oracle(rho0).value
-            c1 = concurrence_oracle(rho1).value
-            devs[i] = max(np.abs(inv0 - inv1).max(), abs(c0 - c1))
-            payloads.append((params, c0, c1))
-        payload = lambda i: {
-            "oracle": float(payloads[i][1]),
-            "estimate": float(payloads[i][2]),
-            "state": _jsonable(payloads[i][0]),
-        }
-        return devs, _top_offenders(devs, payload)
+        params = [sample_nondegenerate_rank2(rng) for _ in range(n)]
+        recs = [reconstruct_rank2(*local_observables_rank2(x)) for x in params]
+        mats = _stack([assemble_rank2(x) for x in params + recs])
+        inv = batch_invariants(*batch_decompose(mats))
+        c = batch_oracle(mats)
+        devs = np.maximum(np.abs(inv[:n] - inv[n:]).max(axis=1), np.abs(c[:n] - c[n:]))
+        return devs, _offenders(devs, params, c[:n], c[n:])
 
     devs, offenders, _ = _run_chunked(kernel, seq, samples)
     return _report(
@@ -395,21 +411,10 @@ def _suite_rank2_roundtrip(seq, samples):
 
 def _suite_rank2_sep2(seq, samples):
     def kernel(rng, n):
-        devs = np.empty(n)
-        payloads = []
-        for i in range(n):
-            params = sample_rank2_sep(rng)
-            rho = assemble_rank2_sep(params)
-            est = estimate_rank2_sep2(invariant_vector(decompose(rho)))
-            orc = concurrence_oracle(rho).value
-            devs[i] = abs(est - orc)
-            payloads.append((params, orc, est))
-        payload = lambda i: {
-            "oracle": float(payloads[i][1]),
-            "estimate": float(payloads[i][2]),
-            "state": _jsonable(payloads[i][0]),
-        }
-        return devs, _top_offenders(devs, payload)
+        params = [sample_rank2_sep(rng) for _ in range(n)]
+        mats = _stack([assemble_rank2_sep(x) for x in params])
+        est = [estimate_rank2_sep2(inv) for inv in _invariant_rows(mats)]
+        return _graded(params, est, batch_oracle(mats))
 
     devs, offenders, _ = _run_chunked(kernel, seq, samples)
     return _report(
@@ -430,20 +435,9 @@ def _suite_rank2_sep2(seq, samples):
 
 def _suite_rank2_degenerate(seq, samples):
     def kernel(rng, n):
-        devs = np.empty(n)
-        payloads = []
-        for i in range(n):
-            params = sample_rank2_degenerate(rng)
-            est = estimate_rank2_degenerate(params)
-            orc = concurrence_oracle(assemble_rank2_degenerate(params)).value
-            devs[i] = abs(est - orc)
-            payloads.append((params, orc, est))
-        payload = lambda i: {
-            "oracle": float(payloads[i][1]),
-            "estimate": float(payloads[i][2]),
-            "state": _jsonable(payloads[i][0]),
-        }
-        return devs, _top_offenders(devs, payload)
+        params = [sample_rank2_degenerate(rng) for _ in range(n)]
+        oracle = batch_oracle(_stack([assemble_rank2_degenerate(x) for x in params]))
+        return _graded(params, [estimate_rank2_degenerate(x) for x in params], oracle)
 
     devs, offenders, _ = _run_chunked(kernel, seq, samples)
     return _report(
@@ -457,21 +451,10 @@ def _suite_rank2_degenerate(seq, samples):
 
 def _suite_projection2(seq, samples):
     def kernel(rng, n):
-        devs = np.empty(n)
-        payloads = []
-        for i in range(n):
-            params = sample_rank2_degenerate(rng, lam=0.5)
-            rho = assemble_rank2_degenerate(params)
-            est = estimate_projection2(invariant_vector(decompose(rho)))
-            orc = concurrence_oracle(rho).value
-            devs[i] = abs(est - orc)
-            payloads.append((params, orc, est))
-        payload = lambda i: {
-            "oracle": float(payloads[i][1]),
-            "estimate": float(payloads[i][2]),
-            "state": _jsonable(payloads[i][0]),
-        }
-        return devs, _top_offenders(devs, payload)
+        params = [sample_rank2_degenerate(rng, lam=0.5) for _ in range(n)]
+        mats = _stack([assemble_rank2_degenerate(x) for x in params])
+        est = [estimate_projection2(inv) for inv in _invariant_rows(mats)]
+        return _graded(params, est, batch_oracle(mats))
 
     devs, offenders, _ = _run_chunked(kernel, seq, samples)
     return _report(
@@ -485,20 +468,9 @@ def _suite_projection2(seq, samples):
 
 def _suite_xstate(seq, samples):
     def kernel(rng, n):
-        devs = np.empty(n)
-        payloads = []
-        for i in range(n):
-            x = sample_xstate(rng)
-            est = xstate_concurrence(x)
-            orc = concurrence_oracle(assemble_xstate(x)).value
-            devs[i] = abs(est - orc)
-            payloads.append((x, orc, est))
-        payload = lambda i: {
-            "oracle": float(payloads[i][1]),
-            "estimate": float(payloads[i][2]),
-            "state": _jsonable(payloads[i][0]),
-        }
-        return devs, _top_offenders(devs, payload)
+        states = [sample_xstate(rng) for _ in range(n)]
+        oracle = batch_oracle(_stack([assemble_xstate(x) for x in states]))
+        return _graded(states, [xstate_concurrence(x) for x in states], oracle)
 
     devs, offenders, _ = _run_chunked(kernel, seq, samples)
     return _report(
@@ -512,32 +484,23 @@ def _suite_xstate(seq, samples):
 
 def _suite_xstate_invariant(seq, samples):
     rng = np.random.default_rng(seq)
-    devs = []
-    payloads = []
+    states = [sample_xstate(rng, rank3=True) for _ in range(samples)]
+    mats = _stack([assemble_xstate(x) for x in states])
+    oracle = batch_oracle(mats)
+    kept, est = [], []
     i1_zero = 0
     domain_errors = 0
-    for _ in range(samples):
-        x = sample_xstate(rng, rank3=True)
-        orc = concurrence_oracle(assemble_xstate(x)).value
+    for i, inv in enumerate(_invariant_rows(mats)):
         try:
-            est = xstate_concurrence_invariant(
-                invariant_vector(decompose(assemble_xstate(x)))
-            )
+            est.append(xstate_concurrence_invariant(inv))
         except I1Zero:
             i1_zero += 1
             continue
         except DomainError:
             domain_errors += 1
             continue
-        devs.append(abs(est - orc))
-        payloads.append((x, orc, est))
-    devs = np.asarray(devs, dtype=float)
-    payload = lambda i: {
-        "oracle": float(payloads[i][1]),
-        "estimate": float(payloads[i][2]),
-        "state": _jsonable(payloads[i][0]),
-    }
-    offenders = _top_offenders(devs, payload) if devs.size else []
+        kept.append(i)
+    devs, offenders = _graded([states[i] for i in kept], est, oracle[kept])
     return _report(
         "xstate-invariant",
         devs,
@@ -557,17 +520,19 @@ def _suite_xstate_invariant(seq, samples):
 
 
 def _suite_ladder(seq, samples):
-    lams = np.linspace(0.0, 1.0, max(samples, 2))
-    devs = np.empty(lams.size)
-    for i, lam in enumerate(lams):
-        rho = assemble_ladder(float(lam))
-        orc = concurrence_oracle(rho).value
-        szpz = expectation(rho, ("z", "z"))
-        devs[i] = max(
-            abs(ladder_concurrence(float(lam)) - orc),
-            abs(ladder_from_correlation(szpz) - orc),
-        )
-    payload = lambda i: {"state": {"lam": float(lams[i])}}
+    lams = np.linspace(0.0, 1.0, max(samples, 2)).tolist()
+    states = [assemble_ladder(lam) for lam in lams]
+    oracle = batch_oracle(_stack(states))
+    devs = np.array(
+        [
+            max(
+                abs(ladder_concurrence(lam) - orc),
+                abs(ladder_from_correlation(expectation(rho, ("z", "z"))) - orc),
+            )
+            for lam, rho, orc in zip(lams, states, oracle)
+        ]
+    )
+    payload = lambda i: {"state": {"lam": lams[i]}}
     return _report(
         "ladder",
         devs,

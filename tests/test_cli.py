@@ -158,6 +158,12 @@ class TestValidateCommand:
         assert code == 1
         assert "--threads" in err
 
+    @pytest.mark.parametrize("command", ["validate", "gen"])
+    def test_format_flag_is_gone(self, capsys, command):
+        code, _, err = run(capsys, command, "--format", "json")
+        assert code == 1
+        assert "--format" in err
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "validate", "--suite", "bogus", "--samples", "5")
         assert code == 1

@@ -19,6 +19,7 @@ from qconc.qstate import (
     random_rank_k,
     werner_state,
 )
+from qconc.stateio import state_to_dict
 
 
 def test_bell_states_are_maximally_entangled():
@@ -138,6 +139,11 @@ def _non_hermitian_bell():
 def test_oracle_validates_raw_matrix(raw):
     with pytest.raises(InvalidState):
         concurrence_oracle(raw())
+
+
+def test_oracle_rejects_a_state_payload_dict():
+    with pytest.raises(InvalidState, match="numeric"):
+        concurrence_oracle(state_to_dict(werner_state(0.5)))
 
 
 def test_oracle_on_rank2_mixture_of_bells():

@@ -294,6 +294,20 @@ def test_xstate_validation():
         XState(u_plus=-0.1, w1=0.6, w2=0.3, u_minus=0.2, z=0.0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"u_plus": math.nan, "z": 0.0},
+        {"u_plus": 0.2, "z": complex(math.nan, 0.0)},
+        {"u_plus": 0.2, "z": math.inf},
+    ],
+    ids=["nan-weight", "nan-z", "inf-z"],
+)
+def test_xstate_rejects_non_finite_entries(fields):
+    with pytest.raises(ValueError, match="finite"):
+        XState(w1=0.3, w2=0.3, u_minus=0.2, **fields)
+
+
 def test_xstate_direct_formula_exact(rng):
     for _ in range(60):
         w = rng.dirichlet(np.ones(4))

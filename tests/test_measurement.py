@@ -16,7 +16,13 @@ from qconc.measurement import (
     sample_correlations,
     sample_expectation,
 )
-from qconc.qstate import bell_state, decompose, random_rank_k, werner_state
+from qconc.qstate import (
+    bell_state,
+    decompose,
+    pauli_pair,
+    random_rank_k,
+    werner_state,
+)
 
 _R = 1.0 / math.sqrt(2.0)
 
@@ -56,6 +62,14 @@ class TestExpectation:
     def test_rejects_unknown_pair(self):
         with pytest.raises(ValueError, match="unknown observable"):
             expectation(bell_state("phi+").density(), ("x", "q"))
+
+    def test_same_bits_as_the_kronecker_product(self):
+        for rank, seed in ((1, 0), (2, 1), (3, 2), (4, 3)):
+            rho = random_rank_k(rank, seed)
+            for obs in ALL_OBSERVABLES:
+                op = pauli_pair(*obs)
+                exact = float(np.einsum("ab,ba->", rho.matrix, op).real)
+                assert expectation(rho, obs) == exact
 
 
 class TestRecordValidation:
@@ -149,6 +163,10 @@ class TestLambdaInversion:
         with pytest.raises(ValueError):
             lambda_from_szpz(-1.2)
 
+    def test_nan_correlation_rejected(self):
+        with pytest.raises(ValueError, match="correlation"):
+            lambda_from_szpz(math.nan)
+
 
 class TestWeightsInversion:
     def test_inverts_the_forward_map(self):
@@ -198,3 +216,7 @@ class TestWeightsInversion:
     def test_correlation_range_validated(self):
         with pytest.raises(ValueError, match="sxpx"):
             lambdas_from_correlations(1.5, 0.0)
+
+    def test_nan_correlation_rejected(self):
+        with pytest.raises(ValueError, match="sxpx"):
+            lambdas_from_correlations(math.nan, 0.1)
