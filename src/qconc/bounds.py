@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import concurrence_pure
-from .qstate import DensityOperator
+from .errors import SamplerExhausted
+from .qstate import REJECTION_LIMIT, DensityOperator
 
 ORTHO_TOL = 1e-10
 WEIGHT_TOL = 1e-10
@@ -112,7 +113,7 @@ class Rank3Canonical:
         equation is solvable and the weights are comfortably nonzero.
         """
         rng = np.random.default_rng(seed)
-        while True:
+        for _ in range(REJECTION_LIMIT):
             nu = np.sort(rng.dirichlet(np.ones(3)))
             if nu[0] < 1e-3:
                 continue
@@ -141,6 +142,7 @@ class Rank3Canonical:
                 phi1=phi1,
                 phi2=phi2,
             )
+        raise SamplerExhausted(f"no solvable rank-3 draw in {REJECTION_LIMIT} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +190,22 @@ def _psi_in_h3(a: float, b: float, theta: float, phi: float) -> np.ndarray:
     )
 
 
+def _sep_matrix(m) -> np.ndarray:
+    """rho_sep of a Rank3Mixture or Rank4Mixture: two product states of the
+    Pi3 span, sep_weight on the first."""
+    p1 = _h3_product_state(m.a, m.b, m.sep_angle1, m.sep_phase1)
+    p2 = _h3_product_state(m.a, m.b, m.sep_angle2, m.sep_phase2)
+    return m.sep_weight * np.outer(p1, p1.conj()) + (
+        1.0 - m.sep_weight
+    ) * np.outer(p2, p2.conj())
+
+
+def _rho2(m) -> np.ndarray:
+    """mu rho_sep + (1 - mu)|psi><psi| of a Rank3Mixture or Rank4Mixture."""
+    psi = _psi_in_h3(m.a, m.b, m.theta, m.phi)
+    return m.mu * _sep_matrix(m) + (1.0 - m.mu) * np.outer(psi, psi.conj())
+
+
 @dataclass(frozen=True)
 class Rank3Mixture:
     """lam Pi3/3 + (1 - lam)[mu rho_sep + (1 - mu)|psi><psi|].
@@ -220,19 +238,16 @@ class Rank3Mixture:
         return _psi_in_h3(self.a, self.b, self.theta, self.phi)
 
     def sep_matrix(self) -> np.ndarray:
-        p1 = _h3_product_state(self.a, self.b, self.sep_angle1, self.sep_phase1)
-        p2 = _h3_product_state(self.a, self.b, self.sep_angle2, self.sep_phase2)
-        return self.sep_weight * np.outer(p1, p1.conj()) + (
-            1.0 - self.sep_weight
-        ) * np.outer(p2, p2.conj())
+        return _sep_matrix(self)
+
+    def matrix(self) -> np.ndarray:
+        """Unvalidated density matrix of the mixture."""
+        return self.lam * _h3_projector(self.a, self.b) / 3.0 + (
+            1.0 - self.lam
+        ) * _rho2(self)
 
     def assemble(self) -> DensityOperator:
-        psi = self.psi()
-        rho2 = self.mu * self.sep_matrix() + (1.0 - self.mu) * np.outer(
-            psi, psi.conj()
-        )
-        m = self.lam * _h3_projector(self.a, self.b) / 3.0 + (1.0 - self.lam) * rho2
-        return DensityOperator(m)
+        return DensityOperator(self.matrix())
 
     @classmethod
     def random(cls, seed=None) -> "Rank3Mixture":
@@ -286,28 +301,15 @@ class Rank4Mixture:
     def psi(self) -> np.ndarray:
         return _psi_in_h3(self.a, self.b, self.theta, self.phi)
 
-    def assemble(self) -> DensityOperator:
-        inner = Rank3Mixture(
-            lam=0.0,
-            mu=self.mu,
-            a=self.a,
-            b=self.b,
-            theta=self.theta,
-            phi=self.phi,
-            sep_weight=self.sep_weight,
-            sep_angle1=self.sep_angle1,
-            sep_phase1=self.sep_phase1,
-            sep_angle2=self.sep_angle2,
-            sep_phase2=self.sep_phase2,
-        )
-        psi = inner.psi()
-        rho2 = self.mu * inner.sep_matrix() + (1.0 - self.mu) * np.outer(
-            psi, psi.conj()
-        )
+    def matrix(self) -> np.ndarray:
+        """Unvalidated density matrix of the mixture."""
         m = self.lambda1 * np.eye(4, dtype=complex) / 4.0
         m += self.lambda2 * _h3_projector(self.a, self.b) / 3.0
-        m += (1.0 - self.lambda1 - self.lambda2) * rho2
-        return DensityOperator(m)
+        m += (1.0 - self.lambda1 - self.lambda2) * _rho2(self)
+        return m
+
+    def assemble(self) -> DensityOperator:
+        return DensityOperator(self.matrix())
 
     @classmethod
     def random(cls, seed=None) -> "Rank4Mixture":
@@ -394,8 +396,8 @@ def rank4_max_concurrence(lambda1: float, lambda2: float) -> float:
     )
 
 
-def assemble_rank4_max(lambda1: float, lambda2: float) -> DensityOperator:
-    """lam1 I/4 + lam2 Pi3/3 + (1 - lam1 - lam2) |psi+><psi+| (a = b = 1/sqrt 2)."""
+def rank4_max_matrix(lambda1: float, lambda2: float) -> np.ndarray:
+    """Unvalidated lam1 I/4 + lam2 Pi3/3 + (1 - lam1 - lam2) |psi+><psi+|."""
     if lambda1 < 0.0 or lambda2 < 0.0 or lambda1 + lambda2 > 1.0 + 1e-12:
         raise ValueError("weights must be nonnegative with sum at most 1")
     r = 1.0 / math.sqrt(2.0)
@@ -403,7 +405,12 @@ def assemble_rank4_max(lambda1: float, lambda2: float) -> DensityOperator:
     m = lambda1 * np.eye(4, dtype=complex) / 4.0
     m += lambda2 * _h3_projector(r, r) / 3.0
     m += (1.0 - lambda1 - lambda2) * np.outer(psi, psi.conj())
-    return DensityOperator(m)
+    return m
+
+
+def assemble_rank4_max(lambda1: float, lambda2: float) -> DensityOperator:
+    """lam1 I/4 + lam2 Pi3/3 + (1 - lam1 - lam2) |psi+><psi+| (a = b = 1/sqrt 2)."""
+    return DensityOperator(rank4_max_matrix(lambda1, lambda2))
 
 
 def classify_weights(lambda1: float, lambda2: float) -> str:

@@ -33,13 +33,15 @@ from .estimators import (
     estimate_pure,
     estimate_rank2_sep2,
     ladder_from_correlation,
+    ladder_matrix,
     reconstruct_rank2,
     xstate_concurrence,
     xstate_concurrence_invariant,
 )
-from .invariants import invariant_vector
+from .invariants import InvariantVector, invariant_vector
 from .measurement import expectation
 from .qstate import (
+    BlochDecomposition,
     DensityOperator,
     bell_state,
     decompose,
@@ -134,11 +136,7 @@ def _is_ladder(rho: DensityOperator, tol: float) -> bool:
     lam = float(rho.matrix[0, 0].real)
     if not 0.0 <= lam <= 1.0:
         return False
-    try:
-        target = assemble_ladder(lam)
-    except QconcError:
-        return False
-    return bool(np.abs(rho.matrix - target.matrix).max() <= tol)
+    return bool(np.abs(rho.matrix - ladder_matrix(lam)).max() <= tol)
 
 
 def _is_xstate(rho: DensityOperator, tol: float) -> bool:
@@ -147,7 +145,16 @@ def _is_xstate(rho: DensityOperator, tol: float) -> bool:
     return bool(max(abs(v) for v in off) <= tol and abs(m[1, 2]) > tol)
 
 
-def _applicable_estimates(rho: DensityOperator, oracle: float, tol: float) -> list[dict]:
+def _applicable_estimates(
+    rho: DensityOperator,
+    bloch: BlochDecomposition,
+    inv: InvariantVector,
+    rank: int,
+    oracle: float,
+    tol: float,
+) -> list[dict]:
+    """Family estimates that apply to rho, given its decomposition, invariants
+    and rank, each with its deviation from the oracle value."""
     entries: list[dict] = []
 
     def add(name: str, value: float) -> None:
@@ -157,10 +164,6 @@ def _applicable_estimates(rho: DensityOperator, oracle: float, tol: float) -> li
 
     def fail(name: str, exc: Exception) -> None:
         entries.append({"name": name, "error": f"{type(exc).__name__}: {exc}"})
-
-    bloch = decompose(rho)
-    inv = invariant_vector(bloch)
-    rank = rank_of(rho)
 
     if rank == 1:
         try:
@@ -247,9 +250,10 @@ def cmd_concurrence(state_path, tol, out_path, fmt):
     """Report oracle concurrence, spectrum, invariants, and family estimates."""
     rho = _load_state(state_path)
     diag = concurrence_oracle(rho)
-    inv = invariant_vector(decompose(rho))
+    bloch = decompose(rho)
+    inv = invariant_vector(bloch)
     rank = rank_of(rho)
-    estimates = _applicable_estimates(rho, diag.value, tol)
+    estimates = _applicable_estimates(rho, bloch, inv, rank, diag.value, tol)
     if fmt == "json":
         payload = {
             "header": report_header(tolerance=tol),

@@ -48,3 +48,7 @@ class I1Zero(QconcError):
 
 class Infeasible(QconcError):
     """Recovered mixing weights violate the simplex constraints."""
+
+
+class SamplerExhausted(QconcError):
+    """A rejection sampler rejected REJECTION_LIMIT draws in a row."""

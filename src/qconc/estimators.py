@@ -111,12 +111,17 @@ def canonical_vectors_rank2(params: Rank2Canonical) -> tuple[np.ndarray, np.ndar
     return chi, chi_perp
 
 
-def assemble_rank2(params: Rank2Canonical) -> DensityOperator:
-    """Density operator nu |chi><chi| + (1 - nu) |chi_perp><chi_perp|."""
+def rank2_matrix(params: Rank2Canonical) -> np.ndarray:
+    """Unvalidated matrix nu |chi><chi| + (1 - nu) |chi_perp><chi_perp|."""
     chi, chi_perp = canonical_vectors_rank2(params)
     m = params.nu * np.outer(chi, chi.conj())
     m += (1.0 - params.nu) * np.outer(chi_perp, chi_perp.conj())
-    return DensityOperator(m)
+    return m
+
+
+def assemble_rank2(params: Rank2Canonical) -> DensityOperator:
+    """Density operator nu |chi><chi| + (1 - nu) |chi_perp><chi_perp|."""
+    return DensityOperator(rank2_matrix(params))
 
 
 def local_observables_rank2(params: Rank2Canonical) -> tuple[np.ndarray, np.ndarray]:
@@ -246,14 +251,18 @@ class Rank2SepDecomp:
             raise ValueError("a^2 + b^2 must equal 1")
 
 
-def assemble_rank2_sep(params: Rank2SepDecomp) -> DensityOperator:
+def rank2_sep_matrix(params: Rank2SepDecomp) -> np.ndarray:
+    """Unvalidated matrix of the separable-plus-pure rank-2 mixture."""
     chi2 = np.array([0.0, 0.0, params.a, params.b], dtype=complex)
     psi = math.cos(params.theta) * np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     psi += np.exp(1j * params.phase) * math.sin(params.theta) * chi2
     sep = params.mu * np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     sep += (1.0 - params.mu) * np.outer(chi2, chi2.conj())
-    m = params.lam * sep + (1.0 - params.lam) * np.outer(psi, psi.conj())
-    return DensityOperator(m)
+    return params.lam * sep + (1.0 - params.lam) * np.outer(psi, psi.conj())
+
+
+def assemble_rank2_sep(params: Rank2SepDecomp) -> DensityOperator:
+    return DensityOperator(rank2_sep_matrix(params))
 
 
 def estimate_rank2_sep2(inv: InvariantVector) -> float:
@@ -297,11 +306,16 @@ class Rank2Degenerate:
             raise ValueError("r1^2 + |c|^2 + r2^2 must equal 1")
 
 
-def assemble_rank2_degenerate(params: Rank2Degenerate) -> DensityOperator:
+def rank2_degenerate_matrix(params: Rank2Degenerate) -> np.ndarray:
+    """Unvalidated matrix lam |00><00| + (1 - lam) |psi><psi|."""
     psi = np.array([0.0, params.r1, params.c, params.r2], dtype=complex)
     m = params.lam * np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     m += (1.0 - params.lam) * np.outer(psi, psi.conj())
-    return DensityOperator(m)
+    return m
+
+
+def assemble_rank2_degenerate(params: Rank2Degenerate) -> DensityOperator:
+    return DensityOperator(rank2_degenerate_matrix(params))
 
 
 def estimate_rank2_degenerate(params: Rank2Degenerate) -> float:
@@ -364,11 +378,16 @@ class XState:
             raise ValueError("|z|^2 must not exceed w1 w2")
 
 
-def assemble_xstate(x: XState) -> DensityOperator:
+def xstate_matrix(x: XState) -> np.ndarray:
+    """Unvalidated X-state matrix: the diagonal weights and the inner coherence."""
     m = np.diag([x.u_plus, x.w1, x.w2, x.u_minus]).astype(complex)
     m[1, 2] = x.z
     m[2, 1] = np.conj(x.z)
-    return DensityOperator(m)
+    return m
+
+
+def assemble_xstate(x: XState) -> DensityOperator:
+    return DensityOperator(xstate_matrix(x))
 
 
 def xstate_concurrence(x: XState) -> float:
@@ -400,14 +419,19 @@ def xstate_concurrence_invariant(inv: InvariantVector) -> float:
 # ---------------------------------------------------------------------------
 
 
-def assemble_ladder(lam: float) -> DensityOperator:
-    """Mixture lam |00><00| + (1 - lam) |singlet><singlet|."""
+def ladder_matrix(lam: float) -> np.ndarray:
+    """Unvalidated matrix lam |00><00| + (1 - lam) |singlet><singlet|."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
     singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
     m = lam * np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     m += (1.0 - lam) * np.outer(singlet, singlet.conj())
-    return DensityOperator(m)
+    return m
+
+
+def assemble_ladder(lam: float) -> DensityOperator:
+    """Mixture lam |00><00| + (1 - lam) |singlet><singlet|."""
+    return DensityOperator(ladder_matrix(lam))
 
 
 def ladder_concurrence(lam: float) -> float:

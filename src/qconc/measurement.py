@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Infeasible
-from .qstate import _PAULI_GRID, DensityOperator
+from .qstate import _PAULI_GRID, DensityOperator, _as_matrix
 
 OBS_LABELS = ("0", "x", "y", "z")
 #: position of each label along both axes of the Pauli-product grid
@@ -60,13 +60,14 @@ class MeasurementRecord:
                 raise ValueError("sample mean is outside the admissible band")
 
 
-def expectation(rho: DensityOperator, obs: tuple[str, str]) -> float:
-    """Exact expectation Tr(rho sigma_i (x) sigma_j)."""
+def expectation(rho, obs: tuple[str, str]) -> float:
+    """Exact expectation Tr(rho sigma_i (x) sigma_j) of a DensityOperator or a
+    raw 4x4 matrix (used as given, not validated)."""
     i, j = obs
     if i not in OBS_LABELS or j not in OBS_LABELS:
         raise ValueError(f"unknown observable pair {obs!r}")
     op = _PAULI_GRID[_GRID_INDEX[i], _GRID_INDEX[j]]
-    return float(np.einsum("ab,ba->", rho.matrix, op).real)
+    return float(np.einsum("ab,ba->", _as_matrix(rho), op).real)
 
 
 def sample_expectation(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState, NotAState, NotNormalized
+from .errors import InvalidState, NotAState, NotNormalized, SamplerExhausted
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -21,6 +21,9 @@ NORM_TOL = 1e-8
 PURE_NORM_TOL = 1e-12
 RANK_REL_TOL = 1e-9
 UNITARY_TOL = 1e-12
+#: draws (or redraw rounds) a rejection sampler makes before it raises
+#: SamplerExhausted; every sampler accepts well over a third of its draws
+REJECTION_LIMIT = 1000
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -79,29 +82,70 @@ def _require_finite(*arrays) -> None:
         raise InvalidState("entries must be finite")
 
 
+# a non-finite state's residual or trace may come from inf - inf; it is
+# rejected either way, so that gives NaN without a RuntimeWarning
+@np.errstate(invalid="ignore")
+def check_states(mats) -> np.ndarray:
+    """Validate an (n, 4, 4) stack of density matrices; return a read-only copy.
+
+    Every state must be finite, Hermitian, of unit trace and positive
+    semidefinite within fixed tolerances. The first failing state in stack
+    order raises InvalidState with the message of its first failing check.
+    """
+    try:
+        m = np.array(mats, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidState(f"expected a numeric (n, 4, 4) stack: {exc}") from None
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise InvalidState(f"expected an (n, 4, 4) stack, got shape {m.shape}")
+    # All-pass tests first, per-state messages only on failure. A non-finite
+    # entry makes its state's residual or trace NaN or inf, which fails `<=`,
+    # so eigvalsh never sees it. Comparing Python floats keeps the one-state
+    # call, which every DensityOperator makes, as cheap as scalar checks.
+    herm = np.abs(m - m.conj().swapaxes(1, 2))
+    tr = m.trace(axis1=1, axis2=2).real
+    if herm.max(initial=0.0) <= HERMITICITY_TOL and all(
+        abs(t - 1.0) <= TRACE_TOL for t in tr.tolist()
+    ):
+        low = np.linalg.eigvalsh(m)[:, 0]
+        if all(v >= -PSD_TOL for v in low.tolist()):
+            m.flags.writeable = False
+            return m
+    raise InvalidState(_first_defect(m, herm.max(axis=(1, 2)), tr))
+
+
+def _first_defect(m: np.ndarray, herm: np.ndarray, tr: np.ndarray) -> str:
+    """Message of the first failing check of the first failing state."""
+    finite = np.isfinite(m).all(axis=(1, 2))
+    low = np.zeros(len(m))
+    low[finite] = np.linalg.eigvalsh(m[finite])[:, 0]
+    for k in range(len(m)):
+        if not finite[k]:
+            return "entries must be finite"
+        if herm[k] > HERMITICITY_TOL:
+            return "matrix is not Hermitian within tolerance"
+        if abs(tr[k] - 1.0) > TRACE_TOL:
+            return f"trace is {tr[k]}, expected 1"
+        if low[k] < -PSD_TOL:
+            return f"smallest eigenvalue {low[k]} is negative"
+    raise AssertionError("check_states rejected a stack with no failing state")
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Validated, immutable two-qubit density matrix.
 
-    Construction checks that the input is a numeric 4x4 array, then
-    finiteness, hermiticity, unit trace and positivity within fixed
-    tolerances, and raises InvalidState otherwise.
+    Construction checks that the input is a numeric 4x4 array, then runs the
+    one-state stack through :func:`check_states` (finiteness, hermiticity,
+    unit trace and positivity within fixed tolerances); either step raises
+    InvalidState.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = _complex_matrix(self.matrix)
-        _require_finite(m)
-        if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
-            raise InvalidState("matrix is not Hermitian within tolerance")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidState(f"trace is {tr}, expected 1")
-        evals = np.linalg.eigvalsh(m)
-        if evals[0] < -PSD_TOL:
-            raise InvalidState(f"smallest eigenvalue {evals[0]} is negative")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", check_states(m[None])[0])
 
     def purity(self) -> float:
         m = self.matrix
@@ -293,11 +337,11 @@ def random_rank_k(k: int, seed) -> DensityOperator:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k))
     q, _ = np.linalg.qr(g)
-    while True:
+    for _ in range(REJECTION_LIMIT):
         w = rng.dirichlet(np.ones(k))
         if w.min() > 1e-6:
-            break
-    return DensityOperator((q * w) @ q.conj().T)
+            return DensityOperator((q * w) @ q.conj().T)
+    raise SamplerExhausted(f"no weights above 1e-6 in {REJECTION_LIMIT} draws")
 
 
 _BELL_AMPLITUDES = {

@@ -8,13 +8,15 @@ replay them. Suites with no trusted closed form (the rank-2 invariant
 candidate, the X-state invariant expression) carry no tolerance; they always
 pass and exist to publish statistics.
 
-Every sampled suite evaluates decomposition, invariants and the oracle on
-stacked (n, 4, 4) arrays, one call per chunk, while sampling, assembly with
-its DensityOperator validation and the family estimators stay per state;
-only `threshold` calls the single-state oracle, on its two fixed bracket
-states. Most suites split their samples into fixed chunks; chunks own
-spawned seed streams and are merged in spawn order, so results depend only
-on the seed and the sample count.
+Every sampled suite builds the raw matrix of each state of a chunk, then
+validates the chunk with one check_states call and evaluates decomposition,
+invariants and the oracle on that (n, 4, 4) stack, one call each; sampling,
+matrix building and the family estimators stay per state. `shots`,
+`inversions` and `threshold` still assemble one validated DensityOperator at
+a time, and only `threshold` calls the single-state oracle, on its two fixed
+bracket states. Most suites split their samples into fixed chunks; chunks
+own spawned seed streams and are merged in spawn order, so results depend
+only on the seed and the sample count.
 """
 
 from __future__ import annotations
@@ -38,29 +40,30 @@ from .bounds import (
     rank3_threshold,
     rank4_bound,
     rank4_max_concurrence,
+    rank4_max_matrix,
     rank4_region,
 )
 from .concurrence import batch_oracle, concurrence_oracle
-from .errors import DomainError, I1Zero, Infeasible
+from .errors import DomainError, I1Zero, Infeasible, SamplerExhausted
 from .estimators import (
     Rank2Canonical,
     Rank2Degenerate,
     Rank2SepDecomp,
     XState,
-    assemble_ladder,
-    assemble_rank2,
-    assemble_rank2_degenerate,
-    assemble_rank2_sep,
-    assemble_xstate,
     estimate_projection2,
     estimate_rank2_degenerate,
     estimate_rank2_sep2,
     ladder_concurrence,
     ladder_from_correlation,
+    ladder_matrix,
     local_observables_rank2,
+    rank2_degenerate_matrix,
+    rank2_matrix,
+    rank2_sep_matrix,
     reconstruct_rank2,
     xstate_concurrence,
     xstate_concurrence_invariant,
+    xstate_matrix,
 )
 from .invariants import InvariantVector, batch_invariants
 from .measurement import (
@@ -69,7 +72,7 @@ from .measurement import (
     lambdas_from_correlations,
     sample_expectation,
 )
-from .qstate import batch_decompose
+from .qstate import REJECTION_LIMIT, batch_decompose, check_states
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +99,12 @@ def batch_random_mixed(rng, n: int, rank: int) -> np.ndarray:
     z = rng.normal(size=(n, 4, rank)) + 1j * rng.normal(size=(n, 4, rank))
     q, _ = np.linalg.qr(z)
     w = rng.dirichlet(np.ones(rank), size=n)
-    while True:
+    for _ in range(REJECTION_LIMIT):
         bad = w.min(axis=1) < 1e-6
         if not bad.any():
-            break
+            return np.einsum("nik,nk,njk->nij", q, w, q.conj())
         w[bad] = rng.dirichlet(np.ones(rank), size=int(bad.sum()))
-    return np.einsum("nik,nk,njk->nij", q, w, q.conj())
+    raise SamplerExhausted(f"weights below 1e-6 after {REJECTION_LIMIT} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +232,7 @@ def _run_chunked(kernel: Callable, seq: np.random.SeedSequence, samples: int):
 def sample_nondegenerate_rank2(rng) -> Rank2Canonical:
     """Canonical rank-2 parameters kept clear of every reconstruction guard."""
     half_pi = math.pi / 2.0
-    while True:
+    for _ in range(REJECTION_LIMIT):
         params = Rank2Canonical(
             nu=rng.uniform(0.05, 0.95),
             alpha=rng.uniform(0.1, half_pi - 0.1),
@@ -248,6 +251,9 @@ def sample_nondegenerate_rank2(rng) -> Rank2Canonical:
         if abs(sa * p[0] + ca * s[0]) < 1e-2:
             continue
         return params
+    raise SamplerExhausted(
+        f"no rank-2 draw cleared the guards in {REJECTION_LIMIT} draws"
+    )
 
 
 def sample_rank2_sep(rng) -> Rank2SepDecomp:
@@ -363,11 +369,6 @@ def _suite_lu_invariance(seq, samples):
     )
 
 
-def _stack(states) -> np.ndarray:
-    """The matrices of validated states as one (n, 4, 4) stack."""
-    return np.array([rho.matrix for rho in states]).reshape(-1, 4, 4)
-
-
 def _invariant_rows(mats: np.ndarray) -> list[InvariantVector]:
     """Invariants of each state of a stack, in the form the estimators take."""
     rows = batch_invariants(*batch_decompose(mats)).tolist()
@@ -393,7 +394,7 @@ def _suite_rank2_roundtrip(seq, samples):
     def kernel(rng, n):
         params = [sample_nondegenerate_rank2(rng) for _ in range(n)]
         recs = [reconstruct_rank2(*local_observables_rank2(x)) for x in params]
-        mats = _stack([assemble_rank2(x) for x in params + recs])
+        mats = check_states([rank2_matrix(x) for x in params + recs])
         inv = batch_invariants(*batch_decompose(mats))
         c = batch_oracle(mats)
         devs = np.maximum(np.abs(inv[:n] - inv[n:]).max(axis=1), np.abs(c[:n] - c[n:]))
@@ -412,7 +413,7 @@ def _suite_rank2_roundtrip(seq, samples):
 def _suite_rank2_sep2(seq, samples):
     def kernel(rng, n):
         params = [sample_rank2_sep(rng) for _ in range(n)]
-        mats = _stack([assemble_rank2_sep(x) for x in params])
+        mats = check_states([rank2_sep_matrix(x) for x in params])
         est = [estimate_rank2_sep2(inv) for inv in _invariant_rows(mats)]
         return _graded(params, est, batch_oracle(mats))
 
@@ -436,8 +437,9 @@ def _suite_rank2_sep2(seq, samples):
 def _suite_rank2_degenerate(seq, samples):
     def kernel(rng, n):
         params = [sample_rank2_degenerate(rng) for _ in range(n)]
-        oracle = batch_oracle(_stack([assemble_rank2_degenerate(x) for x in params]))
-        return _graded(params, [estimate_rank2_degenerate(x) for x in params], oracle)
+        mats = check_states([rank2_degenerate_matrix(x) for x in params])
+        est = [estimate_rank2_degenerate(x) for x in params]
+        return _graded(params, est, batch_oracle(mats))
 
     devs, offenders, _ = _run_chunked(kernel, seq, samples)
     return _report(
@@ -452,7 +454,7 @@ def _suite_rank2_degenerate(seq, samples):
 def _suite_projection2(seq, samples):
     def kernel(rng, n):
         params = [sample_rank2_degenerate(rng, lam=0.5) for _ in range(n)]
-        mats = _stack([assemble_rank2_degenerate(x) for x in params])
+        mats = check_states([rank2_degenerate_matrix(x) for x in params])
         est = [estimate_projection2(inv) for inv in _invariant_rows(mats)]
         return _graded(params, est, batch_oracle(mats))
 
@@ -469,7 +471,7 @@ def _suite_projection2(seq, samples):
 def _suite_xstate(seq, samples):
     def kernel(rng, n):
         states = [sample_xstate(rng) for _ in range(n)]
-        oracle = batch_oracle(_stack([assemble_xstate(x) for x in states]))
+        oracle = batch_oracle(check_states([xstate_matrix(x) for x in states]))
         return _graded(states, [xstate_concurrence(x) for x in states], oracle)
 
     devs, offenders, _ = _run_chunked(kernel, seq, samples)
@@ -485,7 +487,7 @@ def _suite_xstate(seq, samples):
 def _suite_xstate_invariant(seq, samples):
     rng = np.random.default_rng(seq)
     states = [sample_xstate(rng, rank3=True) for _ in range(samples)]
-    mats = _stack([assemble_xstate(x) for x in states])
+    mats = check_states([xstate_matrix(x) for x in states])
     oracle = batch_oracle(mats)
     kept, est = [], []
     i1_zero = 0
@@ -521,15 +523,15 @@ def _suite_xstate_invariant(seq, samples):
 
 def _suite_ladder(seq, samples):
     lams = np.linspace(0.0, 1.0, max(samples, 2)).tolist()
-    states = [assemble_ladder(lam) for lam in lams]
-    oracle = batch_oracle(_stack(states))
+    mats = check_states([ladder_matrix(lam) for lam in lams])
+    oracle = batch_oracle(mats)
     devs = np.array(
         [
             max(
                 abs(ladder_concurrence(lam) - orc),
                 abs(ladder_from_correlation(expectation(rho, ("z", "z"))) - orc),
             )
-            for lam, rho, orc in zip(lams, states, oracle)
+            for lam, rho, orc in zip(lams, mats, oracle)
         ]
     )
     payload = lambda i: {"state": {"lam": lams[i]}}
@@ -545,7 +547,6 @@ def _suite_ladder(seq, samples):
 def _suite_bounds(seq, samples):
     def kernel(rng, n):
         half = n // 2
-        margins = np.empty(n)
         payloads = []
         mats = []
         vals = []
@@ -557,8 +558,8 @@ def _suite_bounds(seq, samples):
                 m = Rank4Mixture.random(rng)
                 vals.append(rank4_bound(m))
             payloads.append(m)
-            mats.append(m.assemble().matrix)
-        oracle = batch_oracle(np.asarray(mats))
+            mats.append(m.matrix())
+        oracle = batch_oracle(check_states(mats))
         margins = np.asarray(vals) - oracle
         devs = np.maximum(0.0, -margins)
         order = np.argsort(margins)[:3]
@@ -592,7 +593,7 @@ def _suite_rank4_max(seq, samples):
     l1 = rng.uniform(0.0, 1.0, size=samples)
     l2 = rng.uniform(0.0, 1.0 - l1)
     literal = np.array([rank4_max_concurrence(a, b) for a, b in zip(l1, l2)])
-    mats = np.array([assemble_rank4_max(a, b).matrix for a, b in zip(l1, l2)])
+    mats = check_states([rank4_max_matrix(a, b) for a, b in zip(l1, l2)])
     oracle = batch_oracle(mats)
     exact = np.maximum(0.0, 1.0 - 1.5 * l1 - 4.0 * l2 / 3.0)
     devs = np.abs(exact - oracle)

@@ -4,6 +4,11 @@ import pytest
 
 import qconc.cli as cli_mod
 from qconc.cli import main
+from qconc.concurrence import concurrence_oracle
+from qconc.estimators import Rank2Canonical, assemble_rank2
+from qconc.invariants import invariant_vector
+from qconc.qstate import decompose
+from qconc.stateio import read_state, write_state
 from qconc.validate import SuiteReport
 
 
@@ -129,6 +134,74 @@ class TestConcurrence:
         assert code == 1
         assert out == ""
         assert "error: InvalidState" in err
+
+
+#: estimate rows of three family reports, as the report path wrote them when
+#: it still decomposed every state twice and validated a whole ladder state
+#: to compare against: (name, value) or (name, error type)
+_FAMILY_REPORTS = {
+    "ladder": (
+        2,
+        0.7,
+        [
+            ("rank2-reconstruction", "ReconstructionDegenerate"),
+            ("rank2-sep2", 0.9539392014169457),
+            ("xstate-direct", 0.7),
+            ("xstate-invariant", 0.0),
+            ("ladder-rho11", 0.7),
+            ("ladder-szpz", 0.7),
+        ],
+    ),
+    "xstate": (
+        4,
+        0.03338505354221877,
+        [("xstate-direct", 0.03338505354221888), ("xstate-invariant", "DomainError")],
+    ),
+    "rank2": (
+        2,
+        0.4416747817212996,
+        [
+            ("rank2-reconstruction", 0.44167478172129987),
+            ("rank2-sep2", 0.9443660326742664),
+        ],
+    ),
+}
+
+
+def _family_state(capsys, tmp_path, family):
+    path = tmp_path / f"{family}.json"
+    if family == "rank2":
+        params = Rank2Canonical(nu=0.7, alpha=0.5, beta=0.9, gamma=2.0, eta=0.6)
+        write_state(path, assemble_rank2(params))
+    else:
+        named = {"ladder": "ladder:0.3", "xstate": "xstate:0.1,0.3,0.4,0.2,0.15,0.05"}
+        run(capsys, "gen", "--named", named[family], "--out", str(path))
+    return path
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_REPORTS))
+def test_family_json_reports_are_unchanged(capsys, tmp_path, family):
+    path = _family_state(capsys, tmp_path, family)
+    code, out, _ = run(capsys, "concurrence", str(path), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    rank, oracle, rows = _FAMILY_REPORTS[family]
+    rho = read_state(path)
+    diag = concurrence_oracle(rho)
+    assert payload["rank"] == rank
+    assert payload["oracle"] == diag.value == pytest.approx(oracle, abs=1e-12)
+    assert payload["lambdas"] == list(diag.lambdas)
+    assert payload["invariants"] == invariant_vector(decompose(rho)).to_dict()
+    got = payload["estimates"]
+    assert [e["name"] for e in got] == [name for name, _ in rows]
+    for entry, (_, expected) in zip(got, rows):
+        if isinstance(expected, str):
+            assert set(entry) == {"name", "error"}
+            assert entry["error"].startswith(expected + ": ")
+        else:
+            assert set(entry) == {"name", "value", "deviation"}
+            assert entry["value"] == pytest.approx(expected, abs=1e-12)
+            assert entry["deviation"] == abs(entry["value"] - payload["oracle"])
 
 
 class TestValidateCommand:

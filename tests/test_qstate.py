@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from qconc.qstate import (
     apply_local,
     assemble,
     bell_state,
+    check_states,
     decompose,
     haar_unitary2,
     maximally_mixed,
@@ -53,6 +56,154 @@ class TestDensityOperator:
         rho = maximally_mixed()
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
+
+
+def _reference_defect(m):
+    """The single-state checks written out one by one, in their fixed order:
+    the message a 4x4 matrix is rejected with, or None if it is a state."""
+    if not np.isfinite(m).all():
+        return "entries must be finite"
+    if np.abs(m - m.conj().T).max() > 1e-10:
+        return "matrix is not Hermitian within tolerance"
+    tr = np.trace(m).real
+    if abs(tr - 1.0) > 1e-10:
+        return f"trace is {tr}, expected 1"
+    low = np.linalg.eigvalsh(m)[0]
+    if low < -1e-10:
+        return f"smallest eigenvalue {low} is negative"
+    return None
+
+
+def _rejection(fn, arg):
+    """The InvalidState message fn(arg) raises, or None if it returns."""
+    try:
+        fn(arg)
+    except InvalidState as exc:
+        return str(exc)
+    return None
+
+
+def _non_finite(m):
+    m[1, 2] = np.nan
+    return m
+
+
+def _infinite_diagonal(m):
+    m[2, 2] = np.inf
+    return m
+
+
+def _non_hermitian(m):
+    m[0, 3] += 1e-6
+    return m
+
+
+def _wrong_trace(m):
+    return 1.01 * m
+
+
+def _negative_eigenvalue(m):
+    return np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
+
+
+_DEFECTS = {
+    "non-finite": _non_finite,
+    "infinite-diagonal": _infinite_diagonal,
+    "non-hermitian": _non_hermitian,
+    "trace": _wrong_trace,
+    "negative-eigenvalue": _negative_eigenvalue,
+}
+
+
+def _valid_stack(n=7):
+    return np.stack([random_rank_k(1 + k % 4, seed=k).matrix for k in range(n)])
+
+
+class TestCheckStates:
+    @pytest.mark.parametrize("defect", sorted(_DEFECTS))
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    def test_bad_state_in_a_stack_raises_its_single_state_message(
+        self, defect, position
+    ):
+        mats = _valid_stack()
+        mats[position] = _DEFECTS[defect](mats[position].copy())
+        expected = _reference_defect(mats[position])
+        assert expected is not None
+        assert _rejection(DensityOperator, mats[position]) == expected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _rejection(check_states, mats) == expected
+
+    @pytest.mark.parametrize("first", sorted(_DEFECTS))
+    @pytest.mark.parametrize("second", sorted(_DEFECTS))
+    def test_first_bad_state_in_stack_order_wins(self, first, second):
+        mats = _valid_stack()
+        mats[2] = _DEFECTS[first](mats[2].copy())
+        mats[5] = _DEFECTS[second](mats[5].copy())
+        assert _rejection(check_states, mats) == _reference_defect(mats[2])
+
+    def test_returns_a_read_only_copy(self):
+        mats = _valid_stack()
+        out = check_states(mats)
+        np.testing.assert_array_equal(out, mats)
+        assert out.dtype == complex
+        with pytest.raises(ValueError):
+            out[0, 0, 0] = 1.0
+        mats[0, 0, 0] = 2.0
+        assert out[0, 0, 0] != 2.0
+
+    def test_rows_equal_density_operator_matrices(self):
+        mats = _valid_stack()
+        out = check_states(mats)
+        for k, m in enumerate(mats):
+            np.testing.assert_array_equal(out[k], DensityOperator(m).matrix)
+
+    def test_empty_stack(self):
+        assert check_states(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3), (1, 4, 4, 1)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(InvalidState):
+            check_states(np.zeros(shape))
+
+    def test_rejects_non_numeric_input(self):
+        with pytest.raises(InvalidState, match="numeric"):
+            check_states([{"re": 0.25, "im": 0.0}])
+
+
+_ENTRY = st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.inf), 0.3])
+
+
+@st.composite
+def _stacks(draw):
+    """Small stacks of random states, some with one entry replaced or nudged."""
+    mats = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        m = random_rank_k(
+            draw(st.integers(min_value=1, max_value=4)),
+            seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        ).matrix.copy()
+        kind = draw(st.sampled_from(["valid", "entry", "nudge", "scale"]))
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        if kind == "entry":
+            m[i, j] = draw(_ENTRY)
+        elif kind == "nudge":
+            m[i, j] += draw(st.floats(min_value=-1e-9, max_value=1e-9))
+        elif kind == "scale":
+            m *= 1.0 + draw(st.floats(min_value=-1e-9, max_value=1e-9))
+        mats.append(m)
+    return np.stack(mats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacks())
+def test_check_states_accepts_exactly_when_every_state_does(mats):
+    per_state = [_rejection(DensityOperator, m) for m in mats]
+    assert per_state == [_reference_defect(m) for m in mats]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = _rejection(check_states, mats)
+    assert stacked == next((msg for msg in per_state if msg is not None), None)
 
 
 class TestPureState:

@@ -4,20 +4,35 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from qconc.bounds import (
+    Rank3Canonical,
+    Rank3Mixture,
+    Rank4Mixture,
+    _h3_projector,
+    assemble_rank4_max,
+    rank4_max_matrix,
+)
 from qconc.concurrence import batch_lambdas, batch_oracle, concurrence_oracle
+from qconc.errors import SamplerExhausted
 from qconc.estimators import (
     assemble_ladder,
     assemble_rank2,
     assemble_rank2_degenerate,
     assemble_rank2_sep,
     assemble_xstate,
+    ladder_matrix,
     local_observables_rank2,
+    rank2_degenerate_matrix,
+    rank2_matrix,
+    rank2_sep_matrix,
     reconstruct_rank2,
+    xstate_matrix,
 )
 from qconc.invariants import batch_invariants, invariant_vector
-from qconc.qstate import batch_decompose, decompose, random_rank_k
+from qconc.qstate import REJECTION_LIMIT, batch_decompose, decompose, random_rank_k
 from qconc.validate import (
     SUITES,
+    batch_random_mixed,
     run_suites,
     sample_nondegenerate_rank2,
     sample_rank2_degenerate,
@@ -118,3 +133,127 @@ def test_stacked_suites_are_deterministic_at_small_sizes(samples):
     second = run_suites(_STACKED_SUITES, samples=samples, seed=5)
     assert [r.suite for r in first] == _STACKED_SUITES
     assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
+
+
+def _rank2_params(rng):
+    params = [sample_nondegenerate_rank2(rng) for _ in range(8)]
+    return params + [reconstruct_rank2(*local_observables_rank2(x)) for x in params]
+
+
+def _rank4_max_weights(rng):
+    l1 = rng.uniform(0.0, 1.0, size=8)
+    return [(a, b) for a, b in zip(l1, rng.uniform(0.0, 1.0 - l1))]
+
+
+#: (raw builder, validating wrapper, parameter sampler) for each family the
+#: suites stack as raw matrices
+_BUILDERS = {
+    "rank2": (rank2_matrix, assemble_rank2, _rank2_params),
+    "rank2-sep": (
+        rank2_sep_matrix,
+        assemble_rank2_sep,
+        lambda rng: [sample_rank2_sep(rng) for _ in range(8)],
+    ),
+    "rank2-degenerate": (
+        rank2_degenerate_matrix,
+        assemble_rank2_degenerate,
+        lambda rng: [sample_rank2_degenerate(rng) for _ in range(4)]
+        + [sample_rank2_degenerate(rng, lam=0.5) for _ in range(4)],
+    ),
+    "xstate": (
+        xstate_matrix,
+        assemble_xstate,
+        lambda rng: [sample_xstate(rng, rank3=k % 2 == 0) for k in range(8)],
+    ),
+    "ladder": (
+        ladder_matrix,
+        assemble_ladder,
+        lambda rng: np.linspace(0.0, 1.0, 9).tolist(),
+    ),
+    "rank3-mixture": (
+        Rank3Mixture.matrix,
+        Rank3Mixture.assemble,
+        lambda rng: [Rank3Mixture.random(rng) for _ in range(8)],
+    ),
+    "rank4-mixture": (
+        Rank4Mixture.matrix,
+        Rank4Mixture.assemble,
+        lambda rng: [Rank4Mixture.random(rng) for _ in range(8)],
+    ),
+    "rank4-max": (
+        lambda w: rank4_max_matrix(*w),
+        lambda w: assemble_rank4_max(*w),
+        _rank4_max_weights,
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_BUILDERS))
+def test_raw_builders_equal_the_validated_assembly(family):
+    build, assemble, sample = _BUILDERS[family]
+    for x in sample(np.random.default_rng(23)):
+        assert_array_equal(build(x), assemble(x).matrix)
+
+
+def test_rank4_mixture_matrix_keeps_the_rank3_payload_bits():
+    """Rank4Mixture once built its rank-2 payload through a lam = 0
+    Rank3Mixture; the shared helpers must give the same bits."""
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        m = Rank4Mixture.random(rng)
+        inner = Rank3Mixture(
+            lam=0.0,
+            mu=m.mu,
+            a=m.a,
+            b=m.b,
+            theta=m.theta,
+            phi=m.phi,
+            sep_weight=m.sep_weight,
+            sep_angle1=m.sep_angle1,
+            sep_phase1=m.sep_phase1,
+            sep_angle2=m.sep_angle2,
+            sep_phase2=m.sep_phase2,
+        )
+        psi = inner.psi()
+        rho2 = m.mu * inner.sep_matrix() + (1.0 - m.mu) * np.outer(psi, psi.conj())
+        old = m.lambda1 * np.eye(4, dtype=complex) / 4.0
+        old += m.lambda2 * _h3_projector(m.a, m.b) / 3.0
+        old += (1.0 - m.lambda1 - m.lambda2) * rho2
+        assert_array_equal(m.matrix(), old)
+
+
+class _AlwaysRejected(np.random.Generator):
+    """A generator whose every draw the rejection samplers turn down: Dirichlet
+    weights are all zero, and uniform draws sit at the middle of their range,
+    which puts the rank-2 gamma exactly on its excluded value pi."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+        self.draws = 0
+
+    def dirichlet(self, alpha, size=None):
+        self.draws += 1
+        return np.zeros((len(alpha),) if size is None else (size, len(alpha)))
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        self.draws += 1
+        mid = 0.5 * (low + high)
+        return mid if size is None else np.full(size, mid)
+
+
+_SAMPLERS = {
+    "random_rank_k": (lambda g: random_rank_k(3, g), 1),
+    "batch_random_mixed": (lambda g: batch_random_mixed(g, 5, 3), 1),
+    "sample_nondegenerate_rank2": (sample_nondegenerate_rank2, 5),
+    "Rank3Canonical.random": (Rank3Canonical.random, 1),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
+def test_rejection_samplers_stop_at_the_limit(sampler):
+    draw, draws_per_try = _SAMPLERS[sampler]
+    rng = _AlwaysRejected()
+    with pytest.raises(SamplerExhausted, match=str(REJECTION_LIMIT)):
+        draw(rng)
+    extra = 1 if sampler == "batch_random_mixed" else 0  # the first full draw
+    assert rng.draws == draws_per_try * REJECTION_LIMIT + extra
