@@ -17,132 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import concurrence_pure
-from .errors import SamplerExhausted
-from .qstate import REJECTION_LIMIT, DensityOperator
+from .qstate import DensityOperator
 
-ORTHO_TOL = 1e-10
 WEIGHT_TOL = 1e-10
 
 #: region grid classes: entangled, separable, infeasible
 REGION_ENTANGLED = "E"
 REGION_SEPARABLE = "S"
 REGION_INFEASIBLE = "X"
-
-
-# ---------------------------------------------------------------------------
-# canonical rank-3 eigenbasis
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Rank3Canonical:
-    """Canonical rank-3 eigensystem: weights nu1 <= nu2 <= nu3 = 1 - nu1 - nu2.
-
-    The first two eigenvectors are the canonical rank-2 pair (angles alpha,
-    beta, gamma, eta); the third lives in the same two planes with its own
-    angles xi, theta and phases phi1, phi2. Orthogonality of the second and
-    third eigenvectors is a genuine constraint on the angles, checked here,
-    so the family carries eight free parameters.
-    """
-
-    nu1: float
-    nu2: float
-    alpha: float
-    beta: float
-    gamma: float
-    eta: float
-    xi: float
-    theta: float
-    phi1: float
-    phi2: float
-
-    def __post_init__(self):
-        nu3 = 1.0 - self.nu1 - self.nu2
-        if self.nu1 < -1e-12 or self.nu1 > self.nu2 + 1e-12 or self.nu2 > nu3 + 1e-12:
-            raise ValueError("weights must satisfy 0 <= nu1 <= nu2 <= 1 - nu1 - nu2")
-        chi1, chi2, chi3 = self.vectors()
-        gram = np.array([chi1, chi2, chi3])
-        residual = np.abs(gram @ gram.conj().T - np.eye(3)).max()
-        if residual > ORTHO_TOL:
-            raise ValueError(f"eigenvectors are not orthonormal (residual {residual})")
-
-    @property
-    def nu3(self) -> float:
-        return 1.0 - self.nu1 - self.nu2
-
-    def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ca, sa = math.cos(self.alpha), math.sin(self.alpha)
-        cb, sb = math.cos(self.beta), math.sin(self.beta)
-        ce, se = math.cos(self.eta), math.sin(self.eta)
-        cx, sx = math.cos(self.xi), math.sin(self.xi)
-        ct, st = math.cos(self.theta), math.sin(self.theta)
-        chi1 = np.array([ca, 0.0, 0.0, sa], dtype=complex)
-        chi2 = np.array(
-            [
-                ce * sa,
-                se * sb * np.exp(-1j * self.gamma),
-                se * cb,
-                -ce * ca,
-            ],
-            dtype=complex,
-        )
-        chi3 = np.array(
-            [
-                cx * sa,
-                sx * st * np.exp(-1j * self.phi1),
-                sx * ct * np.exp(-1j * self.phi2),
-                -cx * ca,
-            ],
-            dtype=complex,
-        )
-        return chi1, chi2, chi3
-
-    def assemble(self) -> DensityOperator:
-        chi1, chi2, chi3 = self.vectors()
-        m = self.nu1 * np.outer(chi1, chi1.conj())
-        m += self.nu2 * np.outer(chi2, chi2.conj())
-        m += self.nu3 * np.outer(chi3, chi3.conj())
-        return DensityOperator(m)
-
-    @classmethod
-    def random(cls, seed=None) -> "Rank3Canonical":
-        """Sample the family by solving the two orthogonality constraints.
-
-        The imaginary part of <chi2|chi3> fixes phi1 given the other angles;
-        the real part then fixes xi. Draws are rejected until the phi1
-        equation is solvable and the weights are comfortably nonzero.
-        """
-        rng = np.random.default_rng(seed)
-        for _ in range(REJECTION_LIMIT):
-            nu = np.sort(rng.dirichlet(np.ones(3)))
-            if nu[0] < 1e-3:
-                continue
-            alpha, beta, theta = rng.uniform(0.0, math.pi / 2.0, size=3)
-            eta = rng.uniform(0.05, math.pi / 2.0 - 0.05)
-            gamma, phi2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-            sb, cb = math.sin(beta), math.cos(beta)
-            st, ct = math.sin(theta), math.cos(theta)
-            if abs(sb * st) < 1e-6:
-                continue
-            rhs = cb * ct * math.sin(phi2) / (sb * st)
-            if abs(rhs) > 0.999:
-                continue
-            phi1 = (gamma - math.asin(rhs)) % (2.0 * math.pi)
-            re_w = sb * st * math.cos(gamma - phi1) + cb * ct * math.cos(phi2)
-            xi = math.atan2(-math.cos(eta), math.sin(eta) * re_w) % math.pi
-            return cls(
-                nu1=float(nu[0]),
-                nu2=float(nu[1]),
-                alpha=alpha,
-                beta=beta,
-                gamma=gamma,
-                eta=eta,
-                xi=xi,
-                theta=theta,
-                phi1=phi1,
-                phi2=phi2,
-            )
-        raise SamplerExhausted(f"no solvable rank-3 draw in {REJECTION_LIMIT} draws")
 
 
 # ---------------------------------------------------------------------------

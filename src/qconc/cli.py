@@ -167,7 +167,7 @@ def _applicable_estimates(
 
     if rank == 1:
         try:
-            add("pure", estimate_pure(bloch))
+            add("pure", estimate_pure(inv))
         except NotPure as exc:
             fail("pure", exc)
 
@@ -237,8 +237,7 @@ def cmd_gen(rank, named, seed, out_path):
         header = report_header()
     payload = {"header": header, **state_to_dict(rho)}
     _emit(canonical_dumps(payload), out_path)
-    purity = float(np.trace(rho.matrix @ rho.matrix).real)
-    click.echo(f"rank={rank_of(rho)} purity={_fmt_float(purity)}", err=True)
+    click.echo(f"rank={rank_of(rho)} purity={_fmt_float(rho.purity())}", err=True)
 
 
 @cli.command("concurrence")

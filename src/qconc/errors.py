@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all qconc modules."""
+"""Exception hierarchy shared by all qconc modules.
+
+The CLI reports every QconcError as `error: <class>: <message>` and exits
+with code 1; a state payload, however malformed, ends in one of these or in
+a result.
+"""
 
 
 class QconcError(Exception):
@@ -32,10 +37,6 @@ class NotPure(QconcError):
 class ReconstructionDegenerate(QconcError):
     """Measured polarizations sit on the degenerate set where the canonical
     rank-2 parameters cannot be recovered from ratios."""
-
-
-class InvalidPurity(QconcError):
-    """A purity value is outside the range attainable by the target family."""
 
 
 class DomainError(QconcError):

@@ -23,15 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    I1Zero,
-    InvalidPurity,
-    NotPure,
-    ReconstructionDegenerate,
-)
+from .errors import DomainError, I1Zero, NotPure, ReconstructionDegenerate
 from .invariants import InvariantVector, purity_residuals
-from .qstate import BlochDecomposition, DensityOperator, decompose
+from .qstate import DensityOperator
 
 PURITY_RESIDUAL_TOL = 1e-6
 DEGENERACY_TOL = 1e-8
@@ -42,22 +36,25 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _guard_radicand(x: float, tol: float = RADICAND_TOL) -> float:
-    """Clamp a slightly negative radicand to zero; reject a clearly negative one."""
+    """Clamp a slightly negative radicand to zero; reject a clearly negative
+    or a non-finite one."""
+    if not math.isfinite(x):
+        raise DomainError(f"radicand {x} is not finite")
     if x < -tol:
         raise DomainError(f"radicand {x} is negative beyond tolerance {tol}")
     return max(x, 0.0)
 
 
-def estimate_pure(bloch: BlochDecomposition) -> float:
-    """Concurrence of a pure state from its polarization alone: sqrt(1 - |p|^2).
+def estimate_pure(inv: InvariantVector) -> float:
+    """Concurrence of a pure state from its polarization alone: sqrt(1 - I1).
 
-    Raises NotPure when the purity residuals exceed 1e-6.
+    Raises NotPure unless both purity residuals are within 1e-6, so NaN
+    invariants raise too.
     """
-    r1, r2 = purity_residuals(bloch)
-    if max(abs(r1), abs(r2)) > PURITY_RESIDUAL_TOL:
+    r1, r2 = purity_residuals(inv.i1, inv.i2, inv.i6)
+    if not (abs(r1) <= PURITY_RESIDUAL_TOL and abs(r2) <= PURITY_RESIDUAL_TOL):
         raise NotPure(f"purity residuals ({r1}, {r2}) exceed {PURITY_RESIDUAL_TOL}")
-    i1 = float(bloch.p @ bloch.p)
-    return math.sqrt(_guard_radicand(1.0 - i1))
+    return math.sqrt(_guard_radicand(1.0 - inv.i1))
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +320,6 @@ def estimate_rank2_degenerate(params: Rank2Degenerate) -> float:
     return (1.0 - params.lam) * 2.0 * params.r1 * abs(params.c)
 
 
-def mixedness_to_lambda(purity: float) -> tuple[float, float]:
-    """Both mixing weights compatible with a measured purity.
-
-    The family purity is 2 lam^2 - 2 lam + 1, so each purity in [1/2, 1]
-    corresponds to the pair lam = (1 -+ sqrt(2 purity - 1)) / 2, returned in
-    ascending order. Raises InvalidPurity outside the attainable range.
-    """
-    if not 0.5 - 1e-12 <= purity <= 1.0 + 1e-12:
-        raise InvalidPurity(f"purity {purity} is outside [1/2, 1]")
-    root = math.sqrt(_guard_radicand(2.0 * purity - 1.0))
-    return 0.5 * (1.0 - root), 0.5 * (1.0 + root)
-
-
 def estimate_projection2(inv: InvariantVector) -> float:
     """Concurrence of an equal-weight two-dimensional projection from I1, I2.
 
@@ -446,10 +430,3 @@ def ladder_from_correlation(szpz: float) -> float:
     if not -1.0 - 1e-12 <= szpz <= 1.0 + 1e-12:
         raise ValueError("correlation must lie in [-1, 1]")
     return 1.0 - 0.5 * (szpz + 1.0)
-
-
-def invariants_of(rho: DensityOperator) -> InvariantVector:
-    """Convenience: invariant vector straight from a density operator."""
-    from .invariants import invariant_vector
-
-    return invariant_vector(decompose(rho))

@@ -99,13 +99,11 @@ def invariant_vector(bloch: BlochDecomposition, tol: float = I3_TOL) -> Invarian
     return InvariantVector(*(float(v) for v in row))
 
 
-def purity_residuals(bloch: BlochDecomposition) -> tuple[float, float]:
-    """Residuals of the two pure-state identities.
+def purity_residuals(i1, i2, i6):
+    """Residuals (I1 - I2, 2 I1 + I6 - 3) of the two pure-state identities.
 
-    Returns (|p|^2 - |s|^2, 2 |p|^2 + tr(pi pi^T) - 3); both vanish exactly
-    on pure states and the second is strictly negative on mixed ones.
+    I1 = |p|^2, I2 = |s|^2 and I6 = tr(pi pi^T); both residuals vanish
+    exactly on pure states and the second is strictly negative on mixed
+    ones. Works on floats and on arrays alike.
     """
-    p2 = float(bloch.p @ bloch.p)
-    s2 = float(bloch.s @ bloch.s)
-    tr_t = float(np.sum(bloch.pi * bloch.pi))
-    return p2 - s2, 2.0 * p2 + tr_t - 3.0
+    return i1 - i2, 2.0 * i1 + i6 - 3.0

@@ -92,22 +92,6 @@ def sample_expectation(
     )
 
 
-def sample_correlations(
-    rho: DensityOperator, observables, shots: int, seed=None
-) -> list[MeasurementRecord]:
-    """Sample several observables, one independent child stream per record.
-
-    Streams are spawned from the master seed in observable order, so records
-    are reproducible individually and insensitive to evaluation order.
-    """
-    observables = list(observables)
-    children = np.random.SeedSequence(seed).spawn(len(observables))
-    return [
-        sample_expectation(rho, obs, shots, np.random.default_rng(child))
-        for obs, child in zip(observables, children)
-    ]
-
-
 class LambdaEstimate(NamedTuple):
     value: float
     clamped: bool

@@ -82,9 +82,9 @@ def _require_finite(*arrays) -> None:
         raise InvalidState("entries must be finite")
 
 
-# a non-finite state's residual or trace may come from inf - inf; it is
-# rejected either way, so that gives NaN without a RuntimeWarning
-@np.errstate(invalid="ignore")
+# a non-finite or huge state's residual or trace may overflow or come from
+# inf - inf; it is rejected either way, so that gives inf or NaN quietly
+@np.errstate(over="ignore", invalid="ignore")
 def check_states(mats) -> np.ndarray:
     """Validate an (n, 4, 4) stack of density matrices; return a read-only copy.
 
@@ -232,22 +232,6 @@ class LocalUnitary:
     def matrix(self) -> np.ndarray:
         return np.kron(self.u_a, self.u_b)
 
-    def rotations(self) -> tuple[np.ndarray, np.ndarray]:
-        """Induced rotations (R_a, R_b) on the Bloch fields.
-
-        R[i, j] = Tr(sigma_i u sigma_j u^dag) / 2; both are proper rotations
-        (determinant +1) for any unitary input.
-        """
-        rots = []
-        for u in (self.u_a, self.u_b):
-            r = np.empty((3, 3))
-            ud = u.conj().T
-            for i, ax_i in enumerate(AXES):
-                for j, ax_j in enumerate(AXES):
-                    r[i, j] = 0.5 * np.trace(PAULI[ax_i] @ u @ PAULI[ax_j] @ ud).real
-            rots.append(r)
-        return rots[0], rots[1]
-
     @classmethod
     def random(cls, seed) -> "LocalUnitary":
         """Haar-random pair of single-qubit unitaries."""
@@ -287,11 +271,14 @@ def decompose(rho) -> BlochDecomposition:
     return BlochDecomposition(p=p[0], s=s[0], pi=pi[0])
 
 
+# huge finite entries may overflow the sum to inf or NaN, which is rejected
+@np.errstate(over="ignore", invalid="ignore")
 def assemble(bloch: BlochDecomposition) -> DensityOperator:
     """Rebuild the density operator from Bloch data.
 
-    Raises NotAState when the data does not correspond to a positive
-    semidefinite unit-trace operator.
+    Raises InvalidState when huge entries overflow the sum, and NotAState
+    when the data does not correspond to a positive semidefinite unit-trace
+    operator.
     """
     m = np.array(_PAULI_GRID[0, 0], dtype=complex)
     for i in range(3):
@@ -300,6 +287,7 @@ def assemble(bloch: BlochDecomposition) -> DensityOperator:
         for j in range(3):
             m += bloch.pi[i, j] * _PAULI_GRID[i + 1, j + 1]
     m *= 0.25
+    _require_finite(m)
     evals = np.linalg.eigvalsh(m)
     if evals[0] < -PSD_TOL:
         raise NotAState(

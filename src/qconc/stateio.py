@@ -1,11 +1,13 @@
-"""JSON serialization for states, measurement records, and report headers.
+"""JSON serialization for states and report headers.
 
 Two interchangeable state payloads are supported: an explicit complex
 matrix, {"matrix": [[{"re": .., "im": ..} x4] x4]}, and a Bloch payload,
-{"bloch": {"p": [..], "s": [..], "pi": [[..]]}}. Readers accept either;
-writers emit whichever the caller built. All dumps are canonical (sorted
-keys, fixed indentation, trailing newline) so that a fixed seed and fixed
-flags give byte-identical files.
+{"bloch": {"p": [..], "s": [..], "pi": [[..]]}}. Readers accept either and
+turn any malformed, non-finite or unphysical payload into InvalidState (or
+NotAState for Bloch data that is no state); writers emit whichever the
+caller built. All dumps are canonical (sorted keys, fixed indentation,
+trailing newline) so that a fixed seed and fixed flags give byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from importlib import metadata
 import numpy as np
 
 from .errors import InvalidState
-from .measurement import MeasurementRecord
 from .qstate import BlochDecomposition, DensityOperator, assemble
 
 TOOL_NAME = "qconc"
@@ -75,7 +76,7 @@ def _matrix_from_payload(payload) -> DensityOperator:
             [[complex(e["re"], e["im"]) for e in row] for row in payload],
             dtype=complex,
         )
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise InvalidState(f"malformed matrix payload: {exc}") from exc
     return DensityOperator(m)
 
@@ -87,7 +88,7 @@ def _bloch_from_payload(payload) -> DensityOperator:
             s=np.asarray(payload["s"], dtype=float),
             pi=np.asarray(payload["pi"], dtype=float),
         )
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise InvalidState(f"malformed bloch payload: {exc}") from exc
     return assemble(bloch)
 
@@ -111,47 +112,3 @@ def write_state(path, rho: DensityOperator) -> None:
 def read_state(path) -> DensityOperator:
     with open(path, encoding="utf-8") as fh:
         return state_from_dict(json.load(fh))
-
-
-# ---------------------------------------------------------------------------
-# measurement records
-# ---------------------------------------------------------------------------
-
-
-def record_to_dict(record: MeasurementRecord) -> dict:
-    payload = {
-        "obs": list(record.observable),
-        "expectation": float(record.expectation),
-    }
-    if record.shots is not None:
-        payload["shots"] = int(record.shots)
-        payload["std_error"] = float(record.std_error)
-    return payload
-
-
-def record_from_dict(payload: dict) -> MeasurementRecord:
-    try:
-        obs = tuple(payload["obs"])
-        return MeasurementRecord(
-            observable=obs,
-            expectation=float(payload["expectation"]),
-            shots=int(payload["shots"]) if "shots" in payload else None,
-            std_error=(
-                float(payload["std_error"]) if "std_error" in payload else None
-            ),
-        )
-    except (TypeError, KeyError, ValueError) as exc:
-        raise InvalidState(f"malformed measurement record: {exc}") from exc
-
-
-def write_records(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps([record_to_dict(r) for r in records]))
-
-
-def read_records(path) -> list[MeasurementRecord]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, list):
-        raise InvalidState("measurement batch must be a JSON array")
-    return [record_from_dict(item) for item in payload]

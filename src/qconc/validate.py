@@ -65,7 +65,7 @@ from .estimators import (
     xstate_concurrence_invariant,
     xstate_matrix,
 )
-from .invariants import InvariantVector, batch_invariants
+from .invariants import InvariantVector, batch_invariants, purity_residuals
 from .measurement import (
     expectation,
     lambda_from_szpz,
@@ -309,10 +309,10 @@ def _suite_pure(seq, samples):
         formula = np.sqrt(np.clip(1.0 - i1, 0.0, None))
         oracle = batch_oracle(mats)
         devs = np.abs(formula - oracle)
-        res1 = np.abs(i1 - np.einsum("ni,ni->n", s, s))
-        trace_t = np.einsum("nij,nij->n", pi, pi)
-        res2 = np.abs(2.0 * i1 + trace_t - 3.0)
-        residual = float(np.maximum(res1, res2).max()) if n else 0.0
+        res1, res2 = purity_residuals(
+            i1, np.einsum("ni,ni->n", s, s), np.einsum("nij,nij->n", pi, pi)
+        )
+        residual = float(np.maximum(np.abs(res1), np.abs(res2)).max()) if n else 0.0
         payload = lambda i: {
             "oracle": float(oracle[i]),
             "estimate": float(formula[i]),

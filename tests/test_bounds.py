@@ -7,7 +7,6 @@ from qconc.bounds import (
     REGION_ENTANGLED,
     REGION_INFEASIBLE,
     REGION_SEPARABLE,
-    Rank3Canonical,
     Rank3Mixture,
     Rank4Mixture,
     assemble_rank3_max,
@@ -24,53 +23,6 @@ from qconc.concurrence import concurrence_oracle
 from qconc.qstate import rank_of
 
 _R = 1.0 / math.sqrt(2.0)
-
-
-class TestRank3Canonical:
-    def test_random_systems_are_orthonormal_rank3(self):
-        for seed in range(8):
-            sys3 = Rank3Canonical.random(seed)
-            chi = np.array(sys3.vectors())
-            np.testing.assert_allclose(
-                chi @ chi.conj().T, np.eye(3), atol=1e-10
-            )
-            assert rank_of(sys3.assemble()) == 3
-
-    def test_weight_ordering_enforced(self):
-        good = Rank3Canonical.random(3)
-        with pytest.raises(ValueError):
-            Rank3Canonical(
-                nu1=0.5,
-                nu2=0.1,
-                alpha=good.alpha,
-                beta=good.beta,
-                gamma=good.gamma,
-                eta=good.eta,
-                xi=good.xi,
-                theta=good.theta,
-                phi1=good.phi1,
-                phi2=good.phi2,
-            )
-
-    def test_orthogonality_constraint_enforced(self):
-        good = Rank3Canonical.random(5)
-        with pytest.raises(ValueError, match="orthonormal"):
-            Rank3Canonical(
-                nu1=good.nu1,
-                nu2=good.nu2,
-                alpha=good.alpha,
-                beta=good.beta,
-                gamma=good.gamma,
-                eta=good.eta,
-                xi=(good.xi + 0.4) % math.pi,
-                theta=good.theta,
-                phi1=good.phi1,
-                phi2=good.phi2,
-            )
-
-    def test_weights_sum_to_one(self):
-        sys3 = Rank3Canonical.random(7)
-        assert sys3.nu1 + sys3.nu2 + sys3.nu3 == pytest.approx(1.0)
 
 
 class TestMixtures:

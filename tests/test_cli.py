@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
+import math
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qconc.cli as cli_mod
 from qconc.cli import main
 from qconc.concurrence import concurrence_oracle
 from qconc.estimators import Rank2Canonical, assemble_rank2
 from qconc.invariants import invariant_vector
-from qconc.qstate import decompose
-from qconc.stateio import read_state, write_state
+from qconc.qstate import decompose, maximally_mixed, random_rank_k
+from qconc.stateio import bloch_to_dict, read_state, state_to_dict, write_state
 from qconc.validate import SuiteReport
 
 
@@ -294,3 +300,96 @@ class TestStdinPath:
         code, out, _ = run(capsys, "concurrence", "-", "--format", "json")
         assert code == 0
         assert json.loads(out)["oracle"] == pytest.approx(1.0, abs=1e-10)
+
+
+# -- fuzzed state payloads ---------------------------------------------------
+
+#: numbers that stress parsing and validation: non-finite, overflowing the
+#: Bloch sum, beyond float range as JSON integers, subnormal
+_ODD_NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400, -(10**400), 5e-324]
+_NON_NUMBERS = ["0.5", None, [], {}, True]
+_VALUES = st.one_of(
+    st.floats(), st.sampled_from(_ODD_NUMBERS), st.sampled_from(_NON_NUMBERS)
+)
+
+
+def _payload(rho, form):
+    return state_to_dict(rho) if form == "matrix" else bloch_to_dict(decompose(rho))
+
+
+def _leaves(payload):
+    """(container, key) of every number of a matrix or Bloch payload."""
+    if "matrix" in payload:
+        return [(e, k) for row in payload["matrix"] for e in row for k in ("re", "im")]
+    b = payload["bloch"]
+    return [(b[v], i) for v in ("p", "s") for i in range(3)] + [
+        (row, j) for row in b["pi"] for j in range(3)
+    ]
+
+
+def _lists(payload):
+    """Every list of a matrix or Bloch payload."""
+    if "matrix" in payload:
+        return [payload["matrix"], *payload["matrix"]]
+    b = payload["bloch"]
+    return [b["p"], b["s"], b["pi"], *b["pi"]]
+
+
+@st.composite
+def _state_payloads(draw):
+    """A random state's payload in either form, with some numbers replaced,
+    optionally all by one value, and optionally one list reshaped."""
+    rho = random_rank_k(draw(st.integers(1, 4)), draw(st.integers(0, 2**16)))
+    payload = _payload(rho, draw(st.sampled_from(["matrix", "bloch"])))
+    leaves = _leaves(payload)
+    if draw(st.booleans()):
+        value = draw(_VALUES)
+        for container, key in leaves:
+            container[key] = value
+    else:
+        for k in draw(st.lists(st.integers(0, len(leaves) - 1), max_size=3)):
+            container, key = leaves[k]
+            container[key] = draw(_VALUES)
+    lists = _lists(payload)
+    target = lists[draw(st.integers(0, len(lists) - 1))]
+    reshape = draw(st.sampled_from(["none", "drop", "extend", "wrap"]))
+    if reshape == "drop":
+        target.pop()
+    elif reshape == "extend":
+        target.append(target[0])
+    elif reshape == "wrap":
+        target[0] = [target[0]]
+    return payload
+
+
+def _uniform(value, form):
+    """A payload of the given form with every number set to value."""
+    payload = _payload(maximally_mixed(), form)
+    for container, key in _leaves(payload):
+        container[key] = value
+    return payload
+
+
+@settings(max_examples=150, deadline=None)
+@example(_uniform(1e308, "bloch"))
+@example(_uniform(1e308, "matrix"))
+@example(_uniform(10**400, "matrix"))
+@example(_uniform(10**400, "bloch"))
+@given(_state_payloads())
+def test_fuzzed_payloads_end_in_a_result_or_an_error(tmp_path_factory, payload):
+    """Every payload ends in exit 0 with an oracle in [0, 1] or in exit 1 with
+    an error line; no exception or warning leaves main."""
+    folder = tmp_path_factory.getbasetemp()
+    state, report = folder / "fuzz-state.json", folder / "fuzz-report.json"
+    state.write_text(json.dumps(payload))
+    report.write_text("")
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["concurrence", str(state), "--format", "json", "--out", str(report)])
+    if code == 0:
+        oracle = json.loads(report.read_text())["oracle"]
+        assert math.isfinite(oracle) and 0.0 <= oracle <= 1.0
+    else:
+        assert code == 1
+        assert err.getvalue().startswith("error: ")

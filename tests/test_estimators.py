@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from qconc.concurrence import concurrence_oracle, concurrence_pure
 from qconc.errors import (
     DomainError,
     I1Zero,
-    InvalidPurity,
     NotPure,
+    QconcError,
     ReconstructionDegenerate,
 )
 from qconc.estimators import (
@@ -28,17 +29,19 @@ from qconc.estimators import (
     estimate_pure,
     estimate_rank2_degenerate,
     estimate_rank2_sep2,
-    invariants_of,
     ladder_concurrence,
     ladder_from_correlation,
     local_observables_rank2,
-    mixedness_to_lambda,
     reconstruct_rank2,
     xstate_concurrence,
     xstate_concurrence_invariant,
 )
 from qconc.invariants import InvariantVector, invariant_vector
-from qconc.qstate import decompose, random_pure, rank_of, werner_state
+from qconc.qstate import bell_state, decompose, random_pure, rank_of, werner_state
+
+
+def _invariants(rho) -> InvariantVector:
+    return invariant_vector(decompose(rho))
 
 
 # -- pure ------------------------------------------------------------------
@@ -48,13 +51,13 @@ from qconc.qstate import decompose, random_pure, rank_of, werner_state
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_estimate_pure_matches_amplitude_formula(seed):
     psi = random_pure(seed)
-    est = estimate_pure(decompose(psi.density()))
+    est = estimate_pure(_invariants(psi.density()))
     assert est == pytest.approx(concurrence_pure(psi), abs=1e-10)
 
 
 def test_estimate_pure_rejects_mixed_state():
     with pytest.raises(NotPure):
-        estimate_pure(decompose(werner_state(0.6)))
+        estimate_pure(_invariants(werner_state(0.6)))
 
 
 # -- canonical rank 2 --------------------------------------------------------
@@ -177,7 +180,7 @@ def test_sep2_equals_oracle_in_pure_limit():
         lam=0.0, mu=0.3, a=math.sin(0.7), b=math.cos(0.7), theta=0.5, phase=1.0
     )
     rho = assemble_rank2_sep(params)
-    est = estimate_rank2_sep2(invariants_of(rho))
+    est = estimate_rank2_sep2(_invariants(rho))
     assert est == pytest.approx(concurrence_oracle(rho).value, abs=1e-10)
 
 
@@ -189,7 +192,7 @@ def test_sep2_separable_limit_oracle_vanishes():
     )
     rho = assemble_rank2_sep(params)
     assert concurrence_oracle(rho).value <= 1e-12
-    assert estimate_rank2_sep2(invariants_of(rho)) >= 0.0
+    assert estimate_rank2_sep2(_invariants(rho)) >= 0.0
 
 
 def test_sep2_is_reported_not_exact(rng):
@@ -207,7 +210,7 @@ def test_sep2_is_reported_not_exact(rng):
             phase=rng.uniform(0.0, 2.0 * math.pi),
         )
         rho = assemble_rank2_sep(params)
-        est = estimate_rank2_sep2(invariants_of(rho))
+        est = estimate_rank2_sep2(_invariants(rho))
         deviations.append(est - concurrence_oracle(rho).value)
     assert max(deviations) > 0.1
     assert min(deviations) > -1e-10
@@ -237,24 +240,6 @@ def test_degenerate_family_norm_validated():
         Rank2Degenerate(lam=0.2, r1=1.0, r2=1.0, c=0.0)
 
 
-def test_mixedness_to_lambda_inverts_purity():
-    for lam in (0.1, 0.25, 0.5, 0.8):
-        params = Rank2Degenerate(lam=lam, r1=0.6, r2=0.0, c=0.8)
-        purity = assemble_rank2_degenerate(params).purity()
-        low, high = mixedness_to_lambda(purity)
-        assert lam == pytest.approx(low, abs=1e-12) or lam == pytest.approx(
-            high, abs=1e-12
-        )
-        assert low <= high
-
-
-def test_mixedness_to_lambda_range_check():
-    with pytest.raises(InvalidPurity):
-        mixedness_to_lambda(0.4)
-    with pytest.raises(InvalidPurity):
-        mixedness_to_lambda(1.2)
-
-
 # -- equal-weight projection -------------------------------------------------
 
 
@@ -269,7 +254,7 @@ def test_projection2_exact_on_equal_weights(rng):
             c=abs(v[1]) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)),
         )
         rho = assemble_rank2_degenerate(params)
-        assert estimate_projection2(invariants_of(rho)) == pytest.approx(
+        assert estimate_projection2(_invariants(rho)) == pytest.approx(
             concurrence_oracle(rho).value, abs=1e-8
         )
 
@@ -337,11 +322,11 @@ def test_xstate_invariant_form_is_graded_not_trusted():
     broken = XState(u_plus=0.0, w1=0.35, w2=0.35, u_minus=0.3, z=0.2)
     assert xstate_concurrence(broken) == pytest.approx(0.4)
     with pytest.raises(DomainError):
-        xstate_concurrence_invariant(invariants_of(assemble_xstate(broken)))
+        xstate_concurrence_invariant(_invariants(assemble_xstate(broken)))
     evaluable = XState(
         u_plus=0.0, w1=0.2276, w2=0.4874, u_minus=0.285, z=0.3128
     )
-    value = xstate_concurrence_invariant(invariants_of(assemble_xstate(evaluable)))
+    value = xstate_concurrence_invariant(_invariants(assemble_xstate(evaluable)))
     assert value == pytest.approx(0.0)
     assert concurrence_oracle(assemble_xstate(evaluable)).value > 0.5
 
@@ -349,7 +334,7 @@ def test_xstate_invariant_form_is_graded_not_trusted():
 def test_xstate_invariant_form_raises_on_zero_polarization():
     x = XState(u_plus=0.2, w1=0.3, w2=0.3, u_minus=0.2, z=0.1)
     with pytest.raises(I1Zero):
-        xstate_concurrence_invariant(invariants_of(assemble_xstate(x)))
+        xstate_concurrence_invariant(_invariants(assemble_xstate(x)))
 
 
 # -- ladder ------------------------------------------------------------------
@@ -382,8 +367,43 @@ def test_ladder_range_checks():
         ladder_from_correlation(1.5)
 
 
-def test_invariants_of_matches_manual_route():
-    rho = werner_state(0.4)
-    a = invariants_of(rho).as_array()
-    b = invariant_vector(decompose(rho)).as_array()
-    np.testing.assert_array_equal(a, b)
+# -- non-finite invariants ---------------------------------------------------
+
+#: each invariant estimator, a state it evaluates to a finite value, and the
+#: invariants it reads
+_INVARIANT_ESTIMATORS = {
+    "pure": (estimate_pure, bell_state("phi+").density(), ("i1", "i2", "i6")),
+    "rank2-sep2": (estimate_rank2_sep2, werner_state(0.5), ("i1", "i2")),
+    "projection2": (
+        estimate_projection2,
+        assemble_rank2_degenerate(Rank2Degenerate(lam=0.5, r1=0.6, r2=0.0, c=0.8)),
+        ("i1", "i2"),
+    ),
+    "xstate-invariant": (
+        xstate_concurrence_invariant,
+        assemble_xstate(
+            XState(u_plus=0.0, w1=0.2276, w2=0.4874, u_minus=0.285, z=0.3128)
+        ),
+        ("i1", "i2", "i5", "i8"),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(_INVARIANT_ESTIMATORS))
+def test_invariant_estimators_raise_on_non_finite_invariants(name, value):
+    estimate = _INVARIANT_ESTIMATORS[name][0]
+    with pytest.raises(QconcError):
+        estimate(InvariantVector(*[value] * 9))
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [(n, f) for n in sorted(_INVARIANT_ESTIMATORS) for f in _INVARIANT_ESTIMATORS[n][2]],
+)
+def test_one_nan_invariant_raises(name, field):
+    estimate, rho, _ = _INVARIANT_ESTIMATORS[name]
+    inv = _invariants(rho)
+    assert math.isfinite(estimate(inv))
+    with pytest.raises(QconcError):
+        estimate(dataclasses.replace(inv, **{field: math.nan}))

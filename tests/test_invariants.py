@@ -90,14 +90,28 @@ def test_invariant_vector_dict_roundtrip():
     np.testing.assert_array_equal(inv.as_array(), again.as_array())
 
 
+def _residuals(rho):
+    inv = invariant_vector(decompose(rho))
+    return purity_residuals(inv.i1, inv.i2, inv.i6)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_purity_residuals_vanish_on_pure_states(seed):
-    r1, r2 = purity_residuals(decompose(random_pure(seed).density()))
+    r1, r2 = _residuals(random_pure(seed).density())
     assert abs(r1) < 1e-12
     assert abs(r2) < 1e-12
 
 
 def test_purity_residual_negative_on_mixed_states():
-    _, r2 = purity_residuals(decompose(werner_state(0.5)))
+    _, r2 = _residuals(werner_state(0.5))
     assert r2 < -0.1
+
+
+def test_purity_residuals_act_elementwise_on_arrays():
+    rows = np.array(
+        [invariant_vector(decompose(random_rank_k(k, k))).as_array() for k in (1, 2, 3, 4)]
+    )
+    r1, r2 = purity_residuals(rows[:, 0], rows[:, 1], rows[:, 5])
+    for k, row in enumerate(rows):
+        assert (r1[k], r2[k]) == purity_residuals(*row[[0, 1, 5]].tolist())

@@ -13,7 +13,6 @@ from qconc.measurement import (
     expectation,
     lambda_from_szpz,
     lambdas_from_correlations,
-    sample_correlations,
     sample_expectation,
 )
 from qconc.qstate import (
@@ -129,17 +128,6 @@ class TestSampling:
     def test_shots_validated(self):
         with pytest.raises(ValueError):
             sample_expectation(bell_state("phi+").density(), ("x", "x"), 0)
-
-    def test_batch_streams_are_prefix_stable(self):
-        # per-observable child streams: dropping later observables must not
-        # change the earlier records
-        rho = werner_state(0.5)
-        obs = [("x", "x"), ("z", "z"), ("y", "y")]
-        full = sample_correlations(rho, obs, 200, seed=9)
-        short = sample_correlations(rho, obs[:1], 200, seed=9)
-        assert full[0] == short[0]
-        assert [r.observable for r in full] == obs
-
 
 class TestLambdaInversion:
     def test_inverts_the_forward_map(self):

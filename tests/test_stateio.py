@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 
 from qconc.errors import InvalidState
-from qconc.measurement import MeasurementRecord, sample_correlations
 from qconc.qstate import bell_state, decompose, random_rank_k, werner_state
 from qconc.stateio import (
     bloch_to_dict,
     canonical_dumps,
-    read_records,
     read_state,
-    record_from_dict,
-    record_to_dict,
     report_header,
     state_from_dict,
     state_to_dict,
-    write_records,
     write_state,
 )
 
@@ -92,40 +87,3 @@ class TestStatePayloads:
         first = path.read_bytes()
         write_state(path, rho)
         assert path.read_bytes() == first
-
-
-class TestRecordPayloads:
-    def test_exact_record_roundtrip(self):
-        rec = MeasurementRecord(observable=("x", "z"), expectation=-0.25)
-        back = record_from_dict(record_to_dict(rec))
-        assert back == rec
-        assert "shots" not in record_to_dict(rec)
-
-    def test_sampled_record_roundtrip(self):
-        rec = MeasurementRecord(
-            observable=("z", "z"), expectation=0.12, shots=500, std_error=0.044
-        )
-        assert record_from_dict(record_to_dict(rec)) == rec
-
-    def test_rejects_malformed_record(self):
-        with pytest.raises(InvalidState, match="malformed measurement"):
-            record_from_dict({"obs": ["x", "x"]})
-
-    def test_record_validation_still_applies(self):
-        # out-of-band values fail the record's own check, reported uniformly
-        with pytest.raises(InvalidState):
-            record_from_dict({"obs": ["x", "x"], "expectation": 2.0})
-
-    def test_batch_file_roundtrip(self, tmp_path):
-        recs = sample_correlations(
-            werner_state(0.5), [("x", "x"), ("z", "z")], 300, seed=4
-        )
-        path = tmp_path / "records.json"
-        write_records(path, recs)
-        assert read_records(path) == recs
-
-    def test_batch_must_be_an_array(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"obs": ["x", "x"], "expectation": 0.0}')
-        with pytest.raises(InvalidState, match="JSON array"):
-            read_records(path)
