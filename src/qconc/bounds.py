@@ -16,10 +16,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concurrence import concurrence_pure
-from .qstate import DensityOperator
+from .errors import NotNormalized
+from .qstate import (
+    NORM_TOL,
+    DensityOperator,
+    _any,
+    _cos_sin,
+    _math,
+    _outer,
+    _one_or_block,
+    _per_row,
+    _vec4,
+    _within,
+)
 
 WEIGHT_TOL = 1e-10
+
+_EYE4 = np.eye(4, dtype=complex)
+_EYE4.flags.writeable = False
 
 #: region grid classes: entangled, separable, infeasible
 REGION_ENTANGLED = "E"
@@ -32,44 +46,47 @@ REGION_INFEASIBLE = "X"
 # ---------------------------------------------------------------------------
 
 
-def _h3_projector(a: float, b: float) -> np.ndarray:
+# Every helper below takes floats for one state, or (n,) arrays for a block,
+# and then gives an (n, ...) stack whose rows are the single-state results.
+
+
+def _h3_projector(a, b) -> np.ndarray:
     """Projector onto span{|00>, a|01> + b|10>, |11>}."""
-    v = np.array([0.0, b, -a, 0.0], dtype=complex)
-    return np.eye(4, dtype=complex) - np.outer(v, v.conj())
+    return _EYE4 - _outer(_vec4(0.0, b, -a, 0.0))
 
 
-def _h3_product_state(a: float, b: float, angle: float, phase: float) -> np.ndarray:
+def _h3_product_state(a, b, angle, phase) -> np.ndarray:
     """A product state lying inside span{|00>, a|01> + b|10>, |11>}.
 
     The second qubit's polar angle is slaved to the first's so the component
     along b|01> - a|10> cancels.
     """
-    s, c = math.sin(angle), math.cos(angle)
-    t = math.atan2(a * s, b * c)
-    st, ct = math.sin(t), math.cos(t)
+    c, s = _cos_sin(angle)
+    t = _math(math.atan2, a * s, b * c)
+    ct, st = _cos_sin(t)
     ph = np.exp(1j * phase)
-    qa = np.array([c, ph * s], dtype=complex)
-    qb = np.array([ct, ph * st], dtype=complex)
-    return np.kron(qa, qb)
+    qa = np.stack([c, ph * s], axis=-1)
+    qb = np.stack([ct, ph * st], axis=-1)
+    # the Kronecker product of the two qubit vectors, as np.kron forms it
+    return (qa[..., :, None] * qb[..., None, :]).reshape(np.shape(ph) + (4,))
 
 
-def _check_unit_interval(name: str, value: float) -> None:
-    if not -1e-12 <= value <= 1.0 + 1e-12:
+def _check_unit_interval(name: str, value) -> None:
+    if not _within(value, -1e-12, 1.0 + 1e-12):
         raise ValueError(f"{name} must lie in [0, 1]")
 
 
-def _check_ab(a: float, b: float) -> None:
-    if a < 0.0 or b < 0.0:
+def _check_ab(a, b) -> None:
+    if _any((a < 0.0) | (b < 0.0)):
         raise ValueError("a and b must be nonnegative")
-    if abs(a * a + b * b - 1.0) > WEIGHT_TOL:
+    if _any(abs(a * a + b * b - 1.0) > WEIGHT_TOL):
         raise ValueError("a^2 + b^2 must equal 1")
 
 
-def _psi_in_h3(a: float, b: float, theta: float, phi: float) -> np.ndarray:
-    ct, st = math.cos(theta), math.sin(theta)
-    return np.array(
-        [st * math.cos(phi), ct * a, ct * b, st * math.sin(phi)], dtype=complex
-    )
+def _psi_in_h3(a, b, theta, phi) -> np.ndarray:
+    ct, st = _cos_sin(theta)
+    cp, sp = _cos_sin(phi)
+    return _vec4(st * cp, ct * a, ct * b, st * sp)
 
 
 def _sep_matrix(m) -> np.ndarray:
@@ -77,15 +94,49 @@ def _sep_matrix(m) -> np.ndarray:
     Pi3 span, sep_weight on the first."""
     p1 = _h3_product_state(m.a, m.b, m.sep_angle1, m.sep_phase1)
     p2 = _h3_product_state(m.a, m.b, m.sep_angle2, m.sep_phase2)
-    return m.sep_weight * np.outer(p1, p1.conj()) + (
-        1.0 - m.sep_weight
-    ) * np.outer(p2, p2.conj())
+    return _per_row(m.sep_weight) * _outer(p1) + _per_row(1.0 - m.sep_weight) * _outer(p2)
 
 
 def _rho2(m) -> np.ndarray:
     """mu rho_sep + (1 - mu)|psi><psi| of a Rank3Mixture or Rank4Mixture."""
     psi = _psi_in_h3(m.a, m.b, m.theta, m.phi)
-    return m.mu * _sep_matrix(m) + (1.0 - m.mu) * np.outer(psi, psi.conj())
+    return _per_row(m.mu) * _sep_matrix(m) + _per_row(1.0 - m.mu) * _outer(psi)
+
+
+def _psi_concurrence(m):
+    """C(psi) = 2 |c00 c11 - c01 c10| of the mixture's in-span pure state.
+
+    psi is real, so the real products give concurrence_pure's complex ones
+    bit for bit; like it, an off-norm psi raises NotNormalized.
+    """
+    c = m.psi().real
+    norm2 = (c * c).sum(axis=-1)
+    if _any(abs(norm2 - 1.0) > NORM_TOL):
+        raise NotNormalized(f"squared norm is {norm2}, expected 1")
+    return 2.0 * abs(c[..., 0] * c[..., 3] - c[..., 1] * c[..., 2])
+
+
+#: (field, upper end) of the uniform draws of a mixture's rho2 payload that
+#: follow its a/b angle, in draw order; the lower ends are all zero
+_PAYLOAD_DRAWS = (
+    ("mu", 1.0),
+    ("theta", math.pi / 2.0),
+    ("phi", 2.0 * math.pi),
+    ("sep_weight", 1.0),
+    ("sep_angle1", math.pi / 2.0),
+    ("sep_phase1", 2.0 * math.pi),
+    ("sep_angle2", math.pi / 2.0),
+    ("sep_phase2", 2.0 * math.pi),
+)
+_PAYLOAD_HIGHS = tuple(high for _, high in _PAYLOAD_DRAWS)
+
+
+def _payload(ab_angle, draws) -> dict:
+    """The rho2 payload fields from the a/b angle and the (n, 8) block of
+    _PAYLOAD_DRAWS."""
+    cols = {name: col for (name, _), col in zip(_PAYLOAD_DRAWS, draws.T)}
+    cols["b"], cols["a"] = _cos_sin(ab_angle)
+    return cols
 
 
 @dataclass(frozen=True)
@@ -95,7 +146,7 @@ class Rank3Mixture:
     Pi3 projects onto span{|00>, a|01> + b|10>, |11>}; psi lives in that
     span with angles theta, phi; rho_sep mixes two product states from the
     same span (sep_weight on the first), so every non-psi term is separable
-    by construction.
+    by construction. With (n,) array fields it is a block of n mixtures.
     """
 
     lam: float
@@ -123,8 +174,8 @@ class Rank3Mixture:
         return _sep_matrix(self)
 
     def matrix(self) -> np.ndarray:
-        """Unvalidated density matrix of the mixture."""
-        return self.lam * _h3_projector(self.a, self.b) / 3.0 + (
+        """Unvalidated density matrix of the mixture; (n, 4, 4) for a block."""
+        return _per_row(self.lam) * _h3_projector(self.a, self.b) / 3.0 + _per_row(
             1.0 - self.lam
         ) * _rho2(self)
 
@@ -132,22 +183,14 @@ class Rank3Mixture:
         return DensityOperator(self.matrix())
 
     @classmethod
-    def random(cls, seed=None) -> "Rank3Mixture":
+    def random(cls, seed=None, n=None) -> "Rank3Mixture":
+        """A random mixture, or a block of n drawn as n single calls draw them:
+        one row of uniforms each (the a/b angle, lam, then the payload)."""
         rng = np.random.default_rng(seed)
-        ab_angle = rng.uniform(0.0, math.pi / 2.0)
-        return cls(
-            lam=rng.uniform(0.0, 1.0),
-            mu=rng.uniform(0.0, 1.0),
-            a=math.sin(ab_angle),
-            b=math.cos(ab_angle),
-            theta=rng.uniform(0.0, math.pi / 2.0),
-            phi=rng.uniform(0.0, 2.0 * math.pi),
-            sep_weight=rng.uniform(0.0, 1.0),
-            sep_angle1=rng.uniform(0.0, math.pi / 2.0),
-            sep_phase1=rng.uniform(0.0, 2.0 * math.pi),
-            sep_angle2=rng.uniform(0.0, math.pi / 2.0),
-            sep_phase2=rng.uniform(0.0, 2.0 * math.pi),
-        )
+        highs = (math.pi / 2.0, 1.0) + _PAYLOAD_HIGHS
+        u = rng.uniform(0.0, highs, size=(1 if n is None else n, len(highs)))
+        block = cls(lam=u[:, 1], **_payload(u[:, 0], u[:, 2:]))
+        return _one_or_block(block, n)
 
 
 @dataclass(frozen=True)
@@ -155,7 +198,7 @@ class Rank4Mixture:
     """lam1 I/4 + lam2 Pi3/3 + (1 - lam1 - lam2) rho2.
 
     rho2 is the same separable-plus-pure payload as Rank3Mixture, supported
-    in the Pi3 span.
+    in the Pi3 span. With (n,) array fields it is a block of n mixtures.
     """
 
     lambda1: float
@@ -172,9 +215,9 @@ class Rank4Mixture:
     sep_phase2: float = 0.0
 
     def __post_init__(self):
-        if self.lambda1 < -1e-12 or self.lambda2 < -1e-12:
+        if _any((self.lambda1 < -1e-12) | (self.lambda2 < -1e-12)):
             raise ValueError("lambda1 and lambda2 must be nonnegative")
-        if self.lambda1 + self.lambda2 > 1.0 + 1e-12:
+        if _any(self.lambda1 + self.lambda2 > 1.0 + 1e-12):
             raise ValueError("lambda1 + lambda2 must not exceed 1")
         _check_unit_interval("mu", self.mu)
         _check_unit_interval("sep_weight", self.sep_weight)
@@ -184,35 +227,30 @@ class Rank4Mixture:
         return _psi_in_h3(self.a, self.b, self.theta, self.phi)
 
     def matrix(self) -> np.ndarray:
-        """Unvalidated density matrix of the mixture."""
-        m = self.lambda1 * np.eye(4, dtype=complex) / 4.0
-        m += self.lambda2 * _h3_projector(self.a, self.b) / 3.0
-        m += (1.0 - self.lambda1 - self.lambda2) * _rho2(self)
+        """Unvalidated density matrix of the mixture; (n, 4, 4) for a block."""
+        m = _per_row(self.lambda1) * _EYE4 / 4.0
+        m = m + _per_row(self.lambda2) * _h3_projector(self.a, self.b) / 3.0
+        m += _per_row(1.0 - self.lambda1 - self.lambda2) * _rho2(self)
         return m
 
     def assemble(self) -> DensityOperator:
         return DensityOperator(self.matrix())
 
     @classmethod
-    def random(cls, seed=None) -> "Rank4Mixture":
+    def random(cls, seed=None, n=None) -> "Rank4Mixture":
+        """A random mixture, or a block of n drawn as n single calls draw them:
+        one row of uniforms each (lambda1, lambda2 below 1 - lambda1, the a/b
+        angle, then the payload)."""
         rng = np.random.default_rng(seed)
-        l1 = rng.uniform(0.0, 1.0)
-        l2 = rng.uniform(0.0, 1.0 - l1)
-        ab_angle = rng.uniform(0.0, math.pi / 2.0)
-        return cls(
-            lambda1=l1,
-            lambda2=l2,
-            mu=rng.uniform(0.0, 1.0),
-            a=math.sin(ab_angle),
-            b=math.cos(ab_angle),
-            theta=rng.uniform(0.0, math.pi / 2.0),
-            phi=rng.uniform(0.0, 2.0 * math.pi),
-            sep_weight=rng.uniform(0.0, 1.0),
-            sep_angle1=rng.uniform(0.0, math.pi / 2.0),
-            sep_phase1=rng.uniform(0.0, 2.0 * math.pi),
-            sep_angle2=rng.uniform(0.0, math.pi / 2.0),
-            sep_phase2=rng.uniform(0.0, 2.0 * math.pi),
+        highs = (1.0, 1.0, math.pi / 2.0) + _PAYLOAD_HIGHS
+        u = rng.uniform(0.0, highs, size=(1 if n is None else n, len(highs)))
+        # a uniform draw on [0, h) is 0 + h U, and the one on [0, 1) is U
+        block = cls(
+            lambda1=u[:, 0],
+            lambda2=(1.0 - u[:, 0]) * u[:, 1],
+            **_payload(u[:, 2], u[:, 3:]),
         )
+        return _one_or_block(block, n)
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +259,14 @@ class Rank4Mixture:
 
 
 def rank3_bound(m: Rank3Mixture) -> float:
-    """Upper bound (1 - lam)(1 - mu) C(psi) on the mixture's concurrence."""
-    return (1.0 - m.lam) * (1.0 - m.mu) * concurrence_pure(m.psi())
+    """Upper bound (1 - lam)(1 - mu) C(psi) on the mixture's concurrence;
+    one per mixture of a block."""
+    return (1.0 - m.lam) * (1.0 - m.mu) * _psi_concurrence(m)
 
 
 def rank4_bound(m: Rank4Mixture) -> float:
-    """Upper bound (1 - lam1 - lam2)(1 - mu) C(psi)."""
-    return (
-        (1.0 - m.lambda1 - m.lambda2) * (1.0 - m.mu) * concurrence_pure(m.psi())
-    )
+    """Upper bound (1 - lam1 - lam2)(1 - mu) C(psi); one per mixture of a block."""
+    return (1.0 - m.lambda1 - m.lambda2) * (1.0 - m.mu) * _psi_concurrence(m)
 
 
 def rank3_max_concurrence(lam: float, a: float, b: float) -> float:
@@ -248,14 +285,34 @@ def rank3_threshold(a: float, b: float) -> float:
     return 3.0 * a * b / (1.0 + 2.0 * a * b)
 
 
-def assemble_rank3_max(lam: float, a: float, b: float) -> DensityOperator:
-    """lam Pi3/3 + (1 - lam) |psi_ab><psi_ab| with psi_ab = a|01> + b|10>."""
+_R = 1.0 / math.sqrt(2.0)
+#: Pi3 and |psi+><psi+| at a = b = 1/sqrt 2, shared (read-only) by every
+#: maximal rank-4 state and by the shot suite's rank-3 states
+_PLUS_PARTS = (_h3_projector(_R, _R), _outer(_vec4(0.0, _R, _R, 0.0)))
+for _part in _PLUS_PARTS:
+    _part.flags.writeable = False
+
+
+def _max_parts(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Pi3 and |psi_ab><psi_ab| with psi_ab = a|01> + b|10>."""
+    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray) and a == b == _R:
+        return _PLUS_PARTS
+    return _h3_projector(a, b), _outer(_vec4(0.0, a, b, 0.0))
+
+
+def rank3_max_matrix(lam, a, b) -> np.ndarray:
+    """Unvalidated lam Pi3/3 + (1 - lam) |psi_ab><psi_ab|, psi_ab = a|01> + b|10>;
+    an (n, 4, 4) stack when any argument is an (n,) array."""
     _check_unit_interval("lam", lam)
     _check_ab(a, b)
-    psi = np.array([0.0, a, b, 0.0], dtype=complex)
-    m = lam * _h3_projector(a, b) / 3.0
-    m += (1.0 - lam) * np.outer(psi, psi.conj())
-    return DensityOperator(m)
+    projector, pure = _max_parts(a, b)
+    m = _per_row(lam) * projector / 3.0
+    return m + _per_row(1.0 - lam) * pure
+
+
+def assemble_rank3_max(lam: float, a: float, b: float) -> DensityOperator:
+    """lam Pi3/3 + (1 - lam) |psi_ab><psi_ab| with psi_ab = a|01> + b|10>."""
+    return DensityOperator(rank3_max_matrix(lam, a, b))
 
 
 def rank4_max_concurrence(lambda1: float, lambda2: float) -> float:
@@ -278,15 +335,15 @@ def rank4_max_concurrence(lambda1: float, lambda2: float) -> float:
     )
 
 
-def rank4_max_matrix(lambda1: float, lambda2: float) -> np.ndarray:
-    """Unvalidated lam1 I/4 + lam2 Pi3/3 + (1 - lam1 - lam2) |psi+><psi+|."""
-    if lambda1 < 0.0 or lambda2 < 0.0 or lambda1 + lambda2 > 1.0 + 1e-12:
+def rank4_max_matrix(lambda1, lambda2) -> np.ndarray:
+    """Unvalidated lam1 I/4 + lam2 Pi3/3 + (1 - lam1 - lam2) |psi+><psi+|; an
+    (n, 4, 4) stack for (n,) arrays of weights."""
+    if _any((lambda1 < 0.0) | (lambda2 < 0.0) | (lambda1 + lambda2 > 1.0 + 1e-12)):
         raise ValueError("weights must be nonnegative with sum at most 1")
-    r = 1.0 / math.sqrt(2.0)
-    psi = np.array([0.0, r, r, 0.0], dtype=complex)
-    m = lambda1 * np.eye(4, dtype=complex) / 4.0
-    m += lambda2 * _h3_projector(r, r) / 3.0
-    m += (1.0 - lambda1 - lambda2) * np.outer(psi, psi.conj())
+    projector, pure = _PLUS_PARTS
+    m = _per_row(lambda1) * _EYE4 / 4.0
+    m = m + _per_row(lambda2) * projector / 3.0
+    m += _per_row(1.0 - lambda1 - lambda2) * pure
     return m
 
 

@@ -72,12 +72,18 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _load_state(path: str | None) -> DensityOperator:
+    """Read a state file, or stdin for None or "-"; text that is not UTF-8,
+    not JSON, or nested past the parser's recursion limit raises InvalidState."""
     try:
         if path in (None, "-"):
             return state_from_dict(json.load(sys.stdin))
         return read_state(path)
     except json.JSONDecodeError as exc:
         raise InvalidState(f"input is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidState(f"input is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidState(f"input is nested too deeply: {exc}") from exc
 
 
 def _fmt_float(x: float) -> str:

@@ -25,7 +25,16 @@ import numpy as np
 
 from .errors import DomainError, I1Zero, NotPure, ReconstructionDegenerate
 from .invariants import InvariantVector, purity_residuals
-from .qstate import DensityOperator
+from .qstate import (
+    DensityOperator,
+    _any,
+    _cos_sin,
+    _math,
+    _outer,
+    _per_row,
+    _vec4,
+    _within,
+)
 
 PURITY_RESIDUAL_TOL = 1e-6
 DEGENERACY_TOL = 1e-8
@@ -33,6 +42,10 @@ RADICAND_TOL = 1e-10
 WEIGHT_TOL = 1e-10
 
 _TWO_PI = 2.0 * math.pi
+
+#: |00><00|
+_P00 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+_P00.flags.writeable = False
 
 
 def _guard_radicand(x: float, tol: float = RADICAND_TOL) -> float:
@@ -69,7 +82,7 @@ class Rank2Canonical:
     nu is the weight of the Schmidt-form eigenvector
     cos(alpha)|00> + sin(alpha)|11>; the orthogonal eigenvector mixes the
     Schmidt plane (angle eta) with the |01>, |10> plane (angle beta, relative
-    phase gamma).
+    phase gamma). With (n,) array fields it is a block of n states.
     """
 
     nu: float
@@ -79,40 +92,34 @@ class Rank2Canonical:
     eta: float
 
     def __post_init__(self):
-        if not -1e-12 <= self.nu <= 1.0 + 1e-12:
+        if not _within(self.nu, -1e-12, 1.0 + 1e-12):
             raise ValueError("nu must lie in [0, 1]")
         half_pi = math.pi / 2.0
         for name in ("alpha", "beta", "eta"):
-            v = getattr(self, name)
-            if not -1e-12 <= v <= half_pi + 1e-12:
+            if not _within(getattr(self, name), -1e-12, half_pi + 1e-12):
                 raise ValueError(f"{name} must lie in [0, pi/2]")
-        if not -1e-12 <= self.gamma <= _TWO_PI + 1e-12:
+        if not _within(self.gamma, -1e-12, _TWO_PI + 1e-12):
             raise ValueError("gamma must lie in [0, 2 pi)")
 
 
 def canonical_vectors_rank2(params: Rank2Canonical) -> tuple[np.ndarray, np.ndarray]:
-    """The two orthonormal eigenvectors selected by the canonical parameters."""
-    ca, sa = math.cos(params.alpha), math.sin(params.alpha)
-    cb, sb = math.cos(params.beta), math.sin(params.beta)
-    ce, se = math.cos(params.eta), math.sin(params.eta)
-    chi = np.array([ca, 0.0, 0.0, sa], dtype=complex)
-    chi_perp = np.array(
-        [
-            ce * sa,
-            se * sb * np.exp(-1j * params.gamma),
-            se * cb,
-            -ce * ca,
-        ],
-        dtype=complex,
-    )
+    """The two orthonormal eigenvectors selected by the canonical parameters
+    (two (n, 4) stacks for a block)."""
+    ca, sa = _cos_sin(params.alpha)
+    cb, sb = _cos_sin(params.beta)
+    ce, se = _cos_sin(params.eta)
+    chi = _vec4(ca, 0.0, 0.0, sa)
+    chi_perp = _vec4(ce * sa, se * sb * np.exp(-1j * params.gamma), se * cb, -ce * ca)
     return chi, chi_perp
 
 
 def rank2_matrix(params: Rank2Canonical) -> np.ndarray:
-    """Unvalidated matrix nu |chi><chi| + (1 - nu) |chi_perp><chi_perp|."""
+    """Unvalidated matrix nu |chi><chi| + (1 - nu) |chi_perp><chi_perp|;
+    an (n, 4, 4) stack for a block."""
     chi, chi_perp = canonical_vectors_rank2(params)
-    m = params.nu * np.outer(chi, chi.conj())
-    m += (1.0 - params.nu) * np.outer(chi_perp, chi_perp.conj())
+    nu = _per_row(params.nu)
+    m = nu * _outer(chi)
+    m += (1.0 - nu) * _outer(chi_perp)
     return m
 
 
@@ -126,29 +133,31 @@ def local_observables_rank2(params: Rank2Canonical) -> tuple[np.ndarray, np.ndar
 
     These expressions follow from tracing the assembled state against the
     single-qubit operators and agree with decompose(assemble_rank2(params))
-    to machine precision.
+    to machine precision. A block gives two (n, 3) stacks.
     """
     nu = params.nu
-    ca, sa = math.cos(params.alpha), math.sin(params.alpha)
-    cb, sb = math.cos(params.beta), math.sin(params.beta)
-    ce, se = math.cos(params.eta), math.sin(params.eta)
-    cg, sg = math.cos(params.gamma), math.sin(params.gamma)
-    c2a = math.cos(2.0 * params.alpha)
-    c2b = math.cos(2.0 * params.beta)
+    ca, sa = _cos_sin(params.alpha)
+    cb, sb = _cos_sin(params.beta)
+    ce, se = _cos_sin(params.eta)
+    cg, sg = _cos_sin(params.gamma)
+    c2a = _math(math.cos, 2.0 * params.alpha)
+    c2b = _math(math.cos, 2.0 * params.beta)
     k = 2.0 * (1.0 - nu) * ce * se
-    p = np.array(
+    p = np.stack(
         [
             k * (sa * cb - ca * sb * cg),
             -k * ca * sb * sg,
             nu * c2a - (1.0 - nu) * (ce * ce * c2a + se * se * c2b),
-        ]
+        ],
+        axis=-1,
     )
-    s = np.array(
+    s = np.stack(
         [
             k * (sa * sb * cg - ca * cb),
             -k * sa * sb * sg,
             nu * c2a - (1.0 - nu) * (ce * ce * c2a - se * se * c2b),
-        ]
+        ],
+        axis=-1,
     )
     return p, s
 
@@ -227,7 +236,8 @@ class Rank2SepDecomp:
 
     The separable part mixes |00> (weight mu) with a |10> + b |11>; the pure
     part is cos(theta) |00> + e^{i phase} sin(theta) (a |10> + b |11>). lam
-    is the separable part's total weight.
+    is the separable part's total weight. With (n,) array fields it is a
+    block of n states.
     """
 
     lam: float
@@ -239,23 +249,29 @@ class Rank2SepDecomp:
 
     def __post_init__(self):
         for name in ("lam", "mu"):
-            v = getattr(self, name)
-            if not -1e-12 <= v <= 1.0 + 1e-12:
+            if not _within(getattr(self, name), -1e-12, 1.0 + 1e-12):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.a < 0.0 or self.b < 0.0:
+        if _any((self.a < 0.0) | (self.b < 0.0)):
             raise ValueError("a and b must be nonnegative")
-        if abs(self.a**2 + self.b**2 - 1.0) > WEIGHT_TOL:
+        if _any(abs(self.a**2 + self.b**2 - 1.0) > WEIGHT_TOL):
             raise ValueError("a^2 + b^2 must equal 1")
 
 
+_E00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+_E00.flags.writeable = False
+
+
 def rank2_sep_matrix(params: Rank2SepDecomp) -> np.ndarray:
-    """Unvalidated matrix of the separable-plus-pure rank-2 mixture."""
-    chi2 = np.array([0.0, 0.0, params.a, params.b], dtype=complex)
-    psi = math.cos(params.theta) * np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    psi += np.exp(1j * params.phase) * math.sin(params.theta) * chi2
-    sep = params.mu * np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    sep += (1.0 - params.mu) * np.outer(chi2, chi2.conj())
-    return params.lam * sep + (1.0 - params.lam) * np.outer(psi, psi.conj())
+    """Unvalidated matrix of the separable-plus-pure rank-2 mixture; an
+    (n, 4, 4) stack for a block."""
+    chi2 = _vec4(0.0, 0.0, params.a, params.b)
+    ct, st = _cos_sin(params.theta)
+    psi = _per_row(ct, 1) * _E00
+    ph = np.exp(1j * params.phase) * st
+    psi += _per_row(ph, 1) * chi2
+    sep = _per_row(params.mu) * _P00
+    sep += _per_row(1.0 - params.mu) * _outer(chi2)
+    return _per_row(params.lam) * sep + _per_row(1.0 - params.lam) * _outer(psi)
 
 
 def assemble_rank2_sep(params: Rank2SepDecomp) -> DensityOperator:
@@ -285,7 +301,8 @@ class Rank2Degenerate:
     """Mixture lam |00><00| + (1 - lam) |psi><psi| with psi orthogonal to |00>.
 
     psi = r1 |01> + c |10> + r2 |11> with r1, r2 real nonnegative and c
-    complex, normalized to one.
+    complex, normalized to one. With (n,) array fields it is a block of n
+    states.
     """
 
     lam: float
@@ -294,20 +311,21 @@ class Rank2Degenerate:
     c: complex
 
     def __post_init__(self):
-        if not -1e-12 <= self.lam <= 1.0 + 1e-12:
+        if not _within(self.lam, -1e-12, 1.0 + 1e-12):
             raise ValueError("lam must lie in [0, 1]")
-        if self.r1 < 0.0 or self.r2 < 0.0:
+        if _any((self.r1 < 0.0) | (self.r2 < 0.0)):
             raise ValueError("r1 and r2 must be nonnegative")
         norm2 = self.r1**2 + abs(self.c) ** 2 + self.r2**2
-        if abs(norm2 - 1.0) > WEIGHT_TOL:
+        if _any(abs(norm2 - 1.0) > WEIGHT_TOL):
             raise ValueError("r1^2 + |c|^2 + r2^2 must equal 1")
 
 
 def rank2_degenerate_matrix(params: Rank2Degenerate) -> np.ndarray:
-    """Unvalidated matrix lam |00><00| + (1 - lam) |psi><psi|."""
-    psi = np.array([0.0, params.r1, params.c, params.r2], dtype=complex)
-    m = params.lam * np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    m += (1.0 - params.lam) * np.outer(psi, psi.conj())
+    """Unvalidated matrix lam |00><00| + (1 - lam) |psi><psi|; an (n, 4, 4)
+    stack for a block."""
+    psi = _vec4(0.0, params.r1, params.c, params.r2)
+    m = _per_row(params.lam) * _P00
+    m += _per_row(1.0 - params.lam) * _outer(psi)
     return m
 
 
@@ -325,11 +343,13 @@ def estimate_projection2(inv: InvariantVector) -> float:
 
     Exact on mixtures (|00><00| + |psi><psi|) / 2 with psi orthogonal to
     |00>. Raises DomainError if either radicand is negative beyond tolerance.
+    The discriminant is a^2 - I1 I2 with a = (1 - I1 - I2)/2: the value of
+    (I1 - I2)^2/4 - (I1 + I2)/2 + 1/4, without that form's cancellation of
+    quarter-sized terms where the discriminant is near zero.
     """
-    inner = _guard_radicand(
-        (inv.i1 - inv.i2) ** 2 / 4.0 - (inv.i1 + inv.i2) / 2.0 + 0.25
-    )
-    outer = _guard_radicand((1.0 - inv.i1 - inv.i2) / 2.0 - math.sqrt(inner))
+    a = (1.0 - inv.i1 - inv.i2) / 2.0
+    inner = _guard_radicand(a * a - inv.i1 * inv.i2)
+    outer = _guard_radicand(a - math.sqrt(inner))
     return math.sqrt(outer)
 
 
@@ -342,7 +362,8 @@ def estimate_projection2(inv: InvariantVector) -> float:
 class XState:
     """Diagonal weights (u_plus, w1, w2, u_minus) with one coherence z
     between |01> and |10>. Positivity requires |z|^2 <= w1 w2; non-finite
-    entries raise ValueError."""
+    entries raise ValueError. With (n,) array fields it is a block of n
+    states."""
 
     u_plus: float
     w1: float
@@ -352,21 +373,30 @@ class XState:
 
     def __post_init__(self):
         weights = (self.u_plus, self.w1, self.w2, self.u_minus)
-        if not (all(map(math.isfinite, weights)) and cmath.isfinite(self.z)):
+        if isinstance(self.z, np.ndarray):
+            finite = np.isfinite(weights).all() and np.isfinite(self.z).all()
+            low = np.min(weights, axis=0)
+        else:
+            finite = all(map(math.isfinite, weights)) and cmath.isfinite(self.z)
+            low = min(weights)
+        if not finite:
             raise ValueError("weights and z must be finite")
-        if min(weights) < -1e-12:
+        if _any(low < -1e-12):
             raise ValueError("diagonal weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > WEIGHT_TOL:
+        if _any(abs(sum(weights) - 1.0) > WEIGHT_TOL):
             raise ValueError("diagonal weights must sum to 1")
-        if abs(self.z) ** 2 > self.w1 * self.w2 + 1e-12:
+        if _any(abs(self.z) ** 2 > self.w1 * self.w2 + 1e-12):
             raise ValueError("|z|^2 must not exceed w1 w2")
 
 
 def xstate_matrix(x: XState) -> np.ndarray:
-    """Unvalidated X-state matrix: the diagonal weights and the inner coherence."""
-    m = np.diag([x.u_plus, x.w1, x.w2, x.u_minus]).astype(complex)
-    m[1, 2] = x.z
-    m[2, 1] = np.conj(x.z)
+    """Unvalidated X-state matrix: the diagonal weights and the inner
+    coherence; an (n, 4, 4) stack for a block."""
+    m = np.zeros(np.shape(x.z) + (4, 4), dtype=complex)
+    for k, w in enumerate((x.u_plus, x.w1, x.w2, x.u_minus)):
+        m[..., k, k] = w
+    m[..., 1, 2] = x.z
+    m[..., 2, 1] = np.conj(x.z)
     return m
 
 
@@ -403,13 +433,17 @@ def xstate_concurrence_invariant(inv: InvariantVector) -> float:
 # ---------------------------------------------------------------------------
 
 
-def ladder_matrix(lam: float) -> np.ndarray:
-    """Unvalidated matrix lam |00><00| + (1 - lam) |singlet><singlet|."""
-    if not 0.0 <= lam <= 1.0:
+_SINGLET = _outer(np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0))
+_SINGLET.flags.writeable = False
+
+
+def ladder_matrix(lam) -> np.ndarray:
+    """Unvalidated matrix lam |00><00| + (1 - lam) |singlet><singlet|; an
+    (n, 4, 4) stack for an (n,) array of lam."""
+    if not _within(lam, 0.0, 1.0):
         raise ValueError("lam must lie in [0, 1]")
-    singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    m = lam * np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    m += (1.0 - lam) * np.outer(singlet, singlet.conj())
+    m = _per_row(lam) * _P00
+    m += _per_row(1.0 - lam) * _SINGLET
     return m
 
 

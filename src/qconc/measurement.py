@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Infeasible
-from .qstate import _PAULI_GRID, DensityOperator, _as_matrix
+from .qstate import _PAULI_GRID, _as_matrix
 
 OBS_LABELS = ("0", "x", "y", "z")
 #: position of each label along both axes of the Pauli-product grid
@@ -71,9 +71,10 @@ def expectation(rho, obs: tuple[str, str]) -> float:
 
 
 def sample_expectation(
-    rho: DensityOperator, obs: tuple[str, str], shots: int, seed=None
+    rho, obs: tuple[str, str], shots: int, seed=None
 ) -> MeasurementRecord:
-    """Average of `shots` projective +-1 outcomes of the observable.
+    """Average of `shots` projective +-1 outcomes of the observable on a
+    DensityOperator or a raw 4x4 matrix (used as given, not validated).
 
     Prob(+1) = (1 + exact expectation)/2; the reported std_error is the
     plug-in binomial estimate sqrt((1 - mean^2)/shots). A fixed seed gives

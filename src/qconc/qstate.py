@@ -8,7 +8,8 @@ local unitaries, and seeded random state generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,6 +81,101 @@ def _validated_matrix(rho) -> np.ndarray:
 def _require_finite(*arrays) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise InvalidState("entries must be finite")
+
+
+# ---------------------------------------------------------------------------
+# parameter blocks
+#
+# A family's parameter dataclass holds one state, with float fields, or a
+# block of n states, with every field an (n,) array. Its checks, matrix
+# builder and closed forms are written once for both: the helpers below act
+# on a float or on each entry of an array, and a block's results are its
+# rows' single-state results bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _any(flags) -> bool:
+    """A comparison's result for a float, or whether it holds in any entry."""
+    return flags.any() if isinstance(flags, np.ndarray) else flags
+
+
+def _within(value, low: float, high: float) -> bool:
+    """low <= value <= high for a float or for every entry; NaN fails."""
+    if isinstance(value, np.ndarray):
+        return bool(((low <= value) & (value <= high)).all())
+    return low <= value <= high
+
+
+def _math(fn, *args):
+    """A math-module function of floats, or of each entry of equal-length
+    1-d arrays.
+
+    Blocks map the same libm call over their entries instead of taking the
+    numpy ufunc, whose bits differ from libm's for some functions (arctan2,
+    real exp, hypot), so a block keeps its rows' bits.
+    """
+    if not isinstance(args[0], np.ndarray):
+        return fn(*args)
+    cols = [a.tolist() for a in args]
+    return np.fromiter(map(fn, *cols), dtype=float, count=len(cols[0]))
+
+
+def _cos_sin(x):
+    """(cos x, sin x) of a float, or of each entry of an array, through libm."""
+    if isinstance(x, np.ndarray):
+        return _math(math.cos, x), _math(math.sin, x)
+    return math.cos(x), math.sin(x)
+
+
+def _per_row(x, axes: int = 2):
+    """A weight as a factor of a matrix (axes=2) or a vector (axes=1): a float
+    as it is, an (n,) array with trailing axes to broadcast over the block."""
+    if isinstance(x, np.ndarray):
+        return x.reshape(x.shape + (1,) * axes)
+    return x
+
+
+def _vec4(*entries) -> np.ndarray:
+    """Complex 4-vector of four floats or complexes, or an (n, 4) block of
+    vectors when any entry is an (n,) array."""
+    try:
+        v = np.array(entries, dtype=complex)
+        if v.ndim == 1:
+            return v
+    except ValueError:  # floats mixed with arrays
+        pass
+    shape = np.broadcast_shapes(*(np.shape(e) for e in entries))
+    v = np.empty(shape + (4,), dtype=complex)
+    for k, e in enumerate(entries):
+        v[..., k] = e
+    return v
+
+
+def _outer(v: np.ndarray) -> np.ndarray:
+    """|v><v| of a 4-vector, or of each row of an (n, 4) block; each is
+    np.outer(v, v.conj()) bit for bit."""
+    return v[..., :, None] * v.conj()[..., None, :]
+
+
+def _record(block, i: int):
+    """Row i of a parameter block as a checked single-state dataclass."""
+    return type(block)(
+        **{f.name: getattr(block, f.name)[i].item() for f in fields(block)}
+    )
+
+
+def _one_or_block(block, n):
+    """What a sampler called with n returns: the block, or for n=None its one
+    row as a single-state dataclass."""
+    return block if n is not None else _record(block, 0)
+
+
+def _block(records):
+    """The parameter block whose rows are the given single-state records."""
+    cls = type(records[0])
+    return cls(
+        **{f.name: np.array([getattr(r, f.name) for r in records]) for f in fields(cls)}
+    )
 
 
 # a non-finite or huge state's residual or trace may overflow or come from

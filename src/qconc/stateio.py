@@ -13,7 +13,6 @@ files.
 from __future__ import annotations
 
 import json
-from importlib import metadata
 
 import numpy as np
 
@@ -21,11 +20,9 @@ from .errors import InvalidState
 from .qstate import BlochDecomposition, DensityOperator, assemble
 
 TOOL_NAME = "qconc"
-
-try:
-    TOOL_VERSION = metadata.version(TOOL_NAME)
-except metadata.PackageNotFoundError:  # pragma: no cover - source checkout
-    TOOL_VERSION = "0.1.0"
+#: the package version, also qconc.__version__; pyproject.toml declares the
+#: same string, and a literal spares every import a package-metadata lookup
+TOOL_VERSION = "0.1.0"
 
 
 def canonical_dumps(payload) -> str:

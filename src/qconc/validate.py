@@ -8,20 +8,29 @@ replay them. Suites with no trusted closed form (the rank-2 invariant
 candidate, the X-state invariant expression) carry no tolerance; they always
 pass and exist to publish statistics.
 
-Every sampled suite builds the raw matrix of each state of a chunk, then
-validates the chunk with one check_states call and evaluates decomposition,
-invariants and the oracle on that (n, 4, 4) stack, one call each; sampling,
-matrix building and the family estimators stay per state. `shots`,
-`inversions` and `threshold` still assemble one validated DensityOperator at
-a time, and only `threshold` calls the single-state oracle, on its two fixed
-bracket states. Most suites split their samples into fixed chunks; chunks
-own spawned seed streams and are merged in spawn order, so results depend
-only on the seed and the sample count.
+Every sampled suite draws a chunk's parameters as one block (a family
+dataclass with array fields), builds the chunk's raw (n, 4, 4) stack with
+the family's matrix builder, validates it with one check_states call and
+evaluates decomposition, invariants and the oracle on it, one call each.
+Uniform-only samplers draw (n, k) blocks of uniforms; samplers whose
+Dirichlet or normal draws are interleaved with uniforms draw state by state
+and collect the parameters. Either way a block holds, bit for bit, what the
+single-state calls draw, so the reports keep their bytes. The scalar family
+estimators are called per row, on unchecked named-tuple views of the block,
+and parameter dataclasses are built only for the offenders a report prints.
+`shots` draws one state at a time, since each binomial draw needs its
+state's exact correlation, and `inversions` builds its fixed grids as
+stacks; both validate all their states with one check_states call. Only
+`threshold` assembles validated DensityOperators and calls the single-state
+oracle, on its two fixed bracket states. Most suites split their samples
+into fixed chunks; chunks own spawned seed streams and are merged in spawn
+order, so results depend only on the seed and the sample count.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable
 
@@ -34,9 +43,9 @@ from .bounds import (
     Rank3Mixture,
     Rank4Mixture,
     assemble_rank3_max,
-    assemble_rank4_max,
     rank3_bound,
     rank3_max_concurrence,
+    rank3_max_matrix,
     rank3_threshold,
     rank4_bound,
     rank4_max_concurrence,
@@ -72,7 +81,15 @@ from .measurement import (
     lambdas_from_correlations,
     sample_expectation,
 )
-from .qstate import REJECTION_LIMIT, batch_decompose, check_states
+from .qstate import (
+    REJECTION_LIMIT,
+    _block,
+    _cos_sin,
+    _one_or_block,
+    _record,
+    batch_decompose,
+    check_states,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -229,70 +246,119 @@ def _run_chunked(kernel: Callable, seq: np.random.SeedSequence, samples: int):
 # ---------------------------------------------------------------------------
 
 
-def sample_nondegenerate_rank2(rng) -> Rank2Canonical:
-    """Canonical rank-2 parameters kept clear of every reconstruction guard."""
-    half_pi = math.pi / 2.0
-    for _ in range(REJECTION_LIMIT):
-        params = Rank2Canonical(
-            nu=rng.uniform(0.05, 0.95),
-            alpha=rng.uniform(0.1, half_pi - 0.1),
-            beta=rng.uniform(0.1, half_pi - 0.1),
-            gamma=rng.uniform(0.15, 2.0 * math.pi - 0.15),
-            eta=rng.uniform(0.1, half_pi - 0.1),
-        )
-        if abs(params.gamma - math.pi) < 0.15:
-            continue
-        if abs(params.beta - math.pi / 4.0) < 0.05:
-            continue
-        p, s = local_observables_rank2(params)
-        if min(abs(p[0]), abs(p[1]), abs(s[0]), abs(s[1])) < 1e-2:
-            continue
-        sa, ca = math.sin(params.alpha), math.cos(params.alpha)
-        if abs(sa * p[0] + ca * s[0]) < 1e-2:
-            continue
-        return params
-    raise SamplerExhausted(
-        f"no rank-2 draw cleared the guards in {REJECTION_LIMIT} draws"
+#: (low, high) of the uniform draws behind one canonical rank-2 try, in
+#: draw order: nu, alpha, beta, gamma, eta
+_RANK2_DRAWS = (
+    (0.05, 0.95),
+    (0.1, math.pi / 2.0 - 0.1),
+    (0.1, math.pi / 2.0 - 0.1),
+    (0.15, 2.0 * math.pi - 0.15),
+    (0.1, math.pi / 2.0 - 0.1),
+)
+
+
+def _clear_of_guards(params: Rank2Canonical):
+    """Whether canonical rank-2 parameters (or each row of a block) keep clear
+    of every reconstruction guard."""
+    p, s = local_observables_rank2(params)
+    ca, sa = _cos_sin(params.alpha)
+    return (
+        (abs(params.gamma - math.pi) >= 0.15)
+        & (abs(params.beta - math.pi / 4.0) >= 0.05)
+        & (np.abs(np.concatenate([p[..., :2], s[..., :2]], axis=-1)).min(axis=-1) >= 1e-2)
+        & (abs(sa * p[..., 0] + ca * s[..., 0]) >= 1e-2)
     )
 
 
-def sample_rank2_sep(rng) -> Rank2SepDecomp:
-    t = rng.uniform(0.05, math.pi / 2.0 - 0.05)
-    return Rank2SepDecomp(
-        lam=rng.uniform(0.0, 1.0),
-        mu=rng.uniform(0.0, 1.0),
-        a=math.sin(t),
-        b=math.cos(t),
-        theta=rng.uniform(0.0, math.pi / 2.0),
-        phase=rng.uniform(0.0, 2.0 * math.pi),
+def sample_nondegenerate_rank2(rng, n=None) -> Rank2Canonical:
+    """Canonical rank-2 parameters kept clear of every reconstruction guard.
+
+    Each try draws one row of five uniforms; a state takes the first try
+    that clears the guards, and raises SamplerExhausted after
+    REJECTION_LIMIT tries. An int n gives a block of n states: rows are
+    drawn in blocks and the accepted ones kept in order, so the block holds
+    what n single calls return, and the generator ends where theirs would.
+    """
+    exhausted = f"no rank-2 draw cleared the guards in {REJECTION_LIMIT} draws"
+    if n is None:
+        for _ in range(REJECTION_LIMIT):
+            params = Rank2Canonical(*(rng.uniform(lo, hi) for lo, hi in _RANK2_DRAWS))
+            if _clear_of_guards(params):
+                return params
+        raise SamplerExhausted(exhausted)
+    lows, highs = np.array(_RANK2_DRAWS).T
+    kept = []
+    tries = 0  # tries of the state being drawn
+    while len(kept) < n:
+        # at most one row per state still missing, so no row past the last
+        # accepted one is ever drawn
+        rows = rng.uniform(lows, highs, size=(n - len(kept), len(lows)))
+        for row, ok in zip(rows, _clear_of_guards(Rank2Canonical(*rows.T))):
+            tries += 1
+            if ok:
+                kept.append(row)
+                tries = 0
+            elif tries == REJECTION_LIMIT:
+                raise SamplerExhausted(exhausted)
+    return Rank2Canonical(*np.array(kept).reshape(-1, len(lows)).T)
+
+
+def sample_rank2_sep(rng, n=None) -> Rank2SepDecomp:
+    """Random separable-plus-pure rank-2 parameters, or a block of n: one row
+    of five uniforms each (the a/b angle, lam, mu, theta, phase)."""
+    lows = (0.05, 0.0, 0.0, 0.0, 0.0)
+    highs = (math.pi / 2.0 - 0.05, 1.0, 1.0, math.pi / 2.0, 2.0 * math.pi)
+    u = rng.uniform(lows, highs, size=(1 if n is None else n, 5))
+    t, lam, mu, theta, phase = u.T
+    cos_t, sin_t = _cos_sin(t)
+    block = Rank2SepDecomp(lam=lam, mu=mu, a=sin_t, b=cos_t, theta=theta, phase=phase)
+    return _one_or_block(block, n)
+
+
+def sample_rank2_degenerate(rng, lam=None, n=None) -> Rank2Degenerate:
+    """Random degenerate-family parameters, or a block of n.
+
+    Each state draws a normal 3-vector, a phase and (unless lam is given)
+    its weight, so a block draws state by state and only collects them.
+    """
+    draws = []
+    for _ in range(1 if n is None else n):
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        draws.append((*v, phase, rng.uniform(0.0, 1.0) if lam is None else lam))
+    v0, v1, v2, phase, weight = np.array(draws).reshape(-1, 5).T
+    block = Rank2Degenerate(
+        lam=weight, r1=abs(v0), r2=abs(v2), c=abs(v1) * np.exp(1j * phase)
     )
+    return _one_or_block(block, n)
 
 
-def sample_rank2_degenerate(rng, lam=None) -> Rank2Degenerate:
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    return Rank2Degenerate(
-        lam=rng.uniform(0.0, 1.0) if lam is None else lam,
-        r1=abs(v[0]),
-        r2=abs(v[2]),
-        c=abs(v[1]) * np.exp(1j * phase),
+def sample_xstate(rng, rank3: bool = False, n=None) -> XState:
+    """Random X state, or a block of n; rank3=True zeroes one outer corner as
+    in the physical class.
+
+    Each state draws Dirichlet weights and then uniforms bounded by them, so
+    a block draws state by state and only collects them.
+    """
+    alpha = np.ones(3 if rank3 else 4)
+    draws = []
+    for _ in range(1 if n is None else n):
+        if rank3:
+            w = rng.dirichlet(alpha)
+            corner = rng.uniform() < 0.5
+            u_plus, u_minus = (0.0, w[2]) if corner else (w[2], 0.0)
+            w1, w2 = w[0], w[1]
+        else:
+            u_plus, w1, w2, u_minus = rng.dirichlet(alpha)
+        zmax = math.sqrt(w1 * w2)
+        r = rng.uniform(0.0, zmax)
+        draws.append((u_plus, w1, w2, u_minus, r, rng.uniform(0.0, 2.0 * math.pi)))
+    u_plus, w1, w2, u_minus, r, phase = np.array(draws).reshape(-1, 6).T
+    block = XState(
+        u_plus=u_plus, w1=w1, w2=w2, u_minus=u_minus, z=r * np.exp(1j * phase)
     )
-
-
-def sample_xstate(rng, rank3: bool = False) -> XState:
-    """Random X state; rank3=True zeroes one outer corner as in the physical class."""
-    if rank3:
-        w = rng.dirichlet(np.ones(3))
-        corner = rng.uniform() < 0.5
-        u_plus, u_minus = (0.0, w[2]) if corner else (w[2], 0.0)
-        w1, w2 = w[0], w[1]
-    else:
-        w = rng.dirichlet(np.ones(4))
-        u_plus, w1, w2, u_minus = w
-    zmax = math.sqrt(w1 * w2)
-    z = rng.uniform(0.0, zmax) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-    return XState(u_plus=u_plus, w1=w1, w2=w2, u_minus=u_minus, z=z)
+    return _one_or_block(block, n)
 
 
 # ---------------------------------------------------------------------------
@@ -375,30 +441,49 @@ def _invariant_rows(mats: np.ndarray) -> list[InvariantVector]:
     return [InvariantVector(*row) for row in rows]
 
 
-def _offenders(devs, states, oracle, estimates) -> list:
+_ROW_TYPES: dict = {}
+
+
+def _rows(block) -> list:
+    """Per-state views of a parameter block for the scalar estimators: named
+    tuples with the dataclass's field names, which run no checks (the block
+    ran them as array checks)."""
+    cls = type(block)
+    if cls not in _ROW_TYPES:
+        _ROW_TYPES[cls] = namedtuple(cls.__name__ + "Row", [f.name for f in fields(cls)])
+    row = _ROW_TYPES[cls]
+    return list(map(row._make, zip(*(getattr(block, name) for name in row._fields))))
+
+
+def _offenders(devs, record, oracle, estimates) -> list:
+    """Worst offenders; record(i) gives state i's parameters as a dataclass,
+    built only for the offenders a report prints."""
     payload = lambda i: {
         "oracle": float(oracle[i]),
         "estimate": float(estimates[i]),
-        "state": _jsonable(states[i]),
+        "state": _jsonable(record(i)),
     }
     return _top_offenders(devs, payload)
 
 
-def _graded(states, estimates, oracle):
-    """Deviations |estimate - oracle| per state and the worst offenders."""
+def _graded(block, estimates, oracle, index=None):
+    """Deviations |estimate - oracle| per state and the worst offenders;
+    state i is row index[i] of the block (row i without an index)."""
     devs = np.abs(np.asarray(estimates, dtype=float) - oracle)
-    return devs, _offenders(devs, states, oracle, estimates)
+    rows = range(devs.size) if index is None else index
+    return devs, _offenders(devs, lambda i: _record(block, rows[i]), oracle, estimates)
 
 
 def _suite_rank2_roundtrip(seq, samples):
     def kernel(rng, n):
-        params = [sample_nondegenerate_rank2(rng) for _ in range(n)]
-        recs = [reconstruct_rank2(*local_observables_rank2(x)) for x in params]
-        mats = check_states([rank2_matrix(x) for x in params + recs])
+        params = sample_nondegenerate_rank2(rng, n)
+        p, s = local_observables_rank2(params)
+        recs = _block([reconstruct_rank2(pk, sk) for pk, sk in zip(p, s)])
+        mats = check_states(np.concatenate([rank2_matrix(params), rank2_matrix(recs)]))
         inv = batch_invariants(*batch_decompose(mats))
         c = batch_oracle(mats)
         devs = np.maximum(np.abs(inv[:n] - inv[n:]).max(axis=1), np.abs(c[:n] - c[n:]))
-        return devs, _offenders(devs, params, c[:n], c[n:])
+        return devs, _offenders(devs, lambda i: _record(params, i), c[:n], c[n:])
 
     devs, offenders, _ = _run_chunked(kernel, seq, samples)
     return _report(
@@ -412,8 +497,8 @@ def _suite_rank2_roundtrip(seq, samples):
 
 def _suite_rank2_sep2(seq, samples):
     def kernel(rng, n):
-        params = [sample_rank2_sep(rng) for _ in range(n)]
-        mats = check_states([rank2_sep_matrix(x) for x in params])
+        params = sample_rank2_sep(rng, n)
+        mats = check_states(rank2_sep_matrix(params))
         est = [estimate_rank2_sep2(inv) for inv in _invariant_rows(mats)]
         return _graded(params, est, batch_oracle(mats))
 
@@ -436,9 +521,9 @@ def _suite_rank2_sep2(seq, samples):
 
 def _suite_rank2_degenerate(seq, samples):
     def kernel(rng, n):
-        params = [sample_rank2_degenerate(rng) for _ in range(n)]
-        mats = check_states([rank2_degenerate_matrix(x) for x in params])
-        est = [estimate_rank2_degenerate(x) for x in params]
+        params = sample_rank2_degenerate(rng, n=n)
+        mats = check_states(rank2_degenerate_matrix(params))
+        est = [estimate_rank2_degenerate(x) for x in _rows(params)]
         return _graded(params, est, batch_oracle(mats))
 
     devs, offenders, _ = _run_chunked(kernel, seq, samples)
@@ -453,8 +538,8 @@ def _suite_rank2_degenerate(seq, samples):
 
 def _suite_projection2(seq, samples):
     def kernel(rng, n):
-        params = [sample_rank2_degenerate(rng, lam=0.5) for _ in range(n)]
-        mats = check_states([rank2_degenerate_matrix(x) for x in params])
+        params = sample_rank2_degenerate(rng, lam=0.5, n=n)
+        mats = check_states(rank2_degenerate_matrix(params))
         est = [estimate_projection2(inv) for inv in _invariant_rows(mats)]
         return _graded(params, est, batch_oracle(mats))
 
@@ -470,9 +555,9 @@ def _suite_projection2(seq, samples):
 
 def _suite_xstate(seq, samples):
     def kernel(rng, n):
-        states = [sample_xstate(rng) for _ in range(n)]
-        oracle = batch_oracle(check_states([xstate_matrix(x) for x in states]))
-        return _graded(states, [xstate_concurrence(x) for x in states], oracle)
+        states = sample_xstate(rng, n=n)
+        oracle = batch_oracle(check_states(xstate_matrix(states)))
+        return _graded(states, [xstate_concurrence(x) for x in _rows(states)], oracle)
 
     devs, offenders, _ = _run_chunked(kernel, seq, samples)
     return _report(
@@ -486,8 +571,8 @@ def _suite_xstate(seq, samples):
 
 def _suite_xstate_invariant(seq, samples):
     rng = np.random.default_rng(seq)
-    states = [sample_xstate(rng, rank3=True) for _ in range(samples)]
-    mats = check_states([xstate_matrix(x) for x in states])
+    states = sample_xstate(rng, rank3=True, n=samples)
+    mats = check_states(xstate_matrix(states))
     oracle = batch_oracle(mats)
     kept, est = [], []
     i1_zero = 0
@@ -502,7 +587,7 @@ def _suite_xstate_invariant(seq, samples):
             domain_errors += 1
             continue
         kept.append(i)
-    devs, offenders = _graded([states[i] for i in kept], est, oracle[kept])
+    devs, offenders = _graded(states, est, oracle[kept], index=kept)
     return _report(
         "xstate-invariant",
         devs,
@@ -522,8 +607,9 @@ def _suite_xstate_invariant(seq, samples):
 
 
 def _suite_ladder(seq, samples):
-    lams = np.linspace(0.0, 1.0, max(samples, 2)).tolist()
-    mats = check_states([ladder_matrix(lam) for lam in lams])
+    lams = np.linspace(0.0, 1.0, max(samples, 2))
+    mats = check_states(ladder_matrix(lams))
+    lams = lams.tolist()
     oracle = batch_oracle(mats)
     devs = np.array(
         [
@@ -547,20 +633,11 @@ def _suite_ladder(seq, samples):
 def _suite_bounds(seq, samples):
     def kernel(rng, n):
         half = n // 2
-        payloads = []
-        mats = []
-        vals = []
-        for i in range(n):
-            if i < half:
-                m = Rank3Mixture.random(rng)
-                vals.append(rank3_bound(m))
-            else:
-                m = Rank4Mixture.random(rng)
-                vals.append(rank4_bound(m))
-            payloads.append(m)
-            mats.append(m.matrix())
-        oracle = batch_oracle(check_states(mats))
-        margins = np.asarray(vals) - oracle
+        m3 = Rank3Mixture.random(rng, n=half)
+        m4 = Rank4Mixture.random(rng, n=n - half)
+        vals = np.concatenate([rank3_bound(m3), rank4_bound(m4)])
+        oracle = batch_oracle(check_states(np.concatenate([m3.matrix(), m4.matrix()])))
+        margins = vals - oracle
         devs = np.maximum(0.0, -margins)
         order = np.argsort(margins)[:3]
         offenders = [
@@ -569,7 +646,9 @@ def _suite_bounds(seq, samples):
                 "margin": float(margins[i]),
                 "oracle": float(oracle[i]),
                 "estimate": float(vals[i]),
-                "state": _jsonable(payloads[i]),
+                "state": _jsonable(
+                    _record(m3, i) if i < half else _record(m4, i - half)
+                ),
             }
             for i in order
         ]
@@ -593,7 +672,7 @@ def _suite_rank4_max(seq, samples):
     l1 = rng.uniform(0.0, 1.0, size=samples)
     l2 = rng.uniform(0.0, 1.0 - l1)
     literal = np.array([rank4_max_concurrence(a, b) for a, b in zip(l1, l2)])
-    mats = check_states([rank4_max_matrix(a, b) for a, b in zip(l1, l2)])
+    mats = check_states(rank4_max_matrix(l1, l2))
     oracle = batch_oracle(mats)
     exact = np.maximum(0.0, 1.0 - 1.5 * l1 - 4.0 * l2 / 3.0)
     devs = np.abs(exact - oracle)
@@ -707,21 +786,26 @@ def _suite_region(seq, samples):
 
 
 def _suite_inversions(seq, samples):
+    angles = (math.pi / 4.0, math.pi / 6.0, 1.0)
+    lam = np.repeat(np.linspace(0.0, 1.0, 21), len(angles))
+    a = np.tile([math.sin(t) for t in angles], 21)
+    b = np.tile([math.cos(t) for t in angles], 21)
+    l1, l2 = np.array(
+        [(w1, w2) for w1 in np.linspace(0.0, 1.0, 11) for w2 in np.linspace(0.0, 1.0 - w1, 6)]
+    ).T
+    mats = check_states(
+        np.concatenate([rank3_max_matrix(lam, a, b), rank4_max_matrix(l1, l2)])
+    )
     devs = []
-    for lam in np.linspace(0.0, 1.0, 21):
-        for t in (math.pi / 4.0, math.pi / 6.0, 1.0):
-            a, b = math.sin(t), math.cos(t)
-            szpz = expectation(assemble_rank3_max(float(lam), a, b), ("z", "z"))
-            est = lambda_from_szpz(szpz)
-            devs.append(abs(est.value - lam))
-    for l1 in np.linspace(0.0, 1.0, 11):
-        for l2 in np.linspace(0.0, 1.0 - l1, 6):
-            rho = assemble_rank4_max(float(l1), float(l2))
-            est = lambdas_from_correlations(
-                expectation(rho, ("x", "x")), expectation(rho, ("z", "z"))
-            )
-            devs.append(abs(est.lambda1 - l1))
-            devs.append(abs(est.lambda2 - l2))
+    for rho, weight in zip(mats, lam.tolist()):
+        est = lambda_from_szpz(expectation(rho, ("z", "z")))
+        devs.append(abs(est.value - weight))
+    for rho, w1, w2 in zip(mats[lam.size :], l1.tolist(), l2.tolist()):
+        est = lambdas_from_correlations(
+            expectation(rho, ("x", "x")), expectation(rho, ("z", "z"))
+        )
+        devs.append(abs(est.lambda1 - w1))
+        devs.append(abs(est.lambda2 - w2))
     devs = np.asarray(devs)
     return _report(
         "inversions",
@@ -739,11 +823,14 @@ def _suite_shots(seq, samples):
     ratios = []
     lam_ok = 0
     pair_ok = 0
+    # each trial's binomial draw needs its state's exact correlation, so the
+    # states are built one at a time; validating them draws nothing from the
+    # generator, so they are checked together once all trials are drawn
+    mats = []
     for _ in range(samples):
         lam = rng.uniform(0.05, 0.95)
-        rec = sample_expectation(
-            assemble_rank3_max(lam, r, r), ("z", "z"), shots, rng
-        )
+        mats.append(rank3_max_matrix(lam, r, r))
+        rec = sample_expectation(mats[-1], ("z", "z"), shots, rng)
         sigma = 0.75 * max(rec.std_error, 1e-12)
         err = abs(lambda_from_szpz(rec.expectation).value - lam)
         ratios.append(err / (5.0 * sigma))
@@ -752,7 +839,8 @@ def _suite_shots(seq, samples):
     for _ in range(samples):
         l1 = rng.uniform(0.1, 0.7)
         l2 = rng.uniform(0.1, 0.9 - l1)
-        rho = assemble_rank4_max(l1, l2)
+        rho = rank4_max_matrix(l1, l2)
+        mats.append(rho)
         rx = sample_expectation(rho, ("x", "x"), shots, rng)
         rz = sample_expectation(rho, ("z", "z"), shots, rng)
         s1 = math.sqrt(4.0 * rx.std_error**2 + rz.std_error**2)
@@ -765,6 +853,7 @@ def _suite_shots(seq, samples):
             est.lambda2 - l2
         ) <= 5.0 * max(s2, 1e-12):
             pair_ok += 1
+    check_states(mats)
     lam_rate = lam_ok / samples
     pair_rate = pair_ok / samples
     passed = bool(lam_rate >= 0.99 and pair_rate >= 0.99)

@@ -302,6 +302,31 @@ class TestStdinPath:
         assert json.loads(out)["oracle"] == pytest.approx(1.0, abs=1e-10)
 
 
+#: state inputs that are no JSON text a state can come from: nested past the
+#: parser's recursion limit, and bytes that are not UTF-8
+_UNREADABLE = {
+    "nested": b"[" * 100_000 + b"]" * 100_000,
+    "not-utf8": b'{"matrix": "\xe9\xff"}',
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("kind", sorted(_UNREADABLE))
+def test_unreadable_input_ends_in_an_error_line(capsys, monkeypatch, tmp_path, kind, source):
+    data = _UNREADABLE[kind]
+    if source == "file":
+        path = tmp_path / "state.json"
+        path.write_bytes(data)
+        arg = str(path)
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        arg = "-"
+    code, out, err = run(capsys, "concurrence", arg)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InvalidState: input is ")
+
+
 # -- fuzzed state payloads ---------------------------------------------------
 
 #: numbers that stress parsing and validation: non-finite, overflowing the

@@ -1,5 +1,7 @@
 """Each single-state call is one row of the stacked call, bit for bit."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -8,12 +10,17 @@ from qconc.bounds import (
     Rank3Mixture,
     Rank4Mixture,
     _h3_projector,
+    assemble_rank3_max,
     assemble_rank4_max,
+    rank3_bound,
+    rank3_max_matrix,
+    rank4_bound,
     rank4_max_matrix,
 )
 from qconc.concurrence import batch_lambdas, batch_oracle, concurrence_oracle
 from qconc.errors import SamplerExhausted
 from qconc.estimators import (
+    Rank2SepDecomp,
     assemble_ladder,
     assemble_rank2,
     assemble_rank2_degenerate,
@@ -28,7 +35,13 @@ from qconc.estimators import (
     xstate_matrix,
 )
 from qconc.invariants import batch_invariants, invariant_vector
-from qconc.qstate import REJECTION_LIMIT, batch_decompose, decompose, random_rank_k
+from qconc.qstate import (
+    REJECTION_LIMIT,
+    _record,
+    batch_decompose,
+    decompose,
+    random_rank_k,
+)
 from qconc.validate import (
     SUITES,
     batch_random_mixed,
@@ -255,3 +268,145 @@ def test_rejection_samplers_stop_at_the_limit(sampler):
         draw(rng)
     extra = 1 if sampler == "batch_random_mixed" else 0  # the first full draw
     assert rng.draws == draws_per_try * REJECTION_LIMIT + extra
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes, so signed zeros count too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+#: samplers that give one state, or a block of n with n=..., with their
+#: keyword arguments
+_BLOCK_SAMPLERS = {
+    "nondegenerate-rank2": (sample_nondegenerate_rank2, {}),
+    "rank2-sep": (sample_rank2_sep, {}),
+    "rank2-degenerate": (sample_rank2_degenerate, {}),
+    "rank2-degenerate-half": (sample_rank2_degenerate, {"lam": 0.5}),
+    "xstate": (sample_xstate, {}),
+    "xstate-rank3": (sample_xstate, {"rank3": True}),
+    "rank3-mixture": (Rank3Mixture.random, {}),
+    "rank4-mixture": (Rank4Mixture.random, {}),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 40])
+@pytest.mark.parametrize("sampler", sorted(_BLOCK_SAMPLERS))
+def test_block_samplers_draw_what_single_calls_draw(sampler, n):
+    """A block holds the parameters of n single calls, bit for bit, and leaves
+    the generator where they leave it; the rank-2 rejection sampler keeps
+    the accepted rows of the single calls' tries."""
+    draw, kwargs = _BLOCK_SAMPLERS[sampler]
+    block_rng, single_rng = np.random.default_rng(31), np.random.default_rng(31)
+    block = draw(block_rng, n=n, **kwargs)
+    singles = [draw(single_rng, **kwargs) for _ in range(n)]
+    for f in fields(block):
+        column = getattr(block, f.name)
+        assert column.shape == (n,)
+        assert _same_bits(column, np.array([getattr(x, f.name) for x in singles], column.dtype))
+    assert block_rng.bit_generator.state == single_rng.bit_generator.state
+    for k, single in enumerate(singles):
+        assert _record(block, k) == single
+
+
+def test_rank2_block_sampler_meets_rejections():
+    """At seed 31 the 40 states take more than 40 tries of five uniforms each,
+    so the comparison above covers rejected rows."""
+    sampled = np.random.default_rng(31)
+    sample_nondegenerate_rank2(sampled, n=40)
+    accepted_only = np.random.default_rng(31)
+    accepted_only.uniform(size=(40, 5))
+    assert sampled.bit_generator.state != accepted_only.bit_generator.state
+
+
+def _max_weights(rng, n):
+    l1 = rng.uniform(0.0, 1.0, size=n)
+    return l1, rng.uniform(0.0, 1.0 - l1)
+
+
+#: (array builder on a block, the single-state builder on one record) per
+#: family that the suites build as a stack
+_ARRAY_BUILDERS = {
+    "rank2": (rank2_matrix, lambda x: assemble_rank2(x).matrix, "nondegenerate-rank2"),
+    "rank2-sep": (rank2_sep_matrix, lambda x: assemble_rank2_sep(x).matrix, "rank2-sep"),
+    "rank2-degenerate": (
+        rank2_degenerate_matrix,
+        lambda x: assemble_rank2_degenerate(x).matrix,
+        "rank2-degenerate-half",
+    ),
+    "xstate": (xstate_matrix, lambda x: assemble_xstate(x).matrix, "xstate-rank3"),
+    "rank3-mixture": (Rank3Mixture.matrix, lambda x: x.assemble().matrix, "rank3-mixture"),
+    "rank4-mixture": (Rank4Mixture.matrix, lambda x: x.assemble().matrix, "rank4-mixture"),
+    "rank3-bound": (rank3_bound, rank3_bound, "rank3-mixture"),
+    "rank4-bound": (rank4_bound, rank4_bound, "rank4-mixture"),
+    "rank2-local-observables": (
+        lambda b: np.concatenate(local_observables_rank2(b), axis=-1),
+        lambda x: np.concatenate(local_observables_rank2(x)),
+        "nondegenerate-rank2",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_ARRAY_BUILDERS))
+def test_array_builders_are_their_single_state_calls(family):
+    build_block, build_one, sampler = _ARRAY_BUILDERS[family]
+    draw, kwargs = _BLOCK_SAMPLERS[sampler]
+    block = draw(np.random.default_rng(37), n=50, **kwargs)
+    stack = build_block(block)
+    assert len(stack) == 50
+    for k in range(50):
+        assert _same_bits(stack[k], build_one(_record(block, k)))
+
+
+def test_maximal_family_builders_are_their_single_state_calls():
+    rng = np.random.default_rng(41)
+    lam = rng.uniform(0.0, 1.0, size=50)
+    angle = rng.uniform(0.0, np.pi / 2.0, size=50)
+    a, b = np.sin(angle), np.cos(angle)
+    l1, l2 = _max_weights(rng, 50)
+    rank3 = rank3_max_matrix(lam, a, b)
+    # a = b = 1/sqrt 2 takes the shared parts for floats, fresh ones for arrays
+    r = 1.0 / np.sqrt(2.0)
+    plus = rank3_max_matrix(lam, np.full(50, r), np.full(50, r))
+    rank4 = rank4_max_matrix(l1, l2)
+    ladder = ladder_matrix(lam)
+    for k in range(50):
+        one = (float(lam[k]), float(a[k]), float(b[k]))
+        assert _same_bits(rank3[k], assemble_rank3_max(*one).matrix)
+        assert _same_bits(rank3[k], rank3_max_matrix(*one))
+        assert _same_bits(plus[k], rank3_max_matrix(float(lam[k]), float(r), float(r)))
+        assert _same_bits(rank4[k], assemble_rank4_max(float(l1[k]), float(l2[k])).matrix)
+        assert _same_bits(ladder[k], ladder_matrix(float(lam[k])))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rank3_max_matrix(np.array([0.5, 1.5]), 0.6, 0.8),
+        lambda: rank3_max_matrix(0.5, np.array([0.6, 0.7]), np.array([0.8, 0.8])),
+        lambda: rank4_max_matrix(np.array([0.5, 0.7]), np.array([0.2, 0.4])),
+        lambda: ladder_matrix(np.array([0.5, -0.1])),
+        lambda: Rank2SepDecomp(
+            lam=np.array([0.5, 1.2]),
+            mu=np.array([0.5, 0.5]),
+            a=np.array([0.6, 0.6]),
+            b=np.array([0.8, 0.8]),
+            theta=np.zeros(2),
+            phase=np.zeros(2),
+        ),
+    ],
+    ids=["rank3-max-lam", "rank3-max-ab", "rank4-max", "ladder", "rank2-sep"],
+)
+def test_blocks_run_the_single_state_domain_checks(build):
+    """One bad row of a block raises the ValueError a single call raises."""
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_block_rejection_sampler_stops_at_the_limit():
+    """The block sampler draws one row per missing state and round; a state
+    that no try clears raises after REJECTION_LIMIT rows."""
+    rng = _AlwaysRejected()
+    with pytest.raises(SamplerExhausted, match=str(REJECTION_LIMIT)):
+        sample_nondegenerate_rank2(rng, n=4)
+    assert 4 * rng.draws == REJECTION_LIMIT

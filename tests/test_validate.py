@@ -105,3 +105,14 @@ def test_report_is_a_frozen_record():
     )
     with pytest.raises(AttributeError):
         rep.passed = False
+
+
+@pytest.mark.parametrize("seed", [33, 34, 96])
+def test_projection2_holds_its_gate_where_the_expanded_form_cancelled(seed):
+    """At these seeds the expanded discriminant (I1 - I2)^2/4 - (I1 + I2)/2
+    + 1/4 cancelled quarter-sized terms down to a value near zero and missed
+    the gate by up to 1.3e-7."""
+    (report,) = run_suites(["projection2"], samples=200, seed=seed)
+    assert report.tolerance == 1e-8
+    assert report.max_deviation <= 1e-8
+    assert report.passed
