@@ -1,17 +1,18 @@
 """Command-line surface: state generation, concurrence reports, Monte-Carlo
 validation, region and ladder sweeps.
 
-Exit codes: 0 success, 1 bad input, 2 validation failure. Given the same
-seed and flags every command writes byte-identical output; stochastic runs
-record their seed in the report header.
+Exit codes: 0 success, 1 bad input or usage, 2 validation failure. Given the
+same seed and flags every command writes byte-identical output; stochastic
+runs record their seed in the report header.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import sys
 
-import click
 import numpy as np
 
 from .bounds import rank4_region
@@ -59,8 +60,19 @@ from .stateio import (
 from .validate import SUITES, run_suites
 
 
-class _ValidationFailed(Exception):
-    """Internal signal that a validate run tripped a suite threshold."""
+class UsageError(Exception):
+    """A command line the CLI cannot run: unknown or malformed options,
+    values out of range, conflicting choices. main turns it into exit 1."""
+
+
+class _Exit(Exception):
+    """Ends main with this code, after an error line if a message is given:
+    2 when a validate run trips a suite threshold, 0 once --help has printed."""
+
+    def __init__(self, code: int, message: str | None = None):
+        super().__init__(message)
+        self.code = code
+        self.message = message
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -128,9 +140,9 @@ def _parse_named(name: str) -> DensityOperator:
                 )
             )
     except (ValueError, QconcError) as exc:
-        raise click.UsageError(f"invalid named state {name!r}: {exc}") from exc
+        raise UsageError(f"invalid named state {name!r}: {exc}") from exc
     known = ", ".join(sorted(_BELL_NAMES) + ["werner:p", "xstate:u+,w1,w2,u-,zre[,zim]", "ladder:lam"])
-    raise click.UsageError(f"unknown named state {name!r}; choose from {known}")
+    raise UsageError(f"unknown named state {name!r}; choose from {known}")
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +233,10 @@ def _applicable_estimates(
 # ---------------------------------------------------------------------------
 
 
-@click.group()
-def cli() -> None:
-    """Two-qubit concurrence toolkit."""
-
-
-@cli.command("gen")
-@click.option("--rank", type=click.IntRange(1, 4), default=None, help="random state of this rank")
-@click.option("--named", default=None, help="named state, e.g. bell-phi+ or werner:0.5")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", default=None, help="output path (default stdout)")
 def cmd_gen(rank, named, seed, out_path):
     """Generate a state and write it as JSON; rank and purity go to stderr."""
     if (rank is None) == (named is None):
-        raise click.UsageError("give exactly one of --rank or --named")
+        raise UsageError("give exactly one of --rank or --named")
     if rank is not None:
         rho = random_rank_k(rank, seed)
         header = report_header(seed=seed)
@@ -243,14 +245,9 @@ def cmd_gen(rank, named, seed, out_path):
         header = report_header()
     payload = {"header": header, **state_to_dict(rho)}
     _emit(canonical_dumps(payload), out_path)
-    click.echo(f"rank={rank_of(rho)} purity={_fmt_float(rho.purity())}", err=True)
+    print(f"rank={rank_of(rho)} purity={_fmt_float(rho.purity())}", file=sys.stderr)
 
 
-@cli.command("concurrence")
-@click.argument("state_path", required=False, default=None)
-@click.option("--tol", type=float, default=1e-10, show_default=True, help="family-detection tolerance")
-@click.option("--out", "out_path", default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="text", show_default=True)
 def cmd_concurrence(state_path, tol, out_path, fmt):
     """Report oracle concurrence, spectrum, invariants, and family estimates."""
     rho = _load_state(state_path)
@@ -291,18 +288,13 @@ def cmd_concurrence(state_path, tol, out_path, fmt):
     _emit("\n".join(lines) + "\n", out_path)
 
 
-@cli.command("validate")
-@click.option("--suite", "suites", multiple=True, help="suite name; repeatable (default all)")
-@click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", default=None)
 def cmd_validate(suites, samples, seed, out_path):
     """Run Monte-Carlo suites; exit 2 if any thresholded suite fails."""
-    names = list(suites) if suites else None
+    names = suites or None
     if names:
         unknown = [n for n in names if n not in SUITES]
         if unknown:
-            raise click.UsageError(
+            raise UsageError(
                 f"unknown suite(s) {', '.join(unknown)}; choose from {', '.join(SUITES)}"
             )
     reports = run_suites(names, samples=samples, seed=seed)
@@ -314,7 +306,7 @@ def cmd_validate(suites, samples, seed, out_path):
     _emit(canonical_dumps(payload), out_path)
     if not payload["all_passed"]:
         failed = ", ".join(r.suite for r in reports if not r.passed)
-        raise _ValidationFailed(f"suite(s) failed: {failed}")
+        raise _Exit(2, f"suite(s) failed: {failed}")
 
 
 def _csv(rows: list[list], header: list[str]) -> str:
@@ -324,10 +316,6 @@ def _csv(rows: list[list], header: list[str]) -> str:
     return "\n".join(out) + "\n"
 
 
-@cli.command("region")
-@click.option("--resolution", type=click.IntRange(min=2), default=101, show_default=True)
-@click.option("--out", "out_path", default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 def cmd_region(resolution, out_path, fmt):
     """Emit the rank-4 weight-plane classification grid."""
     rows = rank4_region(resolution)
@@ -343,10 +331,6 @@ def cmd_region(resolution, out_path, fmt):
     _emit(_csv([list(r) for r in rows], ["lambda1", "lambda2", "class"]), out_path)
 
 
-@cli.command("ladder")
-@click.option("--resolution", type=click.IntRange(min=2), default=101, show_default=True)
-@click.option("--out", "out_path", default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 def cmd_ladder(resolution, out_path, fmt):
     """Sweep the singlet ladder line and emit (lam, C, <sz pz>, rho11)."""
     rows = []
@@ -370,29 +354,120 @@ def cmd_ladder(resolution, out_path, fmt):
     _emit(_csv(rows, ["lam", "concurrence", "szpz", "rho11"]), out_path)
 
 
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that raises UsageError where argparse would print
+    usage and exit 2, since exit code 2 means a suite failed."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        # reached only after --help has printed, since error() raises
+        raise _Exit(status, message)
+
+
+def _number(kind, low, high=None):
+    """An argparse type: text read as kind (int or float) into a finite
+    number no less than low and no more than high."""
+    bounds = f"x>={low}" if high is None else f"{low}<=x<={high}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid {kind.__name__}") from None
+        # NaN fails both comparisons; inf passes an open upper bound
+        if not low <= value <= (math.inf if high is None else high) or value == math.inf:
+            raise argparse.ArgumentTypeError(f"{text} is not in the range {bounds}")
+        return value
+
+    return parse
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="qconc", description="Two-qubit concurrence toolkit.", allow_abbrev=False
+    )
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, func):
+        doc = func.__doc__
+        sub = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        sub.set_defaults(run=func)
+        return sub
+
+    def out(sub):
+        sub.add_argument("--out", dest="out_path", default=None, help="output path (default stdout)")
+
+    def seed(sub):
+        sub.add_argument("--seed", type=_number(int, 0), default=0, help="(default: 0)")
+
+    def fmt(sub, default, other):
+        sub.add_argument(
+            "--format", dest="fmt", choices=[default, other], default=default,
+            help=f"(default: {default})",
+        )
+
+    gen = command("gen", cmd_gen)
+    gen.add_argument("--rank", type=_number(int, 1, 4), default=None, help="random state of this rank")
+    gen.add_argument("--named", default=None, help="named state, e.g. bell-phi+ or werner:0.5")
+    seed(gen)
+    out(gen)
+
+    conc = command("concurrence", cmd_concurrence)
+    conc.add_argument("state_path", nargs="?", default=None, help="state file; - or none reads stdin")
+    conc.add_argument(
+        "--tol", type=_number(float, 0.0), default=1e-10,
+        help="family-detection tolerance (default: 1e-10)",
+    )
+    out(conc)
+    fmt(conc, "text", "json")
+
+    val = command("validate", cmd_validate)
+    val.add_argument(
+        "--suite", dest="suites", action="append", default=None,
+        help="suite name; repeatable (default all)",
+    )
+    val.add_argument("--samples", type=_number(int, 1), default=1000, help="(default: 1000)")
+    seed(val)
+    out(val)
+
+    for name, func in (("region", cmd_region), ("ladder", cmd_ladder)):
+        grid = command(name, func)
+        grid.add_argument("--resolution", type=_number(int, 2), default=101, help="(default: 101)")
+        out(grid)
+        fmt(grid, "csv", "json")
+
+    return parser
+
+
+#: built once per process; every main call parses with it
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    """Entry point mapping errors to exit codes: 1 bad input, 2 validation failure."""
+    """Entry point mapping errors to exit codes: 1 bad input or usage, 2
+    validation failure."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except _ValidationFailed as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        args = vars(_PARSER.parse_args(argv))
+        args.pop("run")(**args)
+    except _Exit as exc:
+        if exc.message:
+            print(f"error: {exc.message}", file=sys.stderr)
+        return exc.code
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
-        return 1
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
     except QconcError as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 

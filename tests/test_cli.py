@@ -2,7 +2,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import sys
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +19,13 @@ from qconc.concurrence import concurrence_oracle
 from qconc.estimators import Rank2Canonical, assemble_rank2
 from qconc.invariants import invariant_vector
 from qconc.qstate import decompose, maximally_mixed, random_rank_k
-from qconc.stateio import bloch_to_dict, read_state, state_to_dict, write_state
+from qconc.stateio import (
+    bloch_to_dict,
+    canonical_dumps,
+    read_state,
+    state_to_dict,
+    write_state,
+)
 from qconc.validate import SuiteReport
 
 
@@ -56,6 +67,11 @@ class TestGen:
     def test_bad_parameter_value(self, capsys):
         code, _, _ = run(capsys, "gen", "--named", "werner:1.5")
         assert code == 1
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "gen", "--rank", "2", "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --seed: ")
 
     def test_writes_to_file(self, capsys, tmp_path):
         path = tmp_path / "state.json"
@@ -100,6 +116,25 @@ class TestConcurrence:
         _, out, _ = run(capsys, "concurrence", str(path), "--format", "json")
         rows = json.loads(out)["estimates"]
         assert all(("value" in r) != ("error" in r) for r in rows)
+
+    def test_nan_tolerance_is_a_usage_error(self, capsys, tmp_path):
+        # a NaN tolerance once went into the JSON header as NaN, which is not JSON
+        path = tmp_path / "w.json"
+        run(capsys, "gen", "--named", "werner:0.5", "--out", str(path))
+        code, out, err = run(capsys, "concurrence", str(path), "--tol", "nan", "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --tol: ")
+
+    @pytest.mark.parametrize("tol", ["inf", "1e999", "-1"])
+    def test_unbounded_or_negative_tolerance_is_a_usage_error(self, capsys, tmp_path, tol):
+        # an infinite tolerance once made every state a ladder state
+        path = tmp_path / "w.json"
+        run(capsys, "gen", "--named", "werner:0.5", "--out", str(path))
+        _, out, _ = run(capsys, "concurrence", str(path), "--format", "json")
+        assert not any(e["name"].startswith("ladder") for e in json.loads(out)["estimates"])
+        code, out, err = run(capsys, "concurrence", str(path), "--tol", tol, "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --tol: ")
 
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "concurrence", "/nonexistent/state.json")
@@ -242,6 +277,13 @@ class TestValidateCommand:
         code, _, err = run(capsys, command, "--format", "json")
         assert code == 1
         assert "--format" in err
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "validate", "--seed", "-1", "--suite", "pure", "--samples", "1"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --seed: ")
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "validate", "--suite", "bogus", "--samples", "5")
@@ -418,3 +460,178 @@ def test_fuzzed_payloads_end_in_a_result_or_an_error(tmp_path_factory, payload):
     else:
         assert code == 1
         assert err.getvalue().startswith("error: ")
+
+
+# -- command lines -----------------------------------------------------------
+
+_COMMANDS = ["gen", "concurrence", "validate", "region", "ladder"]
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in _COMMANDS], ids=" ".join)
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert " ".join(["qconc", *argv[:-1]]) in out
+
+
+def test_empty_command_line_is_a_usage_error(capsys):
+    code, out, err = run(capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["concurrence", "--form", "json"], ["validate", "--sam", "5"], ["gen", "--nam", "bell-phi+"]],
+    ids=" ".join,
+)
+def test_abbreviated_options_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert argv[1] in err
+
+
+#: usage errors of every kind; argparse left to itself would end each with
+#: exit 2, which here means that a suite failed
+_USAGE_ERRORS = [
+    ["bogus"],
+    ["gen", "--rank", "9"],
+    ["gen", "--rank"],
+    ["gen", "--named", "bell-phi+", "extra"],
+    ["concurrence", "--format", "xml"],
+    ["concurrence", "--tol", "0x10"],
+    ["validate", "--samples", "0"],
+    ["validate", "--samples", "1e999"],
+    ["region", "--resolution", "1"],
+    ["ladder", "--resolution", "nan"],
+    ["ladder", "--threads", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS, ids=" ".join)
+def test_usage_errors_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+# -- fuzzed command lines ----------------------------------------------------
+
+#: option values that stress parsing: negative, not a number, infinite,
+#: overflowing to infinity, hexadecimal
+_ODD_TEXTS = ["-1", "nan", "inf", "1e999", "0x10"]
+#: suites that take a few milliseconds at 20 samples
+_CHEAP_SUITES = ["pure", "ladder", "rank4-max", "threshold", "shots", "xstate-invariant"]
+#: the state file, relative to the directory a fuzzed command line runs in
+_STATE = "state.json"
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+_OUT = st.sampled_from(["report.out", "-"])
+_FORMATS = st.sampled_from(["json", "text", "csv", "xml"])
+_SEEDS = _ints(-2, 2**70)
+_RESOLUTIONS = _ints(-1, 20)
+#: every command's options, with values in and around their valid ranges;
+#: sizes (--samples, --resolution) never exceed 20
+_OPTIONS = {
+    "gen": {
+        "--rank": _ints(-1, 5),
+        "--named": st.sampled_from(
+            ["bell-phi+", "werner:0.5", "werner:nan", "ladder:0.3", "ladder:inf",
+             "xstate:0.1,0.3,0.4,0.2,0.15", "xstate:1", "ghz"]
+        ),
+        "--seed": _SEEDS,
+        "--out": _OUT,
+    },
+    "concurrence": {"--tol": st.floats().map(repr), "--format": _FORMATS, "--out": _OUT},
+    "validate": {
+        "--suite": st.sampled_from(_CHEAP_SUITES + ["bogus"]),
+        "--samples": _ints(-1, 20),
+        "--seed": _SEEDS,
+        "--out": _OUT,
+    },
+    "region": {"--resolution": _RESOLUTIONS, "--format": _FORMATS, "--out": _OUT},
+    "ladder": {"--resolution": _RESOLUTIONS, "--format": _FORMATS, "--out": _OUT},
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """A command and up to four option groups, each an option with a drawn
+    value, an odd text, no value, an abbreviated name, or an unknown option
+    or --help; then the groups that bound the run's size, the state path of
+    concurrence or the state of gen; all shuffled."""
+    command = draw(st.sampled_from(_COMMANDS))
+    options = _OPTIONS[command]
+    groups = []
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(sorted(options)))
+        kind = draw(st.sampled_from(["value", "odd", "missing", "abbreviated", "unknown", "help"]))
+        if kind == "value":
+            groups.append([name, draw(options[name])])
+        elif kind == "odd":
+            groups.append([name, draw(st.sampled_from(_ODD_TEXTS))])
+        elif kind == "missing":
+            groups.append([name])
+        elif kind == "abbreviated":
+            groups.append([name[: draw(st.integers(3, len(name) - 1))], draw(options[name])])
+        elif kind == "unknown":
+            groups.append(["--threads", "2"])
+        else:
+            groups.append(["--help"])
+    if command == "validate":
+        groups.append(["--samples", draw(_ints(1, 20))])
+        groups.append(["--suite", draw(st.sampled_from(_CHEAP_SUITES))])
+    elif command in ("region", "ladder"):
+        groups.append(["--resolution", draw(_ints(2, 20))])
+    elif command == "concurrence":
+        groups.append(draw(st.sampled_from([[_STATE], ["-"], [], ["missing.json"]])))
+    else:
+        name = draw(st.sampled_from(["--rank", "--named"]))
+        groups.append([name, draw(_ints(1, 4) if name == "--rank" else options[name])])
+    return [command] + [token for group in draw(st.permutations(groups)) for token in group]
+
+
+@settings(max_examples=300, deadline=None)
+@example(argv=[], rank=1)
+@example(argv=["concurrence", "--help"], rank=1)
+@example(argv=["concurrence", "--form", "json", _STATE], rank=2)
+@example(argv=["concurrence", _STATE, "--tol", "inf"], rank=2)
+@example(argv=["concurrence", "--tol", "nan", "--format", "json"], rank=3)
+@example(argv=["gen", "--rank", "2", "--seed", "-1"], rank=1)
+@example(argv=["validate", "--seed", "-1", "--suite", "pure", "--samples", "1"], rank=1)
+@given(_command_lines(), st.integers(1, 4))
+def test_fuzzed_command_lines_end_in_a_result_or_an_error_line(argv, rank):
+    """Every command line ends in exit 0, or 2 from validate, with output, or
+    in exit 1 with one error line; no exception, exit or warning leaves main.
+    It runs in a fresh directory holding a state of the given rank, which is
+    also on stdin."""
+    text = canonical_dumps(state_to_dict(random_rank_k(rank, 0)))
+    out, err = io.StringIO(), io.StringIO()
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as folder:
+        work = Path(folder)
+        (work / _STATE).write_text(text)
+        os.chdir(work)
+        try:
+            with warnings.catch_warnings(), mock.patch.object(sys, "stdin", io.StringIO(text)):
+                warnings.simplefilter("error")
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+        finally:
+            os.chdir(start)
+        written = [
+            f.read_text() for f in work.iterdir()
+            if f.name != _STATE or f.read_text() != text
+        ]
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert code == 0 or (code == 2 and argv[0] == "validate")
+        assert out.getvalue() or any(written)

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -26,3 +29,15 @@ def _declared_version() -> str:
 
 def test_version_literal_matches_pyproject():
     assert qconc.__version__ == TOOL_VERSION == _declared_version() == "0.1.0"
+
+
+def test_cli_import_leaves_click_out():
+    """The CLI parses with the standard library; its one runtime dependency
+    is numpy."""
+    src = str(Path(qconc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, qconc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
