@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -359,9 +360,20 @@ def cmd_ladder(resolution, out_path, fmt):
 # ---------------------------------------------------------------------------
 
 
+#: a negative number as float() reads it, so that it parses as an option's
+#: value and reaches the range check of _number
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse parser that raises UsageError where argparse would print
     usage and exit 2, since exit code 2 means a suite failed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so it would take -1e-5 for
+        # an option and report a missing value instead of the range error
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise UsageError(message)

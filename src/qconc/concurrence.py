@@ -1,8 +1,9 @@
 """Exact concurrence of a two-qubit state.
 
-The oracle computes the standard spin-flipped eigenvalue formula through a
-Hermitian product, which keeps the eigenproblem well conditioned for states
-of any rank. The pure-state shortcut uses the amplitude determinant.
+The oracle reads the spin-flip roots off the eigendecomposition of the state,
+as the singular values of a complex-symmetric block whose size is the rank of
+the state, so no non-Hermitian eigenproblem is solved and states of any rank
+stay well conditioned. The pure-state shortcut uses the amplitude determinant.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from .qstate import NORM_TOL, PureState, SIGMA_Y, _as_matrix, _validated_matrix
 EIG_CLAMP = 1e-12
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
+#: _YY @ x is x with its rows reversed and signed by these, without a matmul
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 
 
 def spin_flip(rho) -> np.ndarray:
@@ -47,21 +50,29 @@ class ConcurrenceDiagnostics:
 def batch_lambdas(mats: np.ndarray) -> np.ndarray:
     """Descending spin-flip roots of an (n, 4, 4) stack of trusted states.
 
-    Works through the Hermitian equivalent sqrt(rho) rho_tilde sqrt(rho),
-    whose spectrum matches the non-Hermitian product rho rho_tilde. The
-    square root comes from an eigendecomposition in which eigenvalues below
-    EIG_CLAMP relative to the largest are zeroed, so round-off in the null
-    space cannot leak sqrt(eps)-sized noise into it. The four roots are read
-    off as the singular values of sqrt(rho) (sigma_y x sigma_y)
-    conj(sqrt(rho)), which factors that Hermitian matrix and so avoids
-    taking sqrt of eigenvalues that sit at round-off level.
+    The roots are read off a factor of rho, not its square root: for rho =
+    W W^dagger they are the singular values of the complex-symmetric B =
+    W^T (sigma_y x sigma_y) W, since B B^dagger has the spectrum of
+    rho rho_tilde (Wootters 1998; Uhlmann 2000). The eigendecomposition
+    rho = V diag(w) V^dagger gives W = V diag(sqrt(w)). Eigenvalues below
+    EIG_CLAMP relative to the largest count as zero, so round-off in the null
+    space cannot leak sqrt(eps)-sized noise into the roots. A state with k
+    eigenvalues left keeps only those k columns of W, so B is k x k (|B|
+    itself for k = 1, with no SVD) and its 4 - k trailing roots are exact
+    zeros. Rows are grouped by k, at most four groups per stack.
     """
-    mats = np.asarray(mats, dtype=complex)
     try:
-        w, v = np.linalg.eigh(mats)
-        w = np.where(w > EIG_CLAMP * np.maximum(w[:, -1:], 0.0), w, 0.0)
-        sq = (v * np.sqrt(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-        return np.linalg.svd(sq @ _YY @ sq.conj(), compute_uv=False)
+        w, v = np.linalg.eigh(np.asarray(mats, dtype=complex))
+        rank = (w > EIG_CLAMP * np.maximum(w[:, -1:], 0.0)).sum(axis=1)
+        lam = np.zeros(w.shape)
+        ranks = set(rank.tolist())
+        for k in ranks:
+            rows = slice(None) if len(ranks) == 1 else rank == k
+            # eigh sorts ascending, so the kept eigenvalues are the last k
+            wk = v[rows, :, 4 - k :] * np.sqrt(w[rows, None, 4 - k :])
+            b = wk.transpose(0, 2, 1) @ (wk[:, ::-1] * _YY_SIGNS)
+            lam[rows, :k] = np.abs(b[:, :, 0]) if k == 1 else np.linalg.svd(b, compute_uv=False)
+        return lam
     except np.linalg.LinAlgError as exc:
         raise EigSolveFailure(str(exc)) from exc
 

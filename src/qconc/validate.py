@@ -731,8 +731,12 @@ def _suite_region(seq, samples):
     grid_n = 101
     rows = rank4_region(grid_n)
     h = 1.0 / (grid_n - 1)
-    feasible = [(l1, l2, k) for l1, l2, k in rows if k != REGION_INFEASIBLE]
-    arr = np.array([(l1, l2) for l1, l2, _ in feasible])
+    # rank4_region is row-major over the (lambda1, lambda2) ticks, so grid
+    # neighbours are neighbouring entries of these (grid_n, grid_n) arrays
+    classes = np.array([k for _, _, k in rows]).reshape(grid_n, grid_n)
+    l1, l2 = np.array([row[:2] for row in rows]).reshape(grid_n, grid_n, 2).transpose(2, 0, 1)
+    feasible = classes != REGION_INFEASIBLE
+    arr = np.stack([l1[feasible], l2[feasible]], axis=1)
     u = arr[:, 0] / 4.0 + arr[:, 1] / 3.0
     rest = 1.0 - arr.sum(axis=1)
     w = arr[:, 0] / 4.0 + arr[:, 1] / 6.0 + rest / 2.0
@@ -745,26 +749,23 @@ def _suite_region(seq, samples):
     mats[:, 1, 2] = z
     mats[:, 2, 1] = z
     oracle = batch_oracle(mats)
-    mismatches = 0
-    sep_devs = []
-    for (l1, l2, k), c in zip(feasible, oracle):
-        if k == REGION_ENTANGLED and c <= 1e-12:
-            mismatches += 1
-        if k == REGION_SEPARABLE:
-            sep_devs.append(float(c))
-            if c > 1e-12:
-                mismatches += 1
-    classes = {(round(l1, 10), round(l2, 10)): k for l1, l2, k in rows}
-    boundary_margin = 0.0
-    for l1, l2, k in rows:
-        if k == REGION_INFEASIBLE:
-            continue
-        for dl1, dl2 in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
-            nb = classes.get((round(l1 + dl1, 10), round(l2 + dl2, 10)))
-            if nb is not None and nb != k and nb != REGION_INFEASIBLE:
-                boundary_margin = max(boundary_margin, abs(9 * l1 + 8 * l2 - 6.0))
+    kinds = classes[feasible]
+    separable = kinds == REGION_SEPARABLE
+    mismatches = int(
+        np.count_nonzero((kinds == REGION_ENTANGLED) & (oracle <= 1e-12))
+        + np.count_nonzero(separable & (oracle > 1e-12))
+    )
+    # a boundary cell has a feasible grid neighbour of the other class
+    across = (classes[:-1] != classes[1:]) & feasible[:-1] & feasible[1:]
+    along = (classes[:, :-1] != classes[:, 1:]) & feasible[:, :-1] & feasible[:, 1:]
+    boundary = np.zeros_like(feasible)
+    boundary[:-1] |= across
+    boundary[1:] |= across
+    boundary[:, :-1] |= along
+    boundary[:, 1:] |= along
+    boundary_margin = float(np.abs(9 * l1 + 8 * l2 - 6.0)[boundary].max(initial=0.0))
     boundary_ok = boundary_margin < 9.0 * h + 1e-12
-    devs = np.asarray(sep_devs, dtype=float)
+    devs = oracle[separable]
     passed = bool(mismatches == 0 and boundary_ok)
     return _report(
         "region",

@@ -136,6 +136,16 @@ class TestConcurrence:
         assert (code, out) == (1, "")
         assert err.startswith("error: argument --tol: ")
 
+    @pytest.mark.parametrize("tol", ["-1e-5", "-1.5E+3", "-.5e2", "-inf"])
+    def test_negative_tolerance_text_reaches_the_range_check(self, capsys, tmp_path, tol):
+        # argparse's default pattern read -1e-5 as an option and complained
+        # that --tol was missing its value
+        path = tmp_path / "w.json"
+        run(capsys, "gen", "--named", "werner:0.5", "--out", str(path))
+        code, out, err = run(capsys, "concurrence", str(path), "--tol", tol)
+        assert (code, out) == (1, "")
+        assert err == f"error: argument --tol: {tol} is not in the range x>=0.0\n"
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "concurrence", "/nonexistent/state.json")
         assert code == 1

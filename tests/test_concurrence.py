@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qconc.concurrence import (
+    EIG_CLAMP,
     ConcurrenceDiagnostics,
+    batch_lambdas,
+    batch_oracle,
     concurrence_oracle,
     concurrence_pure,
     spin_flip,
@@ -12,6 +15,7 @@ from qconc.concurrence import (
 from qconc.errors import InvalidState, NotNormalized
 from qconc.qstate import (
     DensityOperator,
+    SIGMA_Y,
     PureState,
     bell_state,
     maximally_mixed,
@@ -155,3 +159,69 @@ def test_oracle_on_rank2_mixture_of_bells():
         assert concurrence_oracle(DensityOperator(m)).value == pytest.approx(
             abs(2.0 * w - 1.0), abs=1e-12
         )
+
+
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
+
+
+def _sqrt_route_lambdas(m):
+    """The oracle as it was before the factor route: singular values of
+    sqrt(rho) (sy x sy) conj(sqrt(rho)), under the same eigenvalue clamp."""
+    w, v = np.linalg.eigh(m)
+    w = np.where(w > EIG_CLAMP * max(w[-1], 0.0), w, 0.0)
+    sq = (v * np.sqrt(w)) @ v.conj().T
+    return np.linalg.svd(sq @ _YY @ sq.conj(), compute_uv=False)
+
+
+def _bell_mixture(*kinds):
+    return sum(bell_state(k).density().matrix for k in kinds) / len(kinds)
+
+
+def _clamp_edge(factor):
+    """A state whose smallest eigenvalue is factor * EIG_CLAMP * the largest."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    small = factor * EIG_CLAMP * 0.5
+    return (q * [0.5, 0.3, 0.2 - small, small]) @ q.conj().T
+
+
+#: (state, count of eigenvalues the oracle keeps)
+_ORACLE_CASES = {
+    **{
+        f"rank{k}-seed{seed}": (lambda k=k, seed=seed: random_rank_k(k, seed).matrix, k)
+        for k in (1, 2, 3, 4)
+        for seed in range(5)
+    },
+    "werner-above": (lambda: werner_state(1.0 / 3.0 + 1e-9).matrix, 4),
+    "werner-below": (lambda: werner_state(1.0 / 3.0 - 1e-9).matrix, 4),
+    "bell-tie2": (lambda: _bell_mixture("phi+", "phi-"), 2),
+    "bell-tie2-psi": (lambda: _bell_mixture("psi+", "psi-"), 2),
+    "bell-tie3": (lambda: _bell_mixture("phi+", "phi-", "psi+"), 3),
+    "bell-tie4": (lambda: _bell_mixture("phi+", "phi-", "psi+", "psi-"), 4),
+    "clamp-above": (lambda: _clamp_edge(1.1), 4),
+    "clamp-below": (lambda: _clamp_edge(0.9), 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_factor_route_matches_the_sqrt_route(case):
+    build, _ = _ORACLE_CASES[case]
+    m = build()
+    lam = batch_lambdas(m[None])[0]
+    old = _sqrt_route_lambdas(m)
+    np.testing.assert_allclose(lam, old, rtol=0, atol=1e-13)
+    value = max(0.0, old[0] - old[1] - old[2] - old[3])
+    assert abs(batch_oracle(m[None])[0] - value) <= 1e-13
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_roots_beyond_the_kept_rank_are_exact_zeros(case):
+    build, kept = _ORACLE_CASES[case]
+    m = build()
+    w = np.linalg.eigvalsh(m)
+    assert np.count_nonzero(w > EIG_CLAMP * w[-1]) == kept
+    lam = batch_lambdas(m[None])[0]
+    assert lam[kept:].tolist() == [0.0] * (4 - kept)
+    if case == "clamp-above":
+        # the kept eigenvalue of 5.5e-13 gives a fourth root of its own size
+        assert lam[3] > 1e-13

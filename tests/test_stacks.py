@@ -41,6 +41,7 @@ from qconc.qstate import (
     batch_decompose,
     decompose,
     random_rank_k,
+    werner_state,
 )
 from qconc.validate import (
     SUITES,
@@ -90,6 +91,20 @@ def test_single_state_calls_are_rows_of_the_stacked_call(layout):
         diag = concurrence_oracle(m)
         assert_array_equal(diag.lambdas, lam[k])
         assert_array_equal(diag.value, value[k])
+
+
+def test_oracle_rank_groups_do_not_leak_between_rows():
+    # the oracle groups rows by rank; a shuffled stack of every rank must
+    # give each row the bits of its single-state call, in any order
+    mats = np.concatenate([_stack(), werner_state(0.5).matrix[None], np.eye(4)[None] / 4])
+    mats = mats[np.random.default_rng(11).permutation(len(mats))]
+    lam = batch_lambdas(mats)
+    value = batch_oracle(mats)
+    for k, m in enumerate(mats):
+        assert_array_equal(batch_lambdas(m[None])[0], lam[k])
+        assert_array_equal(concurrence_oracle(m).value, value[k])
+    order = np.random.default_rng(12).permutation(len(mats))
+    assert_array_equal(batch_lambdas(mats[order]), lam[order])
 
 
 def _rank2(rng):
