@@ -433,9 +433,11 @@ def _build_parser() -> _Parser:
 
     conc = command("concurrence", cmd_concurrence)
     conc.add_argument("state_path", nargs="?", default=None, help="state file; - or none reads stdin")
+    # the detectors compare absolute matrix entries with --tol, so a
+    # tolerance near the size of an entry would make them meaningless
     conc.add_argument(
-        "--tol", type=_number(float, 0.0), default=1e-10,
-        help="family-detection tolerance (default: 1e-10)",
+        "--tol", type=_number(float, 0.0, 1e-3), default=1e-10,
+        help="family-detection tolerance, at most 1e-3 (default: 1e-10)",
     )
     out(conc)
     fmt(conc, "text", "json")

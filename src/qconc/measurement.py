@@ -13,14 +13,13 @@ alone, and the rank-4 weight pair from the x-x and z-z correlations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import Infeasible
-from .qstate import _PAULI_GRID, _as_matrix
+from .qstate import _PAULI_GRID, _any, _as_matrix
 
 OBS_LABELS = ("0", "x", "y", "z")
 #: position of each label along both axes of the Pauli-product grid
@@ -35,7 +34,11 @@ ALL_OBSERVABLES = tuple(
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """One measured observable: the pair of labels, the mean, optional shots."""
+    """One measured observable: the pair of labels, the mean, optional shots.
+
+    With (n,) array expectation and std_error it is a block: the same
+    observable measured on each of n states, with the same shot count.
+    """
 
     observable: tuple[str, str]
     expectation: float
@@ -47,47 +50,60 @@ class MeasurementRecord:
         if i not in OBS_LABELS or j not in OBS_LABELS:
             raise ValueError(f"unknown observable pair {self.observable!r}")
         if self.shots is None:
-            if abs(self.expectation) > 1.0 + 1e-12:
+            if _any(abs(self.expectation) > 1.0 + 1e-12):
                 raise ValueError("exact expectation must lie in [-1, 1]")
-            if self.std_error not in (None, 0.0):
+            if self.std_error is not None and _any(self.std_error != 0.0):
                 raise ValueError("std_error requires a shot count")
         else:
             if self.shots < 1:
                 raise ValueError("shots must be positive")
-            if self.std_error is None or self.std_error < 0.0:
+            if self.std_error is None or _any(self.std_error < 0.0):
                 raise ValueError("sampled records carry a nonnegative std_error")
-            if abs(self.expectation) > 1.0 + 3.0 * self.std_error + 1e-12:
+            if _any(abs(self.expectation) > 1.0 + 3.0 * self.std_error + 1e-12):
                 raise ValueError("sample mean is outside the admissible band")
 
 
-def expectation(rho, obs: tuple[str, str]) -> float:
+def _matrices(rho) -> np.ndarray:
+    """The matrix of a DensityOperator or a raw 4x4 state, or a raw (n, 4, 4)
+    stack as it is."""
+    if isinstance(rho, np.ndarray) and rho.ndim == 3 and rho.shape[1:] == (4, 4):
+        return rho
+    return _as_matrix(rho)
+
+
+def expectation(rho, obs: tuple[str, str]):
     """Exact expectation Tr(rho sigma_i (x) sigma_j) of a DensityOperator or a
-    raw 4x4 matrix (used as given, not validated)."""
+    raw 4x4 matrix, as a float; of each state of a raw (n, 4, 4) stack, as an
+    (n,) array whose rows are the single-state values bit for bit. Raw input
+    is used as given, not validated."""
     i, j = obs
     if i not in OBS_LABELS or j not in OBS_LABELS:
         raise ValueError(f"unknown observable pair {obs!r}")
     op = _PAULI_GRID[_GRID_INDEX[i], _GRID_INDEX[j]]
-    return float(np.einsum("ab,ba->", _as_matrix(rho), op).real)
+    value = np.einsum("...ab,ba->...", _matrices(rho), op).real
+    return float(value) if value.ndim == 0 else value
 
 
 def sample_expectation(
     rho, obs: tuple[str, str], shots: int, seed=None
 ) -> MeasurementRecord:
     """Average of `shots` projective +-1 outcomes of the observable on a
-    DensityOperator or a raw 4x4 matrix (used as given, not validated).
+    DensityOperator or a raw 4x4 matrix, or on each state of a raw (n, 4, 4)
+    stack, as a block record; raw input is used as given, not validated.
 
     Prob(+1) = (1 + exact expectation)/2; the reported std_error is the
-    plug-in binomial estimate sqrt((1 - mean^2)/shots). A fixed seed gives
-    an identical record on every call.
+    plug-in binomial estimate sqrt((1 - mean^2)/shots). A stack draws its
+    counts with one binomial call, in stack order, so a single state is the
+    stack's n=1 call. A fixed seed gives an identical record on every call.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    exact = expectation(rho, obs)
-    p = min(max(0.5 * (1.0 + exact), 0.0), 1.0)
-    rng = np.random.default_rng(seed)
-    ups = int(rng.binomial(shots, p))
+    p = np.clip(0.5 * (1.0 + np.asarray(expectation(rho, obs))), 0.0, 1.0)
+    ups = np.random.default_rng(seed).binomial(shots, p)
     mean = 2.0 * ups / shots - 1.0
-    std_error = math.sqrt(max(1.0 - mean * mean, 0.0) / shots)
+    std_error = np.sqrt(np.maximum(1.0 - mean * mean, 0.0) / shots)
+    if np.ndim(mean) == 0:
+        mean, std_error = float(mean), float(std_error)
     return MeasurementRecord(
         observable=obs, expectation=mean, shots=shots, std_error=std_error
     )

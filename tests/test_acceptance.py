@@ -137,8 +137,9 @@ def test_criterion_5_family_formulas(acceptance):
         statistical = run_suites(
             names=["rank2-sep2", "xstate-invariant"], samples=1000, seed=SEED
         )
-        # the persisted reports are golden: once written, a rerun must
-        # reproduce them byte for byte
+        # the persisted reports are golden: a run compares against the
+        # committed file and writes one only where none exists, so a drifted
+        # report fails on every run until the file is deliberately replaced
         REPORTS_DIR.mkdir(exist_ok=True)
         for rep in statistical:
             assert rep.tolerance is None
@@ -148,10 +149,10 @@ def test_criterion_5_family_formulas(acceptance):
                 "report": rep.to_dict(),
             }
             text = canonical_dumps(payload)
-            previous = path.read_text(encoding="utf-8") if path.exists() else None
-            path.write_text(text, encoding="utf-8")
-            assert previous is None or text == previous, f"{path.name} drifted"
-            back = json.loads(path.read_text(encoding="utf-8"))
+            if not path.exists():
+                path.write_text(text, encoding="utf-8")
+            assert path.read_text(encoding="utf-8") == text, f"{path.name} drifted"
+            back = json.loads(text)
             assert back["report"]["suite"] == rep.suite
             assert back["report"]["notes"]
 

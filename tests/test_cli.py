@@ -125,9 +125,10 @@ class TestConcurrence:
         assert (code, out) == (1, "")
         assert err.startswith("error: argument --tol: ")
 
-    @pytest.mark.parametrize("tol", ["inf", "1e999", "-1"])
+    @pytest.mark.parametrize("tol", ["inf", "1e999", "-1", "1"])
     def test_unbounded_or_negative_tolerance_is_a_usage_error(self, capsys, tmp_path, tol):
-        # an infinite tolerance once made every state a ladder state
+        # an infinite tolerance, and later a finite one of 1, made every
+        # state a ladder state
         path = tmp_path / "w.json"
         run(capsys, "gen", "--named", "werner:0.5", "--out", str(path))
         _, out, _ = run(capsys, "concurrence", str(path), "--format", "json")
@@ -144,7 +145,7 @@ class TestConcurrence:
         run(capsys, "gen", "--named", "werner:0.5", "--out", str(path))
         code, out, err = run(capsys, "concurrence", str(path), "--tol", tol)
         assert (code, out) == (1, "")
-        assert err == f"error: argument --tol: {tol} is not in the range x>=0.0\n"
+        assert err == f"error: argument --tol: {tol} is not in the range 0.0<=x<=0.001\n"
 
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "concurrence", "/nonexistent/state.json")

@@ -129,6 +129,51 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_expectation(bell_state("phi+").density(), ("x", "x"), 0)
 
+
+def _mixed_stack():
+    return np.stack(
+        [random_rank_k(rank, seed).matrix for rank in (1, 2, 3, 4) for seed in range(5)]
+    )
+
+
+class TestStacks:
+    def test_stack_expectations_are_the_single_state_values(self):
+        mats = _mixed_stack()
+        for obs in ALL_OBSERVABLES:
+            values = expectation(mats, obs)
+            assert values.shape == (len(mats),)
+            assert values.tolist() == [expectation(m, obs) for m in mats]
+
+    def test_stack_sample_is_one_draw_per_state_in_stack_order(self):
+        """A stack's block record holds what single calls on its states in
+        stack order give, and leaves the generator where they leave it."""
+        mats = _mixed_stack()
+        block_rng, single_rng = np.random.default_rng(7), np.random.default_rng(7)
+        block = sample_expectation(mats, ("x", "z"), 1000, block_rng)
+        singles = [sample_expectation(m, ("x", "z"), 1000, single_rng) for m in mats]
+        assert block.expectation.tolist() == [r.expectation for r in singles]
+        assert block.std_error.tolist() == [r.std_error for r in singles]
+        assert block_rng.bit_generator.state == single_rng.bit_generator.state
+        assert (block.observable, block.shots) == (("x", "z"), 1000)
+        assert all(type(r.expectation) is float for r in singles)
+
+    def test_block_record_checks_every_row(self):
+        with pytest.raises(ValueError, match="admissible band"):
+            MeasurementRecord(
+                observable=("x", "x"),
+                expectation=np.array([0.1, 1.2]),
+                shots=100,
+                std_error=np.array([0.01, 0.01]),
+            )
+        with pytest.raises(ValueError, match="nonnegative std_error"):
+            MeasurementRecord(
+                observable=("x", "x"),
+                expectation=np.array([0.1, 0.2]),
+                shots=100,
+                std_error=np.array([0.01, -0.01]),
+            )
+
+
 class TestLambdaInversion:
     def test_inverts_the_forward_map(self):
         for lam in np.linspace(0.0, 1.0, 11):

@@ -1,4 +1,8 @@
-"""Each single-state call is one row of the stacked call, bit for bit."""
+"""Each single-state call is one row of the stacked call, bit for bit.
+
+The samplers that draw whole parameter blocks at once are the exception: a
+single call is their n=1 call, not a row of a larger block.
+"""
 
 from dataclasses import fields
 
@@ -305,8 +309,19 @@ _BLOCK_SAMPLERS = {
 }
 
 
+#: samplers that draw each parameter for the whole block at once (Dirichlet
+#: or normal rows, then uniform columns), so a block is not n single calls;
+#: each with the validated single-state assembly of its family
+_WHOLE_BLOCK_SAMPLERS = {
+    "rank2-degenerate": assemble_rank2_degenerate,
+    "rank2-degenerate-half": assemble_rank2_degenerate,
+    "xstate": assemble_xstate,
+    "xstate-rank3": assemble_xstate,
+}
+
+
 @pytest.mark.parametrize("n", [0, 1, 40])
-@pytest.mark.parametrize("sampler", sorted(_BLOCK_SAMPLERS))
+@pytest.mark.parametrize("sampler", sorted(set(_BLOCK_SAMPLERS) - set(_WHOLE_BLOCK_SAMPLERS)))
 def test_block_samplers_draw_what_single_calls_draw(sampler, n):
     """A block holds the parameters of n single calls, bit for bit, and leaves
     the generator where they leave it; the rank-2 rejection sampler keeps
@@ -322,6 +337,32 @@ def test_block_samplers_draw_what_single_calls_draw(sampler, n):
     assert block_rng.bit_generator.state == single_rng.bit_generator.state
     for k, single in enumerate(singles):
         assert _record(block, k) == single
+
+
+@pytest.mark.parametrize("sampler", sorted(_WHOLE_BLOCK_SAMPLERS))
+def test_whole_block_samplers_are_seeded_blocks_of_family_states(sampler):
+    """A single call is the block's n=1 call, and leaves the generator where
+    that call leaves it; the same seed gives the same block, bit for bit;
+    every row is a checked state of the family."""
+    draw, kwargs = _BLOCK_SAMPLERS[sampler]
+    single_rng, one_rng = np.random.default_rng(31), np.random.default_rng(31)
+    single = draw(single_rng, **kwargs)
+    assert single == _record(draw(one_rng, n=1, **kwargs), 0)
+    assert single_rng.bit_generator.state == one_rng.bit_generator.state
+    empty = draw(np.random.default_rng(31), n=0, **kwargs)
+    assert {getattr(empty, f.name).shape for f in fields(empty)} == {(0,)}
+    block = draw(np.random.default_rng(31), n=40, **kwargs)
+    again = draw(np.random.default_rng(31), n=40, **kwargs)
+    for f in fields(block):
+        assert getattr(block, f.name).shape == (40,)
+        assert _same_bits(getattr(block, f.name), getattr(again, f.name))
+    for k in range(40):
+        row = _record(block, k)  # runs the family's domain checks
+        _WHOLE_BLOCK_SAMPLERS[sampler](row)  # a valid density matrix
+        if sampler == "rank2-degenerate-half":
+            assert row.lam == 0.5
+        if sampler == "xstate-rank3":
+            assert min(row.u_plus, row.u_minus) == 0.0
 
 
 def test_rank2_block_sampler_meets_rejections():

@@ -1,9 +1,15 @@
+import hashlib
 import json
+import platform
 
+import numpy as np
 import pytest
 
+from qconc import validate
+from qconc.errors import Infeasible
+from qconc.measurement import LambdaEstimate
 from qconc.stateio import canonical_dumps
-from qconc.validate import SUITES, SuiteReport, run_suites
+from qconc.validate import SUITES, SuiteReport, _chunk_sizes, run_suites
 
 # cheap-enough sample counts for a smoke pass over every suite
 _SMOKE = 40
@@ -109,10 +115,64 @@ def test_report_is_a_frozen_record():
 
 @pytest.mark.parametrize("seed", [33, 34, 96])
 def test_projection2_holds_its_gate_where_the_expanded_form_cancelled(seed):
-    """At these seeds the expanded discriminant (I1 - I2)^2/4 - (I1 + I2)/2
+    """At these seeds the sample stream of the state-by-state samplers drew
+    states on which the expanded discriminant (I1 - I2)^2/4 - (I1 + I2)/2
     + 1/4 cancelled quarter-sized terms down to a value near zero and missed
-    the gate by up to 1.3e-7."""
+    the gate by up to 1.3e-7; those states are kept, stream-independent, in
+    test_estimators.py."""
     (report,) = run_suites(["projection2"], samples=200, seed=seed)
     assert report.tolerance == 1e-8
     assert report.max_deviation <= 1e-8
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "samples, sizes",
+    [
+        (1, [1]),
+        (200, [200]),
+        (2500, [2500]),
+        (2501, [1251, 1250]),
+        (10_000, [2500] * 4),
+        (20_000, [2500] * 8),
+    ],
+)
+def test_chunks_are_the_fewest_within_the_cap_split_evenly(samples, sizes):
+    assert _chunk_sizes(samples) == sizes
+
+
+#: sha256 of the canonical JSON of run_suites(["pure", "lu-invariance"],
+#: 20000, seed=0) from the fixed eight-chunk layout that preceded the size
+#: cap, with numpy 2.4.6 on x86-64; the oracle's last bits depend on the
+#: numpy build and the CPU's kernels, so other builds cannot compare bytes
+_STACKED_20K_SHA256 = "7c5ee757e5e3b751ddd2fb7a66fedc3a837b25537847dbae75b36a53a6078752"
+
+
+@pytest.mark.skipif(
+    np.__version__ != "2.4.6" or platform.machine() != "x86_64",
+    reason="digest recorded with numpy 2.4.6 on x86-64",
+)
+def test_capped_chunks_keep_the_stacked_suites_bytes_at_20000():
+    """At 20000 samples the cap gives the same eight chunks of 2500 as the
+    fixed layout did, so the stacked suites keep every byte."""
+    reports = run_suites(["pure", "lu-invariance"], 20_000, seed=0)
+    text = canonical_dumps([r.to_dict() for r in reports])
+    assert hashlib.sha256(text.encode()).hexdigest() == _STACKED_20K_SHA256
+
+
+def test_shots_counts_the_trials_it_cannot_grade(monkeypatch):
+    """Skipped infeasible rank-4 inversions and clamped rank-3 weights are
+    counted. On the real streams neither happens at these sizes, so the
+    inversions are forced here."""
+    (rep,) = run_suites(["shots"], samples=_SMOKE, seed=1)
+    assert (rep.extra["infeasible_trials"], rep.extra["clamped_lambdas"]) == (0, 0)
+
+    def infeasible(*args, **kwargs):
+        raise Infeasible("forced")
+
+    monkeypatch.setattr(validate, "lambdas_from_correlations", infeasible)
+    monkeypatch.setattr(validate, "lambda_from_szpz", lambda v: LambdaEstimate(0.0, True))
+    (rep,) = run_suites(["shots"], samples=_SMOKE, seed=1)
+    assert (rep.extra["infeasible_trials"], rep.extra["clamped_lambdas"]) == (_SMOKE, _SMOKE)
+    assert rep.extra["pair_success_rate"] == 0.0
+    assert not rep.passed
