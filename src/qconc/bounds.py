@@ -22,12 +22,13 @@ from .qstate import (
     DensityOperator,
     _any,
     _cos_sin,
+    _Guards,
     _math,
     _outer,
     _one_or_block,
+    _outside,
     _per_row,
     _vec4,
-    _within,
 )
 
 WEIGHT_TOL = 1e-10
@@ -71,16 +72,18 @@ def _h3_product_state(a, b, angle, phase) -> np.ndarray:
     return (qa[..., :, None] * qb[..., None, :]).reshape(np.shape(ph) + (4,))
 
 
-def _check_unit_interval(name: str, value) -> None:
-    if not _within(value, -1e-12, 1.0 + 1e-12):
-        raise ValueError(f"{name} must lie in [0, 1]")
+def _check_unit_interval(guards: _Guards, name: str, value) -> None:
+    guards.check(_outside(value, -1e-12, 1.0 + 1e-12), ValueError, "{} must lie in [0, 1]", name)
 
 
-def _check_ab(a, b) -> None:
-    if _any((a < 0.0) | (b < 0.0)):
-        raise ValueError("a and b must be nonnegative")
-    if _any(abs(a * a + b * b - 1.0) > WEIGHT_TOL):
-        raise ValueError("a^2 + b^2 must equal 1")
+def _check_ab(guards: _Guards, a, b) -> None:
+    guards.check((a < 0.0) | (b < 0.0), ValueError, "a and b must be nonnegative")
+    guards.check(abs(a * a + b * b - 1.0) > WEIGHT_TOL, ValueError, "a^2 + b^2 must equal 1")
+
+
+def _check_weights(lambda1, lambda2) -> None:
+    if _any((lambda1 < 0.0) | (lambda2 < 0.0) | (lambda1 + lambda2 > 1.0 + 1e-12)):
+        raise ValueError("weights must be nonnegative with sum at most 1")
 
 
 def _psi_in_h3(a, b, theta, phi) -> np.ndarray:
@@ -162,10 +165,12 @@ class Rank3Mixture:
     sep_phase2: float = 0.0
 
     def __post_init__(self):
-        _check_unit_interval("lam", self.lam)
-        _check_unit_interval("mu", self.mu)
-        _check_unit_interval("sep_weight", self.sep_weight)
-        _check_ab(self.a, self.b)
+        guards = _Guards()
+        _check_unit_interval(guards, "lam", self.lam)
+        _check_unit_interval(guards, "mu", self.mu)
+        _check_unit_interval(guards, "sep_weight", self.sep_weight)
+        _check_ab(guards, self.a, self.b)
+        guards.settle(None)
 
     def psi(self) -> np.ndarray:
         return _psi_in_h3(self.a, self.b, self.theta, self.phi)
@@ -215,13 +220,14 @@ class Rank4Mixture:
     sep_phase2: float = 0.0
 
     def __post_init__(self):
-        if _any((self.lambda1 < -1e-12) | (self.lambda2 < -1e-12)):
-            raise ValueError("lambda1 and lambda2 must be nonnegative")
-        if _any(self.lambda1 + self.lambda2 > 1.0 + 1e-12):
-            raise ValueError("lambda1 + lambda2 must not exceed 1")
-        _check_unit_interval("mu", self.mu)
-        _check_unit_interval("sep_weight", self.sep_weight)
-        _check_ab(self.a, self.b)
+        guards, l1, l2 = _Guards(), self.lambda1, self.lambda2
+        negative = (l1 < -1e-12) | (l2 < -1e-12)
+        guards.check(negative, ValueError, "lambda1 and lambda2 must be nonnegative")
+        guards.check(l1 + l2 > 1.0 + 1e-12, ValueError, "lambda1 + lambda2 must not exceed 1")
+        _check_unit_interval(guards, "mu", self.mu)
+        _check_unit_interval(guards, "sep_weight", self.sep_weight)
+        _check_ab(guards, self.a, self.b)
+        guards.settle(None)
 
     def psi(self) -> np.ndarray:
         return _psi_in_h3(self.a, self.b, self.theta, self.phi)
@@ -258,6 +264,10 @@ class Rank4Mixture:
 # ---------------------------------------------------------------------------
 
 
+# The bounds and closed forms below take floats or (n,) arrays, as the
+# builders do; a block raises what its first failing row raises.
+
+
 def rank3_bound(m: Rank3Mixture) -> float:
     """Upper bound (1 - lam)(1 - mu) C(psi) on the mixture's concurrence;
     one per mixture of a block."""
@@ -274,15 +284,17 @@ def rank3_max_concurrence(lam: float, a: float, b: float) -> float:
 
     May be negative; the matching oracle value is max(0, this).
     """
-    _check_unit_interval("lam", lam)
-    _check_ab(a, b)
-    return 2.0 * (1.0 - 2.0 * lam / 3.0) * a * b - 2.0 * lam / 3.0
+    guards = _Guards()
+    _check_unit_interval(guards, "lam", lam)
+    _check_ab(guards, a, b)
+    return guards.settle(2.0 * (1.0 - 2.0 * lam / 3.0) * a * b - 2.0 * lam / 3.0)
 
 
 def rank3_threshold(a: float, b: float) -> float:
     """Entanglement threshold 3 a b / (1 + 2 a b) on the projector weight."""
-    _check_ab(a, b)
-    return 3.0 * a * b / (1.0 + 2.0 * a * b)
+    guards = _Guards()
+    _check_ab(guards, a, b)
+    return guards.settle(3.0 * a * b / (1.0 + 2.0 * a * b))
 
 
 _R = 1.0 / math.sqrt(2.0)
@@ -303,8 +315,10 @@ def _max_parts(a, b) -> tuple[np.ndarray, np.ndarray]:
 def rank3_max_matrix(lam, a, b) -> np.ndarray:
     """Unvalidated lam Pi3/3 + (1 - lam) |psi_ab><psi_ab|, psi_ab = a|01> + b|10>;
     an (n, 4, 4) stack when any argument is an (n,) array."""
-    _check_unit_interval("lam", lam)
-    _check_ab(a, b)
+    guards = _Guards()
+    _check_unit_interval(guards, "lam", lam)
+    _check_ab(guards, a, b)
+    guards.settle(None)
     projector, pure = _max_parts(a, b)
     m = _per_row(lam) * projector / 3.0
     return m + _per_row(1.0 - lam) * pure
@@ -324,8 +338,7 @@ def rank4_max_concurrence(lambda1: float, lambda2: float) -> float:
     root is the boundary 9 lam1 + 8 lam2 = 6. The validation harness gates
     the exact form against the oracle and reports this one.
     """
-    if lambda1 < 0.0 or lambda2 < 0.0 or lambda1 + lambda2 > 1.0 + 1e-12:
-        raise ValueError("weights must be nonnegative with sum at most 1")
+    _check_weights(lambda1, lambda2)
     ab = 0.5
     return (
         lambda2 * ab / 3.0
@@ -338,8 +351,7 @@ def rank4_max_concurrence(lambda1: float, lambda2: float) -> float:
 def rank4_max_matrix(lambda1, lambda2) -> np.ndarray:
     """Unvalidated lam1 I/4 + lam2 Pi3/3 + (1 - lam1 - lam2) |psi+><psi+|; an
     (n, 4, 4) stack for (n,) arrays of weights."""
-    if _any((lambda1 < 0.0) | (lambda2 < 0.0) | (lambda1 + lambda2 > 1.0 + 1e-12)):
-        raise ValueError("weights must be nonnegative with sum at most 1")
+    _check_weights(lambda1, lambda2)
     projector, pure = _PLUS_PARTS
     m = _per_row(lambda1) * _EYE4 / 4.0
     m = m + _per_row(lambda2) * projector / 3.0

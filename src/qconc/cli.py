@@ -17,14 +17,13 @@ import sys
 import numpy as np
 
 from .bounds import rank4_region
-from .concurrence import concurrence_oracle
+from .concurrence import batch_oracle, concurrence_oracle
 from .errors import (
     DomainError,
     I1Zero,
     InvalidState,
     NotPure,
     QconcError,
-    ReconstructionDegenerate,
 )
 from .estimators import (
     XState,
@@ -46,6 +45,7 @@ from .qstate import (
     BlochDecomposition,
     DensityOperator,
     bell_state,
+    check_states,
     decompose,
     random_rank_k,
     rank_of,
@@ -131,15 +131,7 @@ def _parse_named(name: str) -> DensityOperator:
                     "xstate takes u+,w1,w2,u-,zre[,zim]"
                 )
             z = complex(parts[4], parts[5] if len(parts) == 6 else 0.0)
-            return assemble_xstate(
-                XState(
-                    u_plus=parts[0],
-                    w1=parts[1],
-                    w2=parts[2],
-                    u_minus=parts[3],
-                    z=z,
-                )
-            )
+            return assemble_xstate(XState(*parts[:4], z=z))
     except (ValueError, QconcError) as exc:
         raise UsageError(f"invalid named state {name!r}: {exc}") from exc
     known = ", ".join(sorted(_BELL_NAMES) + ["werner:p", "xstate:u+,w1,w2,u-,zre[,zim]", "ladder:lam"])
@@ -181,46 +173,30 @@ def _applicable_estimates(
             {"name": name, "value": float(value), "deviation": float(abs(value - oracle))}
         )
 
-    def fail(name: str, exc: Exception) -> None:
-        entries.append({"name": name, "error": f"{type(exc).__name__}: {exc}"})
+    def attempt(name: str, errors, estimate, *args) -> None:
+        try:
+            add(name, estimate(*args))
+        except errors as exc:
+            entries.append({"name": name, "error": f"{type(exc).__name__}: {exc}"})
+
+    def reconstructed() -> float:
+        return concurrence_oracle(assemble_rank2(reconstruct_rank2(bloch.p, bloch.s))).value
 
     if rank == 1:
-        try:
-            add("pure", estimate_pure(inv))
-        except NotPure as exc:
-            fail("pure", exc)
+        attempt("pure", NotPure, estimate_pure, inv)
 
     if rank == 2:
-        try:
-            rec = reconstruct_rank2(bloch.p, bloch.s)
-            add("rank2-reconstruction", concurrence_oracle(assemble_rank2(rec)).value)
-        except (ReconstructionDegenerate, QconcError) as exc:
-            fail("rank2-reconstruction", exc)
+        attempt("rank2-reconstruction", QconcError, reconstructed)
         eigs = np.linalg.eigvalsh(rho.matrix)
         if abs(eigs[-1] - 0.5) <= 1e-6 and abs(eigs[-2] - 0.5) <= 1e-6:
-            try:
-                add("projection2", estimate_projection2(inv))
-            except DomainError as exc:
-                fail("projection2", exc)
-        try:
-            add("rank2-sep2", estimate_rank2_sep2(inv))
-        except DomainError as exc:
-            fail("rank2-sep2", exc)
+            attempt("projection2", DomainError, estimate_projection2, inv)
+        attempt("rank2-sep2", DomainError, estimate_rank2_sep2, inv)
 
     if _is_xstate(rho, tol):
         m = rho.matrix
-        x = XState(
-            u_plus=float(m[0, 0].real),
-            w1=float(m[1, 1].real),
-            w2=float(m[2, 2].real),
-            u_minus=float(m[3, 3].real),
-            z=complex(m[1, 2]),
-        )
+        x = XState(*(float(m[k, k].real) for k in range(4)), z=complex(m[1, 2]))
         add("xstate-direct", xstate_concurrence(x))
-        try:
-            add("xstate-invariant", xstate_concurrence_invariant(inv))
-        except (I1Zero, DomainError) as exc:
-            fail("xstate-invariant", exc)
+        attempt("xstate-invariant", (I1Zero, DomainError), xstate_concurrence_invariant, inv)
 
     if _is_ladder(rho, tol):
         add("ladder-rho11", 1.0 - float(rho.matrix[0, 0].real))
@@ -334,14 +310,11 @@ def cmd_region(resolution, out_path, fmt):
 
 def cmd_ladder(resolution, out_path, fmt):
     """Sweep the singlet ladder line and emit (lam, C, <sz pz>, rho11)."""
-    rows = []
-    for i in range(resolution):
-        lam = i / (resolution - 1)
-        rho = assemble_ladder(lam)
-        szpz = expectation(rho, ("z", "z"))
-        rows.append(
-            [lam, concurrence_oracle(rho).value, szpz, float(rho.matrix[0, 0].real)]
-        )
+    # i / (resolution - 1) for each i, with the bits of the Python division
+    lams = np.arange(resolution) / (resolution - 1)
+    mats = check_states(ladder_matrix(lams))
+    columns = (lams, batch_oracle(mats), expectation(mats, ("z", "z")), mats[:, 0, 0].real)
+    rows = [list(row) for row in zip(*(c.tolist() for c in columns))]
     if fmt == "json":
         payload = {
             "header": report_header(),

@@ -25,12 +25,15 @@ import numpy as np
 
 from .errors import DomainError, I1Zero, NotPure, ReconstructionDegenerate
 from .invariants import InvariantVector, purity_residuals
+from .measurement import _check_correlation
 from .qstate import (
     DensityOperator,
     _any,
     _cos_sin,
+    _Guards,
     _math,
     _outer,
+    _outside,
     _per_row,
     _vec4,
     _within,
@@ -42,20 +45,25 @@ RADICAND_TOL = 1e-10
 WEIGHT_TOL = 1e-10
 
 _TWO_PI = 2.0 * math.pi
+_FLOAT_MAX = float(np.finfo(float).max)
 
 #: |00><00|
 _P00 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 _P00.flags.writeable = False
 
 
-def _guard_radicand(x: float, tol: float = RADICAND_TOL) -> float:
+# Every closed form below takes floats for one state, or a block (an
+# InvariantVector or family dataclass with (n,) array fields) and gives the
+# rows' results bit for bit; a block raises what its first failing row raises.
+
+
+def _guard_radicand(guards: _Guards, x, tol: float = RADICAND_TOL):
     """Clamp a slightly negative radicand to zero; reject a clearly negative
     or a non-finite one."""
-    if not math.isfinite(x):
-        raise DomainError(f"radicand {x} is not finite")
-    if x < -tol:
-        raise DomainError(f"radicand {x} is negative beyond tolerance {tol}")
-    return max(x, 0.0)
+    # past the largest finite float on either side: inf, -inf or NaN
+    guards.check(_outside(x, -_FLOAT_MAX, _FLOAT_MAX), DomainError, "radicand {} is not finite", x)
+    guards.check(x < -tol, DomainError, "radicand {} is negative beyond tolerance {}", x, tol)
+    return _math(max, x, 0.0)
 
 
 def estimate_pure(inv: InvariantVector) -> float:
@@ -67,7 +75,7 @@ def estimate_pure(inv: InvariantVector) -> float:
     r1, r2 = purity_residuals(inv.i1, inv.i2, inv.i6)
     if not (abs(r1) <= PURITY_RESIDUAL_TOL and abs(r2) <= PURITY_RESIDUAL_TOL):
         raise NotPure(f"purity residuals ({r1}, {r2}) exceed {PURITY_RESIDUAL_TOL}")
-    return math.sqrt(_guard_radicand(1.0 - inv.i1))
+    return math.sqrt(_guard_radicand(_Guards(), 1.0 - inv.i1))
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +170,7 @@ def local_observables_rank2(params: Rank2Canonical) -> tuple[np.ndarray, np.ndar
     return p, s
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def reconstruct_rank2(p, s, tol: float = DEGENERACY_TOL) -> Rank2Canonical:
     """Recover the canonical rank-2 parameters from the two polarizations.
 
@@ -171,57 +180,49 @@ def reconstruct_rank2(p, s, tol: float = DEGENERACY_TOL) -> Rank2Canonical:
     fix the eigenvalue weight and the mixing angle. Whenever a required
     denominator falls below tol the map is singular there and
     ReconstructionDegenerate is raised; callers should fall back to the
-    degenerate-family estimator.
+    degenerate-family estimator. Two (n, 3) stacks of polarizations give a
+    block of n parameter sets.
     """
-    p = np.asarray(p, dtype=float).reshape(3)
-    s = np.asarray(s, dtype=float).reshape(3)
-    px, py, pz = p
-    sx, sy, sz = s
+    p, s = np.asarray(p, dtype=float), np.asarray(s, dtype=float)
+    (px, py, pz), (sx, sy, sz) = (p.T, s.T) if p.ndim == 2 else (p.tolist(), s.tolist())
+    guards = _Guards()
+
+    def degenerate(bad, message: str, *values) -> None:
+        guards.check(bad, ReconstructionDegenerate, message, *values)
+
     for name, val in (("p_y", py), ("s_y", sy), ("p_x", px), ("s_x", sx)):
-        if abs(val) <= tol:
-            raise ReconstructionDegenerate(f"{name} = {val} is below tol {tol}")
+        degenerate(abs(val) <= tol, "{} = {} is below tol {}", name, val, tol)
 
     ratio = sy / py
-    if ratio < 0.0:
-        raise ReconstructionDegenerate(
-            "y components have opposite signs; data is outside the family"
-        )
-    alpha = math.atan(ratio)
-    sa, ca = math.sin(alpha), math.cos(alpha)
+    degenerate(ratio < 0.0, "y components have opposite signs; data is outside the family")
+    alpha = _math(math.atan, ratio)
+    ca, sa = _cos_sin(alpha)
 
     denom = sa * px + ca * sx
-    if abs(denom) <= tol:
-        raise ReconstructionDegenerate(
-            f"sin(alpha) p_x + cos(alpha) s_x = {denom} is below tol {tol}"
-        )
+    degenerate(abs(denom) <= tol, "sin(alpha) p_x + cos(alpha) s_x = {} is below tol {}", denom, tol)
     u = (ca * px + sa * sx) / denom
     v = -py * (sa - ca * u) / (px * ca)
-    t = math.hypot(u, v)
-    if t <= tol:
-        raise ReconstructionDegenerate("transverse angle is unresolved")
-    beta = math.atan(t)
-    gamma = math.atan2(v, u) % _TWO_PI
-    sb = math.sin(beta)
-    sg = math.sin(gamma)
+    t = _math(math.hypot, u, v)
+    degenerate(t <= tol, "transverse angle is unresolved")
+    beta = _math(math.atan, t)
+    gamma = _math(math.atan2, v, u) % _TWO_PI
+    sb = _math(math.sin, beta)
+    sg = _math(math.sin, gamma)
 
-    if abs(sa * sb * sg) <= tol:
-        raise ReconstructionDegenerate("azimuthal sine vanished during inversion")
+    degenerate(abs(sa * sb * sg) <= tol, "azimuthal sine vanished during inversion")
     k = -sy / (sa * sb * sg)
-    if k <= tol:
-        raise ReconstructionDegenerate(f"inferred mixing amplitude {k} is not positive")
+    degenerate(k <= tol, "inferred mixing amplitude {} is not positive", k)
 
-    c2b = math.cos(2.0 * beta)
-    if abs(c2b) <= tol:
-        raise ReconstructionDegenerate("cos(2 beta) is below tol; weight is unresolved")
+    c2b = _math(math.cos, 2.0 * beta)
+    degenerate(abs(c2b) <= tol, "cos(2 beta) is below tol; weight is unresolved")
     q = (sz - pz) / (2.0 * c2b)
-    if q <= tol:
-        raise ReconstructionDegenerate(f"inferred weight component {q} is not positive")
+    degenerate(q <= tol, "inferred weight component {} is not positive", q)
     d = k * k / (4.0 * q)
     nu = 1.0 - d - q
-    if not -1e-6 <= nu <= 1.0 + 1e-6:
-        raise ReconstructionDegenerate(f"inferred eigenvalue weight {nu} is unphysical")
-    nu = min(max(nu, 0.0), 1.0)
-    eta = math.atan2(math.sqrt(q), math.sqrt(d))
+    degenerate(_outside(nu, -1e-6, 1.0 + 1e-6), "inferred eigenvalue weight {} is unphysical", nu)
+    guards.settle(None)
+    nu = _math(min, _math(max, nu, 0.0), 1.0)
+    eta = _math(math.atan2, _math(math.sqrt, q), _math(math.sqrt, d))
     return Rank2Canonical(nu=nu, alpha=alpha, beta=beta, gamma=gamma, eta=eta)
 
 
@@ -285,10 +286,10 @@ def estimate_rank2_sep2(inv: InvariantVector) -> float:
     states it. The validation harness measures how well this tracks the
     oracle across the family; it is reported, not trusted.
     """
-    return max(
-        math.sqrt(_guard_radicand(1.0 - inv.i1)),
-        math.sqrt(_guard_radicand(1.0 - inv.i2)),
-    )
+    guards = _Guards()
+    first = _math(math.sqrt, _guard_radicand(guards, 1.0 - inv.i1))
+    second = _math(math.sqrt, _guard_radicand(guards, 1.0 - inv.i2))
+    return guards.settle(_math(max, first, second))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +336,7 @@ def assemble_rank2_degenerate(params: Rank2Degenerate) -> DensityOperator:
 
 def estimate_rank2_degenerate(params: Rank2Degenerate) -> float:
     """Exact concurrence of the degenerate family: (1 - lam) 2 r1 |c|."""
-    return (1.0 - params.lam) * 2.0 * params.r1 * abs(params.c)
+    return (1.0 - params.lam) * 2.0 * params.r1 * _math(abs, params.c)
 
 
 def estimate_projection2(inv: InvariantVector) -> float:
@@ -347,10 +348,11 @@ def estimate_projection2(inv: InvariantVector) -> float:
     (I1 - I2)^2/4 - (I1 + I2)/2 + 1/4, without that form's cancellation of
     quarter-sized terms where the discriminant is near zero.
     """
+    guards = _Guards()
     a = (1.0 - inv.i1 - inv.i2) / 2.0
-    inner = _guard_radicand(a * a - inv.i1 * inv.i2)
-    outer = _guard_radicand(a - math.sqrt(inner))
-    return math.sqrt(outer)
+    inner = _guard_radicand(guards, a * a - inv.i1 * inv.i2)
+    outer = _guard_radicand(guards, a - _math(math.sqrt, inner))
+    return guards.settle(_math(math.sqrt, outer))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +408,8 @@ def assemble_xstate(x: XState) -> DensityOperator:
 
 def xstate_concurrence(x: XState) -> float:
     """Exact concurrence of the X family: 2 max(0, |z| - sqrt(u+ u-))."""
-    return 2.0 * max(0.0, abs(x.z) - math.sqrt(max(x.u_plus * x.u_minus, 0.0)))
+    root = _math(math.sqrt, _math(max, x.u_plus * x.u_minus, 0.0))
+    return 2.0 * _math(max, 0.0, _math(abs, x.z) - root)
 
 
 def xstate_concurrence_invariant(inv: InvariantVector) -> float:
@@ -418,14 +421,22 @@ def xstate_concurrence_invariant(inv: InvariantVector) -> float:
     records how often that happens and how far the value sits from the
     oracle. This expression is under empirical test, not assumed correct.
     """
-    if inv.i1 <= 1e-12:
-        raise I1Zero(f"i1 = {inv.i1} is too small to divide by")
+    value, guards = _xstate_invariant(inv)
+    return guards.settle(value)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _xstate_invariant(inv: InvariantVector):
+    """xstate_concurrence_invariant's value and the guards that vetted it;
+    on a block, the guards give each row's outcome."""
+    guards = _Guards()
+    guards.check(inv.i1 <= 1e-12, I1Zero, "i1 = {} is too small to divide by", inv.i1)
     ratio = inv.i5 / inv.i1
-    first = _guard_radicand(2.0 * (inv.i8 - ratio))
-    second = _guard_radicand(
-        (1.0 + math.sqrt(max(ratio, 0.0))) ** 2 - (inv.i1 + inv.i2) ** 2
-    )
-    return max(0.0, math.sqrt(first) - math.sqrt(second))
+    first = _guard_radicand(guards, 2.0 * (inv.i8 - ratio))
+    # x ** 2 through pow, whose bits differ from numpy's x * x
+    plus = _math(pow, 1.0 + _math(math.sqrt, _math(max, ratio, 0.0)), 2)
+    second = _guard_radicand(guards, plus - _math(pow, inv.i1 + inv.i2, 2))
+    return _math(max, 0.0, _math(math.sqrt, first) - _math(math.sqrt, second)), guards
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +448,15 @@ _SINGLET = _outer(np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0
 _SINGLET.flags.writeable = False
 
 
+def _check_ladder_lam(lam) -> None:
+    if not _within(lam, 0.0, 1.0):
+        raise ValueError("lam must lie in [0, 1]")
+
+
 def ladder_matrix(lam) -> np.ndarray:
     """Unvalidated matrix lam |00><00| + (1 - lam) |singlet><singlet|; an
     (n, 4, 4) stack for an (n,) array of lam."""
-    if not _within(lam, 0.0, 1.0):
-        raise ValueError("lam must lie in [0, 1]")
+    _check_ladder_lam(lam)
     m = _per_row(lam) * _P00
     m += _per_row(1.0 - lam) * _SINGLET
     return m
@@ -454,13 +469,12 @@ def assemble_ladder(lam: float) -> DensityOperator:
 
 def ladder_concurrence(lam: float) -> float:
     """Concurrence along the ladder line: 1 - lam."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
+    _check_ladder_lam(lam)
     return 1.0 - lam
 
 
 def ladder_from_correlation(szpz: float) -> float:
     """Ladder concurrence from the single z-z correlation: 1 - (szpz + 1) / 2."""
-    if not -1.0 - 1e-12 <= szpz <= 1.0 + 1e-12:
-        raise ValueError("correlation must lie in [-1, 1]")
-    return 1.0 - 0.5 * (szpz + 1.0)
+    guards = _Guards()
+    _check_correlation(guards, szpz)
+    return guards.settle(1.0 - 0.5 * (szpz + 1.0))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Infeasible
-from .qstate import _PAULI_GRID, _any, _as_matrix
+from .qstate import _PAULI_GRID, _any, _as_matrix, _Guards, _math, _outside
 
 OBS_LABELS = ("0", "x", "y", "z")
 #: position of each label along both axes of the Pauli-product grid
@@ -109,6 +109,10 @@ def sample_expectation(
     )
 
 
+def _check_correlation(guards: _Guards, x, name: str = "correlation") -> None:
+    guards.check(_outside(x, -1.0 - 1e-12, 1.0 + 1e-12), ValueError, "{} must lie in [-1, 1]", name)
+
+
 class LambdaEstimate(NamedTuple):
     value: float
     clamped: bool
@@ -119,12 +123,14 @@ def lambda_from_szpz(szpz: float) -> LambdaEstimate:
 
     The family only produces szpz in [-1, 1/3]; values beyond that map
     outside [0, 1] and are clamped with the flag set, since finite-shot
-    data legitimately strays.
+    data legitimately strays. An (n,) array of correlations gives (n,)
+    arrays of weights and flags.
     """
-    if not abs(szpz) <= 1.0 + 1e-12:
-        raise ValueError("correlation must lie in [-1, 1]")
+    guards = _Guards()
+    _check_correlation(guards, szpz)
+    guards.settle(None)
     raw = 0.75 * (szpz + 1.0)
-    value = min(max(raw, 0.0), 1.0)
+    value = _math(min, _math(max, raw, 0.0), 1.0)
     return LambdaEstimate(value=value, clamped=(value != raw))
 
 
@@ -143,24 +149,25 @@ def lambdas_from_correlations(
     Solves {sxpx = 1 - lam1 - 2 lam2/3, szpz = lam1 + 4 lam2/3 - 1}, the
     maximal-family forward map. Raises Infeasible when the solution violates
     lam_i >= 0 or lam1 + lam2 <= 1 beyond tol (the data is then not from
-    this family); violations within tol are clamped and flagged.
+    this family); violations within tol are clamped and flagged. (n,) arrays
+    of correlations give (n,) arrays of weights and flags.
     """
-    for name, v in (("sxpx", sxpx), ("szpz", szpz)):
-        if not abs(v) <= 1.0 + 1e-12:
-            raise ValueError(f"{name} must lie in [-1, 1]")
+    estimate, guards = _weights(sxpx, szpz, tol)
+    return guards.settle(estimate)
+
+
+def _weights(sxpx, szpz, tol: float):
+    """lambdas_from_correlations' estimate and the guards that vetted it; on
+    a block, the guards give each row's outcome."""
+    guards = _Guards()
+    _check_correlation(guards, sxpx, "sxpx")
+    _check_correlation(guards, szpz, "szpz")
     l2 = 1.5 * (sxpx + szpz)
     l1 = 1.0 - 2.0 * sxpx - szpz
-    nonnegative = l1 >= 0.0 and l2 >= 0.0
+    nonnegative = (l1 >= 0.0) & (l2 >= 0.0)
     within_simplex = l1 + l2 <= 1.0
-    if l1 < -tol or l2 < -tol:
-        raise Infeasible(f"negative weight in solution ({l1}, {l2})")
-    if l1 + l2 > 1.0 + tol:
-        raise Infeasible(f"weights ({l1}, {l2}) exceed the simplex")
-    l1 = min(max(l1, 0.0), 1.0)
-    l2 = min(max(l2, 0.0), 1.0 - l1)
-    return WeightsEstimate(
-        lambda1=l1,
-        lambda2=l2,
-        nonnegative=nonnegative,
-        within_simplex=within_simplex,
-    )
+    guards.check((l1 < -tol) | (l2 < -tol), Infeasible, "negative weight in solution ({}, {})", l1, l2)
+    guards.check(l1 + l2 > 1.0 + tol, Infeasible, "weights ({}, {}) exceed the simplex", l1, l2)
+    l1 = _math(min, _math(max, l1, 0.0), 1.0)
+    l2 = _math(min, _math(max, l2, 0.0), 1.0 - l1)
+    return WeightsEstimate(l1, l2, nonnegative, within_simplex), guards

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -99,6 +100,13 @@ def _any(flags) -> bool:
     return flags.any() if isinstance(flags, np.ndarray) else flags
 
 
+def _outside(value, low: float, high: float):
+    """Whether a float, or each entry of an array, is outside [low, high] (NaN is)."""
+    if isinstance(value, np.ndarray):
+        return ~((low <= value) & (value <= high))
+    return not low <= value <= high
+
+
 def _within(value, low: float, high: float) -> bool:
     """low <= value <= high for a float or for every entry; NaN fails."""
     if isinstance(value, np.ndarray):
@@ -107,24 +115,24 @@ def _within(value, low: float, high: float) -> bool:
 
 
 def _math(fn, *args):
-    """A math-module function of floats, or of each entry of equal-length
-    1-d arrays.
+    """A math-module (or builtin) function of floats, or of each entry of the
+    equal-length 1-d arrays among its arguments (floats are shared by all).
 
-    Blocks map the same libm call over their entries instead of taking the
-    numpy ufunc, whose bits differ from libm's for some functions (arctan2,
-    real exp, hypot), so a block keeps its rows' bits.
+    Blocks map the same call over their entries instead of taking a numpy
+    ufunc, whose bits differ for some functions (arctan2, real exp, hypot,
+    x ** 2, the modulus of a complex number), so each row keeps its
+    single-state bits.
     """
-    if not isinstance(args[0], np.ndarray):
-        return fn(*args)
-    cols = [a.tolist() for a in args]
-    return np.fromiter(map(fn, *cols), dtype=float, count=len(cols[0]))
+    for a in args:
+        if isinstance(a, np.ndarray):
+            cols = [b.tolist() if isinstance(b, np.ndarray) else repeat(b) for b in args]
+            return np.fromiter(map(fn, *cols), dtype=float, count=len(a))
+    return fn(*args)
 
 
 def _cos_sin(x):
     """(cos x, sin x) of a float, or of each entry of an array, through libm."""
-    if isinstance(x, np.ndarray):
-        return _math(math.cos, x), _math(math.sin, x)
-    return math.cos(x), math.sin(x)
+    return _math(math.cos, x), _math(math.sin, x)
 
 
 def _per_row(x, axes: int = 2):
@@ -164,18 +172,56 @@ def _record(block, i: int):
     )
 
 
+def _part(block, rows: slice):
+    """The rows of a parameter block as a checked block."""
+    return type(block)(**{f.name: getattr(block, f.name)[rows] for f in fields(block)})
+
+
 def _one_or_block(block, n):
     """What a sampler called with n returns: the block, or for n=None its one
     row as a single-state dataclass."""
     return block if n is not None else _record(block, 0)
 
 
-def _block(records):
-    """The parameter block whose rows are the given single-state records."""
-    cls = type(records[0])
-    return cls(
-        **{f.name: np.array([getattr(r, f.name) for r in records]) for f in fields(cls)}
-    )
+class _Guards:
+    """The guards of one closed form, run on floats or on a block.
+
+    On floats the first failing guard raises, as a scalar function does. A
+    block records each row's first failing guard and lets the arithmetic run
+    on; settle then raises what the first failing row's single call raises.
+    """
+
+    def __init__(self):
+        self.first = None  # per row of a block: its first failing guard, or -1
+        self.guards: list = []  # (exception type, message, values)
+
+    def check(self, bad, exc, message: str, *values) -> None:
+        """Fail the rows where bad holds with exc(message.format(*values))."""
+        if not isinstance(bad, np.ndarray):
+            if not bad:
+                return
+            if self.first is None:
+                raise exc(message.format(*values))
+        elif self.first is None:
+            self.first = np.full(bad.shape, -1)
+        self.first[bad & (self.first < 0)] = len(self.guards)
+        self.guards.append((exc, message, values))
+
+    def failed(self, kind=Exception) -> np.ndarray:
+        """Rows of a block whose first failing guard raises a kind."""
+        return np.isin(self.first, [k for k, g in enumerate(self.guards) if issubclass(g[0], kind)])
+
+    def settle(self, result, tolerated=()):
+        """The result, unless a row of a block failed with an exception not
+        of a tolerated kind: then the first such row's exception."""
+        if self.first is not None:
+            bad = self.failed() & ~self.failed(tolerated)
+            if bad.any():
+                row = int(np.argmax(bad))
+                exc, message, values = self.guards[self.first[row]]
+                args = (v[row].item() if isinstance(v, np.ndarray) else v for v in values)
+                raise exc(message.format(*args))
+        return result
 
 
 # a non-finite or huge state's residual or trace may overflow or come from

@@ -4,7 +4,8 @@ The samplers that draw whole parameter blocks at once are the exception: a
 single call is their n=1 call, not a row of a larger block.
 """
 
-from dataclasses import fields
+import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from qconc.bounds import (
     assemble_rank3_max,
     assemble_rank4_max,
     rank3_bound,
+    rank3_max_concurrence,
     rank3_max_matrix,
+    rank3_threshold,
     rank4_bound,
+    rank4_max_concurrence,
     rank4_max_matrix,
 )
 from qconc.concurrence import batch_lambdas, batch_oracle, concurrence_oracle
@@ -30,15 +34,23 @@ from qconc.estimators import (
     assemble_rank2_degenerate,
     assemble_rank2_sep,
     assemble_xstate,
+    estimate_projection2,
+    estimate_rank2_degenerate,
+    estimate_rank2_sep2,
+    ladder_concurrence,
+    ladder_from_correlation,
     ladder_matrix,
     local_observables_rank2,
     rank2_degenerate_matrix,
     rank2_matrix,
     rank2_sep_matrix,
     reconstruct_rank2,
+    xstate_concurrence,
+    xstate_concurrence_invariant,
     xstate_matrix,
 )
-from qconc.invariants import batch_invariants, invariant_vector
+from qconc.invariants import InvariantVector, batch_invariants, invariant_vector
+from qconc.measurement import expectation, lambda_from_szpz, lambdas_from_correlations
 from qconc.qstate import (
     REJECTION_LIMIT,
     _record,
@@ -272,10 +284,12 @@ class _AlwaysRejected(np.random.Generator):
         return mid if size is None else np.full(size, mid)
 
 
+#: (sampler, generator calls per try); a single rank-2 call is the n=1 block
+#: call, which draws each try as one row of five uniforms
 _SAMPLERS = {
     "random_rank_k": (lambda g: random_rank_k(3, g), 1),
     "batch_random_mixed": (lambda g: batch_random_mixed(g, 5, 3), 1),
-    "sample_nondegenerate_rank2": (sample_nondegenerate_rank2, 5),
+    "sample_nondegenerate_rank2": (sample_nondegenerate_rank2, 1),
 }
 
 
@@ -465,3 +479,213 @@ def test_block_rejection_sampler_stops_at_the_limit():
     with pytest.raises(SamplerExhausted, match=str(REJECTION_LIMIT)):
         sample_nondegenerate_rank2(rng, n=4)
     assert 4 * rng.draws == REJECTION_LIMIT
+
+
+# -- closed forms on blocks ---------------------------------------------------
+
+
+def _stacked(rows):
+    """The block call's arguments for rows of single-call arguments: a
+    dataclass of (n,) arrays for dataclass rows, an (n, ...) array otherwise."""
+    args = []
+    for column in zip(*rows):
+        if is_dataclass(column[0]):
+            cls = type(column[0])
+            names = [f.name for f in fields(cls)]
+            args.append(cls(**{k: np.array([getattr(r, k) for r in column]) for k in names}))
+        else:
+            args.append(np.array(column, dtype=float))
+    return args
+
+
+def _columns(result) -> list:
+    """A closed form's result as a list of fields: those of a dataclass or a
+    named tuple, or the value itself."""
+    if is_dataclass(result):
+        return [getattr(result, f.name) for f in fields(result)]
+    return list(result) if isinstance(result, tuple) else [result]
+
+
+def _outcome(fn, args):
+    """A single call's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the outcome under test
+        return type(exc), str(exc)
+
+
+def _raised(outcome) -> bool:
+    return isinstance(outcome, tuple) and len(outcome) == 2 and isinstance(outcome[0], type)
+
+
+def _family_invariants(rng, n=12):
+    """Single-call invariants of rank-2, rank-3 X and projection states."""
+    params = [sample_rank2_sep(rng) for _ in range(n)]
+    states = [assemble_rank2_sep(x) for x in params]
+    states += [assemble_xstate(sample_xstate(rng, rank3=k % 2 == 0)) for k in range(n)]
+    states += [
+        assemble_rank2_degenerate(sample_rank2_degenerate(rng, lam=0.5)) for _ in range(n)
+    ]
+    return [(invariant_vector(decompose(rho)),) for rho in states]
+
+
+def _rank2_polarizations(rng, n=24):
+    rows = []
+    for _ in range(n):
+        p, s = local_observables_rank2(sample_nondegenerate_rank2(rng))
+        rows.append((p, s))
+    # states of the degenerate set and outside the family, so that every
+    # guard fails on some row
+    rows += [
+        ([0.1, 0.2, 0.3], [0.1, -0.2, 0.3]),
+        ([0.1, 0.0, 0.3], [0.2, 0.1, 0.3]),
+        ([0.3, 0.2, 0.1], [0.3, 0.2, 0.6]),
+    ]
+    return rows
+
+
+def _max_family_weights(rng, n=24):
+    lam = rng.uniform(0.0, 1.0, size=n)
+    angle = rng.uniform(0.0, np.pi / 2.0, size=n)
+    l1, l2 = _max_weights(rng, n)
+    return [
+        (float(w), float(np.sin(t)), float(np.cos(t)), float(a), float(b))
+        for w, t, a, b in zip(lam, angle, l1, l2)
+    ]
+
+
+def _correlations(rng, n=24):
+    """(sxpx, szpz) of maximal rank-4 states, nudged by about the
+    feasibility tolerance, so that some are clamped and some infeasible."""
+    l1, l2 = _max_weights(rng, n)
+    l1[: n // 2] = 0.0  # on the edges, where the nudges clamp or fail
+    mats = rank4_max_matrix(l1, l2)
+    sxpx = expectation(mats, ("x", "x")) + rng.normal(scale=1e-9, size=n)
+    szpz = expectation(mats, ("z", "z")) + rng.normal(scale=1e-9, size=n)
+    return [(float(x), float(z)) for x, z in zip(np.clip(sxpx, -1, 1), np.clip(szpz, -1, 1))]
+
+
+#: (closed form, rows of single-call arguments from a generator) for each
+#: closed form that takes a block
+_CLOSED_FORMS = {
+    "estimate_rank2_sep2": (estimate_rank2_sep2, _family_invariants),
+    "estimate_projection2": (estimate_projection2, _family_invariants),
+    "xstate_concurrence_invariant": (xstate_concurrence_invariant, _family_invariants),
+    "estimate_rank2_degenerate": (
+        estimate_rank2_degenerate,
+        lambda rng: [(sample_rank2_degenerate(rng),) for _ in range(24)],
+    ),
+    "xstate_concurrence": (
+        xstate_concurrence,
+        lambda rng: [(sample_xstate(rng, rank3=k % 3 == 0),) for k in range(24)],
+    ),
+    "reconstruct_rank2": (reconstruct_rank2, _rank2_polarizations),
+    "ladder_concurrence": (
+        ladder_concurrence,
+        lambda rng: [(float(v),) for v in rng.uniform(0.0, 1.0, size=24)],
+    ),
+    "ladder_from_correlation": (
+        ladder_from_correlation,
+        lambda rng: [(float(v),) for v in rng.uniform(-1.0, 1.0, size=24)],
+    ),
+    "lambda_from_szpz": (
+        lambda_from_szpz,
+        lambda rng: [(float(v),) for v in rng.uniform(-1.0, 1.0, size=24)],
+    ),
+    "lambdas_from_correlations": (lambdas_from_correlations, _correlations),
+    "rank3_max_concurrence": (
+        rank3_max_concurrence,
+        lambda rng: [row[:3] for row in _max_family_weights(rng)],
+    ),
+    "rank3_threshold": (
+        rank3_threshold,
+        lambda rng: [row[1:3] for row in _max_family_weights(rng)],
+    ),
+    "rank4_max_concurrence": (
+        rank4_max_concurrence,
+        lambda rng: [row[3:] for row in _max_family_weights(rng)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORMS))
+def test_closed_forms_on_blocks_are_their_single_calls(name):
+    """A block of the rows whose single calls return gives their results bit
+    for bit."""
+    fn, rows_of = _CLOSED_FORMS[name]
+    rows = [r for r in rows_of(np.random.default_rng(43)) if not _raised(_outcome(fn, r))]
+    assert len(rows) >= 10
+    block = _columns(fn(*_stacked(rows)))
+    singles = [_columns(fn(*r)) for r in rows]
+    for k, column in enumerate(block):
+        assert column.shape == (len(rows),)
+        assert _same_bits(column, np.array([s[k] for s in singles], dtype=column.dtype))
+
+
+#: (closed form, a row that passes, a row that fails a late guard, a row
+#: that fails an earlier guard) for each guarded closed form
+_GUARDED = {
+    "estimate_rank2_sep2": (
+        estimate_rank2_sep2,
+        (InvariantVector(*[0.2] * 9),),
+        (InvariantVector(0.2, 1.5, *[0.2] * 7),),  # second radicand negative
+        (InvariantVector(math.nan, *[0.2] * 8),),  # first radicand not finite
+    ),
+    "estimate_projection2": (
+        estimate_projection2,
+        (InvariantVector(*[0.2] * 9),),
+        (InvariantVector(2.0, 0.0, *[0.2] * 7),),  # outer radicand negative
+        (InvariantVector(0.9, 0.9, *[0.2] * 7),),  # inner radicand negative
+    ),
+    "xstate_concurrence_invariant": (
+        xstate_concurrence_invariant,
+        (InvariantVector(0.1, 0.1, 0.0, 0.0, 0.004, 0.0, 0.0, 0.5, 0.0),),
+        (InvariantVector(0.5, 0.1, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),),  # DomainError
+        (InvariantVector(0.0, 0.1, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),),  # I1Zero
+    ),
+    "reconstruct_rank2": (
+        reconstruct_rank2,
+        None,  # a sampled canonical state, see the test
+        ([0.1, 0.2, 0.3], [0.1, -0.2, 0.3]),  # y components of opposite signs
+        ([0.1, 0.0, 0.3], [0.2, 0.1, 0.3]),  # p_y vanishes
+    ),
+    "ladder_concurrence": (ladder_concurrence, (0.5,), (1.5,), (-0.5,)),
+    "ladder_from_correlation": (ladder_from_correlation, (0.5,), (1.5,), (math.nan,)),
+    "lambda_from_szpz": (lambda_from_szpz, (0.5,), (1.5,), (math.nan,)),
+    "lambdas_from_correlations": (
+        lambdas_from_correlations,
+        (0.6, -0.4),
+        (1.0, 1.0),  # infeasible weights
+        (1.5, 0.0),  # sxpx out of range
+    ),
+    "rank3_max_concurrence": (
+        rank3_max_concurrence,
+        (0.5, 0.6, 0.8),
+        (0.5, 0.6, 0.9),  # a^2 + b^2 is not 1
+        (1.5, 0.6, 0.8),  # lam out of range
+    ),
+    "rank3_threshold": (rank3_threshold, (0.6, 0.8), (0.6, 0.9), (-0.6, 0.8)),
+    "rank4_max_concurrence": (rank4_max_concurrence, (0.2, 0.3), (0.8, 0.3), (-0.1, 0.3)),
+}
+
+
+@pytest.mark.parametrize("position", [0, 3, 6])
+@pytest.mark.parametrize("name", sorted(_GUARDED))
+def test_blocks_raise_what_their_first_failing_row_raises(name, position):
+    """A failing row, with a row failing an earlier guard after it, makes the
+    block raise the first failing row's exception with its single call's
+    message."""
+    fn, good, late, early = _GUARDED[name]
+    if good is None:
+        good = local_observables_rank2(sample_nondegenerate_rank2(np.random.default_rng(5)))
+    rows = [good] * 8
+    rows[position] = late
+    rows[position + 1] = early
+    expected = _outcome(fn, late)
+    assert _raised(expected)
+    assert _raised(_outcome(fn, early))
+    assert not _raised(_outcome(fn, good))
+    with pytest.raises(expected[0]) as info:
+        fn(*_stacked(rows))
+    assert str(info.value) == expected[1]
+    assert type(info.value) is expected[0]

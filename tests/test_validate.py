@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 
 from qconc import validate
-from qconc.errors import Infeasible
-from qconc.measurement import LambdaEstimate
+from qconc.concurrence import concurrence_oracle
+from qconc.errors import DomainError, I1Zero, Infeasible
+from qconc.estimators import assemble_xstate, xstate_concurrence_invariant
+from qconc.invariants import invariant_vector
+from qconc.measurement import (
+    MeasurementRecord,
+    lambda_from_szpz,
+    lambdas_from_correlations,
+)
+from qconc.qstate import _record, decompose
 from qconc.stateio import canonical_dumps
-from qconc.validate import SUITES, SuiteReport, _chunk_sizes, run_suites
+from qconc.validate import SUITES, SuiteReport, _chunk_sizes, run_suites, sample_xstate
 
 # cheap-enough sample counts for a smoke pass over every suite
 _SMOKE = 40
@@ -162,17 +170,108 @@ def test_capped_chunks_keep_the_stacked_suites_bytes_at_20000():
 
 def test_shots_counts_the_trials_it_cannot_grade(monkeypatch):
     """Skipped infeasible rank-4 inversions and clamped rank-3 weights are
-    counted. On the real streams neither happens at these sizes, so the
-    inversions are forced here."""
+    counted. On the real streams neither happens at these sizes, so they are
+    forced here: every sampled correlation reads +1, which puts the rank-3
+    weight 3/2 outside [0, 1] and the rank-4 weights (-2, 3) off the simplex."""
     (rep,) = run_suites(["shots"], samples=_SMOKE, seed=1)
     assert (rep.extra["infeasible_trials"], rep.extra["clamped_lambdas"]) == (0, 0)
 
-    def infeasible(*args, **kwargs):
-        raise Infeasible("forced")
+    def all_plus_one(mats, obs, shots, rng):
+        n = len(mats)
+        return MeasurementRecord(obs, np.ones(n), shots, np.zeros(n))
 
-    monkeypatch.setattr(validate, "lambdas_from_correlations", infeasible)
-    monkeypatch.setattr(validate, "lambda_from_szpz", lambda v: LambdaEstimate(0.0, True))
+    monkeypatch.setattr(validate, "sample_expectation", all_plus_one)
     (rep,) = run_suites(["shots"], samples=_SMOKE, seed=1)
     assert (rep.extra["infeasible_trials"], rep.extra["clamped_lambdas"]) == (_SMOKE, _SMOKE)
     assert rep.extra["pair_success_rate"] == 0.0
     assert not rep.passed
+
+
+#: the suites that draw all their parameters from one stream, then build,
+#: check and evaluate their stacks slice by slice
+_SLICED = ["xstate-invariant", "ladder", "rank4-max", "shots"]
+
+
+def test_one_stream_suites_stack_at_most_a_chunk(monkeypatch):
+    """Past two chunks' worth of samples, no stack that is validated or
+    handed to the oracle holds more than _CHUNK_CAP states."""
+    sizes = {"check_states": [], "batch_oracle": []}
+
+    def recording(name):
+        fn = getattr(validate, name)
+
+        def call(mats):
+            sizes[name].append(len(mats))
+            return fn(mats)
+
+        return call
+
+    for name in sizes:
+        monkeypatch.setattr(validate, name, recording(name))
+    samples = 2 * validate._CHUNK_CAP + 1
+    reports = run_suites(_SLICED, samples=samples, seed=0)
+    assert [r.suite for r in reports] == _SLICED
+    assert max(sizes["check_states"] + sizes["batch_oracle"]) <= validate._CHUNK_CAP
+    # every state went through both: three suites validate and grade each
+    # of theirs once; shots validates its rank-3 stack once and its rank-4
+    # stack once per observable, and grades none with the oracle
+    assert sum(sizes["check_states"]) == 6 * samples
+    assert sum(sizes["batch_oracle"]) == 3 * samples
+
+
+def test_xstate_invariant_counts_are_per_row_single_calls(monkeypatch):
+    """The I1Zero and DomainError counts of the block call equal those of
+    the single calls on the same states, and the graded rows are the ones
+    whose single call returns."""
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(sample_xstate(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(validate, "sample_xstate", recording)
+    (rep,) = run_suites(["xstate-invariant"], samples=300, seed=3)
+    counts = {I1Zero: 0, DomainError: 0}
+    evaluated = []
+    for k in range(300):
+        rho = assemble_xstate(_record(drawn[0], k))
+        try:
+            value = xstate_concurrence_invariant(invariant_vector(decompose(rho)))
+        except (I1Zero, DomainError) as exc:
+            counts[type(exc)] += 1
+            continue
+        evaluated.append(abs(value - concurrence_oracle(rho).value))
+    assert counts[DomainError] > 0
+    assert rep.extra["i1_zero"] == counts[I1Zero]
+    assert rep.extra["domain_errors"] == counts[DomainError]
+    assert rep.extra["evaluated"] == len(evaluated) == rep.samples
+    assert rep.max_deviation == max(evaluated)
+
+
+def test_shots_counts_are_per_row_single_calls(monkeypatch):
+    """The clamped and infeasible counts of the block calls equal those of
+    single calls on the same sampled correlations, here spread over [-1, 1]
+    so that both happen on a share of the rows."""
+    means = {}
+    spread = np.random.default_rng(8)
+
+    def spread_records(mats, obs, shots, rng):
+        means.setdefault(obs, []).append(spread.uniform(-1.0, 1.0, size=len(mats)))
+        return MeasurementRecord(obs, means[obs][-1], shots, np.full(len(mats), 0.01))
+
+    monkeypatch.setattr(validate, "sample_expectation", spread_records)
+    samples = 2 * validate._CHUNK_CAP + 1
+    (rep,) = run_suites(["shots"], samples=samples, seed=2)
+    zz = np.concatenate(means[("z", "z")])
+    zz3, zz4 = zz[:samples].tolist(), zz[samples:].tolist()
+    xx4 = np.concatenate(means[("x", "x")]).tolist()
+    clamped = sum(lambda_from_szpz(v).clamped for v in zz3)
+    infeasible = 0
+    for sxpx, szpz in zip(xx4, zz4):
+        try:
+            lambdas_from_correlations(sxpx, szpz, tol=1.0)
+        except Infeasible:
+            infeasible += 1
+    assert 0 < clamped < samples and 0 < infeasible < samples
+    assert rep.extra["clamped_lambdas"] == clamped
+    assert rep.extra["infeasible_trials"] == infeasible
