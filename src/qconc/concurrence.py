@@ -1,13 +1,20 @@
 """Exact concurrence of a two-qubit state.
 
-The oracle reads the spin-flip roots off the eigendecomposition of the state,
-as the singular values of a complex-symmetric block whose size is the rank of
-the state, so no non-Hermitian eigenproblem is solved and states of any rank
-stay well conditioned. The pure-state shortcut uses the amplitude determinant.
+The oracle reads the spin-flip roots off a factor rho = W W^dagger, as the
+singular values of a complex-symmetric block whose size is the rank of the
+state, so neither an eigenproblem nor a non-Hermitian product is solved and
+states of any rank stay well conditioned. W comes from an outer-product
+Cholesky with complete diagonal pivoting: pivots at or below EIG_CLAMP times
+the largest diagonal entry count as zero, and the factorization stops once
+no state has a pivot left above that cut. The factor is written once, over
+the matrix entries split into real and imaginary parts, which are floats
+for one state or (n,) arrays for a stack. The pure-state shortcut uses the
+amplitude determinant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,12 +22,14 @@ import numpy as np
 from .errors import EigSolveFailure, NotNormalized
 from .qstate import NORM_TOL, PureState, SIGMA_Y, _as_matrix, _validated_matrix
 
-#: clamp for small negative eigenvalues produced by round-off
+#: pivots at or below this fraction of the largest diagonal entry count as zero
 EIG_CLAMP = 1e-12
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
-#: _YY @ x is x with its rows reversed and signed by these, without a matmul
-_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
+#: x @ _YY is x with its columns reversed and signed by these, without a matmul
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+#: flat row-major positions of (i, j) below the diagonal and of (j, i), then i, j
+_LOWER = [(4 * i + j, 4 * j + i, i, j) for i in range(1, 4) for j in range(i)]
 
 
 def spin_flip(rho) -> np.ndarray:
@@ -42,9 +51,135 @@ class ConcurrenceDiagnostics:
 
     @classmethod
     def from_lambdas(cls, lambdas) -> "ConcurrenceDiagnostics":
-        lam = tuple(sorted((float(x) for x in lambdas), reverse=True))
-        value = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+        lam = tuple(sorted(map(float, lambdas), reverse=True))
+        value = max(0.0, lam[0] - (lam[1] + lam[2] + lam[3]))
         return cls(lambdas=lam, value=value)
+
+
+def _pivot(diag):
+    """Position and value of the largest of four diagonal entries, the first
+    on ties."""
+    value = max(diag)
+    return diag.index(value), value
+
+
+def _column(at, entries) -> list:
+    """Column `at` of 16 row-major entries."""
+    return entries[at::4]
+
+
+def _block_pivot(diag):
+    """_pivot row by row for (n,) arrays: a selector for _block_column (the
+    winners of the first pair, of the second pair, and between the pairs) and
+    the pivots."""
+    d0, d1, d2, d3 = diag
+    first, second = d1 > d0, d3 > d2
+    low, high = np.where(first, d1, d0), np.where(second, d3, d2)
+    upper = high > low
+    return (first, second, upper), np.where(upper, high, low)
+
+
+def _block_column(at, entries) -> list:
+    """_column row by row for (n,) arrays, at a selector of _block_pivot."""
+    first, second, upper = at
+    return [
+        np.where(upper, np.where(second, x3, x2), np.where(first, x1, x0))
+        for x0, x1, x2, x3 in (entries[0:4], entries[4:8], entries[8:12], entries[12:16])
+    ]
+
+
+#: the steps that depend on the entry type: pivot, column, square root and
+#: whether any pivot passes, for floats and for (n,) arrays
+_FLOAT_STEPS = (_pivot, _column, math.sqrt, bool)
+_BLOCK_STEPS = (_block_pivot, _block_column, np.sqrt, np.ndarray.any)
+
+
+def _pivoted_factor(re, im):
+    """Columns of a factor W W^dagger = rho by outer-product Cholesky with
+    complete diagonal pivoting, up to the last pivot above EIG_CLAMP times
+    the largest diagonal entry.
+
+    re and im are rho's 16 row-major entries split in real and imaginary
+    parts, each a float or an (n,) array, so the arithmetic is real and a
+    block's rows get their single-state bits; only the lower triangle and
+    the real diagonal are read, and both lists are overwritten with the
+    Schur complements. Each step takes the largest diagonal entry of the
+    Schur complement as pivot and stops once no row's pivot is above the
+    cut. It yields each column as (kept, real parts, imaginary parts), with
+    lists of four entries: kept is True for one state, and for a block marks
+    the rows whose pivot passed, so it sums to their ranks. The Schur
+    complement's diagonal never grows, so a row that has stopped never
+    passes the cut again, and the columns past its rank, computed for the
+    rows still running, are never read.
+    """
+    pivot_of, column, sqrt, passes = (
+        _BLOCK_STEPS if isinstance(re[0], np.ndarray) else _FLOAT_STEPS
+    )
+    for k in (0, 5, 10, 15):
+        im[k] = 0.0
+    for low, up, _, _ in _LOWER:
+        re[up], im[up] = re[low], -im[low]
+    last = None
+    for step in range(4):
+        at, pivot = pivot_of(re[::5])
+        if last is None:
+            cut = EIG_CLAMP * pivot
+        kept = pivot > cut
+        if not passes(kept):
+            return
+        if last is not None:  # the last column's outer product, off the diagonal
+            lr, li = last
+            for low, up, i, j in _LOWER:
+                re[low] = re[up] = re[low] - (lr[i] * lr[j] + li[i] * li[j])
+                x = im[low] - (li[i] * lr[j] - lr[i] * li[j])
+                im[low], im[up] = x, -x
+        root = sqrt(pivot)
+        lr = [x / root for x in column(at, re)]
+        li = [x / root for x in column(at, im)]
+        yield kept, lr, li
+        if step < 3:  # the diagonal of the next Schur complement
+            for k, a, b in zip((0, 5, 10, 15), lr, li):
+                re[k] = re[k] - (a * a + b * b)
+        last = lr, li
+
+
+def _roots(wt: np.ndarray, rank) -> np.ndarray:
+    """Descending roots from an (n, K, 4) stack of transposed factors, row j
+    of each the j-th column of W, state r keeping its first rank[r] columns:
+    the singular values of the complex-symmetric
+    B = W_k^T (sigma_y x sigma_y) W_k (|B| for k = 1), then 4 - k exact zeros.
+    Rows are grouped by k, at most four groups per stack."""
+    lam = np.zeros((len(wt), 4))
+    ranks = set(rank.tolist()) if isinstance(rank, np.ndarray) else {rank}
+    try:
+        for k in ranks - {0}:
+            rows = slice(None) if len(ranks) == 1 else rank == k
+            wk = wt[rows, :k]
+            b = wk @ (wk[:, :, ::-1] * _YY_SIGNS).transpose(0, 2, 1)
+            lam[rows, :k] = np.abs(b[:, :, 0]) if k == 1 else np.linalg.svd(b, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigSolveFailure(str(exc)) from exc
+    return lam
+
+
+# a row past its rank divides by a pivot at or below the cut, maybe zero or
+# negative, for columns that are never read
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _stacked_factor(m: np.ndarray):
+    """The pivoted factor of an (n, 4, 4) stack, its columns written as they
+    come into one preallocated (n, K, 4) stack of W^T, and the ranks. The
+    entries and Schur complements go when it returns, before the SVD."""
+    n = len(m)
+    re, im = (list(np.ascontiguousarray(part.reshape(n, 16).T)) for part in (m.real, m.imag))
+    wt = np.empty((n, 4, 4), dtype=complex)
+    real, imag = wt.real, wt.imag
+    rank, count = 0, 0
+    for kept, lr, li in _pivoted_factor(re, im):
+        rank = rank + kept
+        for i in range(4):
+            real[:, count, i], imag[:, count, i] = lr[i], li[i]
+        count += 1
+    return wt[:, :count], rank
 
 
 def batch_lambdas(mats: np.ndarray) -> np.ndarray:
@@ -53,44 +188,37 @@ def batch_lambdas(mats: np.ndarray) -> np.ndarray:
     The roots are read off a factor of rho, not its square root: for rho =
     W W^dagger they are the singular values of the complex-symmetric B =
     W^T (sigma_y x sigma_y) W, since B B^dagger has the spectrum of
-    rho rho_tilde (Wootters 1998; Uhlmann 2000). The eigendecomposition
-    rho = V diag(w) V^dagger gives W = V diag(sqrt(w)). Eigenvalues below
-    EIG_CLAMP relative to the largest count as zero, so round-off in the null
-    space cannot leak sqrt(eps)-sized noise into the roots. A state with k
-    eigenvalues left keeps only those k columns of W, so B is k x k (|B|
-    itself for k = 1, with no SVD) and its 4 - k trailing roots are exact
-    zeros. Rows are grouped by k, at most four groups per stack.
+    rho rho_tilde (Wootters 1998; Uhlmann 2000). W comes from an outer-product
+    Cholesky with complete diagonal pivoting (backward stable on semidefinite
+    matrices, Higham 1990), which reveals the rank: pivots at or below
+    EIG_CLAMP times the largest diagonal entry count as zero, so round-off in
+    the null space cannot leak sqrt(eps)-sized noise into the roots, and the
+    factorization stops once no state has a pivot left above that cut. A
+    state with k pivots kept has k columns, so B is k x k (|B| itself for
+    k = 1, with no SVD) and its 4 - k trailing roots are exact zeros. The
+    factor is the one :func:`concurrence_oracle` computes on floats, here on
+    (n,) arrays of entries, so each row has its single-state bits.
     """
-    try:
-        w, v = np.linalg.eigh(np.asarray(mats, dtype=complex))
-        rank = (w > EIG_CLAMP * np.maximum(w[:, -1:], 0.0)).sum(axis=1)
-        lam = np.zeros(w.shape)
-        ranks = set(rank.tolist())
-        for k in ranks:
-            rows = slice(None) if len(ranks) == 1 else rank == k
-            # eigh sorts ascending, so the kept eigenvalues are the last k
-            wk = v[rows, :, 4 - k :] * np.sqrt(w[rows, None, 4 - k :])
-            b = wk.transpose(0, 2, 1) @ (wk[:, ::-1] * _YY_SIGNS)
-            lam[rows, :k] = np.abs(b[:, :, 0]) if k == 1 else np.linalg.svd(b, compute_uv=False)
-        return lam
-    except np.linalg.LinAlgError as exc:
-        raise EigSolveFailure(str(exc)) from exc
+    return _roots(*_stacked_factor(np.asarray(mats, dtype=complex)))
 
 
 def batch_oracle(mats: np.ndarray) -> np.ndarray:
     """Concurrence of each state in an (n, 4, 4) stack of trusted states."""
     lam = batch_lambdas(mats)
-    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    return np.maximum(0.0, lam[:, 0] - (lam[:, 1] + lam[:, 2] + lam[:, 3]))
 
 
 def concurrence_oracle(rho) -> ConcurrenceDiagnostics:
     """Exact concurrence for any two-qubit density operator.
 
     A raw array is validated first and raises InvalidState if unphysical;
-    the arithmetic is that of :func:`batch_lambdas`.
+    the factor is that of :func:`batch_lambdas`, computed on floats.
     """
-    lam = batch_lambdas(_validated_matrix(rho)[None])[0]
-    return ConcurrenceDiagnostics.from_lambdas(lam)
+    parts = _validated_matrix(rho).ravel().view(float).tolist()
+    columns = _pivoted_factor(parts[0::2], parts[1::2])
+    wt = np.array([complex(a, b) for _, lr, li in columns for a, b in zip(lr, li)])
+    wt = wt.reshape(1, -1, 4)
+    return ConcurrenceDiagnostics.from_lambdas(_roots(wt, wt.shape[1])[0].tolist())
 
 
 def concurrence_pure(psi) -> float:

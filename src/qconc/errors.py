@@ -23,7 +23,7 @@ class NotNormalized(QconcError):
 
 
 class EigSolveFailure(QconcError):
-    """The underlying eigensolver did not converge."""
+    """The oracle's LAPACK solver (the SVD of its rank-k block) did not converge."""
 
 
 class I3Mismatch(QconcError):

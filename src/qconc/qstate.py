@@ -242,18 +242,26 @@ def check_states(mats) -> np.ndarray:
         raise InvalidState(f"expected an (n, 4, 4) stack, got shape {m.shape}")
     # All-pass tests first, per-state messages only on failure. A non-finite
     # entry makes its state's residual or trace NaN or inf, which fails `<=`,
-    # so eigvalsh never sees it. Comparing Python floats keeps the one-state
-    # call, which every DensityOperator makes, as cheap as scalar checks.
+    # so eigvalsh never sees it.
     herm = np.abs(m - m.conj().swapaxes(1, 2))
     tr = m.trace(axis1=1, axis2=2).real
-    if herm.max(initial=0.0) <= HERMITICITY_TOL and all(
-        abs(t - 1.0) <= TRACE_TOL for t in tr.tolist()
+    if herm.max(initial=0.0) <= HERMITICITY_TOL and _every(
+        tr, lambda t: abs(t - 1.0) <= TRACE_TOL
     ):
         low = np.linalg.eigvalsh(m)[:, 0]
-        if all(v >= -PSD_TOL for v in low.tolist()):
+        if _every(low, lambda v: v >= -PSD_TOL):
             m.flags.writeable = False
             return m
     raise InvalidState(_first_defect(m, herm.max(axis=(1, 2)), tr))
+
+
+def _every(values: np.ndarray, test) -> bool:
+    """Whether test holds for every entry of a 1-d array, NaN failing it: on
+    the one float of a one-state stack, which every DensityOperator checks
+    and which a reduction would only slow, or as one reduction over a stack."""
+    if len(values) == 1:
+        return test(values.item())
+    return bool(test(values).all())
 
 
 def _first_defect(m: np.ndarray, herm: np.ndarray, tr: np.ndarray) -> str:

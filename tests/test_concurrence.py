@@ -164,13 +164,28 @@ def test_oracle_on_rank2_mixture_of_bells():
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 
-def _sqrt_route_lambdas(m):
+def _sqrt_route_lambdas(m, kept):
     """The oracle as it was before the factor route: singular values of
-    sqrt(rho) (sy x sy) conj(sqrt(rho)), under the same eigenvalue clamp."""
+    sqrt(rho) (sy x sy) conj(sqrt(rho)), with the kept largest eigenvalues."""
     w, v = np.linalg.eigh(m)
-    w = np.where(w > EIG_CLAMP * max(w[-1], 0.0), w, 0.0)
+    w = np.where(np.arange(4) >= 4 - kept, w, 0.0)
     sq = (v * np.sqrt(w)) @ v.conj().T
     return np.linalg.svd(sq @ _YY @ sq.conj(), compute_uv=False)
+
+
+def _pivots_above_the_cut(m):
+    """Count of pivots of a textbook diagonally pivoted Cholesky of m above
+    EIG_CLAMP times the largest diagonal entry, in complex arithmetic."""
+    s = np.array(m, dtype=complex)
+    cut = EIG_CLAMP * s.diagonal().real.max()
+    for count in range(4):
+        d = s.diagonal().real
+        p = int(np.argmax(d))
+        if not d[p] > cut:
+            return count
+        col = s[:, p] / np.sqrt(d[p])
+        s = s - np.outer(col, col.conj())
+    return 4
 
 
 def _bell_mixture(*kinds):
@@ -178,14 +193,19 @@ def _bell_mixture(*kinds):
 
 
 def _clamp_edge(factor):
-    """A state whose smallest eigenvalue is factor * EIG_CLAMP * the largest."""
+    """A state whose last pivot is factor * EIG_CLAMP * its largest diagonal
+    entry: a random rank-3 state on |00>, |01>, |10> plus that weight on the
+    uncoupled |11>, which is also its smallest eigenvalue, so the pivot cut
+    and the eigenvalue count of the reference drop the same part."""
     rng = np.random.default_rng(5)
-    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    small = factor * EIG_CLAMP * 0.5
-    return (q * [0.5, 0.3, 0.2 - small, small]) @ q.conj().T
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    m = np.zeros((4, 4), dtype=complex)
+    m[:3, :3] = (q * [0.5, 0.3, 0.2]) @ q.conj().T
+    m[3, 3] = factor * EIG_CLAMP * m.diagonal().real.max()
+    return m / m.trace().real
 
 
-#: (state, count of eigenvalues the oracle keeps)
+#: (state, count of pivots the oracle keeps)
 _ORACLE_CASES = {
     **{
         f"rank{k}-seed{seed}": (lambda k=k, seed=seed: random_rank_k(k, seed).matrix, k)
@@ -205,10 +225,10 @@ _ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_factor_route_matches_the_sqrt_route(case):
-    build, _ = _ORACLE_CASES[case]
+    build, kept = _ORACLE_CASES[case]
     m = build()
     lam = batch_lambdas(m[None])[0]
-    old = _sqrt_route_lambdas(m)
+    old = _sqrt_route_lambdas(m, kept)
     np.testing.assert_allclose(lam, old, rtol=0, atol=1e-13)
     value = max(0.0, old[0] - old[1] - old[2] - old[3])
     assert abs(batch_oracle(m[None])[0] - value) <= 1e-13
@@ -218,10 +238,10 @@ def test_factor_route_matches_the_sqrt_route(case):
 def test_roots_beyond_the_kept_rank_are_exact_zeros(case):
     build, kept = _ORACLE_CASES[case]
     m = build()
-    w = np.linalg.eigvalsh(m)
-    assert np.count_nonzero(w > EIG_CLAMP * w[-1]) == kept
+    assert _pivots_above_the_cut(m) == kept
     lam = batch_lambdas(m[None])[0]
     assert lam[kept:].tolist() == [0.0] * (4 - kept)
     if case == "clamp-above":
-        # the kept eigenvalue of 5.5e-13 gives a fourth root of its own size
+        # the kept pivot of 4e-13 gives third and fourth roots of 3e-7, about
+        # its square root: the leak the cut stops just below it
         assert lam[3] > 1e-13

@@ -19,8 +19,9 @@ from qconc.qstate import SIGMA_Y, haar_unitary2
 
 REFEREE_DIGITS = 50
 
-#: the worst forward error measured on these 102 states is 9.2e-16 (the 50-
-#: and 100-digit references agree to 5e-26); the gate leaves a factor of 3
+#: the worst forward error measured on these 102 states is 2.9e-16 with the
+#: pivoted Cholesky factor, 9.2e-16 with the eigh factor before it (the 50-
+#: and 100-digit references agree to 5e-26); the gate stays at 3e-15
 FORWARD_ERROR_BOUND = 3e-15
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from test_concurrence import _bell_mixture, _clamp_edge
+
 from qconc.bounds import (
     Rank3Mixture,
     Rank4Mixture,
@@ -121,6 +123,57 @@ def test_oracle_rank_groups_do_not_leak_between_rows():
         assert_array_equal(concurrence_oracle(m).value, value[k])
     order = np.random.default_rng(12).permutation(len(mats))
     assert_array_equal(batch_lambdas(mats[order]), lam[order])
+
+
+def _mixed_ranks(rng):
+    mats = np.concatenate([batch_random_mixed(rng, 10, rank) for rank in (1, 2, 3, 4)])
+    return mats[rng.permutation(len(mats))]
+
+
+def _pivot_tie(seed):
+    """A state symmetric under swapping |00> and |01>: their diagonal entries
+    tie at every step until one of them is the pivot, so the first of the
+    tied entries must win in both the float and the block pivot search."""
+    m = random_rank_k(4, seed).matrix
+    swap = np.eye(4)[[1, 0, 2, 3]]
+    return (m + swap @ m @ swap.T) / 2
+
+
+def _edge_states(rng):
+    ties = (
+        ("phi+", "phi-"),
+        ("psi+", "psi-"),
+        ("phi+", "phi-", "psi+"),
+        ("phi+", "phi-", "psi+", "psi-"),
+    )
+    return np.stack(
+        [_clamp_edge(1.1), _clamp_edge(0.9), _pivot_tie(0), _pivot_tie(1)]
+        + [_bell_mixture(*t) for t in ties]
+    )
+
+
+#: blocks whose rows stop the pivoted factor at different steps, after one
+#: step only, at the pivot cut, and on tied pivots or Bell-state ties
+_ORACLE_BLOCKS = {
+    "ranks-1-to-4": (_mixed_ranks, {1, 2, 3, 4}),
+    "rank-1": (lambda rng: batch_random_mixed(rng, 40, 1), {1}),
+    "clamp-edges-and-ties": (_edge_states, {2, 3, 4}),
+}
+
+
+@pytest.mark.parametrize("block", list(_ORACLE_BLOCKS))
+def test_the_float_factor_gives_the_block_rows(block):
+    # concurrence_oracle runs the factor on Python floats, batch_lambdas on
+    # (n,) arrays of entries; the arithmetic is the same, bit for bit
+    build, counts = _ORACLE_BLOCKS[block]
+    mats = build(np.random.default_rng(13))
+    lam = batch_lambdas(mats)
+    value = batch_oracle(mats)
+    assert set((lam > 0).sum(axis=1).tolist()) == counts
+    for k, m in enumerate(mats):
+        diag = concurrence_oracle(m)
+        assert_array_equal(diag.lambdas, lam[k])
+        assert_array_equal(diag.value, value[k])
 
 
 def _rank2(rng):
