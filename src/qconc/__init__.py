@@ -4,196 +4,122 @@ Exact Wootters oracle, local-unitary invariants, rank-wise concurrence
 estimators built from single-qubit observables, entanglement bounds for
 rank-3 and rank-4 mixtures, simulated Pauli measurements, and a seeded
 Monte-Carlo validation harness.
+
+The public names load lazily (PEP 562): ``qconc.name`` imports the module
+that defines it and reads its current attribute, which is not cached here.
 """
 
-from .bounds import (
-    REGION_ENTANGLED,
-    REGION_INFEASIBLE,
-    REGION_SEPARABLE,
-    Rank3Mixture,
-    Rank4Mixture,
-    assemble_rank3_max,
-    assemble_rank4_max,
-    classify_weights,
-    rank3_bound,
-    rank3_max_concurrence,
-    rank3_threshold,
-    rank4_bound,
-    rank4_max_concurrence,
-    rank4_region,
-)
-from .concurrence import (
-    ConcurrenceDiagnostics,
-    concurrence_oracle,
-    concurrence_pure,
-    spin_flip,
-)
-from .errors import (
-    DomainError,
-    EigSolveFailure,
-    I1Zero,
-    I3Mismatch,
-    Infeasible,
-    InvalidState,
-    NotAState,
-    NotNormalized,
-    NotPure,
-    QconcError,
-    ReconstructionDegenerate,
-    SamplerExhausted,
-)
-from .estimators import (
-    Rank2Canonical,
-    Rank2Degenerate,
-    Rank2SepDecomp,
-    XState,
-    assemble_ladder,
-    assemble_rank2,
-    assemble_rank2_degenerate,
-    assemble_rank2_sep,
-    assemble_xstate,
-    canonical_vectors_rank2,
-    estimate_projection2,
-    estimate_pure,
-    estimate_rank2_degenerate,
-    estimate_rank2_sep2,
-    ladder_concurrence,
-    ladder_from_correlation,
-    local_observables_rank2,
-    reconstruct_rank2,
-    xstate_concurrence,
-    xstate_concurrence_invariant,
-)
-from .invariants import InvariantVector, invariant_vector, purity_residuals
-from .measurement import (
-    ALL_OBSERVABLES,
-    LambdaEstimate,
-    MeasurementRecord,
-    WeightsEstimate,
-    expectation,
-    lambda_from_szpz,
-    lambdas_from_correlations,
-    sample_expectation,
-)
-from .qstate import (
-    AXES,
-    PAULI,
-    BlochDecomposition,
-    DensityOperator,
-    LocalUnitary,
-    PureState,
-    apply_local,
-    assemble,
-    bell_state,
-    decompose,
-    haar_unitary2,
-    maximally_mixed,
-    pauli_pair,
-    random_pure,
-    random_rank_k,
-    rank_of,
-    werner_state,
-)
-from .stateio import TOOL_VERSION as __version__
-from .stateio import (
-    bloch_to_dict,
-    canonical_dumps,
-    read_state,
-    report_header,
-    state_from_dict,
-    state_to_dict,
-    write_state,
-)
-from .validate import SUITES, SuiteReport, run_suites
+from importlib import import_module as _import_module
 
-__all__ = [
-    "ALL_OBSERVABLES",
-    "AXES",
-    "PAULI",
-    "REGION_ENTANGLED",
-    "REGION_INFEASIBLE",
-    "REGION_SEPARABLE",
-    "SUITES",
-    "BlochDecomposition",
-    "ConcurrenceDiagnostics",
-    "DensityOperator",
-    "DomainError",
-    "EigSolveFailure",
-    "I1Zero",
-    "I3Mismatch",
-    "Infeasible",
-    "InvalidState",
-    "InvariantVector",
-    "LambdaEstimate",
-    "LocalUnitary",
-    "MeasurementRecord",
-    "NotAState",
-    "NotNormalized",
-    "NotPure",
-    "PureState",
-    "QconcError",
-    "Rank2Canonical",
-    "Rank2Degenerate",
-    "Rank2SepDecomp",
-    "Rank3Mixture",
-    "Rank4Mixture",
-    "ReconstructionDegenerate",
-    "SamplerExhausted",
-    "SuiteReport",
-    "WeightsEstimate",
-    "XState",
-    "apply_local",
-    "assemble",
-    "assemble_ladder",
-    "assemble_rank2",
-    "assemble_rank2_degenerate",
-    "assemble_rank2_sep",
-    "assemble_rank3_max",
-    "assemble_rank4_max",
-    "assemble_xstate",
-    "bell_state",
-    "bloch_to_dict",
-    "canonical_dumps",
-    "canonical_vectors_rank2",
-    "classify_weights",
-    "concurrence_oracle",
-    "concurrence_pure",
-    "decompose",
-    "estimate_projection2",
-    "estimate_pure",
-    "estimate_rank2_degenerate",
-    "estimate_rank2_sep2",
-    "expectation",
-    "haar_unitary2",
-    "invariant_vector",
-    "ladder_concurrence",
-    "ladder_from_correlation",
-    "lambda_from_szpz",
-    "lambdas_from_correlations",
-    "local_observables_rank2",
-    "maximally_mixed",
-    "pauli_pair",
-    "purity_residuals",
-    "random_pure",
-    "random_rank_k",
-    "rank3_bound",
-    "rank3_max_concurrence",
-    "rank3_threshold",
-    "rank4_bound",
-    "rank4_max_concurrence",
-    "rank4_region",
-    "rank_of",
-    "read_state",
-    "reconstruct_rank2",
-    "report_header",
-    "run_suites",
-    "sample_expectation",
-    "spin_flip",
-    "state_from_dict",
-    "state_to_dict",
-    "werner_state",
-    "write_state",
-    "xstate_concurrence",
-    "xstate_concurrence_invariant",
-    "__version__",
-]
+#: each submodule and the public names it defines, one a line
+_EXPORTS = {
+    "bounds": """
+        REGION_ENTANGLED
+        REGION_INFEASIBLE
+        REGION_SEPARABLE
+        Rank3Mixture
+        Rank4Mixture
+        assemble_rank3_max
+        classify_weights
+        rank3_bound
+        rank3_max_concurrence
+        rank3_threshold
+        rank4_bound
+        rank4_max_concurrence
+        rank4_region
+    """,
+    "concurrence": """
+        ConcurrenceDiagnostics
+        concurrence_oracle
+        concurrence_pure
+    """,
+    "errors": """
+        DomainError
+        EigSolveFailure
+        I1Zero
+        I3Mismatch
+        Infeasible
+        InvalidState
+        NotAState
+        NotNormalized
+        NotPure
+        QconcError
+        ReconstructionDegenerate
+        SamplerExhausted
+    """,
+    "estimators": """
+        Rank2Canonical
+        Rank2Degenerate
+        Rank2SepDecomp
+        XState
+        assemble_ladder
+        assemble_rank2
+        assemble_xstate
+        canonical_vectors_rank2
+        estimate_projection2
+        estimate_pure
+        estimate_rank2_degenerate
+        estimate_rank2_sep2
+        ladder_concurrence
+        ladder_from_correlation
+        local_observables_rank2
+        reconstruct_rank2
+        xstate_concurrence
+        xstate_concurrence_invariant
+    """,
+    "invariants": """
+        InvariantVector
+        invariant_vector
+        purity_residuals
+    """,
+    "measurement": """
+        LambdaEstimate
+        MeasurementRecord
+        WeightsEstimate
+        expectation
+        lambda_from_szpz
+        lambdas_from_correlations
+        sample_expectation
+    """,
+    "qstate": """
+        BlochDecomposition
+        DensityOperator
+        PureState
+        assemble
+        bell_state
+        decompose
+        random_rank_k
+        rank_of
+        werner_state
+    """,
+    "stateio": """
+        canonical_dumps
+        read_state
+        report_header
+        state_from_dict
+        state_to_dict
+    """,
+    "validate": """
+        SUITES
+        SuiteReport
+        run_suites
+    """,
+}
+
+#: public name -> (submodule, attribute)
+_WHERE = {name: (module, name) for module, names in _EXPORTS.items() for name in names.split()}
+_WHERE["__version__"] = ("stateio", "TOOL_VERSION")
+
+__all__ = list(_WHERE)
+
+
+def __getattr__(name: str):
+    try:
+        module, attr = _WHERE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(_import_module(f"{__name__}.{module}"), attr)
+
+
+def __dir__() -> list[str]:
+    return sorted(__all__)

@@ -78,7 +78,14 @@ def _check_unit_interval(guards: _Guards, name: str, value) -> None:
 
 def _check_ab(guards: _Guards, a, b) -> None:
     guards.check((a < 0.0) | (b < 0.0), ValueError, "a and b must be nonnegative")
-    guards.check(abs(a * a + b * b - 1.0) > WEIGHT_TOL, ValueError, "a^2 + b^2 must equal 1")
+    off_norm = np.logical_not(abs(a * a + b * b - 1.0) <= WEIGHT_TOL)  # NaN is off
+    guards.check(off_norm, ValueError, "a^2 + b^2 must equal 1")
+
+
+def _check_angles(guards: _Guards, m) -> None:
+    """A mixture's payload angles, which any finite value suits."""
+    for name in ("theta", "phi", "sep_angle1", "sep_phase1", "sep_angle2", "sep_phase2"):
+        guards.check(~np.isfinite(getattr(m, name)), ValueError, "{} must be finite", name)
 
 
 def _check_weights(lambda1, lambda2) -> None:
@@ -114,7 +121,7 @@ def _psi_concurrence(m):
     """
     c = m.psi().real
     norm2 = (c * c).sum(axis=-1)
-    if _any(abs(norm2 - 1.0) > NORM_TOL):
+    if not np.all(abs(norm2 - 1.0) <= NORM_TOL):  # NaN fails too
         raise NotNormalized(f"squared norm is {norm2}, expected 1")
     return 2.0 * abs(c[..., 0] * c[..., 3] - c[..., 1] * c[..., 2])
 
@@ -170,13 +177,11 @@ class Rank3Mixture:
         _check_unit_interval(guards, "mu", self.mu)
         _check_unit_interval(guards, "sep_weight", self.sep_weight)
         _check_ab(guards, self.a, self.b)
+        _check_angles(guards, self)
         guards.settle(None)
 
     def psi(self) -> np.ndarray:
         return _psi_in_h3(self.a, self.b, self.theta, self.phi)
-
-    def sep_matrix(self) -> np.ndarray:
-        return _sep_matrix(self)
 
     def matrix(self) -> np.ndarray:
         """Unvalidated density matrix of the mixture; (n, 4, 4) for a block."""
@@ -227,6 +232,7 @@ class Rank4Mixture:
         _check_unit_interval(guards, "mu", self.mu)
         _check_unit_interval(guards, "sep_weight", self.sep_weight)
         _check_ab(guards, self.a, self.b)
+        _check_angles(guards, self)
         guards.settle(None)
 
     def psi(self) -> np.ndarray:

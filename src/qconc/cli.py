@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from .bounds import rank4_region
 from .concurrence import batch_oracle, concurrence_oracle
 from .errors import (
     DomainError,
@@ -44,6 +43,7 @@ from .measurement import expectation
 from .qstate import (
     BlochDecomposition,
     DensityOperator,
+    _rank,
     bell_state,
     check_states,
     decompose,
@@ -58,7 +58,6 @@ from .stateio import (
     state_from_dict,
     state_to_dict,
 )
-from .validate import SUITES, run_suites
 
 
 class UsageError(Exception):
@@ -160,12 +159,13 @@ def _applicable_estimates(
     rho: DensityOperator,
     bloch: BlochDecomposition,
     inv: InvariantVector,
+    eigs: np.ndarray,
     rank: int,
     oracle: float,
     tol: float,
 ) -> list[dict]:
-    """Family estimates that apply to rho, given its decomposition, invariants
-    and rank, each with its deviation from the oracle value."""
+    """Family estimates that apply to rho, given its decomposition, invariants,
+    ascending spectrum and rank, each with its deviation from the oracle value."""
     entries: list[dict] = []
 
     def add(name: str, value: float) -> None:
@@ -187,7 +187,6 @@ def _applicable_estimates(
 
     if rank == 2:
         attempt("rank2-reconstruction", QconcError, reconstructed)
-        eigs = np.linalg.eigvalsh(rho.matrix)
         if abs(eigs[-1] - 0.5) <= 1e-6 and abs(eigs[-2] - 0.5) <= 1e-6:
             attempt("projection2", DomainError, estimate_projection2, inv)
         attempt("rank2-sep2", DomainError, estimate_rank2_sep2, inv)
@@ -231,8 +230,9 @@ def cmd_concurrence(state_path, tol, out_path, fmt):
     diag = concurrence_oracle(rho)
     bloch = decompose(rho)
     inv = invariant_vector(bloch)
-    rank = rank_of(rho)
-    estimates = _applicable_estimates(rho, bloch, inv, rank, diag.value, tol)
+    eigs = rho.eigenvalues()
+    rank = _rank(eigs)
+    estimates = _applicable_estimates(rho, bloch, inv, eigs, rank, diag.value, tol)
     if fmt == "json":
         payload = {
             "header": report_header(tolerance=tol),
@@ -267,6 +267,9 @@ def cmd_concurrence(state_path, tol, out_path, fmt):
 
 def cmd_validate(suites, samples, seed, out_path):
     """Run Monte-Carlo suites; exit 2 if any thresholded suite fails."""
+    # imported here, so that the other commands load none of the suites
+    from .validate import SUITES, run_suites
+
     names = suites or None
     if names:
         unknown = [n for n in names if n not in SUITES]
@@ -286,26 +289,24 @@ def cmd_validate(suites, samples, seed, out_path):
         raise _Exit(2, f"suite(s) failed: {failed}")
 
 
-def _csv(rows: list[list], header: list[str]) -> str:
-    out = [",".join(header)]
+def _emit_grid(rows, columns: list[str], out_path, fmt) -> None:
+    """Grid rows as CSV under a header of column names, or as JSON objects
+    keyed by them."""
+    if fmt == "json":
+        payload = {"header": report_header(), "rows": [dict(zip(columns, r)) for r in rows]}
+        _emit(canonical_dumps(payload), out_path)
+        return
+    out = [",".join(columns)]
     for row in rows:
         out.append(",".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(out) + "\n"
+    _emit("\n".join(out) + "\n", out_path)
 
 
 def cmd_region(resolution, out_path, fmt):
     """Emit the rank-4 weight-plane classification grid."""
-    rows = rank4_region(resolution)
-    if fmt == "json":
-        payload = {
-            "header": report_header(),
-            "rows": [
-                {"lambda1": l1, "lambda2": l2, "class": k} for l1, l2, k in rows
-            ],
-        }
-        _emit(canonical_dumps(payload), out_path)
-        return
-    _emit(_csv([list(r) for r in rows], ["lambda1", "lambda2", "class"]), out_path)
+    from .bounds import rank4_region
+
+    _emit_grid(rank4_region(resolution), ["lambda1", "lambda2", "class"], out_path, fmt)
 
 
 def cmd_ladder(resolution, out_path, fmt):
@@ -314,18 +315,8 @@ def cmd_ladder(resolution, out_path, fmt):
     lams = np.arange(resolution) / (resolution - 1)
     mats = check_states(ladder_matrix(lams))
     columns = (lams, batch_oracle(mats), expectation(mats, ("z", "z")), mats[:, 0, 0].real)
-    rows = [list(row) for row in zip(*(c.tolist() for c in columns))]
-    if fmt == "json":
-        payload = {
-            "header": report_header(),
-            "rows": [
-                {"lam": r[0], "concurrence": r[1], "szpz": r[2], "rho11": r[3]}
-                for r in rows
-            ],
-        }
-        _emit(canonical_dumps(payload), out_path)
-        return
-    _emit(_csv(rows, ["lam", "concurrence", "szpz", "rho11"]), out_path)
+    rows = zip(*(c.tolist() for c in columns))
+    _emit_grid(rows, ["lam", "concurrence", "szpz", "rho11"], out_path, fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -19,27 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigSolveFailure, NotNormalized
-from .qstate import NORM_TOL, PureState, SIGMA_Y, _as_matrix, _validated_matrix
+from .errors import EigSolveFailure
+from .qstate import NORM_TOL, PureState, _unit_vector, _validated_matrix
 
 #: pivots at or below this fraction of the largest diagonal entry count as zero
 EIG_CLAMP = 1e-12
 
-_YY = np.kron(SIGMA_Y, SIGMA_Y)
-#: x @ _YY is x with its columns reversed and signed by these, without a matmul
+#: x @ (sigma_y x sigma_y) is x with its columns reversed and signed by these,
+#: without a matmul
 _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 #: flat row-major positions of (i, j) below the diagonal and of (j, i), then i, j
 _LOWER = [(4 * i + j, 4 * j + i, i, j) for i in range(1, 4) for j in range(i)]
-
-
-def spin_flip(rho) -> np.ndarray:
-    """Spin-flipped companion (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y).
-
-    Returns a plain matrix; it is itself a valid density matrix and the map
-    is an involution.
-    """
-    m = _as_matrix(rho)
-    return _YY @ m.conj() @ _YY
 
 
 @dataclass(frozen=True)
@@ -225,15 +215,7 @@ def concurrence_pure(psi) -> float:
     """Concurrence of a pure state: 2 |c00 c11 - c01 c10|.
 
     Accepts a PureState or a raw amplitude vector; raises NotNormalized when
-    the norm is off by more than 1e-8.
+    the squared norm is not within 1e-8 of one (a NaN one is not).
     """
-    if isinstance(psi, PureState):
-        c = psi.amplitudes
-    else:
-        c = np.asarray(psi, dtype=complex).reshape(-1)
-        if c.shape != (4,):
-            raise NotNormalized(f"expected 4 amplitudes, got {c.shape}")
-        norm2 = float(np.vdot(c, c).real)
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise NotNormalized(f"squared norm is {norm2}, expected 1")
+    c = psi.amplitudes if isinstance(psi, PureState) else _unit_vector(psi, NORM_TOL)
     return float(2.0 * abs(c[0] * c[3] - c[1] * c[2]))

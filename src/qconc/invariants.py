@@ -40,10 +40,6 @@ class InvariantVector:
     def to_dict(self) -> dict:
         return {f"i{k}": float(v) for k, v in enumerate(self.as_array(), start=1)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "InvariantVector":
-        return cls(**{f"i{k}": float(d[f"i{k}"]) for k in range(1, 10)})
-
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise dot product of two (n, 3) stacks."""

@@ -26,11 +26,6 @@ OBS_LABELS = ("0", "x", "y", "z")
 _GRID_INDEX = {label: k for k, label in enumerate(OBS_LABELS)}
 FEASIBILITY_TOL = 1e-9
 
-#: the fifteen nontrivial observable pairs, identity-qubit entries first
-ALL_OBSERVABLES = tuple(
-    (i, j) for i in OBS_LABELS for j in OBS_LABELS if (i, j) != ("0", "0")
-)
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:

@@ -3,7 +3,7 @@
 Density operators on the computational basis |00>, |01>, |10>, |11> (first
 label is qubit A, 0 is the spin-up level), their Bloch-style decomposition
 into two polarization vectors and a 3x3 correlation matrix, numerical rank,
-local unitaries, and seeded random state generators.
+and seeded random state generators.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ PSD_TOL = 1e-10
 NORM_TOL = 1e-8
 PURE_NORM_TOL = 1e-12
 RANK_REL_TOL = 1e-9
-UNITARY_TOL = 1e-12
 #: draws (or redraw rounds) a rejection sampler makes before it raises
 #: SamplerExhausted; every sampler accepts well over a third of its draws
 REJECTION_LIMIT = 1000
@@ -32,20 +31,10 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-#: single-qubit operators keyed by axis label; "0" is the identity
-PAULI = {"0": ID2, "x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-AXES = ("x", "y", "z")
-
-
-def pauli_pair(i: str, j: str) -> np.ndarray:
-    """Kronecker product sigma_i (x) sigma_j, with "0" meaning identity."""
-    return np.kron(PAULI[i], PAULI[j])
-
-
-# all sixteen two-qubit Pauli products, indexed [i, j] over ("0","x","y","z")
-_PAULI_GRID = np.array(
-    [[pauli_pair(i, j) for j in ("0",) + AXES] for i in ("0",) + AXES]
-)
+# all sixteen two-qubit Pauli products sigma_i (x) sigma_j, indexed [i, j]
+# over ("0", "x", "y", "z"), "0" being the identity
+_PAULIS = (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PAULI_GRID = np.array([[np.kron(a, b) for b in _PAULIS] for a in _PAULIS])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -77,6 +66,18 @@ def _validated_matrix(rho) -> np.ndarray:
     if isinstance(rho, DensityOperator):
         return rho.matrix
     return DensityOperator(rho).matrix
+
+
+def _unit_vector(amplitudes, tol: float) -> np.ndarray:
+    """Four amplitudes as a complex vector; NotNormalized unless its squared
+    norm is within tol of one (a NaN one is not)."""
+    c = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if c.shape != (4,):
+        raise NotNormalized(f"expected 4 amplitudes, got {c.shape}")
+    norm2 = float(np.vdot(c, c).real)
+    if not abs(norm2 - 1.0) <= tol:
+        raise NotNormalized(f"squared norm is {norm2}, expected 1")
+    return c
 
 
 def _require_finite(*arrays) -> None:
@@ -305,11 +306,6 @@ class DensityOperator:
         """Eigenvalues in ascending order."""
         return np.linalg.eigvalsh(self.matrix)
 
-    @classmethod
-    def from_pure(cls, psi: "PureState") -> "DensityOperator":
-        c = psi.amplitudes
-        return cls(np.outer(c, c.conj()))
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -318,25 +314,12 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if c.shape != (4,):
-            raise NotNormalized(f"expected 4 amplitudes, got {c.shape}")
-        norm2 = float(np.vdot(c, c).real)
-        if abs(norm2 - 1.0) > PURE_NORM_TOL:
-            raise NotNormalized(f"squared norm is {norm2}, expected 1")
+        c = _unit_vector(self.amplitudes, PURE_NORM_TOL)
         object.__setattr__(self, "amplitudes", _freeze(c))
 
-    @classmethod
-    def normalized(cls, amplitudes) -> "PureState":
-        """Build a PureState after rescaling the amplitudes to unit norm."""
-        c = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        n = np.linalg.norm(c)
-        if n == 0.0:
-            raise NotNormalized("zero vector cannot be normalized")
-        return cls(c / n)
-
     def density(self) -> DensityOperator:
-        return DensityOperator.from_pure(self)
+        c = self.amplitudes
+        return DensityOperator(np.outer(c, c.conj()))
 
 
 @dataclass(frozen=True)
@@ -361,40 +344,6 @@ class BlochDecomposition:
         object.__setattr__(self, "p", _freeze(p))
         object.__setattr__(self, "s", _freeze(s))
         object.__setattr__(self, "pi", _freeze(pi))
-
-
-@dataclass(frozen=True)
-class LocalUnitary:
-    """Pair of single-qubit unitaries acting as u_a (x) u_b."""
-
-    u_a: np.ndarray
-    u_b: np.ndarray
-
-    def __post_init__(self):
-        for name in ("u_a", "u_b"):
-            u = np.asarray(getattr(self, name), dtype=complex)
-            if u.shape != (2, 2):
-                raise ValueError(f"{name} must be 2x2")
-            if np.abs(u @ u.conj().T - ID2).max() > UNITARY_TOL:
-                raise ValueError(f"{name} is not unitary within {UNITARY_TOL}")
-            object.__setattr__(self, name, _freeze(u))
-
-    def matrix(self) -> np.ndarray:
-        return np.kron(self.u_a, self.u_b)
-
-    @classmethod
-    def random(cls, seed) -> "LocalUnitary":
-        """Haar-random pair of single-qubit unitaries."""
-        rng = np.random.default_rng(seed)
-        return cls(haar_unitary2(rng), haar_unitary2(rng))
-
-
-def haar_unitary2(rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed 2x2 unitary drawn from the given generator."""
-    g = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def batch_decompose(mats: np.ndarray):
@@ -448,23 +397,12 @@ def assemble(bloch: BlochDecomposition) -> DensityOperator:
 
 def rank_of(rho, tol: float = RANK_REL_TOL) -> int:
     """Numerical rank: eigenvalues above tol times the largest one."""
-    evals = np.linalg.eigvalsh(_as_matrix(rho))
-    cutoff = tol * evals[-1]
-    return int(np.count_nonzero(evals > cutoff))
+    return _rank(np.linalg.eigvalsh(_as_matrix(rho)), tol)
 
 
-def apply_local(rho, u: LocalUnitary) -> DensityOperator:
-    """Conjugate the state by u_a (x) u_b."""
-    m = _as_matrix(rho)
-    big = u.matrix()
-    return DensityOperator(big @ m @ big.conj().T)
-
-
-def random_pure(seed) -> PureState:
-    """Haar-random two-qubit pure state; a fixed seed fixes the output."""
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return PureState(c / np.linalg.norm(c))
+def _rank(evals: np.ndarray, tol: float = RANK_REL_TOL) -> int:
+    """rank_of from an ascending spectrum, for a caller that has it already."""
+    return int(np.count_nonzero(evals > tol * evals[-1]))
 
 
 def random_rank_k(k: int, seed) -> DensityOperator:
@@ -496,10 +434,6 @@ def bell_state(kind: str) -> PureState:
         return PureState(_BELL_AMPLITUDES[kind])
     except KeyError:
         raise ValueError(f"unknown Bell state {kind!r}") from None
-
-
-def maximally_mixed() -> DensityOperator:
-    return DensityOperator(np.eye(4, dtype=complex) / 4.0)
 
 
 def werner_state(p: float) -> DensityOperator:

@@ -4,8 +4,8 @@ Two interchangeable state payloads are supported: an explicit complex
 matrix, {"matrix": [[{"re": .., "im": ..} x4] x4]}, and a Bloch payload,
 {"bloch": {"p": [..], "s": [..], "pi": [[..]]}}. Readers accept either and
 turn any malformed, non-finite or unphysical payload into InvalidState (or
-NotAState for Bloch data that is no state); writers emit whichever the
-caller built. All dumps are canonical (sorted keys, fixed indentation,
+NotAState for Bloch data that is no state); the writer emits the matrix
+form. All dumps are canonical (sorted keys, fixed indentation,
 trailing newline) so that a fixed seed and fixed flags give byte-identical
 files.
 """
@@ -57,16 +57,6 @@ def state_to_dict(rho: DensityOperator) -> dict:
     }
 
 
-def bloch_to_dict(bloch: BlochDecomposition) -> dict:
-    return {
-        "bloch": {
-            "p": [float(v) for v in bloch.p],
-            "s": [float(v) for v in bloch.s],
-            "pi": [[float(v) for v in row] for row in bloch.pi],
-        }
-    }
-
-
 def _matrix_from_payload(payload) -> DensityOperator:
     try:
         m = np.array(
@@ -99,11 +89,6 @@ def state_from_dict(payload: dict) -> DensityOperator:
     if "bloch" in payload:
         return _bloch_from_payload(payload["bloch"])
     raise InvalidState("state payload needs a 'matrix' or 'bloch' field")
-
-
-def write_state(path, rho: DensityOperator) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(state_to_dict(rho)))
 
 
 def read_state(path) -> DensityOperator:

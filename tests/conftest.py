@@ -23,6 +23,22 @@ def wootters_reference(matrix: np.ndarray) -> float:
     return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
 
 
+def bloch_payload(rho) -> dict:
+    """The Bloch form of a state file's payload, the one besides the matrix."""
+    from qconc.qstate import decompose
+
+    b = decompose(rho)
+    return {"bloch": {"p": b.p.tolist(), "s": b.s.tolist(), "pi": b.pi.tolist()}}
+
+
+def write_state(path, rho) -> None:
+    """A state file in the matrix form, as canonical text."""
+    from qconc.stateio import canonical_dumps, state_to_dict
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_dumps(state_to_dict(rho)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)

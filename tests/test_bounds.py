@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from qconc.bounds import (
     REGION_SEPARABLE,
     Rank3Mixture,
     Rank4Mixture,
+    _psi_concurrence,
+    _sep_matrix,
     assemble_rank3_max,
     assemble_rank4_max,
     classify_weights,
@@ -20,6 +24,7 @@ from qconc.bounds import (
     rank4_region,
 )
 from qconc.concurrence import concurrence_oracle
+from qconc.errors import NotNormalized
 from qconc.qstate import rank_of
 
 _R = 1.0 / math.sqrt(2.0)
@@ -34,7 +39,7 @@ class TestMixtures:
 
     def test_sep_matrix_is_separable(self):
         m = Rank3Mixture.random(2)
-        sep = m.sep_matrix()
+        sep = _sep_matrix(m)
         sep = sep / np.trace(sep).real
         assert concurrence_oracle(sep).value <= 1e-12
 
@@ -51,6 +56,26 @@ class TestMixtures:
             m = Rank4Mixture.random(rng)
             gap = rank4_bound(m) - concurrence_oracle(m.assemble()).value
             assert gap >= -1e-9
+
+    @pytest.mark.parametrize("cls", [Rank3Mixture, Rank4Mixture])
+    @pytest.mark.parametrize(
+        "field", ["a", "theta", "phi", "sep_angle1", "sep_phase1", "sep_angle2", "sep_phase2"]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_fields_rejected(self, cls, field, bad):
+        m = cls.random(5)
+        with pytest.raises(ValueError, match="a\\^2|finite") as single:
+            replace(m, **{field: bad})
+        block = cls.random(5, n=3)
+        column = getattr(block, field).copy()
+        column[1] = bad
+        with pytest.raises(ValueError) as stacked:
+            replace(block, **{field: column})
+        assert str(stacked.value) == str(single.value)
+
+    def test_psi_concurrence_rejects_a_nan_state(self):
+        with pytest.raises(NotNormalized):
+            _psi_concurrence(SimpleNamespace(psi=lambda: np.array([math.nan, 0.0, 0.0, 0.0])))
 
     def test_rank4_weight_simplex_enforced(self):
         with pytest.raises(ValueError):

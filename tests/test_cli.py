@@ -13,18 +13,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import qconc.cli as cli_mod
+from conftest import bloch_payload, write_state
+
+import qconc.validate
 from qconc.cli import main
 from qconc.concurrence import concurrence_oracle
 from qconc.estimators import Rank2Canonical, assemble_rank2
 from qconc.invariants import invariant_vector
-from qconc.qstate import decompose, maximally_mixed, random_rank_k
+from qconc.qstate import decompose, random_rank_k, werner_state
 from qconc.stateio import (
-    bloch_to_dict,
     canonical_dumps,
     read_state,
     state_to_dict,
-    write_state,
 )
 from qconc.validate import SuiteReport
 
@@ -306,7 +306,7 @@ class TestValidateCommand:
             suite="pure", samples=1, passed=False, max_deviation=1.0,
             mean_deviation=1.0, violations=1, tolerance=1e-8,
         )
-        monkeypatch.setattr(cli_mod, "run_suites", lambda *a, **kw: [bad])
+        monkeypatch.setattr(qconc.validate, "run_suites", lambda *a, **kw: [bad])
         code, out, _ = run(capsys, "validate", "--suite", "pure", "--samples", "1")
         assert code == 2
         assert json.loads(out)["all_passed"] is False
@@ -392,7 +392,7 @@ _VALUES = st.one_of(
 
 
 def _payload(rho, form):
-    return state_to_dict(rho) if form == "matrix" else bloch_to_dict(decompose(rho))
+    return state_to_dict(rho) if form == "matrix" else bloch_payload(rho)
 
 
 def _leaves(payload):
@@ -442,7 +442,7 @@ def _state_payloads(draw):
 
 def _uniform(value, form):
     """A payload of the given form with every number set to value."""
-    payload = _payload(maximally_mixed(), form)
+    payload = _payload(werner_state(0.0), form)
     for container, key in _leaves(payload):
         container[key] = value
     return payload

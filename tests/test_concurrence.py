@@ -10,7 +10,6 @@ from qconc.concurrence import (
     batch_oracle,
     concurrence_oracle,
     concurrence_pure,
-    spin_flip,
 )
 from qconc.errors import InvalidState, NotNormalized
 from qconc.qstate import (
@@ -18,12 +17,11 @@ from qconc.qstate import (
     SIGMA_Y,
     PureState,
     bell_state,
-    maximally_mixed,
-    random_pure,
     random_rank_k,
     werner_state,
 )
 from qconc.stateio import state_to_dict
+from qconc.validate import batch_random_pure
 
 
 def test_bell_states_are_maximally_entangled():
@@ -50,7 +48,7 @@ def test_werner_closed_form():
 
 
 def test_maximally_mixed_is_separable():
-    assert concurrence_oracle(maximally_mixed()).value == 0.0
+    assert concurrence_oracle(werner_state(0.0)).value == 0.0
 
 
 @settings(max_examples=80, deadline=None)
@@ -77,26 +75,10 @@ def test_diagnostics_from_lambdas_clamps_at_zero():
     assert diag.value == 0.0
 
 
-class TestSpinFlip:
-    def test_involution(self):
-        rho = random_rank_k(3, seed=7)
-        np.testing.assert_allclose(
-            spin_flip(spin_flip(rho)), rho.matrix, atol=1e-14
-        )
-
-    def test_preserves_statehood(self):
-        flipped = DensityOperator(spin_flip(random_rank_k(4, seed=3)))
-        assert flipped.purity() <= 1.0 + 1e-12
-
-    def test_bell_state_is_fixed_point(self):
-        rho = bell_state("phi+").density()
-        np.testing.assert_allclose(spin_flip(rho), rho.matrix, atol=1e-14)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_pure_formula_matches_oracle(seed):
-    psi = random_pure(seed)
+    psi = PureState(batch_random_pure(np.random.default_rng(seed), 1)[0])
     direct = concurrence_pure(psi)
     oracle = concurrence_oracle(psi.density()).value
     assert direct == pytest.approx(oracle, abs=1e-10)
@@ -110,6 +92,12 @@ def test_concurrence_pure_accepts_raw_vector():
 def test_concurrence_pure_rejects_bad_norm():
     with pytest.raises(NotNormalized):
         concurrence_pure(np.array([1.0, 0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_concurrence_pure_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(NotNormalized):
+        concurrence_pure(np.array([bad, 0.0, 0.0, 0.0]))
 
 
 def test_concurrence_pure_rejects_bad_shape():

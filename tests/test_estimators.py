@@ -37,7 +37,8 @@ from qconc.estimators import (
     xstate_concurrence_invariant,
 )
 from qconc.invariants import InvariantVector, invariant_vector
-from qconc.qstate import bell_state, decompose, random_pure, rank_of, werner_state
+from qconc.qstate import PureState, bell_state, decompose, rank_of, werner_state
+from qconc.validate import batch_random_pure
 
 
 def _invariants(rho) -> InvariantVector:
@@ -50,7 +51,7 @@ def _invariants(rho) -> InvariantVector:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_estimate_pure_matches_amplitude_formula(seed):
-    psi = random_pure(seed)
+    psi = PureState(batch_random_pure(np.random.default_rng(seed), 1)[0])
     est = estimate_pure(_invariants(psi.density()))
     assert est == pytest.approx(concurrence_pure(psi), abs=1e-10)
 

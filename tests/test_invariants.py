@@ -11,19 +11,18 @@ from qconc.invariants import (
 )
 from qconc.qstate import (
     BlochDecomposition,
-    LocalUnitary,
-    apply_local,
+    DensityOperator,
+    PureState,
     bell_state,
     decompose,
-    maximally_mixed,
-    random_pure,
     random_rank_k,
     werner_state,
 )
+from qconc.validate import batch_haar_u2, batch_random_pure
 
 
 def test_maximally_mixed_invariants_vanish():
-    inv = invariant_vector(decompose(maximally_mixed()))
+    inv = invariant_vector(decompose(werner_state(0.0)))
     assert np.abs(inv.as_array()).max() == 0.0
 
 
@@ -52,7 +51,8 @@ def test_werner_invariants_scale_quadratically():
 )
 def test_invariance_under_local_unitaries(state_seed, k, u_seed):
     rho = random_rank_k(k, state_seed)
-    rotated = apply_local(rho, LocalUnitary.random(u_seed))
+    u = np.kron(*batch_haar_u2(np.random.default_rng(u_seed), 2))
+    rotated = DensityOperator(u @ rho.matrix @ u.conj().T)
     before = invariant_vector(decompose(rho)).as_array()
     after = invariant_vector(decompose(rotated)).as_array()
     assert np.abs(before - after).max() < 1e-10
@@ -86,7 +86,7 @@ def test_i3_tolerance_is_adjustable():
 
 def test_invariant_vector_dict_roundtrip():
     inv = invariant_vector(decompose(werner_state(0.5)))
-    again = InvariantVector.from_dict(inv.to_dict())
+    again = InvariantVector(**inv.to_dict())
     np.testing.assert_array_equal(inv.as_array(), again.as_array())
 
 
@@ -98,7 +98,8 @@ def _residuals(rho):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_purity_residuals_vanish_on_pure_states(seed):
-    r1, r2 = _residuals(random_pure(seed).density())
+    psi = PureState(batch_random_pure(np.random.default_rng(seed), 1)[0])
+    r1, r2 = _residuals(psi.density())
     assert abs(r1) < 1e-12
     assert abs(r2) < 1e-12
 

@@ -1,3 +1,5 @@
+import importlib
+import json
 import os
 import re
 import subprocess
@@ -5,18 +7,64 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import qconc
 from qconc.stateio import TOOL_VERSION
 
 
 def test_all_lists_exactly_the_public_names():
-    public = {
-        name
-        for name, value in vars(qconc).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
+    """Each name of __all__ resolves to the object of the module that defines
+    it, and dir() lists exactly those names."""
     assert len(qconc.__all__) == len(set(qconc.__all__))
-    assert set(qconc.__all__) == public | {"__version__"}
+    for name in qconc.__all__:
+        module, attr = qconc._WHERE[name]
+        defining = importlib.import_module(f"qconc.{module}")
+        value = getattr(qconc, name)
+        assert value is getattr(defining, attr)
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == defining.__name__
+    public = {name for name in dir(qconc) if not name.startswith("_")}
+    assert public | {"__version__"} == set(qconc.__all__)
+
+
+def test_unknown_names_raise():
+    with pytest.raises(ImportError):
+        from qconc import nope  # noqa: F401
+    with pytest.raises(AttributeError):
+        getattr(qconc, "nope")
+
+
+def _run_fresh(code: str) -> str:
+    """What code prints in a fresh interpreter that imports qconc from this tree."""
+    src = str(Path(qconc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout
+
+
+#: a decimal number that is not the tail of a name such as Rank2Canonical
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def test_readme_quick_start_prints_its_comments():
+    """The README's library quick start runs in a fresh interpreter, and each
+    print gives the numbers of the comment beside it, to 1e-12."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    expected = [
+        [float(x) for x in _NUMBER.findall(line.split("#", 1)[1])]
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    assert len(expected) == 3 and all(expected)
+    printed = _run_fresh(code).splitlines()
+    assert len(printed) == len(expected)
+    for line, numbers in zip(printed, expected):
+        assert [float(x) for x in _NUMBER.findall(line)] == pytest.approx(numbers, abs=1e-12)
 
 
 def _declared_version() -> str:
@@ -31,13 +79,20 @@ def test_version_literal_matches_pyproject():
     assert qconc.__version__ == TOOL_VERSION == _declared_version() == "0.1.0"
 
 
+def _loaded_after(statement: str) -> list[str]:
+    """The qconc and click modules a fresh interpreter holds after statement."""
+    probe = (
+        f"import json, sys; {statement}; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('qconc', 'click'))))"
+    )
+    return json.loads(_run_fresh(probe))
+
+
 def test_cli_import_leaves_click_out():
     """The CLI parses with the standard library; its one runtime dependency
-    is numpy."""
-    src = str(Path(qconc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, qconc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout == "[]\n"
+    is numpy. The package loads no submodule until a name is used, and the
+    CLI loads the suites and the bounds only for the commands that run them."""
+    assert _loaded_after("import qconc") == ["qconc"]
+    loaded = _loaded_after("import qconc.cli")
+    assert "qconc.cli" in loaded
+    assert not {"qconc.validate", "qconc.bounds", "click"} & set(loaded)

@@ -7,25 +7,25 @@ from hypothesis import strategies as st
 
 from qconc.errors import InvalidState, NotAState, NotNormalized
 from qconc.qstate import (
-    AXES,
-    PAULI,
+    _PAULI_GRID,
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     BlochDecomposition,
     DensityOperator,
-    LocalUnitary,
     PureState,
-    apply_local,
     assemble,
     bell_state,
     check_states,
     decompose,
-    haar_unitary2,
-    maximally_mixed,
-    pauli_pair,
-    random_pure,
     random_rank_k,
     rank_of,
     werner_state,
 )
+from qconc.validate import batch_haar_u2, batch_random_pure
+
+_SIGMAS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 class TestDensityOperator:
@@ -53,7 +53,7 @@ class TestDensityOperator:
             DensityOperator(m)
 
     def test_matrix_is_immutable(self):
-        rho = maximally_mixed()
+        rho = werner_state(0.0)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
 
@@ -211,13 +211,14 @@ class TestPureState:
         with pytest.raises(NotNormalized):
             PureState(np.array([1.0, 1.0, 0.0, 0.0]))
 
-    def test_normalized_constructor(self):
-        psi = PureState.normalized([1.0, 1.0, 0.0, 0.0])
-        assert np.vdot(psi.amplitudes, psi.amplitudes).real == pytest.approx(1.0)
-
     def test_zero_vector_rejected(self):
         with pytest.raises(NotNormalized):
-            PureState.normalized(np.zeros(4))
+            PureState(np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(NotNormalized):
+            PureState([bad, 0.0, 0.0, 0.0])
 
     def test_density_is_projector(self):
         rho = bell_state("psi-").density()
@@ -225,13 +226,13 @@ class TestPureState:
 
 
 def test_pauli_pair_matches_kron():
-    for i in ("0",) + AXES:
-        for j in ("0",) + AXES:
-            np.testing.assert_allclose(pauli_pair(i, j), np.kron(PAULI[i], PAULI[j]))
+    for i, a in enumerate((ID2,) + _SIGMAS):
+        for j, b in enumerate((ID2,) + _SIGMAS):
+            np.testing.assert_array_equal(_PAULI_GRID[i, j], np.kron(a, b))
 
 
 def test_decompose_assemble_roundtrip_named_states():
-    for rho in (maximally_mixed(), werner_state(0.7), bell_state("phi-").density()):
+    for rho in (werner_state(0.0), werner_state(0.7), bell_state("phi-").density()):
         back = assemble(decompose(rho))
         np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-14)
 
@@ -264,33 +265,26 @@ def test_rank_of_exact_ranks():
 
 def test_rank_of_named_states():
     assert rank_of(bell_state("phi+").density()) == 1
-    assert rank_of(maximally_mixed()) == 4
+    assert rank_of(werner_state(0.0)) == 4
     assert rank_of(werner_state(1.0)) == 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_haar_unitary_is_unitary(seed):
-    u = haar_unitary2(np.random.default_rng(seed))
-    np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+    for u in batch_haar_u2(np.random.default_rng(seed), 4):
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
 
 class TestLocalUnitary:
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            LocalUnitary(np.ones((2, 2)), np.eye(2))
-
-    def test_matrix_is_kron(self):
-        lu = LocalUnitary.random(3)
-        np.testing.assert_allclose(lu.matrix(), np.kron(lu.u_a, lu.u_b))
-
     def test_rotations_transform_bloch_fields(self):
         """decompose(u rho u+) must equal the rotated Bloch fields of rho."""
-        lu = LocalUnitary.random(21)
+        u_a, u_b = batch_haar_u2(np.random.default_rng(21), 2)
+        u = np.kron(u_a, u_b)
         rho = random_rank_k(3, seed=5)
-        ra, rb = _rotation(lu.u_a), _rotation(lu.u_b)
+        ra, rb = _rotation(u_a), _rotation(u_b)
         before = decompose(rho)
-        after = decompose(apply_local(rho, lu))
+        after = decompose(DensityOperator(u @ rho.matrix @ u.conj().T))
         np.testing.assert_allclose(after.p, ra @ before.p, atol=1e-12)
         np.testing.assert_allclose(after.s, rb @ before.s, atol=1e-12)
         np.testing.assert_allclose(after.pi, ra @ before.pi @ rb.T, atol=1e-12)
@@ -300,23 +294,11 @@ def _rotation(u: np.ndarray) -> np.ndarray:
     """Rotation R[i, j] = Tr(sigma_i u sigma_j u^dag) / 2 that u induces on a
     Bloch vector."""
     ud = u.conj().T
-    return np.array(
-        [[0.5 * np.trace(PAULI[i] @ u @ PAULI[j] @ ud).real for j in AXES] for i in AXES]
-    )
-
-
-def test_apply_local_preserves_spectrum():
-    rho = random_rank_k(4, seed=11)
-    rotated = apply_local(rho, LocalUnitary.random(12))
-    np.testing.assert_allclose(
-        rotated.eigenvalues(), rho.eigenvalues(), atol=1e-12
-    )
+    return np.array([[0.5 * np.trace(a @ u @ b @ ud).real for b in _SIGMAS] for a in _SIGMAS])
 
 
 def test_random_pure_is_deterministic_by_seed():
-    a = random_pure(42).amplitudes
-    b = random_pure(42).amplitudes
-    c = random_pure(43).amplitudes
+    a, b, c = (batch_random_pure(np.random.default_rng(s), 3) for s in (42, 42, 43))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 

@@ -15,7 +15,7 @@ import pytest
 from mpmath import mp
 
 from qconc.concurrence import batch_oracle
-from qconc.qstate import SIGMA_Y, haar_unitary2
+from qconc.qstate import SIGMA_Y
 
 REFEREE_DIGITS = 50
 
@@ -49,9 +49,17 @@ def _normalized(w):
     return w / np.sqrt(np.sum(np.abs(w) ** 2))
 
 
+def _haar_u2(rng):
+    """A Haar-random 2x2 unitary, drawn as the cases below were first drawn."""
+    g = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def _local(rng, w):
     """W under a random local unitary, which keeps the spin-flip spectrum."""
-    return np.kron(haar_unitary2(rng), haar_unitary2(rng)) @ w
+    return np.kron(_haar_u2(rng), _haar_u2(rng)) @ w
 
 
 def _boundary_weight(w):

@@ -17,6 +17,7 @@ from qconc.bounds import (
     Rank3Mixture,
     Rank4Mixture,
     _h3_projector,
+    _sep_matrix,
     assemble_rank3_max,
     assemble_rank4_max,
     rank3_bound,
@@ -311,7 +312,7 @@ def test_rank4_mixture_matrix_keeps_the_rank3_payload_bits():
             sep_phase2=m.sep_phase2,
         )
         psi = inner.psi()
-        rho2 = m.mu * inner.sep_matrix() + (1.0 - m.mu) * np.outer(psi, psi.conj())
+        rho2 = m.mu * _sep_matrix(inner) + (1.0 - m.mu) * np.outer(psi, psi.conj())
         old = m.lambda1 * np.eye(4, dtype=complex) / 4.0
         old += m.lambda2 * _h3_projector(m.a, m.b) / 3.0
         old += (1.0 - m.lambda1 - m.lambda2) * rho2

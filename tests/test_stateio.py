@@ -3,16 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from conftest import bloch_payload, write_state
+
 from qconc.errors import InvalidState
-from qconc.qstate import bell_state, decompose, random_rank_k, werner_state
+from qconc.qstate import bell_state, random_rank_k, werner_state
 from qconc.stateio import (
-    bloch_to_dict,
     canonical_dumps,
     read_state,
     report_header,
     state_from_dict,
     state_to_dict,
-    write_state,
 )
 
 
@@ -45,7 +45,7 @@ class TestStatePayloads:
 
     def test_bloch_roundtrip(self):
         rho = werner_state(0.7)
-        back = state_from_dict(bloch_to_dict(decompose(rho)))
+        back = state_from_dict(bloch_payload(rho))
         np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-12)
 
     def test_json_text_is_reparseable(self):
