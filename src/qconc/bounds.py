@@ -16,22 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized
 from .qstate import (
-    NORM_TOL,
     DensityOperator,
-    _any,
+    _check_ab,
+    _check_finite,
+    _check_nonnegative,
+    _check_unit_interval,
     _cos_sin,
     _Guards,
     _math,
     _outer,
     _one_or_block,
-    _outside,
     _per_row,
     _vec4,
 )
-
-WEIGHT_TOL = 1e-10
 
 _EYE4 = np.eye(4, dtype=complex)
 _EYE4.flags.writeable = False
@@ -72,27 +70,6 @@ def _h3_product_state(a, b, angle, phase) -> np.ndarray:
     return (qa[..., :, None] * qb[..., None, :]).reshape(np.shape(ph) + (4,))
 
 
-def _check_unit_interval(guards: _Guards, name: str, value) -> None:
-    guards.check(_outside(value, -1e-12, 1.0 + 1e-12), ValueError, "{} must lie in [0, 1]", name)
-
-
-def _check_ab(guards: _Guards, a, b) -> None:
-    guards.check((a < 0.0) | (b < 0.0), ValueError, "a and b must be nonnegative")
-    off_norm = np.logical_not(abs(a * a + b * b - 1.0) <= WEIGHT_TOL)  # NaN is off
-    guards.check(off_norm, ValueError, "a^2 + b^2 must equal 1")
-
-
-def _check_angles(guards: _Guards, m) -> None:
-    """A mixture's payload angles, which any finite value suits."""
-    for name in ("theta", "phi", "sep_angle1", "sep_phase1", "sep_angle2", "sep_phase2"):
-        guards.check(~np.isfinite(getattr(m, name)), ValueError, "{} must be finite", name)
-
-
-def _check_weights(lambda1, lambda2) -> None:
-    if _any((lambda1 < 0.0) | (lambda2 < 0.0) | (lambda1 + lambda2 > 1.0 + 1e-12)):
-        raise ValueError("weights must be nonnegative with sum at most 1")
-
-
 def _psi_in_h3(a, b, theta, phi) -> np.ndarray:
     ct, st = _cos_sin(theta)
     cp, sp = _cos_sin(phi)
@@ -117,12 +94,9 @@ def _psi_concurrence(m):
     """C(psi) = 2 |c00 c11 - c01 c10| of the mixture's in-span pure state.
 
     psi is real, so the real products give concurrence_pure's complex ones
-    bit for bit; like it, an off-norm psi raises NotNormalized.
+    bit for bit; the mixture's checks keep it at unit norm.
     """
     c = m.psi().real
-    norm2 = (c * c).sum(axis=-1)
-    if not np.all(abs(norm2 - 1.0) <= NORM_TOL):  # NaN fails too
-        raise NotNormalized(f"squared norm is {norm2}, expected 1")
     return 2.0 * abs(c[..., 0] * c[..., 3] - c[..., 1] * c[..., 2])
 
 
@@ -173,11 +147,11 @@ class Rank3Mixture:
 
     def __post_init__(self):
         guards = _Guards()
+        _check_finite(guards, self)
         _check_unit_interval(guards, "lam", self.lam)
         _check_unit_interval(guards, "mu", self.mu)
         _check_unit_interval(guards, "sep_weight", self.sep_weight)
         _check_ab(guards, self.a, self.b)
-        _check_angles(guards, self)
         guards.settle(None)
 
     def psi(self) -> np.ndarray:
@@ -226,13 +200,12 @@ class Rank4Mixture:
 
     def __post_init__(self):
         guards, l1, l2 = _Guards(), self.lambda1, self.lambda2
-        negative = (l1 < -1e-12) | (l2 < -1e-12)
-        guards.check(negative, ValueError, "lambda1 and lambda2 must be nonnegative")
-        guards.check(l1 + l2 > 1.0 + 1e-12, ValueError, "lambda1 + lambda2 must not exceed 1")
+        _check_finite(guards, self)
+        _check_nonnegative(guards, "lambda1 and lambda2 must be nonnegative", l1, l2, slack=1e-12)
+        _check_unit_interval(guards, "lambda1 + lambda2", l1 + l2)
         _check_unit_interval(guards, "mu", self.mu)
         _check_unit_interval(guards, "sep_weight", self.sep_weight)
         _check_ab(guards, self.a, self.b)
-        _check_angles(guards, self)
         guards.settle(None)
 
     def psi(self) -> np.ndarray:
@@ -304,18 +277,6 @@ def rank3_threshold(a: float, b: float) -> float:
 
 
 _R = 1.0 / math.sqrt(2.0)
-#: Pi3 and |psi+><psi+| at a = b = 1/sqrt 2, shared (read-only) by every
-#: maximal rank-4 state and by the shot suite's rank-3 states
-_PLUS_PARTS = (_h3_projector(_R, _R), _outer(_vec4(0.0, _R, _R, 0.0)))
-for _part in _PLUS_PARTS:
-    _part.flags.writeable = False
-
-
-def _max_parts(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Pi3 and |psi_ab><psi_ab| with psi_ab = a|01> + b|10>."""
-    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray) and a == b == _R:
-        return _PLUS_PARTS
-    return _h3_projector(a, b), _outer(_vec4(0.0, a, b, 0.0))
 
 
 def rank3_max_matrix(lam, a, b) -> np.ndarray:
@@ -325,9 +286,8 @@ def rank3_max_matrix(lam, a, b) -> np.ndarray:
     _check_unit_interval(guards, "lam", lam)
     _check_ab(guards, a, b)
     guards.settle(None)
-    projector, pure = _max_parts(a, b)
-    m = _per_row(lam) * projector / 3.0
-    return m + _per_row(1.0 - lam) * pure
+    m = _per_row(lam) * _h3_projector(a, b) / 3.0
+    return m + _per_row(1.0 - lam) * _outer(_vec4(0.0, a, b, 0.0))
 
 
 def assemble_rank3_max(lam: float, a: float, b: float) -> DensityOperator:
@@ -344,9 +304,11 @@ def rank4_max_concurrence(lambda1: float, lambda2: float) -> float:
     root is the boundary 9 lam1 + 8 lam2 = 6. The validation harness gates
     the exact form against the oracle and reports this one.
     """
-    _check_weights(lambda1, lambda2)
+    guards = _Guards()
+    _check_nonnegative(guards, "lambda1 and lambda2 must be nonnegative", lambda1, lambda2)
+    _check_unit_interval(guards, "lambda1 + lambda2", lambda1 + lambda2)
     ab = 0.5
-    return (
+    return guards.settle(
         lambda2 * ab / 3.0
         + (1.0 - lambda1 - lambda2) / 2.0
         - lambda1 / 4.0
@@ -357,11 +319,13 @@ def rank4_max_concurrence(lambda1: float, lambda2: float) -> float:
 def rank4_max_matrix(lambda1, lambda2) -> np.ndarray:
     """Unvalidated lam1 I/4 + lam2 Pi3/3 + (1 - lam1 - lam2) |psi+><psi+|; an
     (n, 4, 4) stack for (n,) arrays of weights."""
-    _check_weights(lambda1, lambda2)
-    projector, pure = _PLUS_PARTS
+    guards = _Guards()
+    _check_nonnegative(guards, "lambda1 and lambda2 must be nonnegative", lambda1, lambda2)
+    _check_unit_interval(guards, "lambda1 + lambda2", lambda1 + lambda2)
+    guards.settle(None)
     m = _per_row(lambda1) * _EYE4 / 4.0
-    m = m + _per_row(lambda2) * projector / 3.0
-    m += _per_row(1.0 - lambda1 - lambda2) * pure
+    m = m + _per_row(lambda2) * _h3_projector(_R, _R) / 3.0
+    m += _per_row(1.0 - lambda1 - lambda2) * _outer(_vec4(0.0, _R, _R, 0.0))
     return m
 
 

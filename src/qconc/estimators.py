@@ -17,7 +17,6 @@ Each estimator targets a specific family of low-rank states:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,10 +24,14 @@ import numpy as np
 
 from .errors import DomainError, I1Zero, NotPure, ReconstructionDegenerate
 from .invariants import InvariantVector, purity_residuals
-from .measurement import _check_correlation
 from .qstate import (
     DensityOperator,
-    _any,
+    _check_ab,
+    _check_correlation,
+    _check_finite,
+    _check_nonnegative,
+    _check_unit_interval,
+    _check_unit_sum,
     _cos_sin,
     _Guards,
     _math,
@@ -36,13 +39,11 @@ from .qstate import (
     _outside,
     _per_row,
     _vec4,
-    _within,
 )
 
 PURITY_RESIDUAL_TOL = 1e-6
 DEGENERACY_TOL = 1e-8
 RADICAND_TOL = 1e-10
-WEIGHT_TOL = 1e-10
 
 _TWO_PI = 2.0 * math.pi
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -57,12 +58,14 @@ _P00.flags.writeable = False
 # rows' results bit for bit; a block raises what its first failing row raises.
 
 
-def _guard_radicand(guards: _Guards, x, tol: float = RADICAND_TOL):
+def _guard_radicand(guards: _Guards, x):
     """Clamp a slightly negative radicand to zero; reject a clearly negative
     or a non-finite one."""
     # past the largest finite float on either side: inf, -inf or NaN
     guards.check(_outside(x, -_FLOAT_MAX, _FLOAT_MAX), DomainError, "radicand {} is not finite", x)
-    guards.check(x < -tol, DomainError, "radicand {} is negative beyond tolerance {}", x, tol)
+    guards.check(
+        x < -RADICAND_TOL, DomainError, "radicand {} is negative beyond tolerance {}", x, RADICAND_TOL
+    )
     return _math(max, x, 0.0)
 
 
@@ -100,14 +103,15 @@ class Rank2Canonical:
     eta: float
 
     def __post_init__(self):
-        if not _within(self.nu, -1e-12, 1.0 + 1e-12):
-            raise ValueError("nu must lie in [0, 1]")
-        half_pi = math.pi / 2.0
+        guards = _Guards()
+        _check_finite(guards, self)
+        _check_unit_interval(guards, "nu", self.nu)
         for name in ("alpha", "beta", "eta"):
-            if not _within(getattr(self, name), -1e-12, half_pi + 1e-12):
-                raise ValueError(f"{name} must lie in [0, pi/2]")
-        if not _within(self.gamma, -1e-12, _TWO_PI + 1e-12):
-            raise ValueError("gamma must lie in [0, 2 pi)")
+            bad = _outside(getattr(self, name), -1e-12, math.pi / 2.0 + 1e-12)
+            guards.check(bad, ValueError, "{} must lie in [0, pi/2]", name)
+        bad = _outside(self.gamma, -1e-12, _TWO_PI + 1e-12)
+        guards.check(bad, ValueError, "gamma must lie in [0, 2 pi)")
+        guards.settle(None)
 
 
 def canonical_vectors_rank2(params: Rank2Canonical) -> tuple[np.ndarray, np.ndarray]:
@@ -171,21 +175,21 @@ def local_observables_rank2(params: Rank2Canonical) -> tuple[np.ndarray, np.ndar
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def reconstruct_rank2(p, s, tol: float = DEGENERACY_TOL) -> Rank2Canonical:
+def reconstruct_rank2(p, s) -> Rank2Canonical:
     """Recover the canonical rank-2 parameters from the two polarizations.
 
     The inversion runs on ratios of the measured components: the y ratio
     fixes the Schmidt angle, two x/y combinations fix the transverse angles
     (the sign of p_y resolves the azimuthal reflection), and the z components
     fix the eigenvalue weight and the mixing angle. Whenever a required
-    denominator falls below tol the map is singular there and
+    denominator falls below DEGENERACY_TOL the map is singular there and
     ReconstructionDegenerate is raised; callers should fall back to the
     degenerate-family estimator. Two (n, 3) stacks of polarizations give a
     block of n parameter sets.
     """
     p, s = np.asarray(p, dtype=float), np.asarray(s, dtype=float)
     (px, py, pz), (sx, sy, sz) = (p.T, s.T) if p.ndim == 2 else (p.tolist(), s.tolist())
-    guards = _Guards()
+    guards, tol = _Guards(), DEGENERACY_TOL
 
     def degenerate(bad, message: str, *values) -> None:
         guards.check(bad, ReconstructionDegenerate, message, *values)
@@ -249,13 +253,12 @@ class Rank2SepDecomp:
     phase: float
 
     def __post_init__(self):
-        for name in ("lam", "mu"):
-            if not _within(getattr(self, name), -1e-12, 1.0 + 1e-12):
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if _any((self.a < 0.0) | (self.b < 0.0)):
-            raise ValueError("a and b must be nonnegative")
-        if _any(abs(self.a**2 + self.b**2 - 1.0) > WEIGHT_TOL):
-            raise ValueError("a^2 + b^2 must equal 1")
+        guards = _Guards()
+        _check_finite(guards, self)
+        _check_unit_interval(guards, "lam", self.lam)
+        _check_unit_interval(guards, "mu", self.mu)
+        _check_ab(guards, self.a, self.b)
+        guards.settle(None)
 
 
 _E00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
@@ -312,13 +315,13 @@ class Rank2Degenerate:
     c: complex
 
     def __post_init__(self):
-        if not _within(self.lam, -1e-12, 1.0 + 1e-12):
-            raise ValueError("lam must lie in [0, 1]")
-        if _any((self.r1 < 0.0) | (self.r2 < 0.0)):
-            raise ValueError("r1 and r2 must be nonnegative")
+        guards = _Guards()
+        _check_finite(guards, self)
+        _check_unit_interval(guards, "lam", self.lam)
+        _check_nonnegative(guards, "r1 and r2 must be nonnegative", self.r1, self.r2)
         norm2 = self.r1**2 + abs(self.c) ** 2 + self.r2**2
-        if _any(abs(norm2 - 1.0) > WEIGHT_TOL):
-            raise ValueError("r1^2 + |c|^2 + r2^2 must equal 1")
+        _check_unit_sum(guards, norm2, "r1^2 + |c|^2 + r2^2 must equal 1")
+        guards.settle(None)
 
 
 def rank2_degenerate_matrix(params: Rank2Degenerate) -> np.ndarray:
@@ -374,21 +377,16 @@ class XState:
     z: complex
 
     def __post_init__(self):
+        guards = _Guards()
+        _check_finite(guards, self)
         weights = (self.u_plus, self.w1, self.w2, self.u_minus)
-        if isinstance(self.z, np.ndarray):
-            finite = np.isfinite(weights).all() and np.isfinite(self.z).all()
-            low = np.min(weights, axis=0)
-        else:
-            finite = all(map(math.isfinite, weights)) and cmath.isfinite(self.z)
-            low = min(weights)
-        if not finite:
-            raise ValueError("weights and z must be finite")
-        if _any(low < -1e-12):
-            raise ValueError("diagonal weights must be nonnegative")
-        if _any(abs(sum(weights) - 1.0) > WEIGHT_TOL):
-            raise ValueError("diagonal weights must sum to 1")
-        if _any(abs(self.z) ** 2 > self.w1 * self.w2 + 1e-12):
-            raise ValueError("|z|^2 must not exceed w1 w2")
+        _check_nonnegative(guards, "diagonal weights must be nonnegative", *weights, slack=1e-12)
+        _check_unit_sum(guards, sum(weights), "diagonal weights must sum to 1")
+        # from the parts: abs() of a huge Python complex raises OverflowError
+        z2 = self.z.real * self.z.real + self.z.imag * self.z.imag
+        bad = _outside(z2, 0.0, self.w1 * self.w2 + 1e-12)
+        guards.check(bad, ValueError, "|z|^2 must not exceed w1 w2")
+        guards.settle(None)
 
 
 def xstate_matrix(x: XState) -> np.ndarray:
@@ -449,8 +447,9 @@ _SINGLET.flags.writeable = False
 
 
 def _check_ladder_lam(lam) -> None:
-    if not _within(lam, 0.0, 1.0):
-        raise ValueError("lam must lie in [0, 1]")
+    guards = _Guards()
+    _check_unit_interval(guards, "lam", lam, slack=0.0)
+    guards.settle(None)
 
 
 def ladder_matrix(lam) -> np.ndarray:

@@ -55,14 +55,12 @@ def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[:, _NEXT] * y[:, _PREV] - x[:, _PREV] * y[:, _NEXT]
 
 
-def batch_invariants(
-    p: np.ndarray, s: np.ndarray, pi: np.ndarray, tol: float = I3_TOL
-) -> np.ndarray:
+def batch_invariants(p: np.ndarray, s: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """The nine invariants of each state in a stack of Bloch fields, shape (n, 9).
 
     The third invariant is computed along both contractions, p . (pi s) and
     s . (pi^T p); they are equal for any correlation matrix, so a mismatch
-    beyond tol signals corrupted input and raises I3Mismatch. The fields are
+    beyond I3_TOL signals corrupted input and raises I3Mismatch. The fields are
     made C-contiguous first so every row rounds like a single-state call.
     """
     p, s, pi = (np.ascontiguousarray(x, dtype=float) for x in (p, s, pi))
@@ -73,7 +71,7 @@ def batch_invariants(
     out = np.empty((p.shape[0], 9))
     out[:, 2] = _dot(p, a)
     i3_sb = _dot(s, b)
-    mismatch = np.abs(out[:, 2] - i3_sb) > tol
+    mismatch = np.abs(out[:, 2] - i3_sb) > I3_TOL
     if mismatch.any():
         k = int(np.argmax(mismatch))
         raise I3Mismatch(f"p.a = {out[k, 2]} but s.b = {i3_sb[k]}")
@@ -89,9 +87,9 @@ def batch_invariants(
     return out
 
 
-def invariant_vector(bloch: BlochDecomposition, tol: float = I3_TOL) -> InvariantVector:
+def invariant_vector(bloch: BlochDecomposition) -> InvariantVector:
     """Evaluate all nine invariants of one state; see :func:`batch_invariants`."""
-    row = batch_invariants(bloch.p[None], bloch.s[None], bloch.pi[None], tol)[0]
+    row = batch_invariants(bloch.p[None], bloch.s[None], bloch.pi[None])[0]
     return InvariantVector(*(float(v) for v in row))
 
 

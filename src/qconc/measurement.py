@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Infeasible
-from .qstate import _PAULI_GRID, _any, _as_matrix, _Guards, _math, _outside
+from .qstate import _PAULI_GRID, _as_matrix, _Guards, _math, _outside
+from .qstate import _check_correlation, _check_finite, _check_nonnegative
 
 OBS_LABELS = ("0", "x", "y", "z")
 #: position of each label along both axes of the Pauli-product grid
@@ -29,7 +30,8 @@ FEASIBILITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """One measured observable: the pair of labels, the mean, optional shots.
+    """One measured observable: the pair of labels, the shot mean and count,
+    and the mean's standard error.
 
     With (n,) array expectation and std_error it is a block: the same
     observable measured on each of n states, with the same shot count.
@@ -37,25 +39,19 @@ class MeasurementRecord:
 
     observable: tuple[str, str]
     expectation: float
-    shots: int | None = None
-    std_error: float | None = None
+    shots: int
+    std_error: float
 
     def __post_init__(self):
-        i, j = self.observable
-        if i not in OBS_LABELS or j not in OBS_LABELS:
-            raise ValueError(f"unknown observable pair {self.observable!r}")
-        if self.shots is None:
-            if _any(abs(self.expectation) > 1.0 + 1e-12):
-                raise ValueError("exact expectation must lie in [-1, 1]")
-            if self.std_error is not None and _any(self.std_error != 0.0):
-                raise ValueError("std_error requires a shot count")
-        else:
-            if self.shots < 1:
-                raise ValueError("shots must be positive")
-            if self.std_error is None or _any(self.std_error < 0.0):
-                raise ValueError("sampled records carry a nonnegative std_error")
-            if _any(abs(self.expectation) > 1.0 + 3.0 * self.std_error + 1e-12):
-                raise ValueError("sample mean is outside the admissible band")
+        guards, (i, j) = _Guards(), self.observable
+        unknown = i not in OBS_LABELS or j not in OBS_LABELS
+        guards.check(unknown, ValueError, "unknown observable pair {!r}", self.observable)
+        guards.check(self.shots < 1, ValueError, "shots must be positive")
+        _check_finite(guards, self, ("expectation", "std_error"))
+        _check_nonnegative(guards, "sampled records carry a nonnegative std_error", self.std_error)
+        bad = _outside(abs(self.expectation), 0.0, 1.0 + 3.0 * self.std_error + 1e-12)
+        guards.check(bad, ValueError, "sample mean is outside the admissible band")
+        guards.settle(None)
 
 
 def _matrices(rho) -> np.ndarray:
@@ -102,10 +98,6 @@ def sample_expectation(
     return MeasurementRecord(
         observable=obs, expectation=mean, shots=shots, std_error=std_error
     )
-
-
-def _check_correlation(guards: _Guards, x, name: str = "correlation") -> None:
-    guards.check(_outside(x, -1.0 - 1e-12, 1.0 + 1e-12), ValueError, "{} must lie in [-1, 1]", name)
 
 
 class LambdaEstimate(NamedTuple):

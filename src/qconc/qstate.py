@@ -22,6 +22,7 @@ PSD_TOL = 1e-10
 NORM_TOL = 1e-8
 PURE_NORM_TOL = 1e-12
 RANK_REL_TOL = 1e-9
+WEIGHT_TOL = 1e-10
 #: draws (or redraw rounds) a rejection sampler makes before it raises
 #: SamplerExhausted; every sampler accepts well over a third of its draws
 REJECTION_LIMIT = 1000
@@ -96,23 +97,11 @@ def _require_finite(*arrays) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _any(flags) -> bool:
-    """A comparison's result for a float, or whether it holds in any entry."""
-    return flags.any() if isinstance(flags, np.ndarray) else flags
-
-
 def _outside(value, low: float, high: float):
     """Whether a float, or each entry of an array, is outside [low, high] (NaN is)."""
     if isinstance(value, np.ndarray):
         return ~((low <= value) & (value <= high))
     return not low <= value <= high
-
-
-def _within(value, low: float, high: float) -> bool:
-    """low <= value <= high for a float or for every entry; NaN fails."""
-    if isinstance(value, np.ndarray):
-        return bool(((low <= value) & (value <= high)).all())
-    return low <= value <= high
 
 
 def _math(fn, *args):
@@ -215,7 +204,7 @@ class _Guards:
     def settle(self, result, tolerated=()):
         """The result, unless a row of a block failed with an exception not
         of a tolerated kind: then the first such row's exception."""
-        if self.first is not None:
+        if self.first is not None and self.first.max(initial=-1) >= 0:
             bad = self.failed() & ~self.failed(tolerated)
             if bad.any():
                 row = int(np.argmax(bad))
@@ -223,6 +212,37 @@ class _Guards:
                 args = (v[row].item() if isinstance(v, np.ndarray) else v for v in values)
                 raise exc(message.format(*args))
         return result
+
+
+# The families' domain rules, each stated once: a rule fails a float, or the
+# rows of a block, where it does not hold, NaN included.
+def _check_finite(guards: _Guards, record, names=None) -> None:
+    """The named fields of a dataclass, by default all of them, are finite."""
+    for name in names or [f.name for f in fields(record)]:
+        guards.check(~np.isfinite(getattr(record, name)), ValueError, "{} must be finite", name)
+
+
+def _check_unit_interval(guards: _Guards, name: str, value, slack: float = 1e-12) -> None:
+    guards.check(_outside(value, -slack, 1.0 + slack), ValueError, "{} must lie in [0, 1]", name)
+
+
+def _check_nonnegative(guards: _Guards, message: str, *values, slack: float = 0.0) -> None:
+    for value in values:
+        guards.check(_outside(value, -slack, math.inf), ValueError, message)
+
+
+def _check_unit_sum(guards: _Guards, total, message: str) -> None:
+    """A sum of squared amplitudes or of weights is one within WEIGHT_TOL."""
+    guards.check(_outside(abs(total - 1.0), 0.0, WEIGHT_TOL), ValueError, message)
+
+
+def _check_ab(guards: _Guards, a, b) -> None:
+    _check_nonnegative(guards, "a and b must be nonnegative", a, b)
+    _check_unit_sum(guards, a * a + b * b, "a^2 + b^2 must equal 1")
+
+
+def _check_correlation(guards: _Guards, x, name: str = "correlation") -> None:
+    guards.check(_outside(x, -1.0 - 1e-12, 1.0 + 1e-12), ValueError, "{} must lie in [-1, 1]", name)
 
 
 # a non-finite or huge state's residual or trace may overflow or come from
@@ -395,14 +415,14 @@ def assemble(bloch: BlochDecomposition) -> DensityOperator:
     return DensityOperator(m)
 
 
-def rank_of(rho, tol: float = RANK_REL_TOL) -> int:
-    """Numerical rank: eigenvalues above tol times the largest one."""
-    return _rank(np.linalg.eigvalsh(_as_matrix(rho)), tol)
+def rank_of(rho) -> int:
+    """Numerical rank: eigenvalues above RANK_REL_TOL times the largest one."""
+    return _rank(np.linalg.eigvalsh(_as_matrix(rho)))
 
 
-def _rank(evals: np.ndarray, tol: float = RANK_REL_TOL) -> int:
+def _rank(evals: np.ndarray) -> int:
     """rank_of from an ascending spectrum, for a caller that has it already."""
-    return int(np.count_nonzero(evals > tol * evals[-1]))
+    return int(np.count_nonzero(evals > RANK_REL_TOL * evals[-1]))
 
 
 def random_rank_k(k: int, seed) -> DensityOperator:

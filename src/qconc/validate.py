@@ -164,8 +164,12 @@ def _jsonable(value):
     return value
 
 
-def _top_offenders(devs: np.ndarray, payload_fn, keep: int = 3) -> list:
-    order = np.argsort(devs)[::-1][:keep]
+#: the worst states a report lists, most deviant first
+TOP_OFFENDERS = 3
+
+
+def _top_offenders(devs: np.ndarray, payload_fn) -> list:
+    order = np.argsort(devs)[::-1][:TOP_OFFENDERS]
     return [
         {"deviation": float(devs[i]), **payload_fn(int(i))}
         for i in order

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from qconc.bounds import (
     REGION_SEPARABLE,
     Rank3Mixture,
     Rank4Mixture,
-    _psi_concurrence,
     _sep_matrix,
     assemble_rank3_max,
     assemble_rank4_max,
@@ -21,10 +19,10 @@ from qconc.bounds import (
     rank3_threshold,
     rank4_bound,
     rank4_max_concurrence,
+    rank4_max_matrix,
     rank4_region,
 )
 from qconc.concurrence import concurrence_oracle
-from qconc.errors import NotNormalized
 from qconc.qstate import rank_of
 
 _R = 1.0 / math.sqrt(2.0)
@@ -73,15 +71,17 @@ class TestMixtures:
             replace(block, **{field: column})
         assert str(stacked.value) == str(single.value)
 
-    def test_psi_concurrence_rejects_a_nan_state(self):
-        with pytest.raises(NotNormalized):
-            _psi_concurrence(SimpleNamespace(psi=lambda: np.array([math.nan, 0.0, 0.0, 0.0])))
-
     def test_rank4_weight_simplex_enforced(self):
         with pytest.raises(ValueError):
             Rank4Mixture(
                 lambda1=0.7, lambda2=0.5, mu=0.5, a=_R, b=_R, theta=0.3, phi=0.1
             )
+
+    @pytest.mark.parametrize("closed_form", [rank4_max_concurrence, rank4_max_matrix])
+    @pytest.mark.parametrize("weights", [(math.nan, 0.1), (0.1, math.nan)])
+    def test_maximal_rank4_forms_reject_nan_weights(self, closed_form, weights):
+        with pytest.raises(ValueError):
+            closed_form(*weights)
 
 
 class TestRank3MaxFamily:

@@ -333,6 +333,14 @@ def test_xstate_rejects_non_finite_entries(fields):
         XState(w1=0.3, w2=0.3, u_minus=0.2, **fields)
 
 
+@pytest.mark.parametrize("z", [complex(1e300, 1e300), complex(1e308, 1e308)])
+def test_xstate_rejects_a_huge_coherence(z):
+    """|z|^2 overflows to inf and fails the positivity rule; it does not raise
+    OverflowError."""
+    with pytest.raises(ValueError, match="w1 w2"):
+        XState(u_plus=0.25, w1=0.25, w2=0.25, u_minus=0.25, z=z)
+
+
 def test_xstate_direct_formula_exact(rng):
     for _ in range(60):
         w = rng.dirichlet(np.ones(4))

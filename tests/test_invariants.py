@@ -77,11 +77,12 @@ def test_i3_mismatch_not_reachable_from_states():
         invariant_vector(decompose(random_rank_k(4, seed)))
 
 
-def test_i3_tolerance_is_adjustable():
+def test_i3_tolerance_is_adjustable(monkeypatch):
     # a negative tolerance makes every comparison fail, proving the check is live
     bloch = decompose(random_rank_k(2, seed=8))
+    monkeypatch.setattr("qconc.invariants.I3_TOL", -1.0)
     with pytest.raises(I3Mismatch):
-        invariant_vector(bloch, tol=-1.0)
+        invariant_vector(bloch)
 
 
 def test_invariant_vector_dict_roundtrip():

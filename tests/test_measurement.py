@@ -73,22 +73,6 @@ class TestExpectation:
 
 
 class TestRecordValidation:
-    def test_exact_record(self):
-        rec = MeasurementRecord(observable=("x", "x"), expectation=0.5)
-        assert rec.shots is None
-
-    def test_exact_expectation_bounded(self):
-        with pytest.raises(ValueError):
-            MeasurementRecord(observable=("x", "x"), expectation=1.5)
-
-    def test_std_error_needs_shots(self):
-        with pytest.raises(ValueError):
-            MeasurementRecord(observable=("x", "x"), expectation=0.1, std_error=0.01)
-
-    def test_sampled_record_needs_std_error(self):
-        with pytest.raises(ValueError):
-            MeasurementRecord(observable=("x", "x"), expectation=0.1, shots=100)
-
     def test_shot_count_positive(self):
         with pytest.raises(ValueError):
             MeasurementRecord(
@@ -100,6 +84,18 @@ class TestRecordValidation:
             MeasurementRecord(
                 observable=("x", "x"), expectation=1.2, shots=100, std_error=0.01
             )
+
+    @pytest.mark.parametrize("field", ["expectation", "std_error"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_or_error_rejected(self, field, bad):
+        fields = {"expectation": 0.1, "std_error": 0.01, field: bad}
+        with pytest.raises(ValueError, match="finite") as single:
+            MeasurementRecord(observable=("x", "x"), shots=100, **fields)
+        block = {"expectation": np.full(3, 0.1), "std_error": np.full(3, 0.01)}
+        block[field][1] = bad
+        with pytest.raises(ValueError) as stacked:
+            MeasurementRecord(observable=("x", "x"), shots=100, **block)
+        assert str(stacked.value) == str(single.value)
 
 
 class TestSampling:

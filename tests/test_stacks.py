@@ -5,7 +5,7 @@ single call is their n=1 call, not a row of a larger block.
 """
 
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -31,7 +31,10 @@ from qconc.bounds import (
 from qconc.concurrence import batch_lambdas, batch_oracle, concurrence_oracle
 from qconc.errors import SamplerExhausted
 from qconc.estimators import (
+    Rank2Canonical,
+    Rank2Degenerate,
     Rank2SepDecomp,
+    XState,
     assemble_ladder,
     assemble_rank2,
     assemble_rank2_degenerate,
@@ -524,6 +527,52 @@ def test_blocks_run_the_single_state_domain_checks(build):
     """One bad row of a block raises the ValueError a single call raises."""
     with pytest.raises(ValueError):
         build()
+
+
+#: one valid state of each family dataclass
+_FAMILY_STATES = {
+    "rank2-canonical": Rank2Canonical(nu=0.3, alpha=0.4, beta=0.5, gamma=1.0, eta=0.6),
+    "rank2-sep": Rank2SepDecomp(lam=0.3, mu=0.4, a=0.6, b=0.8, theta=0.5, phase=1.0),
+    "rank2-degenerate": Rank2Degenerate(lam=0.5, r1=0.6, r2=0.0, c=0.8j),
+    "xstate": XState(u_plus=0.2, w1=0.3, w2=0.3, u_minus=0.2, z=0.1 + 0.05j),
+    "rank3-mixture": Rank3Mixture.random(5),
+    "rank4-mixture": Rank4Mixture.random(5),
+}
+
+
+def _three_rows(state):
+    """A 3-row block of one state."""
+    return replace(state, **{f.name: np.full(3, getattr(state, f.name)) for f in fields(state)})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "family, field",
+    [(name, f.name) for name, state in _FAMILY_STATES.items() for f in fields(state)],
+)
+def test_family_checks_reject_a_non_finite_field(family, field, bad):
+    """A non-finite field raises ValueError, alone or in row 1 of a block,
+    with the same message."""
+    state = _FAMILY_STATES[family]
+    with pytest.raises(ValueError) as single:
+        replace(state, **{field: bad})
+    block = _three_rows(state)
+    getattr(block, field)[1] = bad
+    with pytest.raises(ValueError) as stacked:
+        replace(block)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_a_block_raises_its_first_failing_row_not_its_first_failing_rule():
+    """Row 0 fails the norm, row 1 fails lam (a rule checked before the norm):
+    the block raises what row 0 alone raises."""
+    block = _three_rows(_FAMILY_STATES["rank2-sep"])
+    block.b[0], block.lam[1] = 0.9, 1.5
+    with pytest.raises(ValueError) as single:
+        _record(block, 0)
+    with pytest.raises(ValueError) as stacked:
+        replace(block)
+    assert str(stacked.value) == str(single.value) == "a^2 + b^2 must equal 1"
 
 
 def test_block_rejection_sampler_stops_at_the_limit():
