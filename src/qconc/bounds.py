@@ -147,7 +147,7 @@ class Rank3Mixture:
 
     def __post_init__(self):
         guards = _Guards()
-        _check_finite(guards, self)
+        _check_finite(guards, **vars(self))
         _check_unit_interval(guards, "lam", self.lam)
         _check_unit_interval(guards, "mu", self.mu)
         _check_unit_interval(guards, "sep_weight", self.sep_weight)
@@ -200,7 +200,7 @@ class Rank4Mixture:
 
     def __post_init__(self):
         guards, l1, l2 = _Guards(), self.lambda1, self.lambda2
-        _check_finite(guards, self)
+        _check_finite(guards, **vars(self))
         _check_nonnegative(guards, "lambda1 and lambda2 must be nonnegative", l1, l2, slack=1e-12)
         _check_unit_interval(guards, "lambda1 + lambda2", l1 + l2)
         _check_unit_interval(guards, "mu", self.mu)
@@ -258,22 +258,28 @@ def rank4_bound(m: Rank4Mixture) -> float:
     return (1.0 - m.lambda1 - m.lambda2) * (1.0 - m.mu) * _psi_concurrence(m)
 
 
+def _rank3_guards(a, b, lam=0.0) -> _Guards:
+    """The rank-3 forms' checks, every argument finite before any range rule;
+    the threshold has no lam and passes 0."""
+    guards = _Guards()
+    _check_finite(guards, lam=lam, a=a, b=b)
+    _check_unit_interval(guards, "lam", lam)
+    _check_ab(guards, a, b)
+    return guards
+
+
 def rank3_max_concurrence(lam: float, a: float, b: float) -> float:
     """Closed form 2 (1 - 2 lam/3) a b - 2 lam/3 for the maximal member.
 
     May be negative; the matching oracle value is max(0, this).
     """
-    guards = _Guards()
-    _check_unit_interval(guards, "lam", lam)
-    _check_ab(guards, a, b)
+    guards = _rank3_guards(a, b, lam)
     return guards.settle(2.0 * (1.0 - 2.0 * lam / 3.0) * a * b - 2.0 * lam / 3.0)
 
 
 def rank3_threshold(a: float, b: float) -> float:
     """Entanglement threshold 3 a b / (1 + 2 a b) on the projector weight."""
-    guards = _Guards()
-    _check_ab(guards, a, b)
-    return guards.settle(3.0 * a * b / (1.0 + 2.0 * a * b))
+    return _rank3_guards(a, b).settle(3.0 * a * b / (1.0 + 2.0 * a * b))
 
 
 _R = 1.0 / math.sqrt(2.0)
@@ -282,10 +288,7 @@ _R = 1.0 / math.sqrt(2.0)
 def rank3_max_matrix(lam, a, b) -> np.ndarray:
     """Unvalidated lam Pi3/3 + (1 - lam) |psi_ab><psi_ab|, psi_ab = a|01> + b|10>;
     an (n, 4, 4) stack when any argument is an (n,) array."""
-    guards = _Guards()
-    _check_unit_interval(guards, "lam", lam)
-    _check_ab(guards, a, b)
-    guards.settle(None)
+    _rank3_guards(a, b, lam).settle(None)
     m = _per_row(lam) * _h3_projector(a, b) / 3.0
     return m + _per_row(1.0 - lam) * _outer(_vec4(0.0, a, b, 0.0))
 
@@ -293,6 +296,15 @@ def rank3_max_matrix(lam, a, b) -> np.ndarray:
 def assemble_rank3_max(lam: float, a: float, b: float) -> DensityOperator:
     """lam Pi3/3 + (1 - lam) |psi_ab><psi_ab| with psi_ab = a|01> + b|10>."""
     return DensityOperator(rank3_max_matrix(lam, a, b))
+
+
+def _rank4_guards(lambda1, lambda2) -> _Guards:
+    """The maximal rank-4 forms' checks."""
+    guards = _Guards()
+    _check_finite(guards, lambda1=lambda1, lambda2=lambda2)
+    _check_nonnegative(guards, "lambda1 and lambda2 must be nonnegative", lambda1, lambda2)
+    _check_unit_interval(guards, "lambda1 + lambda2", lambda1 + lambda2)
+    return guards
 
 
 def rank4_max_concurrence(lambda1: float, lambda2: float) -> float:
@@ -304,11 +316,8 @@ def rank4_max_concurrence(lambda1: float, lambda2: float) -> float:
     root is the boundary 9 lam1 + 8 lam2 = 6. The validation harness gates
     the exact form against the oracle and reports this one.
     """
-    guards = _Guards()
-    _check_nonnegative(guards, "lambda1 and lambda2 must be nonnegative", lambda1, lambda2)
-    _check_unit_interval(guards, "lambda1 + lambda2", lambda1 + lambda2)
     ab = 0.5
-    return guards.settle(
+    return _rank4_guards(lambda1, lambda2).settle(
         lambda2 * ab / 3.0
         + (1.0 - lambda1 - lambda2) / 2.0
         - lambda1 / 4.0
@@ -319,10 +328,7 @@ def rank4_max_concurrence(lambda1: float, lambda2: float) -> float:
 def rank4_max_matrix(lambda1, lambda2) -> np.ndarray:
     """Unvalidated lam1 I/4 + lam2 Pi3/3 + (1 - lam1 - lam2) |psi+><psi+|; an
     (n, 4, 4) stack for (n,) arrays of weights."""
-    guards = _Guards()
-    _check_nonnegative(guards, "lambda1 and lambda2 must be nonnegative", lambda1, lambda2)
-    _check_unit_interval(guards, "lambda1 + lambda2", lambda1 + lambda2)
-    guards.settle(None)
+    _rank4_guards(lambda1, lambda2).settle(None)
     m = _per_row(lambda1) * _EYE4 / 4.0
     m = m + _per_row(lambda2) * _h3_projector(_R, _R) / 3.0
     m += _per_row(1.0 - lambda1 - lambda2) * _outer(_vec4(0.0, _R, _R, 0.0))

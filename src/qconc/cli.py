@@ -43,7 +43,6 @@ from .measurement import expectation
 from .qstate import (
     BlochDecomposition,
     DensityOperator,
-    _rank,
     bell_state,
     check_states,
     decompose,
@@ -156,16 +155,11 @@ def _is_xstate(rho: DensityOperator, tol: float) -> bool:
 
 
 def _applicable_estimates(
-    rho: DensityOperator,
-    bloch: BlochDecomposition,
-    inv: InvariantVector,
-    eigs: np.ndarray,
-    rank: int,
-    oracle: float,
-    tol: float,
+    rho: DensityOperator, bloch: BlochDecomposition, inv: InvariantVector, rank: int,
+    oracle: float, tol: float,
 ) -> list[dict]:
-    """Family estimates that apply to rho, given its decomposition, invariants,
-    ascending spectrum and rank, each with its deviation from the oracle value."""
+    """Family estimates that apply to rho, given its decomposition, invariants
+    and rank, each with its deviation from the oracle value."""
     entries: list[dict] = []
 
     def add(name: str, value: float) -> None:
@@ -187,6 +181,7 @@ def _applicable_estimates(
 
     if rank == 2:
         attempt("rank2-reconstruction", QconcError, reconstructed)
+        eigs = rho.eigenvalues()
         if abs(eigs[-1] - 0.5) <= 1e-6 and abs(eigs[-2] - 0.5) <= 1e-6:
             attempt("projection2", DomainError, estimate_projection2, inv)
         attempt("rank2-sep2", DomainError, estimate_rank2_sep2, inv)
@@ -230,9 +225,8 @@ def cmd_concurrence(state_path, tol, out_path, fmt):
     diag = concurrence_oracle(rho)
     bloch = decompose(rho)
     inv = invariant_vector(bloch)
-    eigs = rho.eigenvalues()
-    rank = _rank(eigs)
-    estimates = _applicable_estimates(rho, bloch, inv, eigs, rank, diag.value, tol)
+    rank = rank_of(rho)
+    estimates = _applicable_estimates(rho, bloch, inv, rank, diag.value, tol)
     if fmt == "json":
         payload = {
             "header": report_header(tolerance=tol),

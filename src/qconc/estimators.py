@@ -104,7 +104,7 @@ class Rank2Canonical:
 
     def __post_init__(self):
         guards = _Guards()
-        _check_finite(guards, self)
+        _check_finite(guards, **vars(self))
         _check_unit_interval(guards, "nu", self.nu)
         for name in ("alpha", "beta", "eta"):
             bad = _outside(getattr(self, name), -1e-12, math.pi / 2.0 + 1e-12)
@@ -254,7 +254,7 @@ class Rank2SepDecomp:
 
     def __post_init__(self):
         guards = _Guards()
-        _check_finite(guards, self)
+        _check_finite(guards, **vars(self))
         _check_unit_interval(guards, "lam", self.lam)
         _check_unit_interval(guards, "mu", self.mu)
         _check_ab(guards, self.a, self.b)
@@ -316,7 +316,7 @@ class Rank2Degenerate:
 
     def __post_init__(self):
         guards = _Guards()
-        _check_finite(guards, self)
+        _check_finite(guards, **vars(self))
         _check_unit_interval(guards, "lam", self.lam)
         _check_nonnegative(guards, "r1 and r2 must be nonnegative", self.r1, self.r2)
         norm2 = self.r1**2 + abs(self.c) ** 2 + self.r2**2
@@ -378,7 +378,7 @@ class XState:
 
     def __post_init__(self):
         guards = _Guards()
-        _check_finite(guards, self)
+        _check_finite(guards, **vars(self))
         weights = (self.u_plus, self.w1, self.w2, self.u_minus)
         _check_nonnegative(guards, "diagonal weights must be nonnegative", *weights, slack=1e-12)
         _check_unit_sum(guards, sum(weights), "diagonal weights must sum to 1")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import I3Mismatch
-from .qstate import BlochDecomposition
+from .qstate import BlochDecomposition, _Guards
 
 I3_TOL = 1e-8
 
@@ -32,65 +32,51 @@ class InvariantVector:
     i9: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.i1, self.i2, self.i3, self.i4, self.i5,
-             self.i6, self.i7, self.i8, self.i9]
-        )
+        return np.array([getattr(self, f"i{k}") for k in range(1, 10)])
 
     def to_dict(self) -> dict:
         return {f"i{k}": float(v) for k, v in enumerate(self.as_array(), start=1)}
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise dot product of two (n, 3) stacks."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+def _dot(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+def _cross(x, y) -> list:
+    return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
 
 
-def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of two (n, 3) stacks; same rounding as np.cross,
-    without its per-call overhead."""
-    return x[:, _NEXT] * y[:, _PREV] - x[:, _PREV] * y[:, _NEXT]
+def _invariants(p, s, pi) -> list:
+    """The nine invariants from p, s and the rows of pi, as 3-lists of floats
+    for one state or of (n,) arrays for a stack, whose rows then get the
+    single-state bits: every product and sum is one IEEE operation.
+
+    I3 is taken along both contractions, p . (pi s) and s . (pi^T p), equal
+    for any pi; a gap beyond I3_TOL means corrupted input and raises
+    I3Mismatch (a stack's first mismatched row's)."""
+    cols = list(zip(*pi))
+    a = [_dot(row, s) for row in pi]
+    b = [_dot(col, p) for col in cols]
+    t = [[_dot(x, y) for y in pi] for x in pi]
+    i3, i3_sb = _dot(p, a), _dot(s, b)
+    guards = _Guards()
+    guards.check(abs(i3 - i3_sb) > I3_TOL, I3Mismatch, "p.a = {} but s.b = {}", i3, i3_sb)
+    alpha_pi = [_dot(_cross(p, a), col) for col in cols]
+    i6, i8 = t[0][0] + t[1][1] + t[2][2], _dot(t[0], t[0]) + _dot(t[1], t[1]) + _dot(t[2], t[2])
+    i7, i9 = _dot([_dot(a, col) for col in cols], b), _dot(alpha_pi, _cross(s, b))
+    return guards.settle([_dot(p, p), _dot(s, s), i3, _dot(a, a), _dot(b, b), i6, i7, i8, i9])
 
 
 def batch_invariants(p: np.ndarray, s: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """The nine invariants of each state in a stack of Bloch fields, shape (n, 9).
-
-    The third invariant is computed along both contractions, p . (pi s) and
-    s . (pi^T p); they are equal for any correlation matrix, so a mismatch
-    beyond I3_TOL signals corrupted input and raises I3Mismatch. The fields are
-    made C-contiguous first so every row rounds like a single-state call.
-    """
-    p, s, pi = (np.ascontiguousarray(x, dtype=float) for x in (p, s, pi))
-    pi_t = pi.transpose(0, 2, 1)
-    a = (pi @ s[:, :, None])[:, :, 0]
-    b = (pi_t @ p[:, :, None])[:, :, 0]
-    t = pi @ pi_t
-    out = np.empty((p.shape[0], 9))
-    out[:, 2] = _dot(p, a)
-    i3_sb = _dot(s, b)
-    mismatch = np.abs(out[:, 2] - i3_sb) > I3_TOL
-    if mismatch.any():
-        k = int(np.argmax(mismatch))
-        raise I3Mismatch(f"p.a = {out[k, 2]} but s.b = {i3_sb[k]}")
-    out[:, 0] = _dot(p, p)
-    out[:, 1] = _dot(s, s)
-    out[:, 3] = _dot(a, a)
-    out[:, 4] = _dot(b, b)
-    out[:, 5] = np.trace(t, axis1=1, axis2=2)
-    out[:, 6] = _dot((a[:, None, :] @ pi)[:, 0, :], b)
-    out[:, 7] = (t * t).reshape(-1, 9).sum(axis=1)
-    alpha_pi = (_cross(p, a)[:, None, :] @ pi)[:, 0, :]
-    out[:, 8] = _dot(alpha_pi, _cross(s, b))
-    return out
+    """The nine invariants of each state in a stack of Bloch fields, shape
+    (n, 9); row k is invariant_vector of state k, bit for bit."""
+    p, s, pi = (np.ascontiguousarray(np.moveaxis(x, 0, -1), dtype=float) for x in (p, s, pi))
+    return np.stack(_invariants(p, s, pi), axis=1)
 
 
 def invariant_vector(bloch: BlochDecomposition) -> InvariantVector:
-    """Evaluate all nine invariants of one state; see :func:`batch_invariants`."""
-    row = batch_invariants(bloch.p[None], bloch.s[None], bloch.pi[None])[0]
-    return InvariantVector(*(float(v) for v in row))
+    """Evaluate all nine invariants of one state; see :func:`_invariants`."""
+    return InvariantVector(*_invariants(bloch.p.tolist(), bloch.s.tolist(), bloch.pi.tolist()))
 
 
 def purity_residuals(i1, i2, i6):

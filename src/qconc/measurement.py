@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Infeasible
-from .qstate import _PAULI_GRID, _as_matrix, _Guards, _math, _outside
+from .qstate import _PAULI_GRID, DensityOperator, _complex_matrix, _Guards, _math, _outside
 from .qstate import _check_correlation, _check_finite, _check_nonnegative
 
 OBS_LABELS = ("0", "x", "y", "z")
@@ -47,7 +47,7 @@ class MeasurementRecord:
         unknown = i not in OBS_LABELS or j not in OBS_LABELS
         guards.check(unknown, ValueError, "unknown observable pair {!r}", self.observable)
         guards.check(self.shots < 1, ValueError, "shots must be positive")
-        _check_finite(guards, self, ("expectation", "std_error"))
+        _check_finite(guards, expectation=self.expectation, std_error=self.std_error)
         _check_nonnegative(guards, "sampled records carry a nonnegative std_error", self.std_error)
         bad = _outside(abs(self.expectation), 0.0, 1.0 + 3.0 * self.std_error + 1e-12)
         guards.check(bad, ValueError, "sample mean is outside the admissible band")
@@ -57,9 +57,11 @@ class MeasurementRecord:
 def _matrices(rho) -> np.ndarray:
     """The matrix of a DensityOperator or a raw 4x4 state, or a raw (n, 4, 4)
     stack as it is."""
+    if isinstance(rho, DensityOperator):
+        return rho.matrix
     if isinstance(rho, np.ndarray) and rho.ndim == 3 and rho.shape[1:] == (4, 4):
         return rho
-    return _as_matrix(rho)
+    return _complex_matrix(rho)
 
 
 def expectation(rho, obs: tuple[str, str]):

@@ -8,8 +8,9 @@ and seeded random state generators.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -38,6 +39,18 @@ _PAULIS = (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 _PAULI_GRID = np.array([[np.kron(a, b) for b in _PAULIS] for a in _PAULIS])
 
 
+#: for p, then s, then pi row by row: the four nonzero terms of tr(rho g) =
+#: sum of rho[a, b] g[b, a], g the field's Pauli product, in ascending row order
+#: of rho. Each is +-Re or +-Im of rho[a, b], stored as its position in rho's 32
+#: row-major floats (real, imaginary interleaved), plus 32 when negated.
+_BLOCH_TERMS = [
+    [2 * k + (g.real == 0) + 32 * ((g.real or -g.imag) < 0)
+     for k, g in enumerate(_PAULI_GRID[i, j].T.ravel().tolist()) if g]
+    for i, j in [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)]
+    + [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+]
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.flags.writeable = False
@@ -53,13 +66,6 @@ def _complex_matrix(raw) -> np.ndarray:
     if m.shape != (4, 4):
         raise InvalidState(f"expected a 4x4 matrix, got shape {m.shape}")
     return m
-
-
-def _as_matrix(rho) -> np.ndarray:
-    """Accept a DensityOperator or a raw 4x4 array and return the matrix."""
-    if isinstance(rho, DensityOperator):
-        return rho.matrix
-    return _complex_matrix(rho)
 
 
 def _validated_matrix(rho) -> np.ndarray:
@@ -216,10 +222,11 @@ class _Guards:
 
 # The families' domain rules, each stated once: a rule fails a float, or the
 # rows of a block, where it does not hold, NaN included.
-def _check_finite(guards: _Guards, record, names=None) -> None:
-    """The named fields of a dataclass, by default all of them, are finite."""
-    for name in names or [f.name for f in fields(record)]:
-        guards.check(~np.isfinite(getattr(record, name)), ValueError, "{} must be finite", name)
+def _check_finite(guards: _Guards, **values) -> None:
+    """Each named float, complex, or array entry is finite."""
+    for name, value in values.items():
+        bad = ~np.isfinite(value) if isinstance(value, np.ndarray) else not cmath.isfinite(value)
+        guards.check(bad, ValueError, "{} must be finite", name)
 
 
 def _check_unit_interval(guards: _Guards, name: str, value, slack: float = 1e-12) -> None:
@@ -245,9 +252,6 @@ def _check_correlation(guards: _Guards, x, name: str = "correlation") -> None:
     guards.check(_outside(x, -1.0 - 1e-12, 1.0 + 1e-12), ValueError, "{} must lie in [-1, 1]", name)
 
 
-# a non-finite or huge state's residual or trace may overflow or come from
-# inf - inf; it is rejected either way, so that gives inf or NaN quietly
-@np.errstate(over="ignore", invalid="ignore")
 def check_states(mats) -> np.ndarray:
     """Validate an (n, 4, 4) stack of density matrices; return a read-only copy.
 
@@ -255,6 +259,14 @@ def check_states(mats) -> np.ndarray:
     semidefinite within fixed tolerances. The first failing state in stack
     order raises InvalidState with the message of its first failing check.
     """
+    return _checked_states(mats)[0]
+
+
+# a non-finite or huge state's residual or trace may overflow or come from
+# inf - inf; it is rejected either way, so that gives inf or NaN quietly
+@np.errstate(over="ignore", invalid="ignore")
+def _checked_states(mats):
+    """check_states' stack, and the (n, 4) ascending spectra it tested."""
     try:
         m = np.array(mats, dtype=complex)
     except (TypeError, ValueError) as exc:
@@ -269,10 +281,10 @@ def check_states(mats) -> np.ndarray:
     if herm.max(initial=0.0) <= HERMITICITY_TOL and _every(
         tr, lambda t: abs(t - 1.0) <= TRACE_TOL
     ):
-        low = np.linalg.eigvalsh(m)[:, 0]
-        if _every(low, lambda v: v >= -PSD_TOL):
-            m.flags.writeable = False
-            return m
+        evals = np.linalg.eigvalsh(m)
+        if _every(evals[:, 0], lambda v: v >= -PSD_TOL):
+            m.flags.writeable = evals.flags.writeable = False
+            return m, evals
     raise InvalidState(_first_defect(m, herm.max(axis=(1, 2)), tr))
 
 
@@ -309,14 +321,16 @@ class DensityOperator:
     Construction checks that the input is a numeric 4x4 array, then runs the
     one-state stack through :func:`check_states` (finiteness, hermiticity,
     unit trace and positivity within fixed tolerances); either step raises
-    InvalidState.
+    InvalidState. The ascending spectrum that check computed is kept.
     """
 
     matrix: np.ndarray
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _complex_matrix(self.matrix)
-        object.__setattr__(self, "matrix", check_states(m[None])[0])
+        m, evals = _checked_states(_complex_matrix(self.matrix)[None])
+        object.__setattr__(self, "matrix", m[0])
+        object.__setattr__(self, "_spectrum", evals[0])
 
     def purity(self) -> float:
         m = self.matrix
@@ -324,7 +338,7 @@ class DensityOperator:
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in ascending order."""
-        return np.linalg.eigvalsh(self.matrix)
+        return self._spectrum.copy()
 
 
 @dataclass(frozen=True)
@@ -361,33 +375,41 @@ class BlochDecomposition:
         if pi.shape != (3, 3):
             raise InvalidState(f"correlation matrix must be 3x3, got {pi.shape}")
         _require_finite(p, s, pi)
-        object.__setattr__(self, "p", _freeze(p))
-        object.__setattr__(self, "s", _freeze(s))
-        object.__setattr__(self, "pi", _freeze(pi))
+        for name, x in (("p", p), ("s", s), ("pi", pi)):
+            object.__setattr__(self, name, _freeze(x))
+
+
+def _bloch_fields(parts) -> list:
+    """The 15 Bloch fields from rho's 32 floats, for one state, or from (n,)
+    arrays of them for a stack, whose rows then get the single-state bits.
+    Sums start from +0.0, so a zero field is +0.0 whatever zeros it sums."""
+    signed = parts + [-x for x in parts]
+    return [0.0 + signed[a] + signed[b] + signed[c] + signed[d] for a, b, c, d in _BLOCH_TERMS]
 
 
 def batch_decompose(mats: np.ndarray):
     """Bloch fields of an (n, 4, 4) stack of trusted density matrices.
 
-    Returns C-contiguous (p, s, pi) of shapes (n, 3), (n, 3), (n, 3, 3), so
-    that stacked products on them round like the single-state ones.
+    Returns C-contiguous (p, s, pi) of shapes (n, 3), (n, 3), (n, 3, 3);
+    row k is decompose of state k, bit for bit.
     """
     mats = np.ascontiguousarray(mats, dtype=complex)
-    comp = np.einsum("nab,ijba->nij", mats, _PAULI_GRID).real
-    p = np.ascontiguousarray(comp[:, 1:, 0])
-    s = np.ascontiguousarray(comp[:, 0, 1:])
-    return p, s, np.ascontiguousarray(comp[:, 1:, 1:])
+    n = len(mats)
+    f = _bloch_fields(list(np.ascontiguousarray(mats.reshape(n, 16).view(float).T)))
+    p, s, pi = (np.stack(x, axis=1) for x in (f[:3], f[3:6], f[6:]))
+    return p, s, pi.reshape(n, 3, 3)
 
 
 def decompose(rho) -> BlochDecomposition:
     """Expand a density operator over the two-qubit Pauli basis.
 
-    Returns the A and B polarizations and the 3x3 correlation matrix; the
-    expansion is exact and inverted by :func:`assemble`. A raw array is
-    validated first and raises InvalidState if unphysical.
+    Returns the A and B polarizations and the 3x3 correlation matrix, each a
+    sum of four signed entries of rho; the expansion is exact and inverted by
+    :func:`assemble`. A raw array is validated first and raises InvalidState
+    if unphysical.
     """
-    p, s, pi = batch_decompose(_validated_matrix(rho)[None])
-    return BlochDecomposition(p=p[0], s=s[0], pi=pi[0])
+    f = _bloch_fields(_validated_matrix(rho).ravel().view(float).tolist())
+    return BlochDecomposition(p=f[:3], s=f[3:6], pi=[f[6:9], f[9:12], f[12:]])
 
 
 # huge finite entries may overflow the sum to inf or NaN, which is rejected
@@ -416,12 +438,10 @@ def assemble(bloch: BlochDecomposition) -> DensityOperator:
 
 
 def rank_of(rho) -> int:
-    """Numerical rank: eigenvalues above RANK_REL_TOL times the largest one."""
-    return _rank(np.linalg.eigvalsh(_as_matrix(rho)))
-
-
-def _rank(evals: np.ndarray) -> int:
-    """rank_of from an ascending spectrum, for a caller that has it already."""
+    """Numerical rank: eigenvalues above RANK_REL_TOL times the largest one.
+    A DensityOperator's rank comes from the spectrum it keeps."""
+    operator = isinstance(rho, DensityOperator)
+    evals = rho._spectrum if operator else np.linalg.eigvalsh(_complex_matrix(rho))
     return int(np.count_nonzero(evals > RANK_REL_TOL * evals[-1]))
 
 

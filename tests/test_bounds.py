@@ -16,6 +16,7 @@ from qconc.bounds import (
     classify_weights,
     rank3_bound,
     rank3_max_concurrence,
+    rank3_max_matrix,
     rank3_threshold,
     rank4_bound,
     rank4_max_concurrence,
@@ -82,6 +83,35 @@ class TestMixtures:
     def test_maximal_rank4_forms_reject_nan_weights(self, closed_form, weights):
         with pytest.raises(ValueError):
             closed_form(*weights)
+
+
+_GUARDED_FORMS = {
+    "rank4_max_concurrence": (rank4_max_concurrence, {"lambda1": 0.1, "lambda2": 0.2}),
+    "rank4_max_matrix": (rank4_max_matrix, {"lambda1": 0.1, "lambda2": 0.2}),
+    "rank3_threshold": (rank3_threshold, {"a": 0.6, "b": 0.8}),
+    "rank3_max_concurrence": (rank3_max_concurrence, {"lam": 0.3, "a": 0.6, "b": 0.8}),
+    "rank3_max_matrix": (rank3_max_matrix, {"lam": 0.3, "a": 0.6, "b": 0.8}),
+}
+
+
+@pytest.mark.parametrize(
+    "form, argument",
+    [(form, arg) for form, (_, args) in _GUARDED_FORMS.items() for arg in args],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_guarded_forms_name_a_non_finite_argument(form, argument, bad):
+    """NaN and +-inf fail the finite rule before any range rule, for one
+    float and for row 1 of a 3-row block; they once raised a range message
+    ("lambda1 and lambda2 must be nonnegative", "a and b must be
+    nonnegative", "a^2 + b^2 must equal 1")."""
+    fn, args = _GUARDED_FORMS[form]
+    with pytest.raises(ValueError, match=f"^{argument} must be finite$"):
+        fn(**{**args, argument: bad})
+    block = {name: np.full(3, value) for name, value in args.items()}
+    block[argument][1] = bad
+    # a block's arithmetic runs over every row before the guards settle
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=f"^{argument} must be finite$"):
+        fn(**block)
 
 
 class TestRank3MaxFamily:

@@ -1,3 +1,6 @@
+import hashlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from qconc.errors import I3Mismatch
 from qconc.invariants import (
+    batch_invariants,
     invariant_vector,
     InvariantVector,
     purity_residuals,
@@ -13,12 +17,13 @@ from qconc.qstate import (
     BlochDecomposition,
     DensityOperator,
     PureState,
+    batch_decompose,
     bell_state,
     decompose,
     random_rank_k,
     werner_state,
 )
-from qconc.validate import batch_haar_u2, batch_random_pure
+from qconc.validate import batch_haar_u2, batch_random_mixed, batch_random_pure
 
 
 def test_maximally_mixed_invariants_vanish():
@@ -117,3 +122,83 @@ def test_purity_residuals_act_elementwise_on_arrays():
     r1, r2 = purity_residuals(rows[:, 0], rows[:, 1], rows[:, 5])
     for k, row in enumerate(rows):
         assert (r1[k], r2[k]) == purity_residuals(*row[[0, 1, 5]].tolist())
+
+
+def _fields_of_every_rank(seed=0, n=200):
+    rng = np.random.default_rng(seed)
+    return batch_decompose(np.concatenate([batch_random_mixed(rng, n, k) for k in (1, 2, 3, 4)]))
+
+
+def test_single_state_invariants_are_rows_of_the_stacked_call():
+    """Both paths evaluate one formula, on floats and on (n,) arrays, so each
+    row has its single-state bits, as the earlier one-row stacks of the
+    stacked matmuls gave."""
+    p, s, pi = _fields_of_every_rank()
+    inv = batch_invariants(p, s, pi)
+    for k in range(len(p)):
+        row = invariant_vector(BlochDecomposition(p=p[k], s=s[k], pi=pi[k])).as_array()
+        assert row.tobytes() == inv[k].tobytes()
+
+
+def _exact_invariants(p, s, pi):
+    """The nine invariants of float fields in exact rational arithmetic."""
+    p, s = [Fraction(x) for x in p], [Fraction(x) for x in s]
+    pi = [[Fraction(x) for x in row] for row in pi]
+    dot = lambda x, y: sum(u * v for u, v in zip(x, y))
+    cross = lambda x, y: [x[i - 2] * y[i - 1] - x[i - 1] * y[i - 2] for i in range(3)]
+    cols = [[row[j] for row in pi] for j in range(3)]
+    a, b = [dot(row, s) for row in pi], [dot(col, p) for col in cols]
+    t = [[dot(x, y) for y in pi] for x in pi]
+    return [
+        dot(p, p), dot(s, s), dot(p, a), dot(a, a), dot(b, b),
+        sum(t[i][i] for i in range(3)),
+        dot([dot(a, col) for col in cols], b),
+        sum(dot(row, row) for row in t),
+        dot([dot(cross(p, a), col) for col in cols], cross(s, b)),
+    ]
+
+
+def test_invariants_are_within_rounding_of_exact_arithmetic():
+    """Every invariant is within 2e-15 of its exact value at the same float
+    fields; the earlier stacked matmuls stayed as close, with bits that
+    depended on the BLAS kernel."""
+    p, s, pi = _fields_of_every_rank(seed=1, n=50)
+    inv = batch_invariants(p, s, pi)
+    for k in range(len(p)):
+        exact = _exact_invariants(p[k].tolist(), s[k].tolist(), pi[k].tolist())
+        for got, want in zip(inv[k].tolist(), exact):
+            assert abs(Fraction(got) - want) <= Fraction(2e-15)
+
+
+#: sha256 of the little-endian bytes of batch_invariants on the fields below.
+#: Every product and sum is one IEEE double operation with no BLAS call, so
+#: the digest holds on every platform and BLAS kernel (the earlier stacked
+#: matmuls hashed differently under different OpenBLAS core types).
+_UNIFORM_FIELDS_SHA256 = "d5914b5fe4606517ae8845146cf21dbb14a089f132cf0cc731a3ecf20fe1167b"
+
+
+def test_invariant_bits_are_pinned():
+    rng = np.random.default_rng(2026)
+    n = 2000
+    p, s = rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(-1.0, 1.0, (n, 3))
+    pi = rng.uniform(-1.0, 1.0, (n, 3, 3))
+    inv = np.ascontiguousarray(batch_invariants(p, s, pi), dtype="<f8")
+    assert hashlib.sha256(inv.tobytes()).hexdigest() == _UNIFORM_FIELDS_SHA256
+
+
+def test_i3_mismatch_names_the_same_values_for_a_state_and_a_block_row():
+    """Huge fields round the two contractions of I3 apart. The single call and
+    row 1 of a block raise the same message, as the earlier one-row stack and
+    stacked check did."""
+    rng = np.random.default_rng(7)
+    p, s = rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(-1.0, 1.0, (3, 3))
+    pi = rng.uniform(-1.0, 1.0, (3, 3, 3))
+    p[1], s[1], pi[1] = 1e6 * p[1], 1e6 * s[1], 1e6 * pi[1]
+    for k in (0, 2):
+        invariant_vector(BlochDecomposition(p=p[k], s=s[k], pi=pi[k]))
+    with pytest.raises(I3Mismatch) as single:
+        invariant_vector(BlochDecomposition(p=p[1], s=s[1], pi=pi[1]))
+    with pytest.raises(I3Mismatch) as stacked:
+        batch_invariants(p, s, pi)
+    assert str(stacked.value) == str(single.value)
+    assert str(single.value).startswith("p.a = ")

@@ -16,6 +16,7 @@ from qconc.qstate import (
     DensityOperator,
     PureState,
     assemble,
+    batch_decompose,
     bell_state,
     check_states,
     decompose,
@@ -23,7 +24,7 @@ from qconc.qstate import (
     rank_of,
     werner_state,
 )
-from qconc.validate import batch_haar_u2, batch_random_pure
+from qconc.validate import batch_haar_u2, batch_random_mixed, batch_random_pure
 
 _SIGMAS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
@@ -244,6 +245,53 @@ def test_decompose_assemble_roundtrip_random(seed, k):
     rho = random_rank_k(k, seed)
     back = assemble(decompose(rho))
     assert np.abs(back.matrix - rho.matrix).max() < 1e-13
+
+
+def _einsum_decompose(mats):
+    """The decomposition as a contraction with the Pauli grid, how the fields
+    were computed before they were summed over matrix entries."""
+    comp = np.einsum("nab,ijba->nij", np.ascontiguousarray(mats, dtype=complex), _PAULI_GRID).real
+    return [np.ascontiguousarray(x) for x in (comp[:, 1:, 0], comp[:, 0, 1:], comp[:, 1:, 1:])]
+
+
+def _decomposition_stacks():
+    rng = np.random.default_rng(2014)
+    stacks = [batch_random_mixed(rng, 300, k) for k in (1, 2, 3, 4)]
+    amps = batch_random_pure(rng, 300)
+    stacks.append(np.einsum("ni,nj->nij", amps, amps.conj()))
+    named = [bell_state(k).density().matrix for k in ("phi+", "phi-", "psi+", "psi-")]
+    signed_zeros = np.full((4, 4), complex(-0.0, -0.0))
+    np.fill_diagonal(signed_zeros, 0.25)
+    stacks.append(np.stack(named + [werner_state(0.3).matrix, signed_zeros]))
+    return stacks
+
+
+@pytest.mark.parametrize("stack", range(6), ids=["rank1", "rank2", "rank3", "rank4", "pure", "named"])
+def test_decompose_matches_the_pauli_grid_contraction_bit_for_bit(stack):
+    """Each field, a sum of four signed entries from +0.0, has the bits the
+    einsum over the Pauli grid gave, signed zeros included, on a stack and
+    on each of its rows."""
+    mats = _decomposition_stacks()[stack]
+    expected = _einsum_decompose(mats)
+    for got, want in zip(batch_decompose(mats), expected):
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+    for k, m in enumerate(mats):
+        bloch = decompose(m)
+        for got, want in zip((bloch.p, bloch.s, bloch.pi), expected):
+            assert got.tobytes() == want[k].tobytes()
+
+
+def test_density_operator_keeps_the_spectrum_of_its_check():
+    """The spectrum check_states computed is kept: eigenvalues() returns a
+    copy of it, equal to eigvalsh of the matrix, and rank_of reads it."""
+    for k in (1, 2, 3, 4):
+        rho = random_rank_k(k, seed=k)
+        evals = rho.eigenvalues()
+        assert evals.tobytes() == np.linalg.eigvalsh(rho.matrix).tobytes()
+        evals[:] = 0.0
+        assert rho.eigenvalues().tobytes() == np.linalg.eigvalsh(rho.matrix).tobytes()
+        assert rank_of(rho) == rank_of(rho.matrix) == k
 
 
 def test_decompose_rejects_unphysical_matrix():

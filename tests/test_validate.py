@@ -150,11 +150,13 @@ def test_chunks_are_the_fewest_within_the_cap_split_evenly(samples, sizes):
 
 
 #: sha256 of the canonical JSON of run_suites(["pure", "lu-invariance"],
-#: 20000, seed=0) in the eight-chunk layout, regenerated once when the oracle
-#: moved to the pivoted Cholesky factor, with numpy 2.4.6 on x86-64; the
-#: oracle's last bits depend on the numpy build and the CPU's kernels, so
-#: other builds cannot compare bytes
-_STACKED_20K_SHA256 = "b9703c09c99c09c2b8a0649df30d338c3856c749e57b65badef63e75080ce1ff"
+#: 20000, seed=0) in the eight-chunk layout, regenerated when the oracle moved
+#: to the pivoted Cholesky factor and again when the invariants moved to one
+#: IEEE operation per product and sum, with numpy 2.4.6 on x86-64. The
+#: invariants' bits no longer depend on the BLAS kernel, but the sampling QR
+#: and the oracle's SVD tail still run on LAPACK, whose last bits depend on
+#: the numpy build and the CPU's kernels, so other builds cannot compare bytes
+_STACKED_20K_SHA256 = "c46b70aff8a4892763a0eafc354a75b74d0cae4e5aafaace55c073d599385282"
 
 
 @pytest.mark.skipif(
