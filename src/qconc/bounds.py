@@ -273,13 +273,14 @@ def rank3_max_concurrence(lam: float, a: float, b: float) -> float:
 
     May be negative; the matching oracle value is max(0, this).
     """
-    guards = _rank3_guards(a, b, lam)
-    return guards.settle(2.0 * (1.0 - 2.0 * lam / 3.0) * a * b - 2.0 * lam / 3.0)
+    _rank3_guards(a, b, lam).settle(None)
+    return 2.0 * (1.0 - 2.0 * lam / 3.0) * a * b - 2.0 * lam / 3.0
 
 
 def rank3_threshold(a: float, b: float) -> float:
     """Entanglement threshold 3 a b / (1 + 2 a b) on the projector weight."""
-    return _rank3_guards(a, b).settle(3.0 * a * b / (1.0 + 2.0 * a * b))
+    _rank3_guards(a, b).settle(None)
+    return 3.0 * a * b / (1.0 + 2.0 * a * b)
 
 
 _R = 1.0 / math.sqrt(2.0)
@@ -316,8 +317,9 @@ def rank4_max_concurrence(lambda1: float, lambda2: float) -> float:
     root is the boundary 9 lam1 + 8 lam2 = 6. The validation harness gates
     the exact form against the oracle and reports this one.
     """
+    _rank4_guards(lambda1, lambda2).settle(None)
     ab = 0.5
-    return _rank4_guards(lambda1, lambda2).settle(
+    return (
         lambda2 * ab / 3.0
         + (1.0 - lambda1 - lambda2) / 2.0
         - lambda1 / 4.0

@@ -429,12 +429,16 @@ def assemble(bloch: BlochDecomposition) -> DensityOperator:
             m += bloch.pi[i, j] * _PAULI_GRID[i + 1, j + 1]
     m *= 0.25
     _require_finite(m)
-    evals = np.linalg.eigvalsh(m)
-    if evals[0] < -PSD_TOL:
-        raise NotAState(
-            f"assembled matrix has eigenvalue {evals[0]}; data is unphysical"
-        )
-    return DensityOperator(m)
+    try:
+        return DensityOperator(m)
+    except InvalidState:
+        # the spectrum is taken again only to name a negative eigenvalue
+        lowest = np.linalg.eigvalsh(m)[0]
+        if lowest < -PSD_TOL:
+            raise NotAState(
+                f"assembled matrix has eigenvalue {lowest}; data is unphysical"
+            ) from None
+        raise
 
 
 def rank_of(rho) -> int:

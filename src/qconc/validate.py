@@ -12,19 +12,20 @@ Every sampled suite draws a chunk's parameters as one block (a family
 dataclass with array fields), builds the chunk's raw (n, 4, 4) stack with
 the family's matrix builder, validates it with one check_states call and
 evaluates decomposition, invariants, the oracle and the closed form under
-test on it, one call each. The samplers draw (n, k) blocks: uniform rows,
-or a Dirichlet or normal block followed by uniform blocks; only the rank-2
-rejection sampler walks its rows, to keep each state's first accepted try.
-Parameter dataclasses of single states are built only for the offenders a
-report prints. Most suites split their samples into the fewest chunks of
-at most _CHUNK_CAP states, split evenly; chunks own spawned seed streams
-and are merged in spawn order, so results depend only on the seed and the
-sample count. The suites that draw from one stream (`xstate-invariant`,
-`ladder`, `rank4-max`, `shots`) draw all their parameters first, then
-build, check and evaluate their stacks in slices of the same sizes, so
-memory stays bounded at any sample count. Only `threshold` assembles
-validated DensityOperators and calls the single-state oracle, on its two
-fixed bracket states.
+test on it, one call each; the family suites share that kernel (_family).
+The samplers draw (n, k) blocks: uniform rows, or a Dirichlet or normal
+block followed by uniform blocks; only the rank-2 rejection sampler walks
+its rows, to keep each state's first accepted try. Parameter dataclasses of
+single states are built only for the offenders a report prints. Most
+suites split their samples into the fewest chunks of at most _CHUNK_CAP
+states, split evenly; chunks own spawned seed streams and are merged in
+spawn order, so results depend only on the seed and the sample count. All
+of those but `pure` run through one runner (_chunked_suite). The suites
+that draw from one stream (`xstate-invariant`, `ladder`, `rank4-max`,
+`shots`) draw all their parameters first, then build, check and evaluate
+their stacks in slices of the same sizes, so memory stays bounded at any
+sample count. Only `threshold` assembles validated DensityOperators and
+calls the single-state oracle, on its two fixed bracket states.
 """
 
 from __future__ import annotations
@@ -232,9 +233,21 @@ def _run_chunked(kernel: Callable, seq: np.random.SeedSequence, samples: int):
     children = seq.spawn(len(sizes))
     results = [kernel(np.random.default_rng(c), m) for c, m in zip(children, sizes)]
     devs = np.concatenate([r[0] for r in results])
-    offenders = sorted((o for r in results for o in r[1]), key=lambda o: -o["deviation"])[:3]
+    offenders = sorted((o for r in results for o in r[1]), key=lambda o: -o["deviation"])
     extras = [r[2] for r in results if len(r) > 2]
-    return devs, offenders, extras
+    return devs, offenders[:TOP_OFFENDERS], extras
+
+
+def _chunked_suite(name: str, kernel: Callable, tolerance, notes: str, extra=None) -> Callable:
+    """The suite that runs kernel(rng, n) through _run_chunked and reports
+    the merged deviations; extra(devs), if given, gives the report's extras."""
+
+    def suite(seq, samples):
+        devs, offenders, _ = _run_chunked(kernel, seq, samples)
+        extras = None if extra is None else extra(devs)
+        return _report(name, devs, tolerance, offenders, extra=extras, notes=notes)
+
+    return suite
 
 
 # ---------------------------------------------------------------------------
@@ -387,39 +400,27 @@ def _suite_pure(seq, samples):
     )
 
 
-def _suite_lu_invariance(seq, samples):
-    def kernel(rng, n):
-        per_rank = [n // 4] * 4
-        per_rank[3] += n - sum(per_rank)
-        stacks = []
-        for rank, m in zip((1, 2, 3, 4), per_rank):
-            if m > 0:
-                stacks.append(batch_random_mixed(rng, m, rank))
-        mats = np.concatenate(stacks)
-        ua = batch_haar_u2(rng, mats.shape[0])
-        ub = batch_haar_u2(rng, mats.shape[0])
-        u = np.einsum("nij,nkl->nikjl", ua, ub).reshape(-1, 4, 4)
-        rotated = u @ mats @ u.conj().transpose(0, 2, 1)
-        inv0 = batch_invariants(*batch_decompose(mats))
-        inv1 = batch_invariants(*batch_decompose(rotated))
-        c0 = batch_oracle(mats)
-        c1 = batch_oracle(rotated)
-        devs = np.maximum(np.abs(inv0 - inv1).max(axis=1), np.abs(c0 - c1))
-        payload = lambda i: {
-            "oracle": float(c0[i]),
-            "estimate": float(c1[i]),
-            "state": {"matrix": _jsonable(mats[i])},
-        }
-        return devs, _top_offenders(devs, payload)
-
-    devs, offenders, _ = _run_chunked(kernel, seq, samples)
-    return _report(
-        "lu-invariance",
-        devs,
-        1e-9,
-        offenders,
-        notes="max change of I1..I9 and the oracle under random local unitaries",
+def _lu_invariance(rng, n):
+    per_rank = [n // 4] * 4
+    per_rank[3] += n - sum(per_rank)
+    mats = np.concatenate(
+        [batch_random_mixed(rng, m, rank) for rank, m in zip((1, 2, 3, 4), per_rank) if m > 0]
     )
+    ua = batch_haar_u2(rng, mats.shape[0])
+    ub = batch_haar_u2(rng, mats.shape[0])
+    u = np.einsum("nij,nkl->nikjl", ua, ub).reshape(-1, 4, 4)
+    rotated = u @ mats @ u.conj().transpose(0, 2, 1)
+    inv0 = batch_invariants(*batch_decompose(mats))
+    inv1 = batch_invariants(*batch_decompose(rotated))
+    c0 = batch_oracle(mats)
+    c1 = batch_oracle(rotated)
+    devs = np.maximum(np.abs(inv0 - inv1).max(axis=1), np.abs(c0 - c1))
+    payload = lambda i: {
+        "oracle": float(c0[i]),
+        "estimate": float(c1[i]),
+        "state": {"matrix": _jsonable(mats[i])},
+    }
+    return devs, _top_offenders(devs, payload)
 
 
 def _invariants(mats: np.ndarray) -> InvariantVector:
@@ -440,95 +441,27 @@ def _graded(block, estimates, oracle, index=None, devs=None):
     return devs, _top_offenders(devs, payload)
 
 
-def _suite_rank2_roundtrip(seq, samples):
+def _family(draw: Callable, build: Callable, estimate: Callable) -> Callable:
+    """The kernel of a family suite: draw(rng, n) a block of parameters,
+    build and check its stack, and grade estimate(params, mats) against the
+    oracle."""
+
     def kernel(rng, n):
-        params = sample_nondegenerate_rank2(rng, n)
-        recs = reconstruct_rank2(*local_observables_rank2(params))
-        mats = check_states(np.concatenate([rank2_matrix(params), rank2_matrix(recs)]))
-        inv = batch_invariants(*batch_decompose(mats))
-        c = batch_oracle(mats)
-        devs = np.maximum(np.abs(inv[:n] - inv[n:]).max(axis=1), np.abs(c[:n] - c[n:]))
-        return _graded(params, c[n:], c[:n], devs=devs)
+        params = draw(rng, n)
+        mats = check_states(build(params))
+        return _graded(params, estimate(params, mats), batch_oracle(mats))
 
-    devs, offenders, _ = _run_chunked(kernel, seq, samples)
-    return _report(
-        "rank2-roundtrip",
-        devs,
-        1e-6,
-        offenders,
-        notes="invariants and concurrence after local-data reconstruction",
-    )
+    return kernel
 
 
-def _suite_rank2_sep2(seq, samples):
-    def kernel(rng, n):
-        params = sample_rank2_sep(rng, n)
-        mats = check_states(rank2_sep_matrix(params))
-        return _graded(params, estimate_rank2_sep2(_invariants(mats)), batch_oracle(mats))
-
-    devs, offenders, _ = _run_chunked(kernel, seq, samples)
-    return _report(
-        "rank2-sep2",
-        devs,
-        None,
-        offenders,
-        extra={
-            "within_1e-6": int((devs <= 1e-6).sum()),
-            "above_0.1": int((devs > 0.1).sum()),
-        },
-        notes=(
-            "statistical grading of the two-invariant rank-2 candidate "
-            "max(sqrt(1-I1), sqrt(1-I2)); report only, no tolerance"
-        ),
-    )
-
-
-def _suite_rank2_degenerate(seq, samples):
-    def kernel(rng, n):
-        params = sample_rank2_degenerate(rng, n=n)
-        oracle = batch_oracle(check_states(rank2_degenerate_matrix(params)))
-        return _graded(params, estimate_rank2_degenerate(params), oracle)
-
-    devs, offenders, _ = _run_chunked(kernel, seq, samples)
-    return _report(
-        "rank2-degenerate",
-        devs,
-        1e-8,
-        offenders,
-        notes="(1 - lam) 2 r1 |c| against the oracle on the orthogonal-projector family",
-    )
-
-
-def _suite_projection2(seq, samples):
-    def kernel(rng, n):
-        params = sample_rank2_degenerate(rng, lam=0.5, n=n)
-        mats = check_states(rank2_degenerate_matrix(params))
-        return _graded(params, estimate_projection2(_invariants(mats)), batch_oracle(mats))
-
-    devs, offenders, _ = _run_chunked(kernel, seq, samples)
-    return _report(
-        "projection2",
-        devs,
-        1e-8,
-        offenders,
-        notes="single-qubit-invariant closed form on equal-weight projections",
-    )
-
-
-def _suite_xstate(seq, samples):
-    def kernel(rng, n):
-        states = sample_xstate(rng, n=n)
-        oracle = batch_oracle(check_states(xstate_matrix(states)))
-        return _graded(states, xstate_concurrence(states), oracle)
-
-    devs, offenders, _ = _run_chunked(kernel, seq, samples)
-    return _report(
-        "xstate",
-        devs,
-        1e-8,
-        offenders,
-        notes="2 max(0, |z| - sqrt(u+ u-)) against the oracle on X states",
-    )
+def _rank2_roundtrip(rng, n):
+    params = sample_nondegenerate_rank2(rng, n)
+    recs = reconstruct_rank2(*local_observables_rank2(params))
+    mats = check_states(np.concatenate([rank2_matrix(params), rank2_matrix(recs)]))
+    inv = batch_invariants(*batch_decompose(mats))
+    c = batch_oracle(mats)
+    devs = np.maximum(np.abs(inv[:n] - inv[n:]).max(axis=1), np.abs(c[:n] - c[n:]))
+    return _graded(params, c[n:], c[:n], devs=devs)
 
 
 def _suite_xstate_invariant(seq, samples):
@@ -587,41 +520,26 @@ def _suite_ladder(seq, samples):
     )
 
 
-def _suite_bounds(seq, samples):
-    def kernel(rng, n):
-        half = n // 2
-        m3 = Rank3Mixture.random(rng, n=half)
-        m4 = Rank4Mixture.random(rng, n=n - half)
-        vals = np.concatenate([rank3_bound(m3), rank4_bound(m4)])
-        oracle = batch_oracle(check_states(np.concatenate([m3.matrix(), m4.matrix()])))
-        margins = vals - oracle
-        devs = np.maximum(0.0, -margins)
-        order = np.argsort(margins)[:3]
-        offenders = [
-            {
-                "deviation": float(devs[i]),
-                "margin": float(margins[i]),
-                "oracle": float(oracle[i]),
-                "estimate": float(vals[i]),
-                "state": _jsonable(
-                    _record(m3, i) if i < half else _record(m4, i - half)
-                ),
-            }
-            for i in order
-        ]
-        return devs, offenders
-
-    devs, offenders, _ = _run_chunked(kernel, seq, samples)
-    return _report(
-        "bounds",
-        devs,
-        1e-9,
-        offenders,
-        notes=(
-            "dominance of the separable-decomposition bounds over the oracle "
-            "on random rank-3 and rank-4 mixtures; offenders are the thinnest margins"
-        ),
-    )
+def _bounds(rng, n):
+    half = n // 2
+    m3 = Rank3Mixture.random(rng, n=half)
+    m4 = Rank4Mixture.random(rng, n=n - half)
+    vals = np.concatenate([rank3_bound(m3), rank4_bound(m4)])
+    oracle = batch_oracle(check_states(np.concatenate([m3.matrix(), m4.matrix()])))
+    margins = vals - oracle
+    devs = np.maximum(0.0, -margins)
+    order = np.argsort(margins)[:TOP_OFFENDERS]
+    offenders = [
+        {
+            "deviation": float(devs[i]),
+            "margin": float(margins[i]),
+            "oracle": float(oracle[i]),
+            "estimate": float(vals[i]),
+            "state": _jsonable(_record(m3, i) if i < half else _record(m4, i - half)),
+        }
+        for i in order
+    ]
+    return devs, offenders
 
 
 def _suite_rank4_max(seq, samples):
@@ -697,11 +615,7 @@ def _suite_region(seq, samples):
     rest = 1.0 - arr.sum(axis=1)
     w = arr[:, 0] / 4.0 + arr[:, 1] / 6.0 + rest / 2.0
     z = arr[:, 1] / 6.0 + rest / 2.0
-    mats = np.zeros((arr.shape[0], 4, 4), dtype=complex)
-    mats[:, [0, 3], [0, 3]] = u[:, None]
-    mats[:, [1, 2], [1, 2]] = w[:, None]
-    mats[:, [1, 2], [2, 1]] = z[:, None]
-    oracle = batch_oracle(mats)
+    oracle = batch_oracle(xstate_matrix(XState(u, w, w, u, z + 0j)))
     kinds = classes[feasible]
     separable = kinds == REGION_SEPARABLE
     mismatches = int(
@@ -825,18 +739,71 @@ def _suite_shots(seq, samples):
     )
 
 
-#: registry order is load-bearing: each suite's seed stream is spawned by index
+#: registry order is load-bearing: each suite's seed stream is spawned by index.
+#: The lambdas look the samplers, builders and closed forms up when called,
+#: so a rebound module name (a test's monkeypatch, bench/layertrace.py) runs.
 SUITES: dict[str, Callable] = {
     "pure": _suite_pure,
-    "lu-invariance": _suite_lu_invariance,
-    "rank2-roundtrip": _suite_rank2_roundtrip,
-    "rank2-sep2": _suite_rank2_sep2,
-    "rank2-degenerate": _suite_rank2_degenerate,
-    "projection2": _suite_projection2,
-    "xstate": _suite_xstate,
+    "lu-invariance": _chunked_suite(
+        "lu-invariance", _lu_invariance, 1e-9,
+        "max change of I1..I9 and the oracle under random local unitaries",
+    ),
+    "rank2-roundtrip": _chunked_suite(
+        "rank2-roundtrip", _rank2_roundtrip, 1e-6,
+        "invariants and concurrence after local-data reconstruction",
+    ),
+    "rank2-sep2": _chunked_suite(
+        "rank2-sep2",
+        _family(
+            lambda rng, n: sample_rank2_sep(rng, n),
+            lambda params: rank2_sep_matrix(params),
+            lambda params, mats: estimate_rank2_sep2(_invariants(mats)),
+        ),
+        None,
+        "statistical grading of the two-invariant rank-2 candidate "
+        "max(sqrt(1-I1), sqrt(1-I2)); report only, no tolerance",
+        extra=lambda devs: {
+            "within_1e-6": int((devs <= 1e-6).sum()),
+            "above_0.1": int((devs > 0.1).sum()),
+        },
+    ),
+    "rank2-degenerate": _chunked_suite(
+        "rank2-degenerate",
+        _family(
+            lambda rng, n: sample_rank2_degenerate(rng, n=n),
+            lambda params: rank2_degenerate_matrix(params),
+            lambda params, mats: estimate_rank2_degenerate(params),
+        ),
+        1e-8,
+        "(1 - lam) 2 r1 |c| against the oracle on the orthogonal-projector family",
+    ),
+    "projection2": _chunked_suite(
+        "projection2",
+        _family(
+            lambda rng, n: sample_rank2_degenerate(rng, lam=0.5, n=n),
+            lambda params: rank2_degenerate_matrix(params),
+            lambda params, mats: estimate_projection2(_invariants(mats)),
+        ),
+        1e-8,
+        "single-qubit-invariant closed form on equal-weight projections",
+    ),
+    "xstate": _chunked_suite(
+        "xstate",
+        _family(
+            lambda rng, n: sample_xstate(rng, n=n),
+            lambda params: xstate_matrix(params),
+            lambda params, mats: xstate_concurrence(params),
+        ),
+        1e-8,
+        "2 max(0, |z| - sqrt(u+ u-)) against the oracle on X states",
+    ),
     "xstate-invariant": _suite_xstate_invariant,
     "ladder": _suite_ladder,
-    "bounds": _suite_bounds,
+    "bounds": _chunked_suite(
+        "bounds", _bounds, 1e-9,
+        "dominance of the separable-decomposition bounds over the oracle "
+        "on random rank-3 and rank-4 mixtures; offenders are the thinnest margins",
+    ),
     "rank4-max": _suite_rank4_max,
     "threshold": _suite_threshold,
     "region": _suite_region,

@@ -302,8 +302,24 @@ def test_decompose_rejects_unphysical_matrix():
 def test_assemble_rejects_unphysical_bloch():
     # correlation matrix far outside the tetrahedron of physical states
     bad = BlochDecomposition(p=np.zeros(3), s=np.zeros(3), pi=2.0 * np.eye(3))
-    with pytest.raises(NotAState):
+    with pytest.raises(NotAState, match=r"^assembled matrix has eigenvalue -1\.25; data is unphysical$"):
         assemble(bad)
+
+
+def test_assemble_takes_one_spectrum_of_a_valid_payload(monkeypatch):
+    """The DensityOperator check's spectrum is the only one a valid payload
+    costs; assemble takes another only to name a negative eigenvalue."""
+    bloch = decompose(random_rank_k(3, seed=3))
+    shapes = []
+
+    def counting(m, eigvalsh=np.linalg.eigvalsh):
+        shapes.append(np.shape(m))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rho = assemble(bloch)
+    assert shapes == [(1, 4, 4)]
+    assert rank_of(rho) == 3
 
 
 def test_rank_of_exact_ranks():

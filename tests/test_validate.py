@@ -159,16 +159,74 @@ def test_chunks_are_the_fewest_within_the_cap_split_evenly(samples, sizes):
 _STACKED_20K_SHA256 = "c46b70aff8a4892763a0eafc354a75b74d0cae4e5aafaace55c073d599385282"
 
 
-@pytest.mark.skipif(
+_RECORDED_BUILD = pytest.mark.skipif(
     np.__version__ != "2.4.6" or platform.machine() != "x86_64",
     reason="digest recorded with numpy 2.4.6 on x86-64",
 )
+
+
+def _sha256(reports) -> str:
+    return hashlib.sha256(canonical_dumps([r.to_dict() for r in reports]).encode()).hexdigest()
+
+
+@_RECORDED_BUILD
 def test_capped_chunks_keep_the_stacked_suites_bytes_at_20000():
     """At 20000 samples the cap gives the same eight chunks of 2500 as the
     fixed layout did, so the stacked suites keep every byte."""
-    reports = run_suites(["pure", "lu-invariance"], 20_000, seed=0)
-    text = canonical_dumps([r.to_dict() for r in reports])
-    assert hashlib.sha256(text.encode()).hexdigest() == _STACKED_20K_SHA256
+    assert _sha256(run_suites(["pure", "lu-invariance"], 20_000, seed=0)) == _STACKED_20K_SHA256
+
+
+#: sha256 of the canonical JSON of every suite's report at 200 samples and
+#: seed 0, recorded on the same build as _STACKED_20K_SHA256
+_ALL_200_SHA256 = "52065ded5884ef45551c058518bd00d1450b953bcb624d46f2681c48627216af"
+
+
+@_RECORDED_BUILD
+def test_every_suite_keeps_its_bytes_at_200():
+    assert _sha256(run_suites(None, 200, seed=0)) == _ALL_200_SHA256
+
+
+#: what each sampled suite must reach through a module binding of validate
+#: at call time, so that a patched binding (a test's or a tracer's) sees it
+_GRADED = ["check_states", "batch_oracle"]
+_CALLEES = {
+    "lu-invariance": ["batch_random_mixed", "batch_haar_u2", "batch_invariants", "batch_oracle"],
+    "rank2-roundtrip": [
+        "sample_nondegenerate_rank2", "reconstruct_rank2", "rank2_matrix", "batch_invariants",
+        *_GRADED,
+    ],
+    "rank2-sep2": ["sample_rank2_sep", "rank2_sep_matrix", "estimate_rank2_sep2", *_GRADED],
+    "rank2-degenerate": [
+        "sample_rank2_degenerate", "rank2_degenerate_matrix", "estimate_rank2_degenerate",
+        *_GRADED,
+    ],
+    "projection2": [
+        "sample_rank2_degenerate", "rank2_degenerate_matrix", "estimate_projection2", *_GRADED,
+    ],
+    "xstate": ["sample_xstate", "xstate_matrix", "xstate_concurrence", *_GRADED],
+    "xstate-invariant": ["sample_xstate", "xstate_matrix", "_xstate_invariant", *_GRADED],
+    "bounds": ["rank3_bound", "rank4_bound", *_GRADED],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_CALLEES))
+def test_suites_reach_their_callees_through_module_bindings(monkeypatch, suite):
+    names = _CALLEES[suite]
+    calls = dict.fromkeys(names, 0)
+
+    def recording(name):
+        fn = getattr(validate, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(validate, name, recording(name))
+    run_suites([suite], samples=_SMOKE, seed=0)
+    assert [name for name, n in calls.items() if n == 0] == []
 
 
 def test_shots_counts_the_trials_it_cannot_grade(monkeypatch):
