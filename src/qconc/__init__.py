@@ -31,7 +31,6 @@ _EXPORTS = {
     "concurrence": """
         ConcurrenceDiagnostics
         concurrence_oracle
-        concurrence_pure
     """,
     "errors": """
         DomainError

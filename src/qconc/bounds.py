@@ -93,8 +93,8 @@ def _rho2(m) -> np.ndarray:
 def _psi_concurrence(m):
     """C(psi) = 2 |c00 c11 - c01 c10| of the mixture's in-span pure state.
 
-    psi is real, so the real products give concurrence_pure's complex ones
-    bit for bit; the mixture's checks keep it at unit norm.
+    psi is real, so the real products give the complex ones bit for bit;
+    the mixture's checks keep it at unit norm.
     """
     c = m.psi().real
     return 2.0 * abs(c[..., 0] * c[..., 3] - c[..., 1] * c[..., 2])

@@ -186,15 +186,17 @@ def _applicable_estimates(
             attempt("projection2", DomainError, estimate_projection2, inv)
         attempt("rank2-sep2", DomainError, estimate_rank2_sep2, inv)
 
+    # a state at validation's 1e-10 tolerances can fail a family's 1e-12 checks
     if _is_xstate(rho, tol):
         m = rho.matrix
-        x = XState(*(float(m[k, k].real) for k in range(4)), z=complex(m[1, 2]))
-        add("xstate-direct", xstate_concurrence(x))
+        x = [float(m[k, k].real) for k in range(4)] + [complex(m[1, 2])]
+        attempt("xstate-direct", ValueError, lambda: xstate_concurrence(XState(*x)))
         attempt("xstate-invariant", (I1Zero, DomainError), xstate_concurrence_invariant, inv)
 
     if _is_ladder(rho, tol):
         add("ladder-rho11", 1.0 - float(rho.matrix[0, 0].real))
-        add("ladder-szpz", ladder_from_correlation(expectation(rho, ("z", "z"))))
+        szpz = expectation(rho, ("z", "z"))
+        attempt("ladder-szpz", ValueError, ladder_from_correlation, szpz)
 
     return entries
 

@@ -6,10 +6,9 @@ state, so neither an eigenproblem nor a non-Hermitian product is solved and
 states of any rank stay well conditioned. W comes from an outer-product
 Cholesky with complete diagonal pivoting: pivots at or below EIG_CLAMP times
 the largest diagonal entry count as zero, and the factorization stops once
-no state has a pivot left above that cut. The factor is written once, over
-the matrix entries split into real and imaginary parts, which are floats
-for one state or (n,) arrays for a stack. The pure-state shortcut uses the
-amplitude determinant.
+no state has a pivot left above that cut. The factor and the rank-2 roots
+are written once each, over the matrix entries split into real and
+imaginary parts, which are floats for one state or (n,) arrays for a stack.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigSolveFailure
-from .qstate import NORM_TOL, PureState, _unit_vector, _validated_matrix
+from .qstate import _validated_matrix
 
 #: pivots at or below this fraction of the largest diagonal entry count as zero
 EIG_CLAMP = 1e-12
@@ -42,8 +41,14 @@ class ConcurrenceDiagnostics:
     @classmethod
     def from_lambdas(cls, lambdas) -> "ConcurrenceDiagnostics":
         lam = tuple(sorted(map(float, lambdas), reverse=True))
-        value = max(0.0, lam[0] - (lam[1] + lam[2] + lam[3]))
-        return cls(lambdas=lam, value=value)
+        return cls(lambdas=lam, value=_value(*lam))
+
+
+def _value(l1, l2, l3, l4):
+    """Concurrence of descending roots (floats or (n,) arrays) held to [0, 1],
+    which round-off and states at validation's 1e-10 tolerances can leave."""
+    high, low = (np.maximum, np.minimum) if isinstance(l1, np.ndarray) else (max, min)
+    return high(0.0, low(1.0, l1 - (l2 + l3 + l4)))
 
 
 def _pivot(diag):
@@ -133,18 +138,57 @@ def _pivoted_factor(re, im):
         last = lr, li
 
 
+def _flip(u, v):
+    """(Re, Im) of u^T (sy x sy) v = u1 v2 + u2 v1 - u0 v3 - u3 v0 from those of u, v."""
+    (ur, ui), (vr, vi) = u, v
+    re = (ur[1] * vr[2] - ui[1] * vi[2]) + (ur[2] * vr[1] - ui[2] * vi[1])
+    im = (ur[1] * vi[2] + ui[1] * vr[2]) + (ur[2] * vi[1] + ui[2] * vr[1])
+    re = re - ((ur[0] * vr[3] - ui[0] * vi[3]) + (ur[3] * vr[0] - ui[3] * vi[0]))
+    return re, im - ((ur[0] * vi[3] + ui[0] * vr[3]) + (ur[3] * vi[0] + ui[3] * vr[0]))
+
+
+def _rank2_roots(x, y):
+    """Roots s1 >= s2 of W = [x y], each column given as its entries' real and
+    imaginary parts (floats, or (n,) arrays): the singular values of
+    B = W^T (sigma_y x sigma_y) W = [[a, b], [b, c]]. The Givens rotation
+    [[u*, v*], [-v, u]], (u, v) = (a, b)/r, r = sqrt(|a|^2 + |b|^2) ((1, 0) if
+    r = 0), takes B to [[r, t], [0, h]]; LAPACK's DLAS2 (Demmel and Kahan),
+    less its overflow scaling, gives s1 = (sqrt((r + h)^2 + |t|^2) +
+    sqrt((r - h)^2 + |t|^2)) / 2 and s2 = r |h| / s1, neither cancelling at
+    ties. Only + - * / and sqrt act, so block rows keep single-state bits."""
+    sqrt, least = (np.sqrt, np.minimum) if isinstance(x[0][0], np.ndarray) else (math.sqrt, min)
+    (ar, ai), (br, bi), (cr, ci) = _flip(x, x), _flip(x, y), _flip(y, y)
+    r = sqrt((ar * ar + ai * ai) + (br * br + bi * bi))
+    flat = r == 0
+    r1 = r + flat
+    ur, ui, vr, vi = ar / r1 + flat, ai / r1, br / r1, bi / r1
+    tr = (ur * br + ui * bi) + (vr * cr + vi * ci)
+    ti = (ur * bi - ui * br) + (vr * ci - vi * cr)
+    hr = (ur * cr - ui * ci) - (vr * br - vi * bi)
+    hi = (ur * ci + ui * cr) - (vr * bi + vi * br)
+    tt = tr * tr + ti * ti
+    h = sqrt(hr * hr + hi * hi)
+    s1 = 0.5 * (sqrt((r + h) * (r + h) + tt) + sqrt((r - h) * (r - h) + tt))
+    # s1 > 0 where r > 0; and r h <= s1^2, up to the last bit at ties
+    return s1, least(s1, r * h / (s1 + flat))
+
+
 def _roots(wt: np.ndarray, rank) -> np.ndarray:
     """Descending roots from an (n, K, 4) stack of transposed factors, row j
     of each the j-th column of W, state r keeping its first rank[r] columns:
-    the singular values of the complex-symmetric
-    B = W_k^T (sigma_y x sigma_y) W_k (|B| for k = 1), then 4 - k exact zeros.
-    Rows are grouped by k, at most four groups per stack."""
+    the singular values of the complex-symmetric B = W_k^T (sigma_y x
+    sigma_y) W_k (|B| for k = 1, _rank2_roots for k = 2), then 4 - k exact
+    zeros. Rows are grouped by k, at most four groups per stack."""
     lam = np.zeros((len(wt), 4))
     ranks = set(rank.tolist()) if isinstance(rank, np.ndarray) else {rank}
     try:
         for k in ranks - {0}:
             rows = slice(None) if len(ranks) == 1 else rank == k
             wk = wt[rows, :k]
+            if k == 2:  # parts[c, p, i]: part p of entry i of column c
+                parts = wk.view(float).reshape(-1, 2, 4, 2).transpose(1, 3, 2, 0).copy()
+                lam[rows, 0], lam[rows, 1] = _rank2_roots(*parts)
+                continue
             b = wk @ (wk[:, :, ::-1] * _YY_SIGNS).transpose(0, 2, 1)
             lam[rows, :k] = np.abs(b[:, :, 0]) if k == 1 else np.linalg.svd(b, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -184,38 +228,28 @@ def batch_lambdas(mats: np.ndarray) -> np.ndarray:
     EIG_CLAMP times the largest diagonal entry count as zero, so round-off in
     the null space cannot leak sqrt(eps)-sized noise into the roots, and the
     factorization stops once no state has a pivot left above that cut. A
-    state with k pivots kept has k columns, so B is k x k (|B| itself for
-    k = 1, with no SVD) and its 4 - k trailing roots are exact zeros. The
-    factor is the one :func:`concurrence_oracle` computes on floats, here on
-    (n,) arrays of entries, so each row has its single-state bits.
+    state with k pivots kept has k columns, so B is k x k (with no SVD for
+    k <= 2) and its 4 - k trailing roots are exact zeros. The factor and the
+    rank-2 roots are the ones :func:`concurrence_oracle` computes on floats,
+    here on (n,) arrays of entries, so each row has its single-state bits.
     """
     return _roots(*_stacked_factor(np.asarray(mats, dtype=complex)))
 
 
 def batch_oracle(mats: np.ndarray) -> np.ndarray:
     """Concurrence of each state in an (n, 4, 4) stack of trusted states."""
-    lam = batch_lambdas(mats)
-    return np.maximum(0.0, lam[:, 0] - (lam[:, 1] + lam[:, 2] + lam[:, 3]))
+    return _value(*batch_lambdas(mats).T)
 
 
 def concurrence_oracle(rho) -> ConcurrenceDiagnostics:
     """Exact concurrence for any two-qubit density operator.
 
     A raw array is validated first and raises InvalidState if unphysical;
-    the factor is that of :func:`batch_lambdas`, computed on floats.
+    the factor and the roots are those of :func:`batch_lambdas`, on floats.
     """
     parts = _validated_matrix(rho).ravel().view(float).tolist()
-    columns = _pivoted_factor(parts[0::2], parts[1::2])
-    wt = np.array([complex(a, b) for _, lr, li in columns for a, b in zip(lr, li)])
-    wt = wt.reshape(1, -1, 4)
-    return ConcurrenceDiagnostics.from_lambdas(_roots(wt, wt.shape[1])[0].tolist())
-
-
-def concurrence_pure(psi) -> float:
-    """Concurrence of a pure state: 2 |c00 c11 - c01 c10|.
-
-    Accepts a PureState or a raw amplitude vector; raises NotNormalized when
-    the squared norm is not within 1e-8 of one (a NaN one is not).
-    """
-    c = psi.amplitudes if isinstance(psi, PureState) else _unit_vector(psi, NORM_TOL)
-    return float(2.0 * abs(c[0] * c[3] - c[1] * c[2]))
+    columns = [(lr, li) for _, lr, li in _pivoted_factor(parts[0::2], parts[1::2])]
+    if len(columns) == 2:
+        return ConcurrenceDiagnostics.from_lambdas([*_rank2_roots(*columns), 0, 0])
+    wt = np.array([complex(a, b) for lr, li in columns for a, b in zip(lr, li)]).reshape(1, -1, 4)
+    return ConcurrenceDiagnostics.from_lambdas(_roots(wt, len(columns))[0].tolist())

@@ -105,17 +105,31 @@ def batch_random_pure(rng, n: int) -> np.ndarray:
 
 
 def batch_haar_u2(rng, n: int) -> np.ndarray:
-    """n Haar-random 2x2 unitaries, shape (n, 2, 2)."""
+    """n Haar-random 2x2 unitaries, shape (n, 2, 2): the Q of a complex Gaussian
+    block z's QR with R's diagonal positive, in closed form: z's first column
+    normalized, (a, b), then (-b*, a*) times the phase of its product with z's second."""
     z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
+    a, b = z[:, 0, 0], z[:, 1, 0]
+    norm = np.sqrt((a.real * a.real + a.imag * a.imag) + (b.real * b.real + b.imag * b.imag))
+    a, b = a / norm, b / norm
+    w = a * z[:, 1, 1] - b * z[:, 0, 1]
+    phase = w / np.sqrt(w.real * w.real + w.imag * w.imag)
+    return np.stack([np.stack([a, -b.conj() * phase], 1), np.stack([b, a.conj() * phase], 1)], 1)
 
 
 def batch_random_mixed(rng, n: int, rank: int) -> np.ndarray:
-    """n random rank-`rank` density matrices, shape (n, 4, 4)."""
+    """n random rank-`rank` density matrices, shape (n, 4, 4): q w q^H for flat
+    Dirichlet weights w (redrawn away from zero) and q a complex Gaussian block
+    orthonormalized by CGS2 on entry lists: its QR's Q up to column phases."""
     z = rng.normal(size=(n, 4, rank)) + 1j * rng.normal(size=(n, 4, rank))
-    q, _ = np.linalg.qr(z)
+    cols = []
+    for v in map(list, z.transpose(2, 1, 0)):
+        for _ in range(2):
+            dots = [sum(c.conj() * x for c, x in zip(col, v)) for col in cols]
+            v = [x - sum(d * col[i] for d, col in zip(dots, cols)) for i, x in enumerate(v)]
+        norm = np.sqrt(sum(x.real * x.real + x.imag * x.imag for x in v))
+        cols.append([x / norm for x in v])
+    q = np.array(cols).T
     w = rng.dirichlet(np.ones(rank), size=n)
     for _ in range(REJECTION_LIMIT):
         bad = w.min(axis=1) < 1e-6

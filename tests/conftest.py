@@ -11,6 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SY, _SY)
@@ -21,6 +22,54 @@ def wootters_reference(matrix: np.ndarray) -> float:
     ev = np.linalg.eigvals(matrix @ tilde)
     lam = np.sort(np.sqrt(np.clip(ev.real, 0.0, None)))
     return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
+
+
+def concurrence_pure(psi) -> float:
+    """Concurrence of a pure state: 2 |c00 c11 - c01 c10|, a reference the
+    oracle shares no code with.
+
+    Accepts a PureState or a raw amplitude vector; raises NotNormalized when
+    the squared norm is not within 1e-8 of one (a NaN one is not).
+    """
+    from qconc.qstate import NORM_TOL, PureState, _unit_vector
+
+    c = psi.amplitudes if isinstance(psi, PureState) else _unit_vector(psi, NORM_TOL)
+    return float(2.0 * abs(c[0] * c[3] - c[1] * c[2]))
+
+
+#: just inside the acceptance tolerances of check_states (1e-10 each)
+EDGE = 0.99e-10
+
+
+@st.composite
+def edge_states(draw) -> np.ndarray:
+    """A matrix at the edges of what validation accepts: a Bell state or a
+    random state of rank 1-4, with its smallest eigenvalue set in [-EDGE, 0],
+    its trace scaled to within EDGE of 1 and an anti-Hermitian part whose
+    residual |m - m^H| is up to EDGE at one entry."""
+    from qconc.qstate import bell_state, random_rank_k
+
+    base = draw(
+        st.one_of(
+            st.sampled_from(["phi+", "phi-", "psi+", "psi-"]).map(
+                lambda kind: bell_state(kind).density().matrix
+            ),
+            st.builds(
+                lambda k, seed: random_rank_k(k, seed).matrix,
+                st.integers(1, 4),
+                st.integers(0, 2**32 - 1),
+            ),
+        )
+    )
+    w, v = np.linalg.eigh(base)
+    w[0] = draw(st.floats(-EDGE, 0.0))
+    w *= draw(st.floats(1.0 - EDGE, 1.0 + EDGE)) / w.sum()
+    m = (v * w) @ v.conj().T
+    m = (m + m.conj().T) / 2
+    i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[i, j] += draw(st.floats(0.0, EDGE)) / 2 * (1j if i == j else 1.0)
+    return m + skew - skew.conj().T
 
 
 def bloch_payload(rho) -> dict:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bloch_payload, write_state
+from conftest import bloch_payload, edge_states, write_state
 
 import qconc.validate
 from qconc.cli import main
@@ -468,6 +468,28 @@ def test_fuzzed_payloads_end_in_a_result_or_an_error(tmp_path_factory, payload):
     if code == 0:
         oracle = json.loads(report.read_text())["oracle"]
         assert math.isfinite(oracle) and 0.0 <= oracle <= 1.0
+    else:
+        assert code == 1
+        assert err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_states())
+def test_edge_states_end_in_a_unit_interval_oracle_or_an_error(tmp_path_factory, m):
+    """A state at the acceptance tolerances of validation ends in exit 0 with
+    an oracle in [0, 1], or in exit 1 with an error line; the family
+    estimates whose checks are tighter than validation's report an error."""
+    folder = tmp_path_factory.getbasetemp()
+    state, report = folder / "edge-state.json", folder / "edge-report.json"
+    matrix = [[{"re": v.real, "im": v.imag} for v in row] for row in m]
+    state.write_text(json.dumps({"matrix": matrix}))
+    report.write_text("")
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["concurrence", str(state), "--format", "json", "--out", str(report)])
+    if code == 0:
+        assert 0.0 <= json.loads(report.read_text())["oracle"] <= 1.0
     else:
         assert code == 1
         assert err.getvalue().startswith("error: ")

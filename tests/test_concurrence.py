@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import concurrence_pure, edge_states
+
 from qconc.concurrence import (
     EIG_CLAMP,
     ConcurrenceDiagnostics,
     batch_lambdas,
     batch_oracle,
     concurrence_oracle,
-    concurrence_pure,
 )
 from qconc.errors import InvalidState, NotNormalized
 from qconc.qstate import (
@@ -17,6 +18,7 @@ from qconc.qstate import (
     SIGMA_Y,
     PureState,
     bell_state,
+    check_states,
     random_rank_k,
     werner_state,
 )
@@ -73,6 +75,29 @@ def test_diagnostics_spectrum_sorted_and_consistent():
 def test_diagnostics_from_lambdas_clamps_at_zero():
     diag = ConcurrenceDiagnostics.from_lambdas([0.3, 0.3, 0.2, 0.2])
     assert diag.value == 0.0
+
+
+def test_a_scaled_bell_state_gives_one_with_raw_lambdas():
+    # trace 1 + 0.9e-10 passes validation; l1 - (l2 + l3 + l4) is 1 + 9e-11
+    m = bell_state("phi+").density().matrix * (1.0 + 0.9e-10)
+    diag = concurrence_oracle(m)
+    assert diag.value == 1.0 and batch_oracle(m[None])[0] == 1.0
+    assert diag.lambdas[0] > 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_states())
+def test_edge_states_give_a_concurrence_in_the_unit_interval_or_raise(m):
+    """States at the acceptance tolerances of validation: the single-state and
+    the stacked oracle give a value in [0, 1], or validation rejects them."""
+    try:
+        value = concurrence_oracle(m).value
+    except InvalidState:
+        with pytest.raises(InvalidState):
+            check_states(m[None])
+        return
+    assert 0.0 <= value <= 1.0
+    assert batch_oracle(check_states(m[None]))[0] == value
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qconc.concurrence import concurrence_oracle, concurrence_pure
+from conftest import concurrence_pure
+
+from qconc.concurrence import concurrence_oracle
 from qconc.errors import (
     DomainError,
     I1Zero,
