@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .concurrence import batch_oracle, concurrence_oracle
+from .concurrence import ConcurrenceDiagnostics, batch_oracle, concurrence_oracle
 from .errors import (
     DomainError,
     I1Zero,
@@ -32,6 +32,7 @@ from .estimators import (
     estimate_projection2,
     estimate_pure,
     estimate_rank2_sep2,
+    ladder_concurrence,
     ladder_from_correlation,
     ladder_matrix,
     reconstruct_rank2,
@@ -155,16 +156,16 @@ def _is_xstate(rho: DensityOperator, tol: float) -> bool:
 
 
 def _applicable_estimates(
-    rho: DensityOperator, bloch: BlochDecomposition, inv: InvariantVector, rank: int,
-    oracle: float, tol: float,
+    rho: DensityOperator, bloch: BlochDecomposition, inv: InvariantVector,
+    diag: ConcurrenceDiagnostics, tol: float,
 ) -> list[dict]:
     """Family estimates that apply to rho, given its decomposition, invariants
-    and rank, each with its deviation from the oracle value."""
+    and oracle diagnostics, each with its deviation from the oracle value."""
     entries: list[dict] = []
 
     def add(name: str, value: float) -> None:
         entries.append(
-            {"name": name, "value": float(value), "deviation": float(abs(value - oracle))}
+            {"name": name, "value": float(value), "deviation": float(abs(value - diag.value))}
         )
 
     def attempt(name: str, errors, estimate, *args) -> None:
@@ -176,10 +177,10 @@ def _applicable_estimates(
     def reconstructed() -> float:
         return concurrence_oracle(assemble_rank2(reconstruct_rank2(bloch.p, bloch.s))).value
 
-    if rank == 1:
+    if diag.rank == 1:
         attempt("pure", NotPure, estimate_pure, inv)
 
-    if rank == 2:
+    if diag.rank == 2:
         attempt("rank2-reconstruction", QconcError, reconstructed)
         eigs = rho.eigenvalues()
         if abs(eigs[-1] - 0.5) <= 1e-6 and abs(eigs[-2] - 0.5) <= 1e-6:
@@ -194,9 +195,8 @@ def _applicable_estimates(
         attempt("xstate-invariant", (I1Zero, DomainError), xstate_concurrence_invariant, inv)
 
     if _is_ladder(rho, tol):
-        add("ladder-rho11", 1.0 - float(rho.matrix[0, 0].real))
-        szpz = expectation(rho, ("z", "z"))
-        attempt("ladder-szpz", ValueError, ladder_from_correlation, szpz)
+        add("ladder-rho11", ladder_concurrence(float(rho.matrix[0, 0].real)))
+        attempt("ladder-szpz", ValueError, ladder_from_correlation, float(bloch.pi[2, 2]))
 
     return entries
 
@@ -227,14 +227,13 @@ def cmd_concurrence(state_path, tol, out_path, fmt):
     diag = concurrence_oracle(rho)
     bloch = decompose(rho)
     inv = invariant_vector(bloch)
-    rank = rank_of(rho)
-    estimates = _applicable_estimates(rho, bloch, inv, rank, diag.value, tol)
+    estimates = _applicable_estimates(rho, bloch, inv, diag, tol)
     if fmt == "json":
         payload = {
             "header": report_header(tolerance=tol),
             "oracle": diag.value,
             "lambdas": list(diag.lambdas),
-            "rank": rank,
+            "rank": diag.rank,
             "invariants": inv.to_dict(),
             "estimates": estimates,
         }
@@ -243,7 +242,7 @@ def cmd_concurrence(state_path, tol, out_path, fmt):
     lines = [
         f"oracle      {_fmt_float(diag.value)}",
         "lambdas     " + " ".join(_fmt_float(v) for v in diag.lambdas),
-        f"rank        {rank}",
+        f"rank        {diag.rank}",
         "invariants  "
         + " ".join(f"I{k}={_fmt_float(v)}" for k, v in enumerate(inv.as_array(), start=1)),
     ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigSolveFailure
-from .qstate import _validated_matrix
+from .qstate import _unit, _validated_matrix
 
 #: pivots at or below this fraction of the largest diagonal entry count as zero
 EIG_CLAMP = 1e-12
@@ -33,22 +33,21 @@ _LOWER = [(4 * i + j, 4 * j + i, i, j) for i in range(1, 4) for j in range(i)]
 
 @dataclass(frozen=True)
 class ConcurrenceDiagnostics:
-    """Spin-flip spectrum (descending square roots) and the concurrence value."""
+    """Spin-flip roots (descending), concurrence, and rank: the factor's columns."""
 
     lambdas: tuple[float, float, float, float]
     value: float
+    rank: int
 
     @classmethod
-    def from_lambdas(cls, lambdas) -> "ConcurrenceDiagnostics":
+    def from_lambdas(cls, lambdas, rank: int) -> "ConcurrenceDiagnostics":
         lam = tuple(sorted(map(float, lambdas), reverse=True))
-        return cls(lambdas=lam, value=_value(*lam))
+        return cls(lambdas=lam, value=_value(*lam), rank=rank)
 
 
 def _value(l1, l2, l3, l4):
-    """Concurrence of descending roots (floats or (n,) arrays) held to [0, 1],
-    which round-off and states at validation's 1e-10 tolerances can leave."""
-    high, low = (np.maximum, np.minimum) if isinstance(l1, np.ndarray) else (max, min)
-    return high(0.0, low(1.0, l1 - (l2 + l3 + l4)))
+    """Concurrence of descending roots (floats or (n,) arrays), held to [0, 1]."""
+    return _unit(l1 - (l2 + l3 + l4))
 
 
 def _pivot(diag):
@@ -250,6 +249,6 @@ def concurrence_oracle(rho) -> ConcurrenceDiagnostics:
     parts = _validated_matrix(rho).ravel().view(float).tolist()
     columns = [(lr, li) for _, lr, li in _pivoted_factor(parts[0::2], parts[1::2])]
     if len(columns) == 2:
-        return ConcurrenceDiagnostics.from_lambdas([*_rank2_roots(*columns), 0, 0])
+        return ConcurrenceDiagnostics.from_lambdas([*_rank2_roots(*columns), 0, 0], 2)
     wt = np.array([complex(a, b) for lr, li in columns for a, b in zip(lr, li)]).reshape(1, -1, 4)
-    return ConcurrenceDiagnostics.from_lambdas(_roots(wt, len(columns))[0].tolist())
+    return ConcurrenceDiagnostics.from_lambdas(_roots(wt, len(columns))[0].tolist(), len(columns))

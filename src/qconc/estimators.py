@@ -38,6 +38,7 @@ from .qstate import (
     _outer,
     _outside,
     _per_row,
+    _unit,
     _vec4,
 )
 
@@ -405,9 +406,9 @@ def assemble_xstate(x: XState) -> DensityOperator:
 
 
 def xstate_concurrence(x: XState) -> float:
-    """Exact concurrence of the X family: 2 max(0, |z| - sqrt(u+ u-))."""
+    """Exact concurrence of the X family, 2 (|z| - sqrt(u+ u-)) held to [0, 1]."""
     root = _math(math.sqrt, _math(max, x.u_plus * x.u_minus, 0.0))
-    return 2.0 * _math(max, 0.0, _math(abs, x.z) - root)
+    return _unit(2.0 * (_math(abs, x.z) - root))
 
 
 def xstate_concurrence_invariant(inv: InvariantVector) -> float:
@@ -473,7 +474,7 @@ def ladder_concurrence(lam: float) -> float:
 
 
 def ladder_from_correlation(szpz: float) -> float:
-    """Ladder concurrence from the single z-z correlation: 1 - (szpz + 1) / 2."""
+    """Ladder concurrence from the z-z correlation, 1 - (szpz + 1) / 2 held to [0, 1]."""
     guards = _Guards()
     _check_correlation(guards, szpz)
-    return guards.settle(1.0 - 0.5 * (szpz + 1.0))
+    return guards.settle(_unit(1.0 - 0.5 * (szpz + 1.0)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -20,10 +20,10 @@ from .errors import InvalidState, NotAState, NotNormalized, SamplerExhausted
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-NORM_TOL = 1e-8
 PURE_NORM_TOL = 1e-12
-RANK_REL_TOL = 1e-9
 WEIGHT_TOL = 1e-10
+#: rho + this has a Cholesky factor only if rho's eigenvalues are above -PSD_TOL
+_CERTIFICATE_SHIFT = (PSD_TOL - 1e-14) * np.eye(4)
 #: draws (or redraw rounds) a rejection sampler makes before it raises
 #: SamplerExhausted; every sampler accepts well over a third of its draws
 REJECTION_LIMIT = 1000
@@ -108,6 +108,13 @@ def _outside(value, low: float, high: float):
     if isinstance(value, np.ndarray):
         return ~((low <= value) & (value <= high))
     return not low <= value <= high
+
+
+def _unit(x):
+    """A float, or each entry of an array, held to [0, 1], which a concurrence
+    can leave by round-off and on states at validation's 1e-10 tolerances."""
+    high, low = (np.maximum, np.minimum) if isinstance(x, np.ndarray) else (max, min)
+    return high(0.0, low(1.0, x))
 
 
 def _math(fn, *args):
@@ -252,21 +259,24 @@ def _check_correlation(guards: _Guards, x, name: str = "correlation") -> None:
     guards.check(_outside(x, -1.0 - 1e-12, 1.0 + 1e-12), ValueError, "{} must lie in [-1, 1]", name)
 
 
+# a non-finite or huge state's residual or trace may overflow or come from
+# inf - inf; it is rejected either way, so that gives inf or NaN quietly
+@np.errstate(over="ignore", invalid="ignore")
 def check_states(mats) -> np.ndarray:
     """Validate an (n, 4, 4) stack of density matrices; return a read-only copy.
 
     Every state must be finite, Hermitian, of unit trace and positive
     semidefinite within fixed tolerances. The first failing state in stack
     order raises InvalidState with the message of its first failing check.
+
+    A stack passing the Hermiticity and trace checks is accepted when every
+    A = rho + (PSD_TOL - 1e-14) I has a Cholesky factor R, which reads the lower
+    triangle and real diagonal as eigvalsh does. Proof: R^H R = A + E >= 0 with
+    |E| <= g |R^H| |R|, g = 5u / (1 - 5u) (Higham 1990, Thm 10.3; a small
+    multiple of it in complex arithmetic), so ||E||_2 <= g tr A / (1 - g) + u tr A,
+    u tr A bounding the rounded shift and tr A < 1 + 5e-10: about 1e-15, under
+    the 1e-14 margin, so rho's eigenvalues exceed -PSD_TOL. Else eigvalsh decides.
     """
-    return _checked_states(mats)[0]
-
-
-# a non-finite or huge state's residual or trace may overflow or come from
-# inf - inf; it is rejected either way, so that gives inf or NaN quietly
-@np.errstate(over="ignore", invalid="ignore")
-def _checked_states(mats):
-    """check_states' stack, and the (n, 4) ascending spectra it tested."""
     try:
         m = np.array(mats, dtype=complex)
     except (TypeError, ValueError) as exc:
@@ -275,70 +285,62 @@ def _checked_states(mats):
         raise InvalidState(f"expected an (n, 4, 4) stack, got shape {m.shape}")
     # All-pass tests first, per-state messages only on failure. A non-finite
     # entry makes its state's residual or trace NaN or inf, which fails `<=`,
-    # so eigvalsh never sees it.
+    # so the certificate never sees it.
     herm = np.abs(m - m.conj().swapaxes(1, 2))
     tr = m.trace(axis1=1, axis2=2).real
-    if herm.max(initial=0.0) <= HERMITICITY_TOL and _every(
-        tr, lambda t: abs(t - 1.0) <= TRACE_TOL
-    ):
-        evals = np.linalg.eigvalsh(m)
-        if _every(evals[:, 0], lambda v: v >= -PSD_TOL):
-            m.flags.writeable = evals.flags.writeable = False
-            return m, evals
-    raise InvalidState(_first_defect(m, herm.max(axis=(1, 2)), tr))
+    ok = herm.max(initial=0.0) <= HERMITICITY_TOL
+    if not (ok and all(abs(t - 1.0) <= TRACE_TOL for t in tr.tolist()) and _certified(m)):
+        _raise_first_defect(m, herm.max(axis=(1, 2)), tr)
+    m.flags.writeable = False
+    return m
 
 
-def _every(values: np.ndarray, test) -> bool:
-    """Whether test holds for every entry of a 1-d array, NaN failing it: on
-    the one float of a one-state stack, which every DensityOperator checks
-    and which a reduction would only slow, or as one reduction over a stack."""
-    if len(values) == 1:
-        return test(values.item())
-    return bool(test(values).all())
+def _certified(m: np.ndarray) -> bool:
+    """Whether every rho + _CERTIFICATE_SHIFT of the stack has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(m + _CERTIFICATE_SHIFT)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
-def _first_defect(m: np.ndarray, herm: np.ndarray, tr: np.ndarray) -> str:
-    """Message of the first failing check of the first failing state."""
+def _raise_first_defect(m: np.ndarray, herm: np.ndarray, tr: np.ndarray) -> None:
+    """Raise InvalidState for the first failing check of the first failing state, if any."""
     finite = np.isfinite(m).all(axis=(1, 2))
     low = np.zeros(len(m))
     low[finite] = np.linalg.eigvalsh(m[finite])[:, 0]
     for k in range(len(m)):
         if not finite[k]:
-            return "entries must be finite"
+            raise InvalidState("entries must be finite")
         if herm[k] > HERMITICITY_TOL:
-            return "matrix is not Hermitian within tolerance"
+            raise InvalidState("matrix is not Hermitian within tolerance")
         if abs(tr[k] - 1.0) > TRACE_TOL:
-            return f"trace is {tr[k]}, expected 1"
+            raise InvalidState(f"trace is {tr[k]}, expected 1")
         if low[k] < -PSD_TOL:
-            return f"smallest eigenvalue {low[k]} is negative"
-    raise AssertionError("check_states rejected a stack with no failing state")
+            raise InvalidState(f"smallest eigenvalue {low[k]} is negative")
 
 
 @dataclass(frozen=True)
 class DensityOperator:
     """Validated, immutable two-qubit density matrix.
 
-    Construction checks that the input is a numeric 4x4 array, then runs the
-    one-state stack through :func:`check_states` (finiteness, hermiticity,
-    unit trace and positivity within fixed tolerances); either step raises
-    InvalidState. The ascending spectrum that check computed is kept.
+    Construction checks that the input is a numeric 4x4 array, then runs it
+    as a one-state stack through :func:`check_states`; either raises
+    InvalidState.
     """
 
     matrix: np.ndarray
-    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m, evals = _checked_states(_complex_matrix(self.matrix)[None])
-        object.__setattr__(self, "matrix", m[0])
-        object.__setattr__(self, "_spectrum", evals[0])
+        object.__setattr__(self, "matrix", check_states(_complex_matrix(self.matrix)[None])[0])
 
     def purity(self) -> float:
         m = self.matrix
         return float(np.einsum("ij,ji->", m, m).real)
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order."""
-        return self._spectrum.copy()
+        """Eigenvalues in ascending order, through eigvalsh."""
+        return np.linalg.eigvalsh(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -442,11 +444,10 @@ def assemble(bloch: BlochDecomposition) -> DensityOperator:
 
 
 def rank_of(rho) -> int:
-    """Numerical rank: eigenvalues above RANK_REL_TOL times the largest one.
-    A DensityOperator's rank comes from the spectrum it keeps."""
-    operator = isinstance(rho, DensityOperator)
-    evals = rho._spectrum if operator else np.linalg.eigvalsh(_complex_matrix(rho))
-    return int(np.count_nonzero(evals > RANK_REL_TOL * evals[-1]))
+    """Numerical rank, the oracle's factor columns; a raw array is validated first."""
+    from .concurrence import concurrence_oracle
+
+    return concurrence_oracle(rho).rank
 
 
 def random_rank_k(k: int, seed) -> DensityOperator:

@@ -24,6 +24,10 @@ def wootters_reference(matrix: np.ndarray) -> float:
     return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
 
 
+#: how far from one a raw amplitude vector's squared norm may be for concurrence_pure
+NORM_TOL = 1e-8
+
+
 def concurrence_pure(psi) -> float:
     """Concurrence of a pure state: 2 |c00 c11 - c01 c10|, a reference the
     oracle shares no code with.
@@ -31,7 +35,7 @@ def concurrence_pure(psi) -> float:
     Accepts a PureState or a raw amplitude vector; raises NotNormalized when
     the squared norm is not within 1e-8 of one (a NaN one is not).
     """
-    from qconc.qstate import NORM_TOL, PureState, _unit_vector
+    from qconc.qstate import PureState, _unit_vector
 
     c = psi.amplitudes if isinstance(psi, PureState) else _unit_vector(psi, NORM_TOL)
     return float(2.0 * abs(c[0] * c[3] - c[1] * c[2]))

@@ -73,8 +73,8 @@ def test_diagnostics_spectrum_sorted_and_consistent():
 
 
 def test_diagnostics_from_lambdas_clamps_at_zero():
-    diag = ConcurrenceDiagnostics.from_lambdas([0.3, 0.3, 0.2, 0.2])
-    assert diag.value == 0.0
+    diag = ConcurrenceDiagnostics.from_lambdas([0.3, 0.3, 0.2, 0.2], rank=4)
+    assert diag.value == 0.0 and diag.rank == 4
 
 
 def test_a_scaled_bell_state_gives_one_with_raw_lambdas():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qconc.concurrence import concurrence_oracle
 from qconc.errors import InvalidState, NotAState, NotNormalized
 from qconc.qstate import (
     _PAULI_GRID,
     ID2,
+    PSD_TOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -120,6 +122,16 @@ def _valid_stack(n=7):
     return np.stack([random_rank_k(1 + k % 4, seed=k).matrix for k in range(n)])
 
 
+def _psd_edge_state(low, seed):
+    """A Hermitian matrix of spectrum (low, w1, w2, w3) in a Haar basis, the
+    w a random split of 1 - low, so its trace is one."""
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    w = np.concatenate([[low], (1.0 - low) * rng.dirichlet(np.ones(3))])
+    m = (v * w) @ v.conj().T
+    return (m + m.conj().T) / 2
+
+
 class TestCheckStates:
     @pytest.mark.parametrize("defect", sorted(_DEFECTS))
     @pytest.mark.parametrize("position", [0, 3, 6])
@@ -142,6 +154,21 @@ class TestCheckStates:
         mats[2] = _DEFECTS[first](mats[2].copy())
         mats[5] = _DEFECTS[second](mats[5].copy())
         assert _rejection(check_states, mats) == _reference_defect(mats[2])
+
+    # 1 - 1e-5 lies inside the certificate's margin, so eigvalsh decides it
+    @pytest.mark.parametrize("factor", [1 + 1e-3, 1 - 1e-3, 1 - 1e-5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_psd_edge_follows_the_eigvalsh_rule(self, factor, seed):
+        """lambda_min = -PSD_TOL (1 +- 1e-3): below the edge a state is
+        rejected with eigvalsh's message, above it accepted, alone or in a
+        stack."""
+        m = _psd_edge_state(-PSD_TOL * factor, seed)
+        expected = _reference_defect(m)
+        assert (expected is None) == (factor < 1)
+        assert _rejection(DensityOperator, m) == expected
+        mats = _valid_stack()
+        mats[3] = m
+        assert _rejection(check_states, mats) == expected
 
     def test_returns_a_read_only_copy(self):
         mats = _valid_stack()
@@ -170,6 +197,18 @@ class TestCheckStates:
     def test_rejects_non_numeric_input(self):
         with pytest.raises(InvalidState, match="numeric"):
             check_states([{"re": 0.25, "im": 0.0}])
+
+
+class TestCheckStatesWithoutCertificate(TestCheckStates):
+    """Every TestCheckStates case with np.linalg.cholesky raising, so that
+    every stack goes to the eigvalsh fallback: verdicts and messages hold."""
+
+    @pytest.fixture(autouse=True)
+    def _no_certificate(self, monkeypatch):
+        def refuse(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("certificate disabled")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
 
 
 _ENTRY = st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.inf), 0.3])
@@ -282,16 +321,22 @@ def test_decompose_matches_the_pauli_grid_contraction_bit_for_bit(stack):
             assert got.tobytes() == want[k].tobytes()
 
 
-def test_density_operator_keeps_the_spectrum_of_its_check():
-    """The spectrum check_states computed is kept: eigenvalues() returns a
-    copy of it, equal to eigvalsh of the matrix, and rank_of reads it."""
+def test_density_operator_takes_its_spectrum_on_demand():
+    """eigenvalues() is eigvalsh of the matrix, a fresh array on each call,
+    and rank_of counts the oracle's factor columns, for an operator or its
+    matrix."""
     for k in (1, 2, 3, 4):
         rho = random_rank_k(k, seed=k)
         evals = rho.eigenvalues()
         assert evals.tobytes() == np.linalg.eigvalsh(rho.matrix).tobytes()
         evals[:] = 0.0
         assert rho.eigenvalues().tobytes() == np.linalg.eigvalsh(rho.matrix).tobytes()
-        assert rank_of(rho) == rank_of(rho.matrix) == k
+        assert rank_of(rho) == rank_of(rho.matrix) == concurrence_oracle(rho).rank == k
+
+
+def test_rank_of_validates_a_raw_array():
+    with pytest.raises(InvalidState, match="^trace is 0.5, expected 1$"):
+        rank_of(np.eye(4) / 8.0)
 
 
 def test_decompose_rejects_unphysical_matrix():
@@ -306,9 +351,10 @@ def test_assemble_rejects_unphysical_bloch():
         assemble(bad)
 
 
-def test_assemble_takes_one_spectrum_of_a_valid_payload(monkeypatch):
-    """The DensityOperator check's spectrum is the only one a valid payload
-    costs; assemble takes another only to name a negative eigenvalue."""
+def test_assemble_takes_no_spectrum_of_a_valid_payload(monkeypatch):
+    """The DensityOperator check accepts a valid payload by its Cholesky
+    certificate, with no eigvalsh; assemble takes a spectrum only to name a
+    negative eigenvalue."""
     bloch = decompose(random_rank_k(3, seed=3))
     shapes = []
 
@@ -318,7 +364,7 @@ def test_assemble_takes_one_spectrum_of_a_valid_payload(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     rho = assemble(bloch)
-    assert shapes == [(1, 4, 4)]
+    assert shapes == []
     assert rank_of(rho) == 3
 
 

@@ -188,6 +188,20 @@ def test_every_suite_keeps_its_bytes_at_200():
     assert _sha256(run_suites(None, 200, seed=0)) == _ALL_200_SHA256
 
 
+def test_no_suite_stack_takes_a_spectrum(monkeypatch):
+    """Every stack the suites check is accepted by its Cholesky certificate,
+    so validation runs no eigvalsh."""
+    calls = []
+
+    def counting(m, *args, eigvalsh=np.linalg.eigvalsh, **kwargs):
+        calls.append(np.shape(m))
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    run_suites(None, 200, seed=0)
+    assert calls == []
+
+
 #: what each sampled suite must reach through a module binding of validate
 #: at call time, so that a patched binding (a test's or a tracer's) sees it
 _GRADED = ["check_states", "batch_oracle"]
