@@ -6,9 +6,9 @@ state, so neither an eigenproblem nor a non-Hermitian product is solved and
 states of any rank stay well conditioned. W comes from an outer-product
 Cholesky with complete diagonal pivoting: pivots at or below EIG_CLAMP times
 the largest diagonal entry count as zero, and the factorization stops once
-no state has a pivot left above that cut. The factor and the rank-2 roots
-are written once each, over the matrix entries split into real and
-imaginary parts, which are floats for one state or (n,) arrays for a stack.
+no state has a pivot left above that cut. The factor and the roots are
+written once each, over the matrix entries split into real and imaginary
+parts, which are floats for one state or (n,) arrays for a stack.
 """
 
 from __future__ import annotations
@@ -19,14 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigSolveFailure
-from .qstate import _unit, _validated_matrix
+from .qstate import _float_parts, _unit, _validated_matrix
 
 #: pivots at or below this fraction of the largest diagonal entry count as zero
 EIG_CLAMP = 1e-12
 
-#: x @ (sigma_y x sigma_y) is x with its columns reversed and signed by these,
-#: without a matmul
-_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 #: flat row-major positions of (i, j) below the diagonal and of (j, i), then i, j
 _LOWER = [(4 * i + j, 4 * j + i, i, j) for i in range(1, 4) for j in range(i)]
 
@@ -172,47 +169,28 @@ def _rank2_roots(x, y):
     return s1, least(s1, r * h / (s1 + flat))
 
 
-def _roots(wt: np.ndarray, rank) -> np.ndarray:
-    """Descending roots from an (n, K, 4) stack of transposed factors, row j
-    of each the j-th column of W, state r keeping its first rank[r] columns:
-    the singular values of the complex-symmetric B = W_k^T (sigma_y x
-    sigma_y) W_k (|B| for k = 1, _rank2_roots for k = 2), then 4 - k exact
-    zeros. Rows are grouped by k, at most four groups per stack."""
-    lam = np.zeros((len(wt), 4))
-    ranks = set(rank.tolist()) if isinstance(rank, np.ndarray) else {rank}
+def _roots(columns) -> list:
+    """Descending roots of a factor's k columns, each given as its entries'
+    real and imaginary parts (floats, or (n,) arrays): the singular values of
+    the complex-symmetric B = W^T (sigma_y x sigma_y) W, whose entries are
+    _flip's, so |B| for k = 1, _rank2_roots for k = 2 and LAPACK's SVD for
+    k = 3, 4, the only call that can depend on the BLAS kernel. The 4 - k
+    trailing roots, exact zeros, are left out."""
+    if len(columns) == 1:
+        re, im = _flip(columns[0], columns[0])
+        return [np.sqrt(re * re + im * im)]
+    if len(columns) == 2:
+        return list(_rank2_roots(*columns))
+    b = np.empty(np.shape(columns[0][0][0]) + (len(columns),) * 2, dtype=complex)
+    for i, u in enumerate(columns):
+        for j, v in enumerate(columns[: i + 1]):
+            re, im = _flip(u, v)
+            b.real[..., i, j] = b.real[..., j, i] = re
+            b.imag[..., i, j] = b.imag[..., j, i] = im
     try:
-        for k in ranks - {0}:
-            rows = slice(None) if len(ranks) == 1 else rank == k
-            wk = wt[rows, :k]
-            if k == 2:  # parts[c, p, i]: part p of entry i of column c
-                parts = wk.view(float).reshape(-1, 2, 4, 2).transpose(1, 3, 2, 0).copy()
-                lam[rows, 0], lam[rows, 1] = _rank2_roots(*parts)
-                continue
-            b = wk @ (wk[:, :, ::-1] * _YY_SIGNS).transpose(0, 2, 1)
-            lam[rows, :k] = np.abs(b[:, :, 0]) if k == 1 else np.linalg.svd(b, compute_uv=False)
+        return list(np.linalg.svd(b, compute_uv=False).T)
     except np.linalg.LinAlgError as exc:
         raise EigSolveFailure(str(exc)) from exc
-    return lam
-
-
-# a row past its rank divides by a pivot at or below the cut, maybe zero or
-# negative, for columns that are never read
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _stacked_factor(m: np.ndarray):
-    """The pivoted factor of an (n, 4, 4) stack, its columns written as they
-    come into one preallocated (n, K, 4) stack of W^T, and the ranks. The
-    entries and Schur complements go when it returns, before the SVD."""
-    n = len(m)
-    re, im = (list(np.ascontiguousarray(part.reshape(n, 16).T)) for part in (m.real, m.imag))
-    wt = np.empty((n, 4, 4), dtype=complex)
-    real, imag = wt.real, wt.imag
-    rank, count = 0, 0
-    for kept, lr, li in _pivoted_factor(re, im):
-        rank = rank + kept
-        for i in range(4):
-            real[:, count, i], imag[:, count, i] = lr[i], li[i]
-        count += 1
-    return wt[:, :count], rank
 
 
 def batch_lambdas(mats: np.ndarray) -> np.ndarray:
@@ -229,10 +207,25 @@ def batch_lambdas(mats: np.ndarray) -> np.ndarray:
     factorization stops once no state has a pivot left above that cut. A
     state with k pivots kept has k columns, so B is k x k (with no SVD for
     k <= 2) and its 4 - k trailing roots are exact zeros. The factor and the
-    rank-2 roots are the ones :func:`concurrence_oracle` computes on floats,
-    here on (n,) arrays of entries, so each row has its single-state bits.
+    roots are the ones :func:`concurrence_oracle` computes on floats, here on
+    (n,) arrays of entries grouped by rank, so each row has its single-state
+    bits.
     """
-    return _roots(*_stacked_factor(np.asarray(mats, dtype=complex)))
+    parts = _float_parts(mats)
+    rank, columns = 0, []
+    # a row past its rank divides by a pivot at or below the cut, maybe zero
+    # or negative, for columns that are never read
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for kept, lr, li in _pivoted_factor(parts[0::2], parts[1::2]):
+            rank = rank + kept
+            columns.append((lr, li))
+    lam = np.zeros((len(mats), 4))
+    ranks = set(rank.tolist()) if isinstance(rank, np.ndarray) else {rank}
+    for k in ranks - {0}:  # at most four groups of rows, one per rank
+        rows = slice(None) if len(ranks) == 1 else rank == k
+        group = [([x[rows] for x in lr], [x[rows] for x in li]) for lr, li in columns[:k]]
+        lam[rows, :k] = np.transpose(_roots(group))
+    return lam
 
 
 def batch_oracle(mats: np.ndarray) -> np.ndarray:
@@ -246,9 +239,7 @@ def concurrence_oracle(rho) -> ConcurrenceDiagnostics:
     A raw array is validated first and raises InvalidState if unphysical;
     the factor and the roots are those of :func:`batch_lambdas`, on floats.
     """
-    parts = _validated_matrix(rho).ravel().view(float).tolist()
+    parts = _float_parts(_validated_matrix(rho))
     columns = [(lr, li) for _, lr, li in _pivoted_factor(parts[0::2], parts[1::2])]
-    if len(columns) == 2:
-        return ConcurrenceDiagnostics.from_lambdas([*_rank2_roots(*columns), 0, 0], 2)
-    wt = np.array([complex(a, b) for lr, li in columns for a, b in zip(lr, li)]).reshape(1, -1, 4)
-    return ConcurrenceDiagnostics.from_lambdas(_roots(wt, len(columns))[0].tolist(), len(columns))
+    roots = _roots(columns)
+    return ConcurrenceDiagnostics.from_lambdas(roots + [0.0] * (4 - len(roots)), len(roots))

@@ -76,10 +76,12 @@ def estimate_pure(inv: InvariantVector) -> float:
     Raises NotPure unless both purity residuals are within 1e-6, so NaN
     invariants raise too.
     """
+    guards = _Guards()
     r1, r2 = purity_residuals(inv.i1, inv.i2, inv.i6)
-    if not (abs(r1) <= PURITY_RESIDUAL_TOL and abs(r2) <= PURITY_RESIDUAL_TOL):
-        raise NotPure(f"purity residuals ({r1}, {r2}) exceed {PURITY_RESIDUAL_TOL}")
-    return math.sqrt(_guard_radicand(_Guards(), 1.0 - inv.i1))
+    bad = _outside(r1, -PURITY_RESIDUAL_TOL, PURITY_RESIDUAL_TOL)
+    bad = bad | _outside(r2, -PURITY_RESIDUAL_TOL, PURITY_RESIDUAL_TOL)
+    guards.check(bad, NotPure, "purity residuals ({}, {}) exceed {}", r1, r2, PURITY_RESIDUAL_TOL)
+    return guards.settle(_math(math.sqrt, _guard_radicand(guards, 1.0 - inv.i1)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +228,7 @@ def reconstruct_rank2(p, s) -> Rank2Canonical:
     nu = 1.0 - d - q
     degenerate(_outside(nu, -1e-6, 1.0 + 1e-6), "inferred eigenvalue weight {} is unphysical", nu)
     guards.settle(None)
-    nu = _math(min, _math(max, nu, 0.0), 1.0)
+    nu = _unit(nu)
     eta = _math(math.atan2, _math(math.sqrt, q), _math(math.sqrt, d))
     return Rank2Canonical(nu=nu, alpha=alpha, beta=beta, gamma=gamma, eta=eta)
 

@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Infeasible
-from .qstate import _PAULI_GRID, DensityOperator, _complex_matrix, _Guards, _math, _outside
+from .qstate import _PAULI_TERMS, DensityOperator, _bloch_fields, _complex_matrix, _float_parts
+from .qstate import _Guards, _math, _outside, _unit
 from .qstate import _check_correlation, _check_finite, _check_nonnegative
 
 OBS_LABELS = ("0", "x", "y", "z")
@@ -72,9 +73,9 @@ def expectation(rho, obs: tuple[str, str]):
     i, j = obs
     if i not in OBS_LABELS or j not in OBS_LABELS:
         raise ValueError(f"unknown observable pair {obs!r}")
-    op = _PAULI_GRID[_GRID_INDEX[i], _GRID_INDEX[j]]
-    value = np.einsum("...ab,ba->...", _matrices(rho), op).real
-    return float(value) if value.ndim == 0 else value
+    terms = _PAULI_TERMS[_GRID_INDEX[i], _GRID_INDEX[j]]
+    (value,) = _bloch_fields(_float_parts(_matrices(rho)), [terms])
+    return value
 
 
 def sample_expectation(
@@ -119,7 +120,7 @@ def lambda_from_szpz(szpz: float) -> LambdaEstimate:
     _check_correlation(guards, szpz)
     guards.settle(None)
     raw = 0.75 * (szpz + 1.0)
-    value = _math(min, _math(max, raw, 0.0), 1.0)
+    value = _unit(raw)
     return LambdaEstimate(value=value, clamped=(value != raw))
 
 
@@ -157,6 +158,6 @@ def _weights(sxpx, szpz, tol: float):
     within_simplex = l1 + l2 <= 1.0
     guards.check((l1 < -tol) | (l2 < -tol), Infeasible, "negative weight in solution ({}, {})", l1, l2)
     guards.check(l1 + l2 > 1.0 + tol, Infeasible, "weights ({}, {}) exceed the simplex", l1, l2)
-    l1 = _math(min, _math(max, l1, 0.0), 1.0)
+    l1 = _unit(l1)
     l2 = _math(min, _math(max, l2, 0.0), 1.0 - l1)
     return WeightsEstimate(l1, l2, nonnegative, within_simplex), guards

@@ -39,14 +39,18 @@ _PAULIS = (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 _PAULI_GRID = np.array([[np.kron(a, b) for b in _PAULIS] for a in _PAULIS])
 
 
-#: for p, then s, then pi row by row: the four nonzero terms of tr(rho g) =
-#: sum of rho[a, b] g[b, a], g the field's Pauli product, in ascending row order
+#: for each Pauli product g = _PAULI_GRID[i, j], keyed (i, j): the four
+#: nonzero terms of tr(rho g) = sum of rho[a, b] g[b, a], in ascending row order
 #: of rho. Each is +-Re or +-Im of rho[a, b], stored as its position in rho's 32
 #: row-major floats (real, imaginary interleaved), plus 32 when negated.
+_PAULI_TERMS = {
+    (i, j): [2 * k + (g.real == 0) + 32 * ((g.real or -g.imag) < 0)
+             for k, g in enumerate(_PAULI_GRID[i, j].T.ravel().tolist()) if g]
+    for i in range(4) for j in range(4)
+}
+#: the terms of p, then s, then pi row by row
 _BLOCH_TERMS = [
-    [2 * k + (g.real == 0) + 32 * ((g.real or -g.imag) < 0)
-     for k, g in enumerate(_PAULI_GRID[i, j].T.ravel().tolist()) if g]
-    for i, j in [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)]
+    _PAULI_TERMS[ij] for ij in [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)]
     + [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
 ]
 
@@ -381,12 +385,22 @@ class BlochDecomposition:
             object.__setattr__(self, name, _freeze(x))
 
 
-def _bloch_fields(parts) -> list:
-    """The 15 Bloch fields from rho's 32 floats, for one state, or from (n,)
-    arrays of them for a stack, whose rows then get the single-state bits.
-    Sums start from +0.0, so a zero field is +0.0 whatever zeros it sums."""
+def _bloch_fields(parts, terms=_BLOCH_TERMS) -> list:
+    """Pauli expectations, by default the 15 Bloch fields, from rho's 32
+    floats, for one state, or from (n,) arrays of them for a stack, whose
+    rows then get the single-state bits. Sums start from +0.0, so a zero
+    field is +0.0 whatever zeros it sums."""
     signed = parts + [-x for x in parts]
-    return [0.0 + signed[a] + signed[b] + signed[c] + signed[d] for a, b, c, d in _BLOCH_TERMS]
+    return [0.0 + signed[a] + signed[b] + signed[c] + signed[d] for a, b, c, d in terms]
+
+
+def _float_parts(m: np.ndarray) -> list:
+    """The 32 floats of a 4x4 matrix, or (n,) arrays of them for an (n, 4, 4)
+    stack, in the order _bloch_fields reads."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    if m.ndim == 2:
+        return m.ravel().view(float).tolist()
+    return list(np.ascontiguousarray(m.reshape(len(m), 16).view(float).T))
 
 
 def batch_decompose(mats: np.ndarray):
@@ -395,11 +409,9 @@ def batch_decompose(mats: np.ndarray):
     Returns C-contiguous (p, s, pi) of shapes (n, 3), (n, 3), (n, 3, 3);
     row k is decompose of state k, bit for bit.
     """
-    mats = np.ascontiguousarray(mats, dtype=complex)
-    n = len(mats)
-    f = _bloch_fields(list(np.ascontiguousarray(mats.reshape(n, 16).view(float).T)))
+    f = _bloch_fields(_float_parts(mats))
     p, s, pi = (np.stack(x, axis=1) for x in (f[:3], f[3:6], f[6:]))
-    return p, s, pi.reshape(n, 3, 3)
+    return p, s, pi.reshape(len(mats), 3, 3)
 
 
 def decompose(rho) -> BlochDecomposition:
@@ -410,7 +422,7 @@ def decompose(rho) -> BlochDecomposition:
     :func:`assemble`. A raw array is validated first and raises InvalidState
     if unphysical.
     """
-    f = _bloch_fields(_validated_matrix(rho).ravel().view(float).tolist())
+    f = _bloch_fields(_float_parts(_validated_matrix(rho)))
     return BlochDecomposition(p=f[:3], s=f[3:6], pi=[f[6:9], f[9:12], f[12:]])
 
 
@@ -450,19 +462,33 @@ def rank_of(rho) -> int:
     return concurrence_oracle(rho).rank
 
 
+def batch_random_mixed(rng, n: int, rank: int) -> np.ndarray:
+    """n random rank-`rank` density matrices, shape (n, 4, 4): q w q^H for flat
+    Dirichlet weights w (redrawn away from zero) and q a complex Gaussian block
+    orthonormalized by CGS2 on entry lists: its QR's Q up to column phases."""
+    z = rng.normal(size=(n, 4, rank)) + 1j * rng.normal(size=(n, 4, rank))
+    cols = []
+    for v in map(list, z.transpose(2, 1, 0)):
+        for _ in range(2):
+            dots = [sum(c.conj() * x for c, x in zip(col, v)) for col in cols]
+            v = [x - sum(d * col[i] for d, col in zip(dots, cols)) for i, x in enumerate(v)]
+        norm = np.sqrt(sum(x.real * x.real + x.imag * x.imag for x in v))
+        cols.append([x / norm for x in v])
+    q = np.array(cols).T
+    w = rng.dirichlet(np.ones(rank), size=n)
+    for _ in range(REJECTION_LIMIT):
+        bad = w.min(axis=1) < 1e-6
+        if not bad.any():
+            return np.einsum("nik,nk,njk->nij", q, w, q.conj())
+        w[bad] = rng.dirichlet(np.ones(rank), size=int(bad.sum()))
+    raise SamplerExhausted(f"weights below 1e-6 after {REJECTION_LIMIT} rounds")
+
+
 def random_rank_k(k: int, seed) -> DensityOperator:
-    """Random state of exact rank k: Haar-orthonormal eigenvectors mixed with
-    flat Dirichlet weights (resampled away from zero so the rank is stable)."""
+    """Random state of exact rank k: the n = 1 call of batch_random_mixed."""
     if k not in (1, 2, 3, 4):
         raise ValueError("rank must be between 1 and 4")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k))
-    q, _ = np.linalg.qr(g)
-    for _ in range(REJECTION_LIMIT):
-        w = rng.dirichlet(np.ones(k))
-        if w.min() > 1e-6:
-            return DensityOperator((q * w) @ q.conj().T)
-    raise SamplerExhausted(f"no weights above 1e-6 in {REJECTION_LIMIT} draws")
+    return DensityOperator(batch_random_mixed(np.random.default_rng(seed), 1, k)[0])
 
 
 _BELL_AMPLITUDES = {

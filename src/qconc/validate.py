@@ -60,6 +60,7 @@ from .estimators import (
     Rank2SepDecomp,
     XState,
     estimate_projection2,
+    estimate_pure,
     estimate_rank2_degenerate,
     estimate_rank2_sep2,
     ladder_concurrence,
@@ -89,6 +90,7 @@ from .qstate import (
     _part,
     _record,
     batch_decompose,
+    batch_random_mixed,
     check_states,
 )
 
@@ -115,28 +117,6 @@ def batch_haar_u2(rng, n: int) -> np.ndarray:
     w = a * z[:, 1, 1] - b * z[:, 0, 1]
     phase = w / np.sqrt(w.real * w.real + w.imag * w.imag)
     return np.stack([np.stack([a, -b.conj() * phase], 1), np.stack([b, a.conj() * phase], 1)], 1)
-
-
-def batch_random_mixed(rng, n: int, rank: int) -> np.ndarray:
-    """n random rank-`rank` density matrices, shape (n, 4, 4): q w q^H for flat
-    Dirichlet weights w (redrawn away from zero) and q a complex Gaussian block
-    orthonormalized by CGS2 on entry lists: its QR's Q up to column phases."""
-    z = rng.normal(size=(n, 4, rank)) + 1j * rng.normal(size=(n, 4, rank))
-    cols = []
-    for v in map(list, z.transpose(2, 1, 0)):
-        for _ in range(2):
-            dots = [sum(c.conj() * x for c, x in zip(col, v)) for col in cols]
-            v = [x - sum(d * col[i] for d, col in zip(dots, cols)) for i, x in enumerate(v)]
-        norm = np.sqrt(sum(x.real * x.real + x.imag * x.imag for x in v))
-        cols.append([x / norm for x in v])
-    q = np.array(cols).T
-    w = rng.dirichlet(np.ones(rank), size=n)
-    for _ in range(REJECTION_LIMIT):
-        bad = w.min(axis=1) < 1e-6
-        if not bad.any():
-            return np.einsum("nik,nk,njk->nij", q, w, q.conj())
-        w[bad] = rng.dirichlet(np.ones(rank), size=int(bad.sum()))
-    raise SamplerExhausted(f"weights below 1e-6 after {REJECTION_LIMIT} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +364,11 @@ def _suite_pure(seq, samples):
     def kernel(rng, n):
         amps = batch_random_pure(rng, n)
         mats = np.einsum("ni,nj->nij", amps, amps.conj())
-        p, s, pi = batch_decompose(mats)
-        i1 = np.einsum("ni,ni->n", p, p)
-        formula = np.sqrt(np.clip(1.0 - i1, 0.0, None))
+        inv = _invariants(mats)
+        formula = estimate_pure(inv)
         oracle = batch_oracle(mats)
         devs = np.abs(formula - oracle)
-        res1, res2 = purity_residuals(
-            i1, np.einsum("ni,ni->n", s, s), np.einsum("nij,nij->n", pi, pi)
-        )
+        res1, res2 = purity_residuals(inv.i1, inv.i2, inv.i6)
         residual = float(np.maximum(np.abs(res1), np.abs(res2)).max()) if n else 0.0
         payload = lambda i: {
             "oracle": float(oracle[i]),

@@ -1,10 +1,10 @@
-"""The closed-form 2 x 2 kernels against the LAPACK routes they replace.
+"""The closed-form kernels against the LAPACK routes they replace.
 
 The rank-2 roots of the oracle are the singular values of a 2 x 2 block,
 and the samplers' 2 x 2 Haar unitary and 4 x r orthonormal columns are a QR.
-No kernel calls BLAS or LAPACK, so the pinned digest of the roots holds
-under every BLAS kernel; the LAPACK references are met within a few units
-of double precision.
+No kernel calls BLAS or LAPACK, so the pinned digests of the roots and of
+the rank-k sampler hold under every BLAS kernel; the LAPACK references are
+met within a few units of double precision.
 """
 
 import hashlib
@@ -12,10 +12,11 @@ import hashlib
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
+from test_validate import _RECORDED_BUILD
 
 from qconc.concurrence import _rank2_roots, batch_lambdas, concurrence_oracle
-from qconc.qstate import SIGMA_Y
-from qconc.validate import batch_haar_u2, batch_random_mixed
+from qconc.qstate import SIGMA_Y, batch_random_mixed, random_rank_k
+from qconc.validate import batch_haar_u2
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y).real
 #: two columns with M^T (sy x sy) M = 1, spanning |01> and |10>
@@ -152,3 +153,25 @@ def test_random_mixed_matches_the_qr(rank):
     assert np.abs(mats - ref).max() <= 1e-14
     evals = np.linalg.eigvalsh(mats)
     assert (evals[:, 4 - rank] > 1e-7).all() and (np.abs(evals[:, : 4 - rank]) < 1e-14).all()
+
+
+#: sha256 of the little-endian bytes of batch_lambdas on 3000 rank-1 states
+#: (|B| from the entry lists, no matmul) and of the complex matrices of
+#: random_rank_k(k, seed), k = 1-4, seeds 0-49 (no QR); neither depends on
+#: the BLAS kernel
+_RANK1_ROOTS_SHA256 = "14dc7add02ffcf07be059b7d4b128114c581228ded5a6ed5e8ac4559c60a311d"
+_RANK_K_STATES_SHA256 = "1d3ac75c572565be8142efdb33b0ab271ee7d2d30276997ba311e85e997b56cc"
+
+
+@_RECORDED_BUILD
+def test_rank1_root_bits_are_pinned():
+    mats = batch_random_mixed(np.random.default_rng(35), 3000, 1)
+    lam = np.ascontiguousarray(batch_lambdas(mats), dtype="<f8")
+    assert hashlib.sha256(lam.tobytes()).hexdigest() == _RANK1_ROOTS_SHA256
+
+
+@_RECORDED_BUILD
+def test_random_rank_k_bits_are_pinned():
+    mats = [random_rank_k(k, seed).matrix for k in (1, 2, 3, 4) for seed in range(50)]
+    data = np.ascontiguousarray(mats, dtype="<c16")
+    assert hashlib.sha256(data.tobytes()).hexdigest() == _RANK_K_STATES_SHA256

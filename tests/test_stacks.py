@@ -29,7 +29,7 @@ from qconc.bounds import (
     rank4_max_matrix,
 )
 from qconc.concurrence import batch_lambdas, batch_oracle, concurrence_oracle
-from qconc.errors import SamplerExhausted
+from qconc.errors import NotPure, SamplerExhausted
 from qconc.estimators import (
     Rank2Canonical,
     Rank2Degenerate,
@@ -41,6 +41,7 @@ from qconc.estimators import (
     assemble_rank2_sep,
     assemble_xstate,
     estimate_projection2,
+    estimate_pure,
     estimate_rank2_degenerate,
     estimate_rank2_sep2,
     ladder_concurrence,
@@ -356,7 +357,8 @@ def test_rejection_samplers_stop_at_the_limit(sampler):
     rng = _AlwaysRejected()
     with pytest.raises(SamplerExhausted, match=str(REJECTION_LIMIT)):
         draw(rng)
-    extra = 1 if sampler == "batch_random_mixed" else 0  # the first full draw
+    # random_rank_k is batch_random_mixed's n=1 call: the first full draw
+    extra = 1 if sampler in ("batch_random_mixed", "random_rank_k") else 0
     assert rng.draws == draws_per_try * REJECTION_LIMIT + extra
 
 
@@ -632,6 +634,13 @@ def _family_invariants(rng, n=12):
     return [(invariant_vector(decompose(rho)),) for rho in states]
 
 
+def _pure_invariants(rng, n=24):
+    """Single-call invariants of random rank-1 states and of a few mixed
+    ones, which fail the purity guard."""
+    mats = np.concatenate([batch_random_mixed(rng, n, 1), batch_random_mixed(rng, 3, 2)])
+    return [(invariant_vector(decompose(m)),) for m in mats]
+
+
 def _rank2_polarizations(rng, n=24):
     rows = []
     for _ in range(n):
@@ -671,6 +680,7 @@ def _correlations(rng, n=24):
 #: (closed form, rows of single-call arguments from a generator) for each
 #: closed form that takes a block
 _CLOSED_FORMS = {
+    "estimate_pure": (estimate_pure, _pure_invariants),
     "estimate_rank2_sep2": (estimate_rank2_sep2, _family_invariants),
     "estimate_projection2": (estimate_projection2, _family_invariants),
     "xstate_concurrence_invariant": (xstate_concurrence_invariant, _family_invariants),
@@ -728,6 +738,12 @@ def test_closed_forms_on_blocks_are_their_single_calls(name):
 #: (closed form, a row that passes, a row that fails a late guard, a row
 #: that fails an earlier guard) for each guarded closed form
 _GUARDED = {
+    "estimate_pure": (
+        estimate_pure,
+        (InvariantVector(0.36, 0.36, *[0.2] * 3, 2.28, *[0.2] * 3),),
+        (InvariantVector(1.0 + 1e-8, 1.0 + 1e-8, *[0.2] * 3, 1.0 - 2e-8, *[0.2] * 3),),  # radicand
+        (InvariantVector(*[0.2] * 9),),  # mixed
+    ),
     "estimate_rank2_sep2": (
         estimate_rank2_sep2,
         (InvariantVector(*[0.2] * 9),),
@@ -770,6 +786,17 @@ _GUARDED = {
     "rank3_threshold": (rank3_threshold, (0.6, 0.8), (0.6, 0.9), (-0.6, 0.8)),
     "rank4_max_concurrence": (rank4_max_concurrence, (0.2, 0.3), (0.8, 0.3), (-0.1, 0.3)),
 }
+
+
+def test_a_pure_block_with_one_mixed_row_raises_its_not_pure():
+    rows = _pure_invariants(np.random.default_rng(44), 8)[:8]
+    mixed = (invariant_vector(decompose(werner_state(0.6))),)
+    expected = _outcome(estimate_pure, mixed)
+    assert expected[0] is NotPure
+    rows[5] = mixed
+    with pytest.raises(NotPure) as info:
+        estimate_pure(*_stacked(rows))
+    assert str(info.value) == expected[1]
 
 
 @pytest.mark.parametrize("position", [0, 3, 6])

@@ -152,13 +152,13 @@ def test_chunks_are_the_fewest_within_the_cap_split_evenly(samples, sizes):
 #: sha256 of the canonical JSON of run_suites(["pure", "lu-invariance"],
 #: 20000, seed=0) in the eight-chunk layout, regenerated when the oracle moved
 #: to the pivoted Cholesky factor, when the invariants moved to one IEEE
-#: operation per product and sum, and when the rank-2 roots and the Haar
-#: samplers moved to closed forms, with numpy 2.4.6 on x86-64. The oracle's
-#: block product for ranks 1, 3 and 4 and its SVD for ranks 3 and 4, and
-#: lu-invariance's u @ mats @ u^H, still run on BLAS/LAPACK, whose last bits
-#: depend on the numpy build and the CPU's kernels, so other builds cannot
-#: compare bytes
-_STACKED_20K_SHA256 = "31ef3c6c7308f143c9fbaba3167577e3e8a04b95fce06106348710e0dbbb3db7"
+#: operation per product and sum, when the rank-2 roots and the Haar samplers
+#: moved to closed forms, and when the roots of every rank moved to one kernel
+#: over the factor's entry lists, with numpy 2.4.6 on x86-64. The oracle's
+#: SVD for ranks 3 and 4 and lu-invariance's u @ mats @ u^H still run on
+#: BLAS/LAPACK, whose last bits depend on the numpy build and the CPU's
+#: kernels, so other builds cannot compare bytes
+_STACKED_20K_SHA256 = "3b89c359509577738d7c923e350e35e78826b3591791b3aae8a497871c2f7855"
 
 
 _RECORDED_BUILD = pytest.mark.skipif(
@@ -179,8 +179,10 @@ def test_capped_chunks_keep_the_stacked_suites_bytes_at_20000():
 
 
 #: sha256 of the canonical JSON of every suite's report at 200 samples and
-#: seed 0, recorded on the same build as _STACKED_20K_SHA256
-_ALL_200_SHA256 = "0a8c19ae8727420028f8801ae6146a69b67fca6c2e42835fae52243c905eb342"
+#: seed 0, recorded on the same build as _STACKED_20K_SHA256; the one root
+#: kernel moved the last bits of pure, lu-invariance, xstate,
+#: xstate-invariant (its mean) and rank4-max
+_ALL_200_SHA256 = "4de8b4eadafb85d7a61c9ce93f16a6aed53988ea8274a8b8f02376e9d3a54e54"
 
 
 @_RECORDED_BUILD
