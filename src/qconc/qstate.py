@@ -179,11 +179,6 @@ def _record(block, i: int):
     )
 
 
-def _part(block, rows: slice):
-    """The rows of a parameter block as a checked block."""
-    return type(block)(**{f.name: getattr(block, f.name)[rows] for f in fields(block)})
-
-
 def _one_or_block(block, n):
     """What a sampler called with n returns: the block, or for n=None its one
     row as a single-state dataclass."""
@@ -479,7 +474,10 @@ def batch_random_mixed(rng, n: int, rank: int) -> np.ndarray:
     for _ in range(REJECTION_LIMIT):
         bad = w.min(axis=1) < 1e-6
         if not bad.any():
-            return np.einsum("nik,nk,njk->nij", q, w, q.conj())
+            rho = np.einsum("nik,nk,njk->nij", q, w, q.conj())
+            # the diagonal is a sum of w |q|^2, real: drop the einsum's round-off
+            rho.imag[:, range(4), range(4)] = 0.0
+            return rho
         w[bad] = rng.dirichlet(np.ones(rank), size=int(bad.sum()))
     raise SamplerExhausted(f"weights below 1e-6 after {REJECTION_LIMIT} rounds")
 

@@ -9,23 +9,21 @@ candidate, the X-state invariant expression) carry no tolerance; they always
 pass and exist to publish statistics.
 
 Every sampled suite draws a chunk's parameters as one block (a family
-dataclass with array fields), builds the chunk's raw (n, 4, 4) stack with
-the family's matrix builder, validates it with one check_states call and
-evaluates decomposition, invariants, the oracle and the closed form under
-test on it, one call each; the family suites share that kernel (_family).
-The samplers draw (n, k) blocks: uniform rows, or a Dirichlet or normal
-block followed by uniform blocks; only the rank-2 rejection sampler walks
-its rows, to keep each state's first accepted try. Parameter dataclasses of
-single states are built only for the offenders a report prints. Most
-suites split their samples into the fewest chunks of at most _CHUNK_CAP
-states, split evenly; chunks own spawned seed streams and are merged in
-spawn order, so results depend only on the seed and the sample count. All
-of those but `pure` run through one runner (_chunked_suite). The suites
-that draw from one stream (`xstate-invariant`, `ladder`, `rank4-max`,
-`shots`) draw all their parameters first, then build, check and evaluate
-their stacks in slices of the same sizes, so memory stays bounded at any
-sample count. Only `threshold` assembles validated DensityOperators and
-calls the single-state oracle, on its two fixed bracket states.
+dataclass with array fields, or arrays), builds the chunk's raw (n, 4, 4)
+stack, validates it with one check_states call (`pure` and `lu-invariance`
+build theirs valid) and evaluates decomposition, invariants, the oracle and
+the closed form under test on it, one call each; the family suites share
+that kernel (_family). The samplers draw (n, k) blocks: uniform rows, or a
+Dirichlet or normal block followed by uniform blocks; only the rank-2
+rejection sampler walks its rows, to keep each state's first accepted try.
+Parameter dataclasses of single states are built only for the offenders a
+report prints. One runner (_chunked_suite) splits a sampled suite into the
+fewest chunks of at most _CHUNK_CAP states, split evenly, runs each chunk on
+its own spawned seed stream and merges the chunks' deviations, offenders and
+extras in spawn order, so results depend only on the seed and the sample
+count and memory stays bounded at any sample count. The suites that draw
+nothing evaluate fixed grids: `ladder` builds and checks its grid in slices
+of the chunk sizes; `threshold`, `region` and `inversions` take one stack.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from .bounds import (
     REGION_SEPARABLE,
     Rank3Mixture,
     Rank4Mixture,
-    assemble_rank3_max,
     rank3_bound,
     rank3_max_concurrence,
     rank3_max_matrix,
@@ -52,7 +49,10 @@ from .bounds import (
     rank4_max_matrix,
     rank4_region,
 )
-from .concurrence import batch_oracle, concurrence_oracle
+# concurrence_oracle runs in no suite; it stays bound here because the
+# benchmark's self-test (bench/selftest.py) checks that its tracer wraps
+# every module's binding of it, this one included
+from .concurrence import batch_oracle, concurrence_oracle  # noqa: F401
 from .errors import DomainError, I1Zero, Infeasible, SamplerExhausted
 from .estimators import (
     Rank2Canonical,
@@ -87,7 +87,6 @@ from .qstate import (
     REJECTION_LIMIT,
     _cos_sin,
     _one_or_block,
-    _part,
     _record,
     batch_decompose,
     batch_random_mixed,
@@ -220,28 +219,28 @@ def _slices(samples: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(ends, ends[1:])] or [slice(0, 0)]
 
 
-def _run_chunked(kernel: Callable, seq: np.random.SeedSequence, samples: int):
-    """Run `samples` in seed-spawned chunks of _chunk_sizes; merge in spawn
-    order."""
-    sizes = _chunk_sizes(samples)
-    children = seq.spawn(len(sizes))
-    results = [kernel(np.random.default_rng(c), m) for c, m in zip(children, sizes)]
-    devs = np.concatenate([r[0] for r in results])
-    offenders = sorted((o for r in results for o in r[1]), key=lambda o: -o["deviation"])
-    extras = [r[2] for r in results if len(r) > 2]
-    return devs, offenders[:TOP_OFFENDERS], extras
-
-
-def _chunked_suite(name: str, kernel: Callable, tolerance, notes: str, extra=None) -> Callable:
-    """The suite that runs kernel(rng, n) through _run_chunked and reports
-    the merged deviations; extra(devs), if given, gives the report's extras."""
+def _chunked_suite(name: str, kernel: Callable, tolerance, notes: str, extra=None, passed=None):
+    """The suite that runs kernel(rng, n) on the chunks of _chunk_sizes, each
+    on its own stream spawned from the suite's, and merges the deviations,
+    offenders and the kernels' own extras in spawn order; extra(devs, extras)
+    gives the report's extras and passed(devs, report_extras) its verdict."""
 
     def suite(seq, samples):
-        devs, offenders, _ = _run_chunked(kernel, seq, samples)
-        extras = None if extra is None else extra(devs)
-        return _report(name, devs, tolerance, offenders, extra=extras, notes=notes)
+        sizes = _chunk_sizes(samples)
+        rngs = map(np.random.default_rng, seq.spawn(len(sizes)))
+        results = [kernel(rng, m) for rng, m in zip(rngs, sizes)]
+        devs = np.concatenate([r[0] for r in results])
+        offenders = sorted((o for r in results for o in r[1]), key=lambda o: -o["deviation"])
+        merged = None if extra is None else extra(devs, [r[2] for r in results if len(r) > 2])
+        verdict = None if passed is None else passed(devs, merged)
+        return _report(name, devs, tolerance, offenders[:TOP_OFFENDERS], merged, notes, verdict)
 
     return suite
+
+
+def _summed(counts: list) -> dict:
+    """The chunks' count dicts, summed key by key."""
+    return {key: sum(c[key] for c in counts) for key in counts[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -360,35 +359,20 @@ def sample_xstate(rng, rank3: bool = False, n=None) -> XState:
 # ---------------------------------------------------------------------------
 
 
-def _suite_pure(seq, samples):
-    def kernel(rng, n):
-        amps = batch_random_pure(rng, n)
-        mats = np.einsum("ni,nj->nij", amps, amps.conj())
-        inv = _invariants(mats)
-        formula = estimate_pure(inv)
-        oracle = batch_oracle(mats)
-        devs = np.abs(formula - oracle)
-        res1, res2 = purity_residuals(inv.i1, inv.i2, inv.i6)
-        residual = float(np.maximum(np.abs(res1), np.abs(res2)).max()) if n else 0.0
-        payload = lambda i: {
-            "oracle": float(oracle[i]),
-            "estimate": float(formula[i]),
-            "state": {"amplitudes": _jsonable(amps[i])},
-        }
-        return devs, _top_offenders(devs, payload), residual
-
-    devs, offenders, extras = _run_chunked(kernel, seq, samples)
-    residual = max(extras) if extras else 0.0
-    passed = bool(devs.max() <= 1e-8 and residual <= 1e-10) if devs.size else True
-    return _report(
-        "pure",
-        devs,
-        1e-8,
-        offenders,
-        extra={"max_purity_residual": residual, "purity_residual_tolerance": 1e-10},
-        notes="sqrt(1 - I1) against the oracle on Haar-random pure states",
-        passed_override=passed,
-    )
+def _pure(rng, n):
+    amps = batch_random_pure(rng, n)
+    mats = np.einsum("ni,nj->nij", amps, amps.conj())
+    inv = _invariants(mats)
+    formula = estimate_pure(inv)
+    oracle = batch_oracle(mats)
+    devs = np.abs(formula - oracle)
+    res1, res2 = purity_residuals(inv.i1, inv.i2, inv.i6)
+    payload = lambda i: {
+        "oracle": float(oracle[i]),
+        "estimate": float(formula[i]),
+        "state": {"amplitudes": _jsonable(amps[i])},
+    }
+    return devs, _top_offenders(devs, payload), float(np.maximum(np.abs(res1), np.abs(res2)).max())
 
 
 def _lu_invariance(rng, n):
@@ -455,38 +439,21 @@ def _rank2_roundtrip(rng, n):
     return _graded(params, c[n:], c[:n], devs=devs)
 
 
-def _suite_xstate_invariant(seq, samples):
-    rng = np.random.default_rng(seq)
-    states = sample_xstate(rng, rank3=True, n=samples)
-    oracle, est, i1_zero, domain_errors = [], [], [], []
-    for rows in _slices(samples):
-        mats = check_states(xstate_matrix(_part(states, rows)))
-        value, guards = _xstate_invariant(_invariants(mats))
-        value = guards.settle(value, (I1Zero, DomainError))
-        i1_zero.append(guards.failed(I1Zero))
-        domain_errors.append(guards.failed(DomainError))
-        oracle.append(batch_oracle(mats))
-        est.append(value)
-    i1_zero, domain_errors = np.concatenate(i1_zero), np.concatenate(domain_errors)
+def _invariant_xstate(rng, n):
+    states = sample_xstate(rng, rank3=True, n=n)
+    mats = check_states(xstate_matrix(states))
+    value, guards = _xstate_invariant(_invariants(mats))
+    value = guards.settle(value, (I1Zero, DomainError))
+    i1_zero, domain_errors = guards.failed(I1Zero), guards.failed(DomainError)
     kept = np.flatnonzero(~(i1_zero | domain_errors))
-    oracle, est = np.concatenate(oracle)[kept], np.concatenate(est)[kept]
-    devs, offenders = _graded(states, est, oracle, index=kept.tolist())
-    return _report(
-        "xstate-invariant",
-        devs,
-        None,
-        offenders,
-        extra={
-            "requested": samples,
-            "evaluated": int(devs.size),
-            "i1_zero": int(i1_zero.sum()),
-            "domain_errors": int(domain_errors.sum()),
-        },
-        notes=(
-            "invariant-only X-state expression in its literal form; "
-            "domain failures counted, deviations reported, no tolerance"
-        ),
-    )
+    devs, offenders = _graded(states, value[kept], batch_oracle(mats)[kept], index=kept.tolist())
+    counts = {
+        "requested": n,
+        "evaluated": int(kept.size),
+        "i1_zero": int(i1_zero.sum()),
+        "domain_errors": int(domain_errors.sum()),
+    }
+    return devs, offenders, counts
 
 
 def _suite_ladder(seq, samples):
@@ -533,49 +500,38 @@ def _bounds(rng, n):
     return devs, offenders
 
 
-def _suite_rank4_max(seq, samples):
-    rng = np.random.default_rng(seq)
-    l1 = rng.uniform(0.0, 1.0, size=samples)
+def _rank4_max(rng, n):
+    l1 = rng.uniform(0.0, 1.0, size=n)
     l2 = rng.uniform(0.0, 1.0 - l1)
     literal = rank4_max_concurrence(l1, l2)
-    oracle = np.concatenate(
-        [batch_oracle(check_states(rank4_max_matrix(l1[r], l2[r]))) for r in _slices(samples)]
-    )
+    oracle = batch_oracle(check_states(rank4_max_matrix(l1, l2)))
     exact = np.maximum(0.0, 1.0 - 1.5 * l1 - 4.0 * l2 / 3.0)
     devs = np.abs(exact - oracle)
     positive = literal > 1e-6
-    ratios = oracle[positive] / literal[positive]
     payload = lambda i: {
         "oracle": float(oracle[i]),
         "estimate": float(exact[i]),
         "state": {"lambda1": float(l1[i]), "lambda2": float(l2[i])},
     }
-    return _report(
-        "rank4-max",
-        devs,
-        1e-12,
-        _top_offenders(devs, payload),
-        extra={
-            "literal_max_deviation": float(
-                np.abs(np.maximum(literal, 0.0) - oracle).max()
-            ),
-            "oracle_to_formula_ratio_min": float(ratios.min()) if ratios.size else 0.0,
-            "oracle_to_formula_ratio_max": float(ratios.max()) if ratios.size else 0.0,
-            "boundary_root_1": abs(rank4_max_concurrence(0.0, 0.75)),
-            "boundary_root_2": abs(rank4_max_concurrence(2.0 / 3.0, 0.0)),
-        },
-        notes=(
-            "max(0, 1 - 3 lam1/2 - 4 lam2/3) against the oracle on the maximal "
-            "rank-4 family; the literal closed form, half of it, is reported "
-            "through its deviation, its oracle ratio and its boundary roots"
-        ),
-    )
+    literal_dev = float(np.abs(np.maximum(literal, 0.0) - oracle).max())
+    return devs, _top_offenders(devs, payload), (literal_dev, oracle[positive] / literal[positive])
+
+
+def _rank4_max_extra(devs, chunks) -> dict:
+    ratios = np.concatenate([r for _, r in chunks])
+    return {
+        "literal_max_deviation": max(d for d, _ in chunks),
+        "oracle_to_formula_ratio_min": float(ratios.min()) if ratios.size else 0.0,
+        "oracle_to_formula_ratio_max": float(ratios.max()) if ratios.size else 0.0,
+        "boundary_root_1": abs(rank4_max_concurrence(0.0, 0.75)),
+        "boundary_root_2": abs(rank4_max_concurrence(2.0 / 3.0, 0.0)),
+    }
 
 
 def _suite_threshold(seq, samples):
     r = 1.0 / math.sqrt(2.0)
-    low = concurrence_oracle(assemble_rank3_max(0.74, r, r)).value
-    high = concurrence_oracle(assemble_rank3_max(0.76, r, r)).value
+    bracket = check_states(rank3_max_matrix(np.array([0.74, 0.76]), r, r))
+    low, high = batch_oracle(bracket).tolist()
     angles = np.linspace(0.05, math.pi / 4.0, max(samples, 2))
     b, a = _cos_sin(angles)
     roots = np.abs(rank3_max_concurrence(rank3_threshold(a, b), a, b))
@@ -669,72 +625,66 @@ def _suite_inversions(seq, samples):
     )
 
 
-def _suite_shots(seq, samples):
-    rng = np.random.default_rng(seq)
-    shots = 10_000
+#: shots behind each sampled expectation value of the shots suite
+_SHOTS = 10_000
+
+
+def _shots(rng, n):
     r = 1.0 / math.sqrt(2.0)
-    lam = rng.uniform(0.05, 0.95, size=samples)
-    l1 = rng.uniform(0.1, 0.7, size=samples)
+    lam = rng.uniform(0.05, 0.95, size=n)
+    l1 = rng.uniform(0.1, 0.7, size=n)
     l2 = rng.uniform(0.1, 0.9 - l1)
+    zz3 = sample_expectation(check_states(rank3_max_matrix(lam, r, r)), ("z", "z"), _SHOTS, rng)
+    rank4 = check_states(rank4_max_matrix(l1, l2))
+    xx4 = sample_expectation(rank4, ("x", "x"), _SHOTS, rng)
+    zz4 = sample_expectation(rank4, ("z", "z"), _SHOTS, rng)
 
-    def measured(build, obs):
-        """Sample means and standard errors of obs on the states build(rows)
-        gives, slice by slice in stream order."""
-        recs = [
-            sample_expectation(check_states(build(rows)), obs, shots, rng)
-            for rows in _slices(samples)
-        ]
-        means = np.concatenate([rec.expectation for rec in recs])
-        return means, np.concatenate([rec.std_error for rec in recs])
-
-    zz3, zz3_err = measured(lambda rows: rank3_max_matrix(lam[rows], r, r), ("z", "z"))
-    rank4 = lambda rows: rank4_max_matrix(l1[rows], l2[rows])
-    xx4, xx4_err = measured(rank4, ("x", "x"))
-    zz4, zz4_err = measured(rank4, ("z", "z"))
-
-    estimates = lambda_from_szpz(zz3)
+    estimates = lambda_from_szpz(zz3.expectation)
     errs = np.abs(estimates.value - lam)
-    sigma = 0.75 * np.maximum(zz3_err, 1e-12)
-    ratios = errs / (5.0 * sigma)
-    lam_ok = int(np.count_nonzero(errs <= 5.0 * sigma))
+    sigma = 0.75 * np.maximum(zz3.std_error, 1e-12)
 
-    band1 = 5.0 * np.maximum(np.sqrt(4.0 * xx4_err**2 + zz4_err**2), 1e-12)
-    band2 = 5.0 * np.maximum(1.5 * np.sqrt(xx4_err**2 + zz4_err**2), 1e-12)
-    pairs, guards = _weights(xx4, zz4, 1.0)
+    xx_err, zz_err = xx4.std_error, zz4.std_error
+    band1 = 5.0 * np.maximum(np.sqrt(4.0 * xx_err**2 + zz_err**2), 1e-12)
+    band2 = 5.0 * np.maximum(1.5 * np.sqrt(xx_err**2 + zz_err**2), 1e-12)
+    pairs, guards = _weights(xx4.expectation, zz4.expectation, 1.0)
     pairs = guards.settle(pairs, Infeasible)
     infeasible = guards.failed(Infeasible)
     graded = ~infeasible & (np.abs(pairs.lambda1 - l1) <= band1)
-    pair_ok = int(np.count_nonzero(graded & (np.abs(pairs.lambda2 - l2) <= band2)))
-    lam_rate = lam_ok / samples
-    pair_rate = pair_ok / samples
-    passed = bool(lam_rate >= 0.99 and pair_rate >= 0.99)
-    return _report(
-        "shots",
-        ratios,
-        None,
-        [],
-        extra={
-            "shots": shots,
-            "lambda_success_rate": lam_rate,
-            "pair_success_rate": pair_rate,
-            "required_rate": 0.99,
-            "clamped_lambdas": int(np.count_nonzero(estimates.clamped)),
-            "infeasible_trials": int(np.count_nonzero(infeasible)),
-        },
-        notes=(
-            "finite-shot weight recovery must land within five combined "
-            "standard errors in at least 99 percent of trials; infeasible "
-            "pairs count as misses"
-        ),
-        passed_override=passed,
-    )
+    counts = {
+        "lam_ok": int(np.count_nonzero(errs <= 5.0 * sigma)),
+        "pair_ok": int(np.count_nonzero(graded & (np.abs(pairs.lambda2 - l2) <= band2))),
+        "clamped_lambdas": int(np.count_nonzero(estimates.clamped)),
+        "infeasible_trials": int(np.count_nonzero(infeasible)),
+    }
+    return errs / (5.0 * sigma), [], counts
+
+
+def _shots_extra(devs, chunks) -> dict:
+    counts = _summed(chunks)
+    return {
+        "shots": _SHOTS,
+        "lambda_success_rate": counts.pop("lam_ok") / devs.size,
+        "pair_success_rate": counts.pop("pair_ok") / devs.size,
+        "required_rate": 0.99,
+        **counts,
+    }
 
 
 #: registry order is load-bearing: each suite's seed stream is spawned by index.
 #: The lambdas look the samplers, builders and closed forms up when called,
 #: so a rebound module name (a test's monkeypatch, bench/layertrace.py) runs.
 SUITES: dict[str, Callable] = {
-    "pure": _suite_pure,
+    "pure": _chunked_suite(
+        "pure", _pure, 1e-8,
+        "sqrt(1 - I1) against the oracle on Haar-random pure states",
+        extra=lambda devs, residuals: {
+            "max_purity_residual": max(residuals),
+            "purity_residual_tolerance": 1e-10,
+        },
+        passed=lambda devs, extra: bool(
+            devs.max() <= 1e-8 and extra["max_purity_residual"] <= 1e-10
+        ),
+    ),
     "lu-invariance": _chunked_suite(
         "lu-invariance", _lu_invariance, 1e-9,
         "max change of I1..I9 and the oracle under random local unitaries",
@@ -753,7 +703,7 @@ SUITES: dict[str, Callable] = {
         None,
         "statistical grading of the two-invariant rank-2 candidate "
         "max(sqrt(1-I1), sqrt(1-I2)); report only, no tolerance",
-        extra=lambda devs: {
+        extra=lambda devs, _: {
             "within_1e-6": int((devs <= 1e-6).sum()),
             "above_0.1": int((devs > 0.1).sum()),
         },
@@ -788,18 +738,38 @@ SUITES: dict[str, Callable] = {
         1e-8,
         "2 max(0, |z| - sqrt(u+ u-)) against the oracle on X states",
     ),
-    "xstate-invariant": _suite_xstate_invariant,
+    "xstate-invariant": _chunked_suite(
+        "xstate-invariant", _invariant_xstate, None,
+        "invariant-only X-state expression in its literal form; "
+        "domain failures counted, deviations reported, no tolerance",
+        extra=lambda devs, counts: _summed(counts),
+    ),
     "ladder": _suite_ladder,
     "bounds": _chunked_suite(
         "bounds", _bounds, 1e-9,
         "dominance of the separable-decomposition bounds over the oracle "
         "on random rank-3 and rank-4 mixtures; offenders are the thinnest margins",
     ),
-    "rank4-max": _suite_rank4_max,
+    "rank4-max": _chunked_suite(
+        "rank4-max", _rank4_max, 1e-12,
+        "max(0, 1 - 3 lam1/2 - 4 lam2/3) against the oracle on the maximal "
+        "rank-4 family; the literal closed form, half of it, is reported "
+        "through its deviation, its oracle ratio and its boundary roots",
+        extra=_rank4_max_extra,
+    ),
     "threshold": _suite_threshold,
     "region": _suite_region,
     "inversions": _suite_inversions,
-    "shots": _suite_shots,
+    "shots": _chunked_suite(
+        "shots", _shots, None,
+        "finite-shot weight recovery must land within five combined "
+        "standard errors in at least 99 percent of trials; infeasible "
+        "pairs count as misses",
+        extra=_shots_extra,
+        passed=lambda devs, extra: bool(
+            extra["lambda_success_rate"] >= 0.99 and extra["pair_success_rate"] >= 0.99
+        ),
+    ),
 }
 
 

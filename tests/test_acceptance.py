@@ -139,7 +139,9 @@ def test_criterion_5_family_formulas(acceptance):
         )
         # the persisted reports are golden: a run compares against the
         # committed file and writes one only where none exists, so a drifted
-        # report fails on every run until the file is deliberately replaced
+        # report fails on every run until the file is deliberately replaced;
+        # xstate-invariant.json was last replaced when that suite moved from
+        # one stream to spawned chunk streams
         REPORTS_DIR.mkdir(exist_ok=True)
         for rep in statistical:
             assert rep.tolerance is None

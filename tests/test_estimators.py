@@ -33,14 +33,25 @@ from qconc.estimators import (
     estimate_rank2_sep2,
     ladder_concurrence,
     ladder_from_correlation,
+    ladder_matrix,
     local_observables_rank2,
+    rank2_degenerate_matrix,
+    rank2_sep_matrix,
     reconstruct_rank2,
     xstate_concurrence,
     xstate_concurrence_invariant,
+    xstate_matrix,
 )
 from qconc.invariants import InvariantVector, invariant_vector
-from qconc.qstate import PureState, bell_state, decompose, rank_of, werner_state
-from qconc.validate import batch_random_pure
+from qconc.invariants import _invariants as invariants_of_fields
+from qconc.measurement import expectation
+from qconc.qstate import PureState, _outer, bell_state, decompose, rank_of, werner_state
+from qconc.validate import (
+    batch_random_pure,
+    sample_rank2_degenerate,
+    sample_rank2_sep,
+    sample_xstate,
+)
 
 
 def _invariants(rho) -> InvariantVector:
@@ -457,3 +468,58 @@ def test_one_nan_invariant_raises(name, field):
     assert math.isfinite(estimate(inv))
     with pytest.raises(QconcError):
         estimate(dataclasses.replace(inv, **{field: math.nan}))
+
+
+# -- the observables each estimate reads -------------------------------------
+
+_LOCAL = ("x0", "y0", "z0", "0x", "0y", "0z")
+_PAULI = _LOCAL + tuple(a + b for a in "xyz" for b in "xyz")
+_NINE = tuple(f"i{k}" for k in range(1, 10))
+
+#: per estimate: a sampler of its family's matrices, and the Pauli
+#: expectation values (qubit A's label, then B's) its value and guards read,
+#: as the README's observable table lists them; the invariants among them
+#: are those of _INVARIANT_ESTIMATORS, and ladder-szpz reads zz itself
+_READS = {
+    "pure": (lambda rng: _outer(batch_random_pure(rng, 1)[0]), _PAULI),
+    "projection2": (
+        lambda rng: rank2_degenerate_matrix(sample_rank2_degenerate(rng, lam=0.5)), _LOCAL,
+    ),
+    "rank2-sep2": (lambda rng: rank2_sep_matrix(sample_rank2_sep(rng)), _LOCAL),
+    "xstate-invariant": (lambda rng: xstate_matrix(sample_xstate(rng, rank3=True)), _PAULI),
+    "ladder-szpz": (lambda rng: ladder_matrix(rng.uniform()), ("zz",)),
+}
+
+
+def _outcome(form, values: dict, fields):
+    """form's value or raise on the Pauli expectation values: on their
+    invariants with every field but `fields` set to NaN, or on zz alone."""
+    if fields is None:
+        x = values["zz"]
+    else:
+        p, s = [values[a + "0"] for a in "xyz"], [values["0" + b] for b in "xyz"]
+        pi = [[values[a + b] for b in "xyz"] for a in "xyz"]
+        inv = InvariantVector(*invariants_of_fields(p, s, pi))
+        x = dataclasses.replace(inv, **{f: math.nan for f in _NINE if f not in fields})
+    try:
+        return form(x)
+    except (QconcError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_READS))
+def test_estimates_read_only_the_listed_observables(name):
+    """With every Pauli expectation value and invariant the table does not
+    list set to NaN, each estimate gives the same value, or the same raise."""
+    draw, labels = _READS[name]
+    form, _, fields = _INVARIANT_ESTIMATORS.get(name, (ladder_from_correlation, None, None))
+    rng = np.random.default_rng(19)
+    evaluated = 0
+    for _ in range(25):
+        m = draw(rng)
+        values = {label: expectation(m, tuple(label)) for label in _PAULI}
+        masked = {label: v if label in labels else math.nan for label, v in values.items()}
+        outcome = _outcome(form, masked, fields)
+        assert outcome == _outcome(form, values, None if fields is None else _NINE)
+        evaluated += not isinstance(outcome, tuple)
+    assert evaluated > 0

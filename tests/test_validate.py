@@ -153,12 +153,13 @@ def test_chunks_are_the_fewest_within_the_cap_split_evenly(samples, sizes):
 #: 20000, seed=0) in the eight-chunk layout, regenerated when the oracle moved
 #: to the pivoted Cholesky factor, when the invariants moved to one IEEE
 #: operation per product and sum, when the rank-2 roots and the Haar samplers
-#: moved to closed forms, and when the roots of every rank moved to one kernel
-#: over the factor's entry lists, with numpy 2.4.6 on x86-64. The oracle's
-#: SVD for ranks 3 and 4 and lu-invariance's u @ mats @ u^H still run on
-#: BLAS/LAPACK, whose last bits depend on the numpy build and the CPU's
-#: kernels, so other builds cannot compare bytes
-_STACKED_20K_SHA256 = "3b89c359509577738d7c923e350e35e78826b3591791b3aae8a497871c2f7855"
+#: moved to closed forms, when the roots of every rank moved to one kernel
+#: over the factor's entry lists, and when batch_random_mixed's diagonal lost
+#: its imaginary round-off (lu-invariance moved), with numpy 2.4.6 on x86-64.
+#: The oracle's SVD for ranks 3 and 4 and lu-invariance's u @ mats @ u^H
+#: still run on BLAS/LAPACK, whose last bits depend on the numpy build and
+#: the CPU's kernels, so other builds cannot compare bytes
+_STACKED_20K_SHA256 = "7935d974bd2e8df337cc16f1de0aab7d354247d9ee41a0a9dfdb1e310f774e6d"
 
 
 _RECORDED_BUILD = pytest.mark.skipif(
@@ -179,10 +180,10 @@ def test_capped_chunks_keep_the_stacked_suites_bytes_at_20000():
 
 
 #: sha256 of the canonical JSON of every suite's report at 200 samples and
-#: seed 0, recorded on the same build as _STACKED_20K_SHA256; the one root
-#: kernel moved the last bits of pure, lu-invariance, xstate,
-#: xstate-invariant (its mean) and rank4-max
-_ALL_200_SHA256 = "4de8b4eadafb85d7a61c9ce93f16a6aed53988ea8274a8b8f02376e9d3a54e54"
+#: seed 0, recorded on the same build as _STACKED_20K_SHA256; regenerated when
+#: xstate-invariant, rank4-max and shots moved to spawned chunk streams and
+#: batch_random_mixed's diagonal lost its imaginary round-off (lu-invariance)
+_ALL_200_SHA256 = "20025637a8e65a67178420ba32121577b68655ffc4be84483256a3621b1674ba"
 
 
 @_RECORDED_BUILD
@@ -266,12 +267,12 @@ def test_shots_counts_the_trials_it_cannot_grade(monkeypatch):
     assert not rep.passed
 
 
-#: the suites that draw all their parameters from one stream, then build,
-#: check and evaluate their stacks slice by slice
-_SLICED = ["xstate-invariant", "ladder", "rank4-max", "shots"]
+#: the fixed-grid suite that builds its grid in slices, and the sampled
+#: suites whose kernels build one stack, or two, per chunk
+_CHUNK_BOUND = ["xstate-invariant", "ladder", "rank4-max", "shots", "pure"]
 
 
-def test_one_stream_suites_stack_at_most_a_chunk(monkeypatch):
+def test_no_suite_stacks_more_than_a_chunk(monkeypatch):
     """Past two chunks' worth of samples, no stack that is validated or
     handed to the oracle holds more than _CHUNK_CAP states."""
     sizes = {"check_states": [], "batch_oracle": []}
@@ -288,14 +289,15 @@ def test_one_stream_suites_stack_at_most_a_chunk(monkeypatch):
     for name in sizes:
         monkeypatch.setattr(validate, name, recording(name))
     samples = 2 * validate._CHUNK_CAP + 1
-    reports = run_suites(_SLICED, samples=samples, seed=0)
-    assert [r.suite for r in reports] == _SLICED
+    reports = run_suites(_CHUNK_BOUND, samples=samples, seed=0)
+    assert [r.suite for r in reports] == _CHUNK_BOUND
     assert max(sizes["check_states"] + sizes["batch_oracle"]) <= validate._CHUNK_CAP
-    # every state went through both: three suites validate and grade each
-    # of theirs once; shots validates its rank-3 stack once and its rank-4
-    # stack once per observable, and grades none with the oracle
-    assert sum(sizes["check_states"]) == 6 * samples
-    assert sum(sizes["batch_oracle"]) == 3 * samples
+    # xstate-invariant, ladder and rank4-max validate and grade each state
+    # once; shots validates its rank-3 and its rank-4 stack once each and
+    # grades none with the oracle; pure builds its states valid and grades
+    # each once
+    assert sum(sizes["check_states"]) == 5 * samples
+    assert sum(sizes["batch_oracle"]) == 4 * samples
 
 
 def test_xstate_invariant_counts_are_per_row_single_calls(monkeypatch):
@@ -341,9 +343,12 @@ def test_shots_counts_are_per_row_single_calls(monkeypatch):
     monkeypatch.setattr(validate, "sample_expectation", spread_records)
     samples = 2 * validate._CHUNK_CAP + 1
     (rep,) = run_suites(["shots"], samples=samples, seed=2)
-    zz = np.concatenate(means[("z", "z")])
-    zz3, zz4 = zz[:samples].tolist(), zz[samples:].tolist()
+    # each chunk samples rank-3 zz, then rank-4 xx, then rank-4 zz
+    zz = means[("z", "z")]
+    zz3 = np.concatenate(zz[0::2]).tolist()
+    zz4 = np.concatenate(zz[1::2]).tolist()
     xx4 = np.concatenate(means[("x", "x")]).tolist()
+    assert len(zz3) == len(zz4) == len(xx4) == samples
     clamped = sum(lambda_from_szpz(v).clamped for v in zz3)
     infeasible = 0
     for sxpx, szpz in zip(xx4, zz4):
