@@ -77,17 +77,20 @@ def _psi_in_h3(a, b, theta, phi) -> np.ndarray:
 
 
 def _sep_matrix(m) -> np.ndarray:
-    """rho_sep of a Rank3Mixture or Rank4Mixture: two product states of the
-    Pi3 span, sep_weight on the first."""
+    """rho_sep of a mixture: two product states of the Pi3 span, sep_weight
+    on the first."""
     p1 = _h3_product_state(m.a, m.b, m.sep_angle1, m.sep_phase1)
     p2 = _h3_product_state(m.a, m.b, m.sep_angle2, m.sep_phase2)
     return _per_row(m.sep_weight) * _outer(p1) + _per_row(1.0 - m.sep_weight) * _outer(p2)
 
 
-def _rho2(m) -> np.ndarray:
-    """mu rho_sep + (1 - mu)|psi><psi| of a Rank3Mixture or Rank4Mixture."""
-    psi = _psi_in_h3(m.a, m.b, m.theta, m.phi)
-    return _per_row(m.mu) * _sep_matrix(m) + _per_row(1.0 - m.mu) * _outer(psi)
+def _mixture(lambda1, lambda2, a, b, rest) -> np.ndarray:
+    """Unvalidated lambda1 I/4 + lambda2 Pi3/3 + (1 - lambda1 - lambda2) rest,
+    Pi3 the projector onto span{|00>, a|01> + b|10>, |11>}: every matrix of the
+    weight plane, rank 3 at lambda1 = 0."""
+    m = _per_row(lambda1) * _EYE4 / 4.0
+    m = m + _per_row(lambda2) * _h3_projector(a, b) / 3.0
+    return m + _per_row(1.0 - lambda1 - lambda2) * rest
 
 
 def _psi_concurrence(m):
@@ -123,17 +126,17 @@ def _payload(ab_angle, draws) -> dict:
     return cols
 
 
-@dataclass(frozen=True)
-class Rank3Mixture:
-    """lam Pi3/3 + (1 - lam)[mu rho_sep + (1 - mu)|psi><psi|].
+@dataclass(frozen=True, kw_only=True)
+class _Mixture:
+    """lam1 I/4 + lam2 Pi3/3 + (1 - lam1 - lam2)[mu rho_sep + (1 - mu)|psi><psi|].
 
     Pi3 projects onto span{|00>, a|01> + b|10>, |11>}; psi lives in that
     span with angles theta, phi; rho_sep mixes two product states from the
     same span (sep_weight on the first), so every non-psi term is separable
-    by construction. With (n,) array fields it is a block of n mixtures.
+    by construction. A subclass holds the weights and their rules; with (n,)
+    array fields it is a block of n mixtures.
     """
 
-    lam: float
     mu: float
     a: float
     b: float
@@ -148,7 +151,7 @@ class Rank3Mixture:
     def __post_init__(self):
         guards = _Guards()
         _check_finite(guards, **vars(self))
-        _check_unit_interval(guards, "lam", self.lam)
+        self._check_weights(guards)
         _check_unit_interval(guards, "mu", self.mu)
         _check_unit_interval(guards, "sep_weight", self.sep_weight)
         _check_ab(guards, self.a, self.b)
@@ -159,9 +162,22 @@ class Rank3Mixture:
 
     def matrix(self) -> np.ndarray:
         """Unvalidated density matrix of the mixture; (n, 4, 4) for a block."""
-        return _per_row(self.lam) * _h3_projector(self.a, self.b) / 3.0 + _per_row(
-            1.0 - self.lam
-        ) * _rho2(self)
+        rho2 = _per_row(self.mu) * _sep_matrix(self) + _per_row(1.0 - self.mu) * _outer(self.psi())
+        return _mixture(*self._weights(), self.a, self.b, rho2)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Rank3Mixture(_Mixture):
+    """lam Pi3/3 + (1 - lam)[mu rho_sep + (1 - mu)|psi><psi|]: the lam1 = 0
+    mixture."""
+
+    lam: float
+
+    def _check_weights(self, guards: _Guards) -> None:
+        _check_unit_interval(guards, "lam", self.lam)
+
+    def _weights(self):
+        return 0.0, self.lam
 
     def assemble(self) -> DensityOperator:
         return DensityOperator(self.matrix())
@@ -177,46 +193,20 @@ class Rank3Mixture:
         return _one_or_block(block, n)
 
 
-@dataclass(frozen=True)
-class Rank4Mixture:
-    """lam1 I/4 + lam2 Pi3/3 + (1 - lam1 - lam2) rho2.
-
-    rho2 is the same separable-plus-pure payload as Rank3Mixture, supported
-    in the Pi3 span. With (n,) array fields it is a block of n mixtures.
-    """
+@dataclass(frozen=True, kw_only=True)
+class Rank4Mixture(_Mixture):
+    """lam1 I/4 + lam2 Pi3/3 + (1 - lam1 - lam2) rho2."""
 
     lambda1: float
     lambda2: float
-    mu: float
-    a: float
-    b: float
-    theta: float
-    phi: float
-    sep_weight: float = 0.5
-    sep_angle1: float = 0.0
-    sep_phase1: float = 0.0
-    sep_angle2: float = math.pi / 2.0
-    sep_phase2: float = 0.0
 
-    def __post_init__(self):
-        guards, l1, l2 = _Guards(), self.lambda1, self.lambda2
-        _check_finite(guards, **vars(self))
+    def _check_weights(self, guards: _Guards) -> None:
+        l1, l2 = self.lambda1, self.lambda2
         _check_nonnegative(guards, "lambda1 and lambda2 must be nonnegative", l1, l2, slack=1e-12)
         _check_unit_interval(guards, "lambda1 + lambda2", l1 + l2)
-        _check_unit_interval(guards, "mu", self.mu)
-        _check_unit_interval(guards, "sep_weight", self.sep_weight)
-        _check_ab(guards, self.a, self.b)
-        guards.settle(None)
 
-    def psi(self) -> np.ndarray:
-        return _psi_in_h3(self.a, self.b, self.theta, self.phi)
-
-    def matrix(self) -> np.ndarray:
-        """Unvalidated density matrix of the mixture; (n, 4, 4) for a block."""
-        m = _per_row(self.lambda1) * _EYE4 / 4.0
-        m = m + _per_row(self.lambda2) * _h3_projector(self.a, self.b) / 3.0
-        m += _per_row(1.0 - self.lambda1 - self.lambda2) * _rho2(self)
-        return m
+    def _weights(self):
+        return self.lambda1, self.lambda2
 
     def assemble(self) -> DensityOperator:
         return DensityOperator(self.matrix())
@@ -290,8 +280,7 @@ def rank3_max_matrix(lam, a, b) -> np.ndarray:
     """Unvalidated lam Pi3/3 + (1 - lam) |psi_ab><psi_ab|, psi_ab = a|01> + b|10>;
     an (n, 4, 4) stack when any argument is an (n,) array."""
     _rank3_guards(a, b, lam).settle(None)
-    m = _per_row(lam) * _h3_projector(a, b) / 3.0
-    return m + _per_row(1.0 - lam) * _outer(_vec4(0.0, a, b, 0.0))
+    return _mixture(0.0, lam, a, b, _outer(_vec4(0.0, a, b, 0.0)))
 
 
 def assemble_rank3_max(lam: float, a: float, b: float) -> DensityOperator:
@@ -331,10 +320,7 @@ def rank4_max_matrix(lambda1, lambda2) -> np.ndarray:
     """Unvalidated lam1 I/4 + lam2 Pi3/3 + (1 - lam1 - lam2) |psi+><psi+|; an
     (n, 4, 4) stack for (n,) arrays of weights."""
     _rank4_guards(lambda1, lambda2).settle(None)
-    m = _per_row(lambda1) * _EYE4 / 4.0
-    m = m + _per_row(lambda2) * _h3_projector(_R, _R) / 3.0
-    m += _per_row(1.0 - lambda1 - lambda2) * _outer(_vec4(0.0, _R, _R, 0.0))
-    return m
+    return _mixture(lambda1, lambda2, _R, _R, _outer(_vec4(0.0, _R, _R, 0.0)))
 
 
 def assemble_rank4_max(lambda1: float, lambda2: float) -> DensityOperator:
@@ -360,6 +346,4 @@ def rank4_region(grid_n: int) -> list[tuple[float, float, str]]:
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     ticks = [i / (grid_n - 1) for i in range(grid_n)]
-    return [
-        (l1, l2, classify_weights(l1, l2)) for l1 in ticks for l2 in ticks
-    ]
+    return [(l1, l2, classify_weights(l1, l2)) for l1 in ticks for l2 in ticks]

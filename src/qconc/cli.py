@@ -424,8 +424,8 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    """Entry point mapping errors to exit codes: 1 bad input or usage, 2
-    validation failure."""
+    """Entry point mapping errors to exit codes: 1 bad input or usage, or a
+    request too large to allocate, 2 validation failure."""
     try:
         args = vars(_PARSER.parse_args(argv))
         args.pop("run")(**args)
@@ -433,14 +433,14 @@ def main(argv=None) -> int:
         if exc.message:
             print(f"error: {exc.message}", file=sys.stderr)
         return exc.code
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except QconcError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     return 0
 

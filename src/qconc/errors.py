@@ -11,7 +11,13 @@ class QconcError(Exception):
 
 
 class InvalidState(QconcError):
-    """A matrix failed the density-operator checks (hermiticity, trace, positivity)."""
+    """A matrix failed the density-operator checks (hermiticity, trace,
+    positivity); lowest_eigenvalue is its smallest eigenvalue when the checks
+    took its spectrum (a finite matrix's), else None."""
+
+    def __init__(self, message: str, lowest_eigenvalue=None):
+        super().__init__(message)
+        self.lowest_eigenvalue = lowest_eigenvalue
 
 
 class NotAState(QconcError):

@@ -312,11 +312,11 @@ def _raise_first_defect(m: np.ndarray, herm: np.ndarray, tr: np.ndarray) -> None
         if not finite[k]:
             raise InvalidState("entries must be finite")
         if herm[k] > HERMITICITY_TOL:
-            raise InvalidState("matrix is not Hermitian within tolerance")
+            raise InvalidState("matrix is not Hermitian within tolerance", low[k])
         if abs(tr[k] - 1.0) > TRACE_TOL:
-            raise InvalidState(f"trace is {tr[k]}, expected 1")
+            raise InvalidState(f"trace is {tr[k]}, expected 1", low[k])
         if low[k] < -PSD_TOL:
-            raise InvalidState(f"smallest eigenvalue {low[k]} is negative")
+            raise InvalidState(f"smallest eigenvalue {low[k]} is negative", low[k])
 
 
 @dataclass(frozen=True)
@@ -440,9 +440,9 @@ def assemble(bloch: BlochDecomposition) -> DensityOperator:
     _require_finite(m)
     try:
         return DensityOperator(m)
-    except InvalidState:
-        # the spectrum is taken again only to name a negative eigenvalue
-        lowest = np.linalg.eigvalsh(m)[0]
+    except InvalidState as exc:
+        # m is finite, so its check took the spectrum that names the eigenvalue
+        lowest = exc.lowest_eigenvalue
         if lowest < -PSD_TOL:
             raise NotAState(
                 f"assembled matrix has eigenvalue {lowest}; data is unphysical"

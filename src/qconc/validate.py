@@ -364,15 +364,9 @@ def _pure(rng, n):
     mats = np.einsum("ni,nj->nij", amps, amps.conj())
     inv = _invariants(mats)
     formula = estimate_pure(inv)
-    oracle = batch_oracle(mats)
-    devs = np.abs(formula - oracle)
     res1, res2 = purity_residuals(inv.i1, inv.i2, inv.i6)
-    payload = lambda i: {
-        "oracle": float(oracle[i]),
-        "estimate": float(formula[i]),
-        "state": {"amplitudes": _jsonable(amps[i])},
-    }
-    return devs, _top_offenders(devs, payload), float(np.maximum(np.abs(res1), np.abs(res2)).max())
+    residual = float(np.maximum(np.abs(res1), np.abs(res2)).max())
+    return *_graded(lambda i: {"amplitudes": amps[i]}, formula, batch_oracle(mats)), residual
 
 
 def _lu_invariance(rng, n):
@@ -390,12 +384,7 @@ def _lu_invariance(rng, n):
     c0 = batch_oracle(mats)
     c1 = batch_oracle(rotated)
     devs = np.maximum(np.abs(inv0 - inv1).max(axis=1), np.abs(c0 - c1))
-    payload = lambda i: {
-        "oracle": float(c0[i]),
-        "estimate": float(c1[i]),
-        "state": {"matrix": _jsonable(mats[i])},
-    }
-    return devs, _top_offenders(devs, payload)
+    return _graded(lambda i: {"matrix": mats[i]}, c1, c0, devs)
 
 
 def _invariants(mats: np.ndarray) -> InvariantVector:
@@ -403,15 +392,15 @@ def _invariants(mats: np.ndarray) -> InvariantVector:
     return InvariantVector(*batch_invariants(*batch_decompose(mats)).T)
 
 
-def _graded(block, estimates, oracle, index=None, devs=None):
+def _graded(state, estimates, oracle, devs=None):
     """Deviations (|estimate - oracle| per state unless given) and the worst
-    offenders; state i is row index[i] of the block (row i without an index),
-    built as a dataclass only for the offenders a report prints."""
+    offenders, state(i) giving offender i's state; a family's parameter row
+    is built as a dataclass only for the offenders a report prints."""
     devs = np.abs(estimates - oracle) if devs is None else devs
     payload = lambda i: {
         "oracle": float(oracle[i]),
         "estimate": float(estimates[i]),
-        "state": _jsonable(_record(block, i if index is None else index[i])),
+        "state": _jsonable(state(i)),
     }
     return devs, _top_offenders(devs, payload)
 
@@ -424,7 +413,7 @@ def _family(draw: Callable, build: Callable, estimate: Callable) -> Callable:
     def kernel(rng, n):
         params = draw(rng, n)
         mats = check_states(build(params))
-        return _graded(params, estimate(params, mats), batch_oracle(mats))
+        return _graded(lambda i: _record(params, i), estimate(params, mats), batch_oracle(mats))
 
     return kernel
 
@@ -436,7 +425,7 @@ def _rank2_roundtrip(rng, n):
     inv = batch_invariants(*batch_decompose(mats))
     c = batch_oracle(mats)
     devs = np.maximum(np.abs(inv[:n] - inv[n:]).max(axis=1), np.abs(c[:n] - c[n:]))
-    return _graded(params, c[n:], c[:n], devs=devs)
+    return _graded(lambda i: _record(params, i), c[n:], c[:n], devs)
 
 
 def _invariant_xstate(rng, n):
@@ -446,7 +435,8 @@ def _invariant_xstate(rng, n):
     value = guards.settle(value, (I1Zero, DomainError))
     i1_zero, domain_errors = guards.failed(I1Zero), guards.failed(DomainError)
     kept = np.flatnonzero(~(i1_zero | domain_errors))
-    devs, offenders = _graded(states, value[kept], batch_oracle(mats)[kept], index=kept.tolist())
+    state = lambda i: _record(states, kept[i])
+    devs, offenders = _graded(state, value[kept], batch_oracle(mats)[kept])
     counts = {
         "requested": n,
         "evaluated": int(kept.size),
@@ -506,15 +496,10 @@ def _rank4_max(rng, n):
     literal = rank4_max_concurrence(l1, l2)
     oracle = batch_oracle(check_states(rank4_max_matrix(l1, l2)))
     exact = np.maximum(0.0, 1.0 - 1.5 * l1 - 4.0 * l2 / 3.0)
-    devs = np.abs(exact - oracle)
     positive = literal > 1e-6
-    payload = lambda i: {
-        "oracle": float(oracle[i]),
-        "estimate": float(exact[i]),
-        "state": {"lambda1": float(l1[i]), "lambda2": float(l2[i])},
-    }
     literal_dev = float(np.abs(np.maximum(literal, 0.0) - oracle).max())
-    return devs, _top_offenders(devs, payload), (literal_dev, oracle[positive] / literal[positive])
+    state = lambda i: {"lambda1": l1[i], "lambda2": l2[i]}
+    return *_graded(state, exact, oracle), (literal_dev, oracle[positive] / literal[positive])
 
 
 def _rank4_max_extra(devs, chunks) -> dict:
@@ -557,12 +542,8 @@ def _suite_region(seq, samples):
     classes = np.array([k for _, _, k in rows]).reshape(grid_n, grid_n)
     l1, l2 = np.array([row[:2] for row in rows]).reshape(grid_n, grid_n, 2).transpose(2, 0, 1)
     feasible = classes != REGION_INFEASIBLE
-    arr = np.stack([l1[feasible], l2[feasible]], axis=1)
-    u = arr[:, 0] / 4.0 + arr[:, 1] / 3.0
-    rest = 1.0 - arr.sum(axis=1)
-    w = arr[:, 0] / 4.0 + arr[:, 1] / 6.0 + rest / 2.0
-    z = arr[:, 1] / 6.0 + rest / 2.0
-    oracle = batch_oracle(xstate_matrix(XState(u, w, w, u, z + 0j)))
+    # valid by construction, so unchecked
+    oracle = batch_oracle(rank4_max_matrix(l1[feasible], l2[feasible]))
     kinds = classes[feasible]
     separable = kinds == REGION_SEPARABLE
     mismatches = int(

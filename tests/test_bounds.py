@@ -72,6 +72,15 @@ class TestMixtures:
             replace(block, **{field: column})
         assert str(stacked.value) == str(single.value)
 
+    @pytest.mark.parametrize("cls", [Rank3Mixture, Rank4Mixture])
+    def test_float_weights_broadcast_over_a_payload_block(self, cls):
+        """Weights and a/b given as floats, other payload fields as (n,)
+        arrays: the matrix is the (n, 4, 4) stack of the single mixtures."""
+        m = cls.random(5)
+        block = replace(m, mu=np.array([m.mu, 0.1]), theta=np.array([m.theta, 0.2]))
+        rows = [m, replace(m, mu=0.1, theta=0.2)]
+        np.testing.assert_array_equal(block.matrix(), [r.matrix() for r in rows])
+
     def test_rank4_weight_simplex_enforced(self):
         with pytest.raises(ValueError):
             Rank4Mixture(

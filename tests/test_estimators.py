@@ -36,6 +36,7 @@ from qconc.estimators import (
     ladder_matrix,
     local_observables_rank2,
     rank2_degenerate_matrix,
+    rank2_matrix,
     rank2_sep_matrix,
     reconstruct_rank2,
     xstate_concurrence,
@@ -45,9 +46,18 @@ from qconc.estimators import (
 from qconc.invariants import InvariantVector, invariant_vector
 from qconc.invariants import _invariants as invariants_of_fields
 from qconc.measurement import expectation
-from qconc.qstate import PureState, _outer, bell_state, decompose, rank_of, werner_state
+from qconc.qstate import (
+    DensityOperator,
+    PureState,
+    _outer,
+    bell_state,
+    decompose,
+    rank_of,
+    werner_state,
+)
 from qconc.validate import (
     batch_random_pure,
+    sample_nondegenerate_rank2,
     sample_rank2_degenerate,
     sample_rank2_sep,
     sample_xstate,
@@ -476,33 +486,87 @@ _LOCAL = ("x0", "y0", "z0", "0x", "0y", "0z")
 _PAULI = _LOCAL + tuple(a + b for a in "xyz" for b in "xyz")
 _NINE = tuple(f"i{k}" for k in range(1, 10))
 
-#: per estimate: a sampler of its family's matrices, and the Pauli
-#: expectation values (qubit A's label, then B's) its value and guards read,
-#: as the README's observable table lists them; the invariants among them
-#: are those of _INVARIANT_ESTIMATORS, and ladder-szpz reads zz itself
-_READS = {
-    "pure": (lambda rng: _outer(batch_random_pure(rng, 1)[0]), _PAULI),
-    "projection2": (
-        lambda rng: rank2_degenerate_matrix(sample_rank2_degenerate(rng, lam=0.5)), _LOCAL,
-    ),
-    "rank2-sep2": (lambda rng: rank2_sep_matrix(sample_rank2_sep(rng)), _LOCAL),
-    "xstate-invariant": (lambda rng: xstate_matrix(sample_xstate(rng, rank3=True)), _PAULI),
-    "ladder-szpz": (lambda rng: ladder_matrix(rng.uniform()), ("zz",)),
-}
+def _invariants_of(fields):
+    """The input of an invariant estimator: the InvariantVector of the
+    expectation values, every invariant but `fields` set to NaN."""
 
-
-def _outcome(form, values: dict, fields):
-    """form's value or raise on the Pauli expectation values: on their
-    invariants with every field but `fields` set to NaN, or on zz alone."""
-    if fields is None:
-        x = values["zz"]
-    else:
+    def inputs(values):
         p, s = [values[a + "0"] for a in "xyz"], [values["0" + b] for b in "xyz"]
         pi = [[values[a + b] for b in "xyz"] for a in "xyz"]
         inv = InvariantVector(*invariants_of_fields(p, s, pi))
-        x = dataclasses.replace(inv, **{f: math.nan for f in _NINE if f not in fields})
+        return (dataclasses.replace(inv, **{f: math.nan for f in _NINE if f not in fields}),)
+
+    return inputs
+
+
+def _on_invariants(name):
+    """An invariant estimator, and its input reading only its invariants."""
+    form, _, fields = _INVARIANT_ESTIMATORS[name]
+    return form, _invariants_of(fields)
+
+
+def _rho00(v) -> float:
+    return (1.0 + v["z0"] + v["0z"] + v["zz"]) / 4.0
+
+
+def _xstate_entries(v) -> tuple:
+    """The X state's diagonal from z0 0z zz and its coherence rho(|01>, |10>)
+    = (xx + yy + i (xy - yx))/4, in XState's field order."""
+    u_plus, u_minus = _rho00(v), (1.0 - v["z0"] - v["0z"] + v["zz"]) / 4.0
+    w1, w2 = (1.0 + v["z0"] - v["0z"] - v["zz"]) / 4.0, (1.0 - v["z0"] + v["0z"] - v["zz"]) / 4.0
+    return u_plus, w1, w2, u_minus, complex(v["xx"] + v["yy"], v["xy"] - v["yx"]) / 4.0
+
+
+#: per estimate: a sampler of its family's matrices; the Pauli expectation
+#: values (qubit A's label, then B's) its value and guards read, as the
+#: README's observable table lists them; the estimate; and its input from a
+#: dict of expectation values
+_READS = {
+    "pure": (lambda rng: _outer(batch_random_pure(rng, 1)[0]), _PAULI, *_on_invariants("pure")),
+    "rank2-reconstruction": (
+        lambda rng: rank2_matrix(sample_nondegenerate_rank2(rng)),
+        _LOCAL,
+        lambda p, s: concurrence_oracle(assemble_rank2(reconstruct_rank2(p, s))).value,
+        lambda v: ([v[a + "0"] for a in "xyz"], [v["0" + b] for b in "xyz"]),
+    ),
+    "projection2": (
+        lambda rng: rank2_degenerate_matrix(sample_rank2_degenerate(rng, lam=0.5)),
+        _LOCAL,
+        *_on_invariants("projection2"),
+    ),
+    "rank2-sep2": (
+        lambda rng: rank2_sep_matrix(sample_rank2_sep(rng)), _LOCAL, *_on_invariants("rank2-sep2"),
+    ),
+    "xstate-direct": (
+        lambda rng: xstate_matrix(sample_xstate(rng, rank3=bool(rng.integers(2)))),
+        ("z0", "0z", "zz", "xx", "yy", "xy", "yx"),
+        lambda *x: xstate_concurrence(XState(*x)),
+        _xstate_entries,
+    ),
+    "xstate-invariant": (
+        lambda rng: xstate_matrix(sample_xstate(rng, rank3=True)),
+        _PAULI,
+        *_on_invariants("xstate-invariant"),
+    ),
+    "ladder-rho11": (
+        lambda rng: ladder_matrix(rng.uniform()),
+        ("z0", "0z", "zz"),
+        ladder_concurrence,
+        lambda v: (_rho00(v),),
+    ),
+    "ladder-szpz": (
+        lambda rng: ladder_matrix(rng.uniform()),
+        ("zz",),
+        ladder_from_correlation,
+        lambda v: (v["zz"],),
+    ),
+}
+
+
+def _outcome(form, args):
+    """form's value on args, or what it raises."""
     try:
-        return form(x)
+        return form(*args)
     except (QconcError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -511,15 +575,38 @@ def _outcome(form, values: dict, fields):
 def test_estimates_read_only_the_listed_observables(name):
     """With every Pauli expectation value and invariant the table does not
     list set to NaN, each estimate gives the same value, or the same raise."""
-    draw, labels = _READS[name]
-    form, _, fields = _INVARIANT_ESTIMATORS.get(name, (ladder_from_correlation, None, None))
+    draw, labels, form, inputs = _READS[name]
+    full = _invariants_of(_NINE) if name in _INVARIANT_ESTIMATORS else inputs
     rng = np.random.default_rng(19)
     evaluated = 0
     for _ in range(25):
         m = draw(rng)
         values = {label: expectation(m, tuple(label)) for label in _PAULI}
         masked = {label: v if label in labels else math.nan for label, v in values.items()}
-        outcome = _outcome(form, masked, fields)
-        assert outcome == _outcome(form, values, None if fields is None else _NINE)
+        outcome = _outcome(form, inputs(masked))
+        assert outcome == _outcome(form, full(values))
         evaluated += not isinstance(outcome, tuple)
     assert evaluated > 0
+
+
+#: the inputs `qconc concurrence` hands the estimates that read matrix
+#: entries or Bloch fields, from the validated matrix
+_CLI_INPUTS = {
+    "rank2-reconstruction": lambda m: (decompose(m).p, decompose(m).s),
+    "xstate-direct": lambda m: [float(m[k, k].real) for k in range(4)] + [complex(m[1, 2])],
+    "ladder-rho11": lambda m: (float(m[0, 0].real),),
+    "ladder-szpz": lambda m: (float(decompose(m).pi[2, 2]),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLI_INPUTS))
+def test_expectation_inputs_match_the_cli_route(name):
+    """The inputs built from expectation values are the ones the CLI reads
+    off the matrix, within 1e-14."""
+    draw, _, _, inputs = _READS[name]
+    rng = np.random.default_rng(19)
+    for _ in range(25):
+        m = DensityOperator(draw(rng)).matrix
+        values = {label: expectation(m, tuple(label)) for label in _PAULI}
+        ours, cli = np.hstack(inputs(values)), np.hstack(_CLI_INPUTS[name](m))
+        assert np.abs(ours - cli).max() <= 1e-14

@@ -351,11 +351,9 @@ def test_assemble_rejects_unphysical_bloch():
         assemble(bad)
 
 
-def test_assemble_takes_no_spectrum_of_a_valid_payload(monkeypatch):
-    """The DensityOperator check accepts a valid payload by its Cholesky
-    certificate, with no eigvalsh; assemble takes a spectrum only to name a
-    negative eigenvalue."""
-    bloch = decompose(random_rank_k(3, seed=3))
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """The shapes np.linalg.eigvalsh is called on, in call order."""
     shapes = []
 
     def counting(m, eigvalsh=np.linalg.eigvalsh):
@@ -363,9 +361,25 @@ def test_assemble_takes_no_spectrum_of_a_valid_payload(monkeypatch):
         return eigvalsh(m)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    rho = assemble(bloch)
-    assert shapes == []
+    return shapes
+
+
+def test_assemble_takes_no_spectrum_of_a_valid_payload(eigvalsh_shapes):
+    """The DensityOperator check accepts a valid payload by its Cholesky
+    certificate, with no eigvalsh; assemble takes a spectrum only to name a
+    negative eigenvalue."""
+    rho = assemble(decompose(random_rank_k(3, seed=3)))
+    assert eigvalsh_shapes == []
     assert rank_of(rho) == 3
+
+
+def test_assemble_takes_one_spectrum_of_an_unphysical_payload(eigvalsh_shapes):
+    """The eigenvalue NotAState names is the one the failed check took on
+    its one-state stack; assemble takes no second spectrum."""
+    bad = BlochDecomposition(p=np.zeros(3), s=np.zeros(3), pi=2.0 * np.eye(3))
+    with pytest.raises(NotAState, match=r"^assembled matrix has eigenvalue -1\.25; "):
+        assemble(bad)
+    assert eigvalsh_shapes == [(1, 4, 4)]
 
 
 def test_rank_of_exact_ranks():

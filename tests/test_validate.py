@@ -182,8 +182,10 @@ def test_capped_chunks_keep_the_stacked_suites_bytes_at_20000():
 #: sha256 of the canonical JSON of every suite's report at 200 samples and
 #: seed 0, recorded on the same build as _STACKED_20K_SHA256; regenerated when
 #: xstate-invariant, rank4-max and shots moved to spawned chunk streams and
-#: batch_random_mixed's diagonal lost its imaginary round-off (lu-invariance)
-_ALL_200_SHA256 = "20025637a8e65a67178420ba32121577b68655ffc4be84483256a3621b1674ba"
+#: batch_random_mixed's diagonal lost its imaginary round-off (lu-invariance),
+#: and when region built its states with rank4_max_matrix in place of X-state
+#: weights (only region's mean_deviation moved)
+_ALL_200_SHA256 = "0b47dddbef588ee21d1937f0e30cfd52211d67425c0f4cfb7639c32f85a3557e"
 
 
 @_RECORDED_BUILD
@@ -205,10 +207,12 @@ def test_no_suite_stack_takes_a_spectrum(monkeypatch):
     assert calls == []
 
 
-#: what each sampled suite must reach through a module binding of validate
-#: at call time, so that a patched binding (a test's or a tracer's) sees it
+#: what each suite, sampled or on a fixed grid, must reach through a module
+#: binding of validate at call time, so that a patched binding (a test's or a
+#: tracer's) sees it
 _GRADED = ["check_states", "batch_oracle"]
 _CALLEES = {
+    "pure": ["batch_random_pure", "estimate_pure", "batch_oracle"],
     "lu-invariance": ["batch_random_mixed", "batch_haar_u2", "batch_invariants", "batch_oracle"],
     "rank2-roundtrip": [
         "sample_nondegenerate_rank2", "reconstruct_rank2", "rank2_matrix", "batch_invariants",
@@ -225,6 +229,16 @@ _CALLEES = {
     "xstate": ["sample_xstate", "xstate_matrix", "xstate_concurrence", *_GRADED],
     "xstate-invariant": ["sample_xstate", "xstate_matrix", "_xstate_invariant", *_GRADED],
     "bounds": ["rank3_bound", "rank4_bound", *_GRADED],
+    "rank4-max": ["rank4_max_matrix", "rank4_max_concurrence", *_GRADED],
+    "shots": ["rank3_max_matrix", "rank4_max_matrix", "check_states", "sample_expectation"],
+    "region": ["rank4_region", "rank4_max_matrix", "batch_oracle"],
+    "threshold": [
+        "rank3_max_matrix", "rank3_threshold", "rank3_max_concurrence", *_GRADED,
+    ],
+    "inversions": [
+        "rank3_max_matrix", "rank4_max_matrix", "check_states", "expectation",
+        "lambdas_from_correlations", "lambda_from_szpz",
+    ],
 }
 
 
