@@ -45,6 +45,7 @@ _EXPORTS = {
         QconcError
         ReconstructionDegenerate
         SamplerExhausted
+        WorkerLost
     """,
     "estimators": """
         Rank2Canonical

@@ -59,3 +59,7 @@ class Infeasible(QconcError):
 
 class SamplerExhausted(QconcError):
     """A rejection sampler rejected REJECTION_LIMIT draws in a row."""
+
+
+class WorkerLost(QconcError):
+    """A validate worker process ended before returning its chunk's results."""

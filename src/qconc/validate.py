@@ -17,18 +17,27 @@ that kernel (_family). The samplers draw (n, k) blocks: uniform rows, or a
 Dirichlet or normal block followed by uniform blocks; only the rank-2
 rejection sampler walks its rows, to keep each state's first accepted try.
 Parameter dataclasses of single states are built only for the offenders a
-report prints. One runner (_chunked_suite) splits a sampled suite into the
-fewest chunks of at most _CHUNK_CAP states, split evenly, runs each chunk on
-its own spawned seed stream and merges the chunks' deviations, offenders and
-extras in spawn order, so results depend only on the seed and the sample
-count and memory stays bounded at any sample count. The suites that draw
-nothing evaluate fixed grids: `ladder` builds and checks its grid in slices
-of the chunk sizes; `threshold`, `region` and `inversions` take one stack.
+report prints. A sampled suite is split into the fewest chunks of at most
+_CHUNK_CAP states, split evenly, each on its own spawned seed stream
+(_tasks); run_suites plans every requested suite's chunks first and runs
+them (_chunk_results): in this process when every suite has one chunk, when
+one CPU is usable or when the platform cannot fork, and otherwise on one
+pool of forked workers, one per usable CPU, that inherit the chunk kernels
+and return each chunk's deviations, offenders and extras. Each suite
+(_chunked_suite) merges its chunks in spawn order as they arrive, so results
+depend only on the seed and the sample count, not on where the chunks ran,
+and memory stays bounded at any sample count. The suites that draw nothing
+evaluate fixed grids in this process: `ladder` builds and checks its grid in
+slices of the chunk sizes; `threshold`, `region` and `inversions` take one
+stack.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Callable
 
@@ -53,7 +62,7 @@ from .bounds import (
 # benchmark's self-test (bench/selftest.py) checks that its tracer wraps
 # every module's binding of it, this one included
 from .concurrence import batch_oracle, concurrence_oracle  # noqa: F401
-from .errors import DomainError, I1Zero, Infeasible, SamplerExhausted
+from .errors import DomainError, I1Zero, Infeasible, SamplerExhausted, WorkerLost
 from .estimators import (
     Rank2Canonical,
     Rank2Degenerate,
@@ -219,23 +228,95 @@ def _slices(samples: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(ends, ends[1:])] or [slice(0, 0)]
 
 
-def _chunked_suite(name: str, kernel: Callable, tolerance, notes: str, extra=None, passed=None):
-    """The suite that runs kernel(rng, n) on the chunks of _chunk_sizes, each
-    on its own stream spawned from the suite's, and merges the deviations,
-    offenders and the kernels' own extras in spawn order; extra(devs, extras)
-    gives the report's extras and passed(devs, report_extras) its verdict."""
+def _tasks(suite, seq, samples: int) -> list | None:
+    """A chunked suite's chunks, (kernel, rng, size) each, on the sizes of
+    _chunk_sizes and streams spawned from the suite's; None for a fixed-grid
+    suite."""
+    kernel = getattr(suite, "kernel", None)
+    if kernel is None:
+        return None
+    sizes = _chunk_sizes(samples)
+    return [(kernel, np.random.default_rng(s), m) for s, m in zip(seq.spawn(len(sizes)), sizes)]
 
-    def suite(seq, samples):
-        sizes = _chunk_sizes(samples)
-        rngs = map(np.random.default_rng, seq.spawn(len(sizes)))
-        results = [kernel(rng, m) for rng, m in zip(rngs, sizes)]
+
+def _chunked_suite(name: str, kernel: Callable, tolerance, notes: str, extra=None, passed=None):
+    """The suite that merges the results of kernel(rng, n) on its chunks (see
+    _tasks), given in spawn order: the deviations, the offenders and the
+    kernels' own extras; extra(devs, extras) gives the report's extras and
+    passed(devs, report_extras) its verdict."""
+
+    def suite(results):
         devs = np.concatenate([r[0] for r in results])
         offenders = sorted((o for r in results for o in r[1]), key=lambda o: -o["deviation"])
         merged = None if extra is None else extra(devs, [r[2] for r in results if len(r) > 2])
         verdict = None if passed is None else passed(devs, merged)
         return _report(name, devs, tolerance, offenders[:TOP_OFFENDERS], merged, notes, verdict)
 
+    suite.kernel = kernel
     return suite
+
+
+def _workers() -> int:
+    """The processes a multi-chunk run may use: one per CPU this process may
+    run on, or one where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: a worker's copy of the running call's tasks, see _chunk_results
+_TASKS: list = []
+
+
+def _adopt(tasks: list) -> None:
+    """Start a worker: keep its forked copy of the tasks, and leave SIGINT to
+    the parent, which cancels what has not started and waits for the rest."""
+    global _TASKS
+    _TASKS = tasks
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _run_task(index: int):
+    kernel, rng, n = _TASKS[index]
+    return kernel(rng, n)
+
+
+@contextmanager
+def _chunk_results(tasks: list, multi_chunk: bool):
+    """An iterator over the tasks' results, (devs, offenders[, extras]) each,
+    in task order. They are computed in this process, as they are read, when
+    no suite has more than one chunk, when one CPU is usable or when the
+    platform cannot fork. Otherwise one pool of forked workers, one per
+    usable CPU and at most one per task, runs them all: the workers inherit
+    the tasks with the kernel closures, which are never pickled, so only task
+    indices go out and results come back. A worker's exception is raised
+    here as it was raised there; a worker that dies raises WorkerLost. No
+    worker outlives the block."""
+    workers = min(_workers(), len(tasks)) if multi_chunk else 1
+    if workers < 2:
+        yield (kernel(rng, n) for kernel, rng, n in tasks)
+        return
+    # imported here, so that a single-chunk run loads no process machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn: the kernels are closures, which cannot be pickled, and
+    # a spawned worker would import numpy and qconc again; a fork context
+    # hands the initializer's arguments to the child unpickled
+    context = multiprocessing.get_context("fork")
+    pool = ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_adopt, initargs=(tasks,)
+    )
+    try:
+        futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
+        yield (future.result() for future in futures)
+    except BrokenProcessPool as exc:
+        raise WorkerLost(f"a worker process ended before returning its chunk: {exc}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _summed(counts: list) -> dict:
@@ -652,8 +733,11 @@ def _shots_extra(devs, chunks) -> dict:
 
 
 #: registry order is load-bearing: each suite's seed stream is spawned by index.
+#: A sampled suite carries its kernel and is called with its chunks' results;
+#: a fixed-grid suite is called with its stream and the sample count.
 #: The lambdas look the samplers, builders and closed forms up when called,
-#: so a rebound module name (a test's monkeypatch, bench/layertrace.py) runs.
+#: so a rebound module name (a test's monkeypatch, bench/layertrace.py) runs;
+#: forked workers run what was bound when run_suites was called.
 SUITES: dict[str, Callable] = {
     "pure": _chunked_suite(
         "pure", _pure, 1e-8,
@@ -755,13 +839,23 @@ SUITES: dict[str, Callable] = {
 
 
 def run_suites(names=None, samples: int = 1000, seed: int = 0) -> list[SuiteReport]:
-    """Run the named suites (all by default) with per-suite spawned seeds."""
+    """Run the named suites (all by default) with per-suite spawned seeds:
+    plan every chunked suite's chunks first, run them (_chunk_results), and
+    merge each suite as its chunks arrive; fixed-grid suites run here."""
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise KeyError(f"unknown suites: {unknown}")
     root = np.random.SeedSequence(seed)
-    streams = root.spawn(len(SUITES))
-    order = {name: i for i, name in enumerate(SUITES)}
-    return [SUITES[name](streams[order[name]], samples) for name in names]
+    streams = dict(zip(SUITES, root.spawn(len(SUITES))))
+    plans = [_tasks(SUITES[name], streams[name], samples) for name in names]
+    tasks = [task for plan in plans if plan for task in plan]
+    multi_chunk = any(len(plan) > 1 for plan in plans if plan)
+    with _chunk_results(tasks, multi_chunk) as results:
+        return [
+            SUITES[name](streams[name], samples)
+            if plan is None
+            else SUITES[name]([next(results) for _ in plan])
+            for name, plan in zip(names, plans)
+        ]

@@ -96,3 +96,16 @@ def test_cli_import_leaves_click_out():
     loaded = _loaded_after("import qconc.cli")
     assert "qconc.cli" in loaded
     assert not {"qconc.validate", "qconc.bounds", "click"} & set(loaded)
+
+
+def test_single_chunk_validate_leaves_process_machinery_out(tmp_path):
+    """A validate run whose suites have one chunk each runs its chunks in
+    this process and loads no multiprocessing or concurrent.futures module."""
+    out = str(tmp_path / "validate.json")
+    probe = (
+        "import json, sys; from qconc.cli import main; "
+        f"code = main(['validate', '--samples', '200', '--seed', '0', '--out', {out!r}]); "
+        "print(json.dumps([code] + sorted("
+        "m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))))"
+    )
+    assert json.loads(_run_fresh(probe)) == [0]

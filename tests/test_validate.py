@@ -302,6 +302,8 @@ def test_no_suite_stacks_more_than_a_chunk(monkeypatch):
 
     for name in sizes:
         monkeypatch.setattr(validate, name, recording(name))
+    # the spies count in this process only, so the chunks run here
+    monkeypatch.setattr(validate, "_workers", lambda: 1)
     samples = 2 * validate._CHUNK_CAP + 1
     reports = run_suites(_CHUNK_BOUND, samples=samples, seed=0)
     assert [r.suite for r in reports] == _CHUNK_BOUND
@@ -355,6 +357,8 @@ def test_shots_counts_are_per_row_single_calls(monkeypatch):
         return MeasurementRecord(obs, means[obs][-1], shots, np.full(len(mats), 0.01))
 
     monkeypatch.setattr(validate, "sample_expectation", spread_records)
+    # one spread generator and one record of its draws, so the chunks run here
+    monkeypatch.setattr(validate, "_workers", lambda: 1)
     samples = 2 * validate._CHUNK_CAP + 1
     (rep,) = run_suites(["shots"], samples=samples, seed=2)
     # each chunk samples rank-3 zz, then rank-4 xx, then rank-4 zz
