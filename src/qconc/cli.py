@@ -406,7 +406,8 @@ def _build_parser() -> _Parser:
         "--suite", dest="suites", action="append", default=None,
         help="suite name; repeatable (default all)",
     )
-    val.add_argument("--samples", type=_number(int, 1), default=1000, help="(default: 1000)")
+    samples = _number(int, 1, 10**7)  # a suite plans all its chunks first: 4000 at 10^7
+    val.add_argument("--samples", type=samples, default=1000, help="at most 10^7 (default: 1000)")
     seed(val)
     out(val)
 

@@ -8,28 +8,30 @@ replay them. Suites with no trusted closed form (the rank-2 invariant
 candidate, the X-state invariant expression) carry no tolerance; they always
 pass and exist to publish statistics.
 
-Every sampled suite draws a chunk's parameters as one block (a family
-dataclass with array fields, or arrays), builds the chunk's raw (n, 4, 4)
-stack, validates it with one check_states call (`pure` and `lu-invariance`
-build theirs valid) and evaluates decomposition, invariants, the oracle and
-the closed form under test on it, one call each; the family suites share
-that kernel (_family). The samplers draw (n, k) blocks: uniform rows, or a
-Dirichlet or normal block followed by uniform blocks; only the rank-2
-rejection sampler walks its rows, to keep each state's first accepted try.
-Parameter dataclasses of single states are built only for the offenders a
-report prints. A sampled suite is split into the fewest chunks of at most
-_CHUNK_CAP states, split evenly, each on its own spawned seed stream
-(_tasks); run_suites plans every requested suite's chunks first and runs
-them (_chunk_results): in this process when every suite has one chunk, when
-one CPU is usable or when the platform cannot fork, and otherwise on one
-pool of forked workers, one per usable CPU, that inherit the chunk kernels
-and return each chunk's deviations, offenders and extras. Each suite
-(_chunked_suite) merges its chunks in spawn order as they arrive, so results
-depend only on the seed and the sample count, not on where the chunks ran,
-and memory stays bounded at any sample count. The suites that draw nothing
-evaluate fixed grids in this process: `ladder` builds and checks its grid in
-slices of the chunk sizes; `threshold`, `region` and `inversions` take one
-stack.
+Every suite runs as planned chunks, kernel(draw, n) each, giving the
+chunk's deviations, offenders and extras. A sampled suite's chunks are the
+fewest of at most _CHUNK_CAP states, split evenly, each drawing from its own
+generator spawned from the suite's seed stream (_spawned). A grid is a chunk
+whose draw is fixed: `ladder` and `threshold` split their points the same
+way and hand each chunk its run of them (_grid); `region` and `inversions`
+take one fixed stack, one chunk each (_one_stack). A sampled chunk draws its
+parameters as one block (a family dataclass with array fields, or arrays),
+builds its raw (n, 4, 4) stack, validates it with one check_states call
+(`pure` and `lu-invariance` build theirs valid) and evaluates decomposition,
+invariants, the oracle and the closed form under test on it, one call each;
+the family suites share that kernel (_family). The samplers draw (n, k)
+blocks: uniform rows, or a Dirichlet or normal block followed by uniform
+blocks; only the rank-2 rejection sampler walks its rows, to keep each
+state's first accepted try. Parameter dataclasses of single states are built
+only for the offenders a report prints. run_suites plans every requested
+suite's chunks first (_tasks) and runs them (_chunk_results): in this process
+when every suite has one chunk, when one CPU is usable or when the platform
+cannot fork, and otherwise on one pool of forked workers, one per usable
+CPU, that inherit the chunk kernels. Each suite (_chunked_suite) merges its
+chunks in spawn order as they arrive and ranks offenders by deviation, then
+by the lowest index, so results depend only on the seed and the sample
+count, not on where or in how many chunks the states ran, and memory stays
+bounded at any sample count.
 """
 
 from __future__ import annotations
@@ -172,40 +174,14 @@ TOP_OFFENDERS = 3
 
 
 def _top_offenders(devs: np.ndarray, payload_fn) -> list:
-    order = np.argsort(devs)[::-1][:TOP_OFFENDERS]
+    """The largest positive deviations, the lowest index first among equal
+    ones, so that neither the chunking nor numpy's sort dispatch moves them."""
+    order = np.argsort(-devs, kind="stable")[:TOP_OFFENDERS]
     return [
         {"deviation": float(devs[i]), **payload_fn(int(i))}
         for i in order
         if devs[i] > 0.0
     ]
-
-
-def _report(
-    name: str,
-    devs: np.ndarray,
-    tolerance: float | None,
-    offenders: list,
-    extra: dict | None = None,
-    notes: str = "",
-    passed_override: bool | None = None,
-) -> SuiteReport:
-    devs = np.asarray(devs, dtype=float)
-    n = int(devs.size)
-    max_dev = float(devs.max()) if n else 0.0
-    mean_dev = float(devs.mean()) if n else 0.0
-    violations = int((devs > tolerance).sum()) if tolerance is not None else 0
-    return SuiteReport(
-        suite=name,
-        samples=n,
-        passed=violations == 0 if passed_override is None else passed_override,
-        max_deviation=max_dev,
-        mean_deviation=mean_dev,
-        violations=violations,
-        tolerance=tolerance,
-        worst=_jsonable(offenders),
-        extra=_jsonable(extra or {}),
-        notes=notes,
-    )
 
 
 #: most states in one chunk: it bounds the size of a chunk's stacked arrays
@@ -222,37 +198,65 @@ def _chunk_sizes(samples: int) -> list[int]:
     return [s for s in sizes if s > 0]
 
 
-def _slices(samples: int) -> list[slice]:
-    """The chunks of _chunk_sizes as consecutive slices; one empty slice for none."""
-    ends = np.cumsum([0] + _chunk_sizes(samples)).tolist()
-    return [slice(a, b) for a, b in zip(ends, ends[1:])] or [slice(0, 0)]
-
-
-def _tasks(suite, seq, samples: int) -> list | None:
-    """A chunked suite's chunks, (kernel, rng, size) each, on the sizes of
-    _chunk_sizes and streams spawned from the suite's; None for a fixed-grid
-    suite."""
-    kernel = getattr(suite, "kernel", None)
-    if kernel is None:
-        return None
+def _spawned(seq, samples: int) -> list:
+    """A sampled suite's chunks, (generator, size) each: the sizes of
+    _chunk_sizes, each with its own stream spawned from the suite's."""
     sizes = _chunk_sizes(samples)
-    return [(kernel, np.random.default_rng(s), m) for s, m in zip(seq.spawn(len(sizes)), sizes)]
+    return [(np.random.default_rng(s), m) for s, m in zip(seq.spawn(len(sizes)), sizes)]
 
 
-def _chunked_suite(name: str, kernel: Callable, tolerance, notes: str, extra=None, passed=None):
-    """The suite that merges the results of kernel(rng, n) on its chunks (see
-    _tasks), given in spawn order: the deviations, the offenders and the
-    kernels' own extras; extra(devs, extras) gives the report's extras and
-    passed(devs, report_extras) its verdict."""
+def _grid(start: float, stop: float) -> Callable:
+    """The chunks of a suite on the grid linspace(start, stop, max(samples,
+    2)), (run, size) each: its consecutive runs of the sizes of _chunk_sizes."""
 
-    def suite(results):
+    def chunks(seq, samples: int) -> list:
+        sizes = _chunk_sizes(max(samples, 2))
+        points = np.linspace(start, stop, sum(sizes))
+        return list(zip(np.split(points, np.cumsum(sizes)[:-1]), sizes))
+
+    return chunks
+
+
+def _one_stack(seq, samples: int) -> list:
+    """The one chunk of a suite whose stack is fixed: it draws nothing."""
+    return [(None, None)]
+
+
+def _tasks(suite, seq, samples: int) -> list:
+    """A suite's chunks as (kernel, draw, size) tasks."""
+    return [(suite.kernel, draw, n) for draw, n in suite.chunks(seq, samples)]
+
+
+def _chunked_suite(
+    name: str, kernel: Callable, tolerance, notes: str, extra=None, passed=None,
+    chunks: Callable = _spawned, rank: Callable = lambda offender: -offender["deviation"],
+):
+    """The suite that merges the results of kernel(draw, n) on its chunks
+    (chunks(seq, samples)), given in spawn order, into its one report: the
+    deviations, the offenders, ranked by rank(offender) as each kernel ranked
+    its own and then by spawn order, and the kernels' own extras;
+    extra(devs, extras) gives the report's extras and passed(devs,
+    report_extras) its verdict, no violation of the tolerance by default."""
+
+    def suite(results) -> SuiteReport:
         devs = np.concatenate([r[0] for r in results])
-        offenders = sorted((o for r in results for o in r[1]), key=lambda o: -o["deviation"])
-        merged = None if extra is None else extra(devs, [r[2] for r in results if len(r) > 2])
-        verdict = None if passed is None else passed(devs, merged)
-        return _report(name, devs, tolerance, offenders[:TOP_OFFENDERS], merged, notes, verdict)
+        offenders = sorted((o for r in results for o in r[1]), key=rank)[:TOP_OFFENDERS]
+        merged = {} if extra is None else extra(devs, [r[2] for r in results if len(r) > 2])
+        violations = int((devs > tolerance).sum()) if tolerance is not None else 0
+        return SuiteReport(
+            suite=name,
+            samples=int(devs.size),
+            passed=violations == 0 if passed is None else passed(devs, merged),
+            max_deviation=float(devs.max()) if devs.size else 0.0,
+            mean_deviation=float(devs.mean()) if devs.size else 0.0,
+            violations=violations,
+            tolerance=tolerance,
+            worst=_jsonable(offenders),
+            extra=_jsonable(merged),
+            notes=notes,
+        )
 
-    suite.kernel = kernel
+    suite.kernel, suite.chunks = kernel, chunks
     return suite
 
 
@@ -279,8 +283,8 @@ def _adopt(tasks: list) -> None:
 
 
 def _run_task(index: int):
-    kernel, rng, n = _TASKS[index]
-    return kernel(rng, n)
+    kernel, draw, n = _TASKS[index]
+    return kernel(draw, n)
 
 
 @contextmanager
@@ -296,7 +300,7 @@ def _chunk_results(tasks: list, multi_chunk: bool):
     worker outlives the block."""
     workers = min(_workers(), len(tasks)) if multi_chunk else 1
     if workers < 2:
-        yield (kernel(rng, n) for kernel, rng, n in tasks)
+        yield (kernel(draw, n) for kernel, draw, n in tasks)
         return
     # imported here, so that a single-chunk run loads no process machinery
     import multiprocessing
@@ -527,26 +531,14 @@ def _invariant_xstate(rng, n):
     return devs, offenders, counts
 
 
-def _suite_ladder(seq, samples):
-    lams = np.linspace(0.0, 1.0, max(samples, 2))
-    oracle, szpz = [], []
-    for rows in _slices(lams.size):
-        mats = check_states(ladder_matrix(lams[rows]))
-        oracle.append(batch_oracle(mats))
-        szpz.append(expectation(mats, ("z", "z")))
-    oracle, szpz = np.concatenate(oracle), np.concatenate(szpz)
+def _ladder(lams, n):
+    mats = check_states(ladder_matrix(lams))
+    oracle = batch_oracle(mats)
     devs = np.maximum(
         np.abs(ladder_concurrence(lams) - oracle),
-        np.abs(ladder_from_correlation(szpz) - oracle),
+        np.abs(ladder_from_correlation(expectation(mats, ("z", "z"))) - oracle),
     )
-    payload = lambda i: {"state": {"lam": float(lams[i])}}
-    return _report(
-        "ladder",
-        devs,
-        1e-8,
-        _top_offenders(devs, payload),
-        notes="1 - lam and the z-z correlation readout along the singlet ladder line",
-    )
+    return devs, _top_offenders(devs, lambda i: {"state": {"lam": float(lams[i])}})
 
 
 def _bounds(rng, n):
@@ -557,7 +549,7 @@ def _bounds(rng, n):
     oracle = batch_oracle(check_states(np.concatenate([m3.matrix(), m4.matrix()])))
     margins = vals - oracle
     devs = np.maximum(0.0, -margins)
-    order = np.argsort(margins)[:TOP_OFFENDERS]
+    order = np.argsort(margins, kind="stable")[:TOP_OFFENDERS]
     offenders = [
         {
             "deviation": float(devs[i]),
@@ -594,27 +586,20 @@ def _rank4_max_extra(devs, chunks) -> dict:
     }
 
 
-def _suite_threshold(seq, samples):
+def _threshold(angles, n):
+    b, a = _cos_sin(angles)
+    roots = np.abs(rank3_max_concurrence(rank3_threshold(a, b), a, b))
+    return roots, _top_offenders(roots, lambda i: {"state": {"angle": float(angles[i])}})
+
+
+def _threshold_bracket(devs, _) -> dict:
     r = 1.0 / math.sqrt(2.0)
     bracket = check_states(rank3_max_matrix(np.array([0.74, 0.76]), r, r))
     low, high = batch_oracle(bracket).tolist()
-    angles = np.linspace(0.05, math.pi / 4.0, max(samples, 2))
-    b, a = _cos_sin(angles)
-    roots = np.abs(rank3_max_concurrence(rank3_threshold(a, b), a, b))
-    passed = bool(low > 0.0 and high <= 1e-12 and roots.max() <= 1e-12)
-    payload = lambda i: {"state": {"angle": float(angles[i])}}
-    return _report(
-        "threshold",
-        roots,
-        1e-12,
-        _top_offenders(roots, payload),
-        extra={"oracle_at_0.74": low, "oracle_at_0.76": high},
-        notes="three-quarters threshold bracket and the closed-form root identity",
-        passed_override=passed,
-    )
+    return {"oracle_at_0.74": low, "oracle_at_0.76": high}
 
 
-def _suite_region(seq, samples):
+def _region(_, n):
     grid_n = 101
     rows = rank4_region(grid_n)
     h = 1.0 / (grid_n - 1)
@@ -640,29 +625,13 @@ def _suite_region(seq, samples):
     boundary[:, :-1] |= along
     boundary[:, 1:] |= along
     boundary_margin = float(np.abs(9 * l1 + 8 * l2 - 6.0)[boundary].max(initial=0.0))
-    boundary_ok = boundary_margin < 9.0 * h + 1e-12
-    devs = oracle[separable]
-    passed = bool(mismatches == 0 and boundary_ok)
-    return _report(
-        "region",
-        devs,
-        1e-12,
-        [],
-        extra={
-            "grid_n": grid_n,
-            "mismatches": mismatches,
-            "boundary_margin": boundary_margin,
-            "boundary_budget": 9.0 * h,
-        },
-        notes=(
-            "grid classes against assembled-state oracle values; boundary "
-            "cells must straddle the line within one cell's worth of 9 l1 + 8 l2"
-        ),
-        passed_override=passed,
-    )
+    return oracle[separable], [], {
+        "grid_n": grid_n, "mismatches": mismatches,
+        "boundary_margin": boundary_margin, "boundary_budget": 9.0 * h,
+    }
 
 
-def _suite_inversions(seq, samples):
+def _inversions(_, n):
     angles = (math.pi / 4.0, math.pi / 6.0, 1.0)
     lam = np.repeat(np.linspace(0.0, 1.0, 21), len(angles))
     a = np.tile([math.sin(t) for t in angles], 21)
@@ -678,13 +647,7 @@ def _suite_inversions(seq, samples):
     est = lambdas_from_correlations(sxpx, szpz[lam.size :])
     pairs = np.stack([np.abs(est.lambda1 - l1), np.abs(est.lambda2 - l2)], axis=1)
     devs = np.concatenate([np.abs(lambda_from_szpz(szpz[: lam.size]).value - lam), pairs.ravel()])
-    return _report(
-        "inversions",
-        devs,
-        1e-10,
-        [],
-        notes="noiseless weight-recovery round-trips from exact correlations",
-    )
+    return devs, []
 
 
 #: shots behind each sampled expectation value of the shots suite
@@ -733,8 +696,8 @@ def _shots_extra(devs, chunks) -> dict:
 
 
 #: registry order is load-bearing: each suite's seed stream is spawned by index.
-#: A sampled suite carries its kernel and is called with its chunks' results;
-#: a fixed-grid suite is called with its stream and the sample count.
+#: Every suite is a _chunked_suite: it carries its kernel and its chunk plan
+#: (sampled unless it names a grid) and is called with its chunks' results.
 #: The lambdas look the samplers, builders and closed forms up when called,
 #: so a rebound module name (a test's monkeypatch, bench/layertrace.py) runs;
 #: forked workers run what was bound when run_suites was called.
@@ -809,11 +772,16 @@ SUITES: dict[str, Callable] = {
         "domain failures counted, deviations reported, no tolerance",
         extra=lambda devs, counts: _summed(counts),
     ),
-    "ladder": _suite_ladder,
+    "ladder": _chunked_suite(
+        "ladder", _ladder, 1e-8,
+        "1 - lam and the z-z correlation readout along the singlet ladder line",
+        chunks=_grid(0.0, 1.0),
+    ),
     "bounds": _chunked_suite(
         "bounds", _bounds, 1e-9,
         "dominance of the separable-decomposition bounds over the oracle "
         "on random rank-3 and rank-4 mixtures; offenders are the thinnest margins",
+        rank=lambda offender: offender["margin"],
     ),
     "rank4-max": _chunked_suite(
         "rank4-max", _rank4_max, 1e-12,
@@ -822,9 +790,31 @@ SUITES: dict[str, Callable] = {
         "through its deviation, its oracle ratio and its boundary roots",
         extra=_rank4_max_extra,
     ),
-    "threshold": _suite_threshold,
-    "region": _suite_region,
-    "inversions": _suite_inversions,
+    "threshold": _chunked_suite(
+        "threshold", _threshold, 1e-12,
+        "three-quarters threshold bracket and the closed-form root identity",
+        extra=_threshold_bracket,
+        passed=lambda devs, extra: bool(
+            extra["oracle_at_0.74"] > 0.0 and extra["oracle_at_0.76"] <= 1e-12
+            and devs.max() <= 1e-12
+        ),
+        chunks=_grid(0.05, math.pi / 4.0),
+    ),
+    "region": _chunked_suite(
+        "region", _region, 1e-12,
+        "grid classes against assembled-state oracle values; boundary "
+        "cells must straddle the line within one cell's worth of 9 l1 + 8 l2",
+        extra=lambda devs, chunks: chunks[0],
+        passed=lambda devs, extra: bool(
+            extra["mismatches"] == 0 and extra["boundary_margin"] < extra["boundary_budget"] + 1e-12
+        ),
+        chunks=_one_stack,
+    ),
+    "inversions": _chunked_suite(
+        "inversions", _inversions, 1e-10,
+        "noiseless weight-recovery round-trips from exact correlations",
+        chunks=_one_stack,
+    ),
     "shots": _chunked_suite(
         "shots", _shots, None,
         "finite-shot weight recovery must land within five combined "
@@ -840,8 +830,8 @@ SUITES: dict[str, Callable] = {
 
 def run_suites(names=None, samples: int = 1000, seed: int = 0) -> list[SuiteReport]:
     """Run the named suites (all by default) with per-suite spawned seeds:
-    plan every chunked suite's chunks first, run them (_chunk_results), and
-    merge each suite as its chunks arrive; fixed-grid suites run here."""
+    plan every suite's chunks first, run them (_chunk_results), and merge
+    each suite as its chunks arrive."""
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
@@ -850,12 +840,7 @@ def run_suites(names=None, samples: int = 1000, seed: int = 0) -> list[SuiteRepo
     root = np.random.SeedSequence(seed)
     streams = dict(zip(SUITES, root.spawn(len(SUITES))))
     plans = [_tasks(SUITES[name], streams[name], samples) for name in names]
-    tasks = [task for plan in plans if plan for task in plan]
-    multi_chunk = any(len(plan) > 1 for plan in plans if plan)
+    tasks = [task for plan in plans for task in plan]
+    multi_chunk = any(len(plan) > 1 for plan in plans)
     with _chunk_results(tasks, multi_chunk) as results:
-        return [
-            SUITES[name](streams[name], samples)
-            if plan is None
-            else SUITES[name]([next(results) for _ in plan])
-            for name, plan in zip(names, plans)
-        ]
+        return [SUITES[name]([next(results) for _ in plan]) for name, plan in zip(names, plans)]

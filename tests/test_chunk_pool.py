@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qconc import validate
@@ -17,11 +18,16 @@ from qconc.errors import InvalidState, SamplerExhausted
 from qconc.stateio import canonical_dumps
 from qconc.validate import SUITES, run_suites
 
-#: a chunk cap and a sample count that split every sampled suite into three
-#: chunks (7, 7 and 6 states), so the pool path runs in a fraction of a second
+#: a chunk cap and a sample count that split every sampled suite, and the
+#: ladder and threshold grids, into three chunks (7, 7 and 6 states), so the
+#: pool path runs in a fraction of a second
 _CAP, _SAMPLES = 7, 20
 
-_CHUNKED = [name for name, suite in SUITES.items() if hasattr(suite, "kernel")]
+_CHUNKED = list(SUITES)
+
+#: each suite's chunks at _CAP and _SAMPLES; region and inversions take one
+#: fixed stack each
+_CHUNKS = {name: 1 if name in ("region", "inversions") else 3 for name in _CHUNKED}
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
 
@@ -51,23 +57,30 @@ def _spy_kernel(monkeypatch, name: str, before=None) -> list:
     return pids
 
 
-def test_every_sampled_suite_is_chunked():
-    assert len(_CHUNKED) == 11
+def test_every_suite_is_chunked():
+    assert len(_CHUNKED) == 15
+    assert all(callable(SUITES[name].kernel) for name in _CHUNKED)
     assert validate._chunk_sizes(_SAMPLES) == [7, 7, 6]
+    seq = np.random.SeedSequence(0)
+    assert {name: len(validate._tasks(SUITES[name], seq, _SAMPLES)) for name in _CHUNKED} == _CHUNKS
 
 
 @pytest.mark.parametrize("names", [[name] for name in _CHUNKED] + [None], ids=str)
 def test_pool_and_inline_give_the_same_bytes(monkeypatch, names):
-    """Two workers and none give byte-identical reports, and with two
-    workers no chunk kernel runs in this process."""
+    """Two workers and none give byte-identical reports. With two workers no
+    chunk kernel runs in this process, unless every requested suite has one
+    chunk, which runs here."""
     spies = {name: _spy_kernel(monkeypatch, name) for name in names or _CHUNKED}
+    pooled = any(_CHUNKS[name] > 1 for name in spies)
     reports = {}
     for workers in (2, 1):
         _force_workers(monkeypatch, workers)
         reports[workers] = canonical_dumps([r.to_dict() for r in run_suites(names, _SAMPLES, seed=5)])
         assert multiprocessing.active_children() == []
         ran_here = sum(len(pids) for pids in spies.values())
-        assert ran_here == (0 if workers == 2 else 3 * len(spies))
+        assert ran_here == (0 if workers == 2 and pooled else sum(_CHUNKS[name] for name in spies))
+        for pids in spies.values():
+            pids.clear()
     assert reports[2] == reports[1]
 
 

@@ -316,6 +316,20 @@ class TestValidateCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: argument --seed: ")
 
+    def test_oversized_sample_count_is_a_usage_error(self, capsys, monkeypatch):
+        """--samples is at most 10^7, about 4000 chunks a suite: a larger
+        count ends in one error line before any chunk is planned."""
+        monkeypatch.setattr(qconc.validate, "run_suites", mock.Mock(side_effect=AssertionError))
+        code, out, err = run(capsys, "validate", "--suite", "pure", "--samples", "1000000000000000")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: argument --samples: 1000000000000000 is not in the range 1<=x<=10000000\n"
+        )
+        ran = []
+        monkeypatch.setattr(qconc.validate, "run_suites", lambda *a, **kw: ran.append(kw) or [])
+        assert run(capsys, "validate", "--samples", "10000000")[0] == 0
+        assert ran == [{"samples": 10**7, "seed": 0}]
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "validate", "--suite", "bogus", "--samples", "5")
         assert code == 1
@@ -577,6 +591,7 @@ _USAGE_ERRORS = [
     ["concurrence", "--tol", "0x10"],
     ["validate", "--samples", "0"],
     ["validate", "--samples", "1e999"],
+    ["validate", "--samples", "10000001"],
     ["region", "--resolution", "1"],
     ["ladder", "--resolution", "nan"],
     ["ladder", "--threads", "2"],
