@@ -20,7 +20,6 @@ _EXPORTS = {
         Rank3Mixture
         Rank4Mixture
         assemble_rank3_max
-        classify_weights
         rank3_bound
         rank3_max_concurrence
         rank3_threshold

@@ -328,22 +328,17 @@ def assemble_rank4_max(lambda1: float, lambda2: float) -> DensityOperator:
     return DensityOperator(rank4_max_matrix(lambda1, lambda2))
 
 
-def classify_weights(lambda1: float, lambda2: float) -> str:
-    """Region class of a weight pair: entangled, separable, or infeasible."""
-    if lambda1 + lambda2 > 1.0 + 1e-12:
-        return REGION_INFEASIBLE
-    if 9.0 * lambda1 + 8.0 * lambda2 < 6.0:
-        return REGION_ENTANGLED
-    return REGION_SEPARABLE
-
-
-def rank4_region(grid_n: int) -> list[tuple[float, float, str]]:
+def rank4_region(grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Classify a grid_n x grid_n grid over the weight square.
 
-    Rows are (lambda1, lambda2, class) in row-major order with class E
-    (entangled), S (separable), or X (infeasible).
+    Returns (lambda1, lambda2, class) arrays of its cells in row-major order
+    over the ticks i / (grid_n - 1), class E (entangled: 9 lam1 + 8 lam2 < 6),
+    S (separable, the line included) or X (infeasible: lam1 + lam2 > 1).
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    ticks = [i / (grid_n - 1) for i in range(grid_n)]
-    return [(l1, l2, classify_weights(l1, l2)) for l1 in ticks for l2 in ticks]
+    # i / (grid_n - 1) for each i, with the bits of the Python division
+    ticks = np.arange(grid_n) / (grid_n - 1)
+    l1, l2 = np.repeat(ticks, grid_n), np.tile(ticks, grid_n)
+    entangled = np.where(9.0 * l1 + 8.0 * l2 < 6.0, REGION_ENTANGLED, REGION_SEPARABLE)
+    return l1, l2, np.where(l1 + l2 > 1.0 + 1e-12, REGION_INFEASIBLE, entangled)

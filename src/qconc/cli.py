@@ -301,7 +301,8 @@ def cmd_region(resolution, out_path, fmt):
     """Emit the rank-4 weight-plane classification grid."""
     from .bounds import rank4_region
 
-    _emit_grid(rank4_region(resolution), ["lambda1", "lambda2", "class"], out_path, fmt)
+    rows = zip(*(c.tolist() for c in rank4_region(resolution)))
+    _emit_grid(rows, ["lambda1", "lambda2", "class"], out_path, fmt)
 
 
 def cmd_ladder(resolution, out_path, fmt):

@@ -457,19 +457,27 @@ def rank_of(rho) -> int:
     return concurrence_oracle(rho).rank
 
 
-def batch_random_mixed(rng, n: int, rank: int) -> np.ndarray:
-    """n random rank-`rank` density matrices, shape (n, 4, 4): q w q^H for flat
-    Dirichlet weights w (redrawn away from zero) and q a complex Gaussian block
-    orthonormalized by CGS2 on entry lists: its QR's Q up to column phases."""
-    z = rng.normal(size=(n, 4, rank)) + 1j * rng.normal(size=(n, 4, rank))
+def _orthonormal(z: np.ndarray) -> np.ndarray:
+    """The Q of the QR of an (n, d, k) block, real or complex, whose R has a
+    real positive diagonal: Gram-Schmidt applied twice (CGS2) over the
+    columns' entry lists, the first column only normalized. Each entry is a
+    fixed sequence of IEEE operations, so Q depends neither on BLAS nor on
+    numpy's SIMD dispatch. Of a Gaussian block it is Haar-distributed."""
     cols = []
     for v in map(list, z.transpose(2, 1, 0)):
-        for _ in range(2):
+        for _ in range(2 if cols else 0):
             dots = [sum(c.conj() * x for c, x in zip(col, v)) for col in cols]
             v = [x - sum(d * col[i] for d, col in zip(dots, cols)) for i, x in enumerate(v)]
         norm = np.sqrt(sum(x.real * x.real + x.imag * x.imag for x in v))
         cols.append([x / norm for x in v])
-    q = np.array(cols).T
+    return np.array(cols).T
+
+
+def batch_random_mixed(rng, n: int, rank: int) -> np.ndarray:
+    """n random rank-`rank` density matrices, shape (n, 4, 4): q w q^H for flat
+    Dirichlet weights w (redrawn away from zero) and q the _orthonormal
+    columns of a complex Gaussian (n, 4, rank) block."""
+    q = _orthonormal(rng.normal(size=(n, 4, rank)) + 1j * rng.normal(size=(n, 4, rank)))
     w = rng.dirichlet(np.ones(rank), size=n)
     for _ in range(REJECTION_LIMIT):
         bad = w.min(axis=1) < 1e-6

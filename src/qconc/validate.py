@@ -27,11 +27,12 @@ only for the offenders a report prints. run_suites plans every requested
 suite's chunks first (_tasks) and runs them (_chunk_results): in this process
 when every suite has one chunk, when one CPU is usable or when the platform
 cannot fork, and otherwise on one pool of forked workers, one per usable
-CPU, that inherit the chunk kernels. Each suite (_chunked_suite) merges its
-chunks in spawn order as they arrive and ranks offenders by deviation, then
-by the lowest index, so results depend only on the seed and the sample
-count, not on where or in how many chunks the states ran, and memory stays
-bounded at any sample count.
+CPU, that inherit the chunk kernels. Once every chunk has run, each suite
+(_chunked_suite) merges its chunks' results in spawn order and ranks
+offenders by deviation, then by the lowest index, so results depend only on
+the seed and the sample count, not on where or in how many chunks the states
+ran. A chunk's result is its deviations, a few offenders and its extras, so
+a process holds one chunk's stack at a time, and a float per state.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from __future__ import annotations
 import math
 import os
 import signal
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Callable
 
@@ -98,6 +98,7 @@ from .qstate import (
     REJECTION_LIMIT,
     _cos_sin,
     _one_or_block,
+    _orthonormal,
     _record,
     batch_decompose,
     batch_random_mixed,
@@ -111,22 +112,15 @@ from .qstate import (
 
 
 def batch_random_pure(rng, n: int) -> np.ndarray:
-    """n Haar-random 4-component unit vectors, shape (n, 4)."""
-    z = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    """n Haar-random 4-component unit vectors, shape (n, 4): the _orthonormal
+    column of a complex Gaussian (n, 4, 1) block."""
+    return _orthonormal(rng.normal(size=(n, 4, 1)) + 1j * rng.normal(size=(n, 4, 1)))[:, :, 0]
 
 
 def batch_haar_u2(rng, n: int) -> np.ndarray:
-    """n Haar-random 2x2 unitaries, shape (n, 2, 2): the Q of a complex Gaussian
-    block z's QR with R's diagonal positive, in closed form: z's first column
-    normalized, (a, b), then (-b*, a*) times the phase of its product with z's second."""
-    z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    a, b = z[:, 0, 0], z[:, 1, 0]
-    norm = np.sqrt((a.real * a.real + a.imag * a.imag) + (b.real * b.real + b.imag * b.imag))
-    a, b = a / norm, b / norm
-    w = a * z[:, 1, 1] - b * z[:, 0, 1]
-    phase = w / np.sqrt(w.real * w.real + w.imag * w.imag)
-    return np.stack([np.stack([a, -b.conj() * phase], 1), np.stack([b, a.conj() * phase], 1)], 1)
+    """n Haar-random 2x2 unitaries, shape (n, 2, 2): the _orthonormal columns
+    of a complex Gaussian (n, 2, 2) block, its QR's Q with R's diagonal positive."""
+    return _orthonormal(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +281,18 @@ def _run_task(index: int):
     return kernel(draw, n)
 
 
-@contextmanager
-def _chunk_results(tasks: list, multi_chunk: bool):
-    """An iterator over the tasks' results, (devs, offenders[, extras]) each,
-    in task order. They are computed in this process, as they are read, when
-    no suite has more than one chunk, when one CPU is usable or when the
-    platform cannot fork. Otherwise one pool of forked workers, one per
-    usable CPU and at most one per task, runs them all: the workers inherit
-    the tasks with the kernel closures, which are never pickled, so only task
-    indices go out and results come back. A worker's exception is raised
-    here as it was raised there; a worker that dies raises WorkerLost. No
-    worker outlives the block."""
+def _chunk_results(tasks: list, multi_chunk: bool) -> list:
+    """The tasks' results, (devs, offenders[, extras]) each, in task order.
+    They are computed in this process when no suite has more than one chunk,
+    when one CPU is usable or when the platform cannot fork. Otherwise one
+    pool of forked workers, one per usable CPU and at most one per task,
+    runs them all: the workers inherit the tasks with the kernel closures,
+    which are never pickled, so only task indices go out and results come
+    back. A worker's exception is raised here as it was raised there; a
+    worker that dies raises WorkerLost. No worker outlives the call."""
     workers = min(_workers(), len(tasks)) if multi_chunk else 1
     if workers < 2:
-        yield (kernel(draw, n) for kernel, draw, n in tasks)
-        return
+        return [kernel(draw, n) for kernel, draw, n in tasks]
     # imported here, so that a single-chunk run loads no process machinery
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -315,8 +306,7 @@ def _chunk_results(tasks: list, multi_chunk: bool):
         workers, mp_context=context, initializer=_adopt, initargs=(tasks,)
     )
     try:
-        futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
-        yield (future.result() for future in futures)
+        return list(pool.map(_run_task, range(len(tasks))))
     except BrokenProcessPool as exc:
         raise WorkerLost(f"a worker process ended before returning its chunk: {exc}") from None
     finally:
@@ -402,13 +392,12 @@ def sample_rank2_sep(rng, n=None) -> Rank2SepDecomp:
 def sample_rank2_degenerate(rng, lam=None, n=None) -> Rank2Degenerate:
     """Random degenerate-family parameters, or a block of n.
 
-    A block draws an (n, 3) block of normals (each row normalized to the
-    psi amplitudes), then n phases and, unless lam is given, n weights; a
-    single call is the block's n=1 call.
+    A block draws an (n, 3, 1) block of normals (each column made a unit
+    vector by _orthonormal, the psi amplitudes), then n phases and, unless
+    lam is given, n weights; a single call is the block's n=1 call.
     """
     m = 1 if n is None else n
-    v = rng.normal(size=(m, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v = _orthonormal(rng.normal(size=(m, 3, 1)))[:, :, 0]
     phase = rng.uniform(0.0, 2.0 * math.pi, size=m)
     weight = rng.uniform(0.0, 1.0, size=m) if lam is None else np.full(m, float(lam))
     r1, c, r2 = np.abs(v).T
@@ -601,12 +590,10 @@ def _threshold_bracket(devs, _) -> dict:
 
 def _region(_, n):
     grid_n = 101
-    rows = rank4_region(grid_n)
     h = 1.0 / (grid_n - 1)
     # rank4_region is row-major over the (lambda1, lambda2) ticks, so grid
     # neighbours are neighbouring entries of these (grid_n, grid_n) arrays
-    classes = np.array([k for _, _, k in rows]).reshape(grid_n, grid_n)
-    l1, l2 = np.array([row[:2] for row in rows]).reshape(grid_n, grid_n, 2).transpose(2, 0, 1)
+    l1, l2, classes = (a.reshape(grid_n, grid_n) for a in rank4_region(grid_n))
     feasible = classes != REGION_INFEASIBLE
     # valid by construction, so unchecked
     oracle = batch_oracle(rank4_max_matrix(l1[feasible], l2[feasible]))
@@ -830,8 +817,8 @@ SUITES: dict[str, Callable] = {
 
 def run_suites(names=None, samples: int = 1000, seed: int = 0) -> list[SuiteReport]:
     """Run the named suites (all by default) with per-suite spawned seeds:
-    plan every suite's chunks first, run them (_chunk_results), and merge
-    each suite as its chunks arrive."""
+    plan every suite's chunks first, run them all (_chunk_results), then
+    merge each suite's results."""
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
@@ -842,5 +829,5 @@ def run_suites(names=None, samples: int = 1000, seed: int = 0) -> list[SuiteRepo
     plans = [_tasks(SUITES[name], streams[name], samples) for name in names]
     tasks = [task for plan in plans for task in plan]
     multi_chunk = any(len(plan) > 1 for plan in plans)
-    with _chunk_results(tasks, multi_chunk) as results:
-        return [SUITES[name]([next(results) for _ in plan]) for name, plan in zip(names, plans)]
+    results = iter(_chunk_results(tasks, multi_chunk))
+    return [SUITES[name]([next(results) for _ in plan]) for name, plan in zip(names, plans)]

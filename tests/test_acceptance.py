@@ -179,7 +179,7 @@ def test_criterion_6_bounds_threshold_region_inversions(acceptance):
         # of the line in plane distance (9 h < h sqrt(145))
         grid_n = 101
         h = 1.0 / (grid_n - 1)
-        rows = rank4_region(grid_n)
+        rows = list(zip(*(a.tolist() for a in rank4_region(grid_n))))
         classes = {(round(l1, 9), round(l2, 9)): k for l1, l2, k in rows}
         boundary = []
         for l1, l2, k in rows:

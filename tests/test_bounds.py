@@ -13,7 +13,6 @@ from qconc.bounds import (
     _sep_matrix,
     assemble_rank3_max,
     assemble_rank4_max,
-    classify_weights,
     rank3_bound,
     rank3_max_concurrence,
     rank3_max_matrix,
@@ -181,16 +180,24 @@ class TestRank4MaxFamily:
             assemble_rank4_max(-0.1, 0.5)
 
 
+def _cells(grid_n):
+    """rank4_region's cells as (lambda1, lambda2, class) rows of Python values."""
+    return list(zip(*(a.tolist() for a in rank4_region(grid_n))))
+
+
 class TestRegion:
     def test_classification_rules(self):
-        assert classify_weights(0.0, 0.0) == REGION_ENTANGLED
-        assert classify_weights(0.9, 0.9) == REGION_INFEASIBLE
-        assert classify_weights(0.8, 0.1) == REGION_SEPARABLE
+        # the ticks of a 4 x 4 grid are 0, 1/3, 2/3 and 1
+        classes = {(l1, l2): k for l1, l2, k in _cells(4)}
+        assert classes[0.0, 0.0] == REGION_ENTANGLED
+        assert classes[1.0, 1.0] == REGION_INFEASIBLE
+        assert classes[2.0 / 3.0, 1.0 / 3.0] == REGION_SEPARABLE
         # exactly on the line counts as separable (concurrence zero there)
-        assert classify_weights(6.0 / 9.0, 0.0) == REGION_SEPARABLE
+        assert 2.0 / 3.0 == 6.0 / 9.0
+        assert classes[6.0 / 9.0, 0.0] == REGION_SEPARABLE
 
     def test_grid_shape_and_order(self):
-        rows = rank4_region(3)
+        rows = _cells(3)
         assert len(rows) == 9
         assert rows[0][:2] == (0.0, 0.0)
         assert rows[-1][:2] == (1.0, 1.0)
@@ -200,7 +207,7 @@ class TestRegion:
             rank4_region(1)
 
     def test_classes_match_oracle_on_feasible_cells(self):
-        for l1, l2, cls in rank4_region(21):
+        for l1, l2, cls in _cells(21):
             if cls == REGION_INFEASIBLE:
                 assert l1 + l2 > 1.0 + 1e-12
                 continue
@@ -213,7 +220,7 @@ class TestRegion:
     def test_boundary_cells_straddle_the_line(self):
         grid_n = 41
         h = 1.0 / (grid_n - 1)
-        rows = rank4_region(grid_n)
+        rows = _cells(grid_n)
         classes = {(round(l1, 9), round(l2, 9)): k for l1, l2, k in rows}
         saw_boundary = False
         for l1, l2, k in rows:

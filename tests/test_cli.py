@@ -375,10 +375,11 @@ class TestGrids:
         code, _, _ = run(capsys, "region", "--resolution", "1")
         assert code == 1
 
-    def test_a_grid_too_large_to_allocate_ends_in_an_error_line(self, capsys):
-        """10^15 rows need 7.11 PiB, more than a 64-bit process can address,
+    @pytest.mark.parametrize("command", ["ladder", "region"])
+    def test_a_grid_too_large_to_allocate_ends_in_an_error_line(self, capsys, command):
+        """10^15 ticks need 7.11 PiB, more than a 64-bit process can address,
         so the allocation fails before any memory is taken."""
-        code, out, err = run(capsys, "ladder", "--resolution", "1000000000000000")
+        code, out, err = run(capsys, command, "--resolution", "1000000000000000")
         assert (code, out) == (1, "")
         assert err.startswith("error: out of memory: Unable to allocate 7.11 PiB")
         assert err.count("\n") == 1

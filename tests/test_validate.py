@@ -212,13 +212,14 @@ def test_bounds_lists_the_thinnest_margins_of_all_chunks(monkeypatch):
 #: operation per product and sum, when the rank-2 roots and the Haar samplers
 #: moved to closed forms, when the roots of every rank moved to one kernel
 #: over the factor's entry lists, and when batch_random_mixed's diagonal lost
-#: its imaginary round-off (lu-invariance moved), with numpy 2.4.6 on x86-64.
-#: The oracle's SVD for ranks 3 and 4 and lu-invariance's u @ mats @ u^H
-#: still run on BLAS/LAPACK, whose last bits depend on the numpy build and
-#: the CPU's kernels, and both suites still take bits from numpy's SIMD
-#: dispatch (NPY_DISABLE_CPU_FEATURES moves them), so other builds and CPUs
-#: cannot compare bytes
-_STACKED_20K_SHA256 = "7935d974bd2e8df337cc16f1de0aab7d354247d9ee41a0a9dfdb1e310f774e6d"
+#: its imaginary round-off (lu-invariance moved), and when every Haar-random
+#: state and local unitary came from the one Gram-Schmidt kernel (both moved),
+#: with numpy 2.4.6 on x86-64. `pure` no longer takes bits from numpy's SIMD
+#: dispatch; lu-invariance still does (NPY_DISABLE_CPU_FEATURES moves it), and
+#: the oracle's SVD for ranks 3 and 4 and its u @ mats @ u^H still run on
+#: BLAS/LAPACK, whose last bits depend on the numpy build and the CPU's
+#: kernels, so other builds and CPUs cannot compare bytes
+_STACKED_20K_SHA256 = "fcc24674d55e6f807a2db7c8be6954c1b6be40e936beb5de946b963b748708b9"
 
 
 _RECORDED_BUILD = pytest.mark.skipif(
@@ -245,12 +246,14 @@ def test_capped_chunks_keep_the_stacked_suites_bytes_at_20000():
 #: when region built its states with rank4_max_matrix in place of X-state
 #: weights (only region's mean_deviation moved), and when offenders tied in
 #: deviation came to rank lowest index first (the worst lists of
-#: rank2-degenerate, xstate, ladder, rank4-max and threshold moved). Ten
-#: suites now give the same bytes with numpy's SIMD dispatch above the
-#: baseline disabled (CI compares them); the five others (pure,
-#: lu-invariance, rank2-roundtrip, rank2-degenerate, projection2) still take
-#: bits from it, so the pin holds on this build and CPU level only
-_ALL_200_SHA256 = "3b875e3e6f8ac1d25e735bf235ceb2402201687cb88aa797946184ff2df31317"
+#: rank2-degenerate, xstate, ladder, rank4-max and threshold moved), and
+#: when every Haar-random state and local unitary came from the one
+#: Gram-Schmidt kernel (pure and lu-invariance moved). Eleven suites, pure
+#: among them, now give the same bytes with numpy's SIMD dispatch above the
+#: baseline disabled (CI compares them); the four others (lu-invariance,
+#: rank2-roundtrip, rank2-degenerate, projection2) still take bits from it,
+#: so the pin holds on this build and CPU level only
+_ALL_200_SHA256 = "60afb7fd1a381b9867716759d037ddc5e54a4ad7fa96d515c423ba225b4ba93f"
 
 
 @_RECORDED_BUILD
