@@ -19,7 +19,6 @@ _EXPORTS = {
         REGION_SEPARABLE
         Rank3Mixture
         Rank4Mixture
-        assemble_rank3_max
         rank3_bound
         rank3_max_concurrence
         rank3_threshold
@@ -39,7 +38,6 @@ _EXPORTS = {
         Infeasible
         InvalidState
         NotAState
-        NotNormalized
         NotPure
         QconcError
         ReconstructionDegenerate
@@ -54,7 +52,6 @@ _EXPORTS = {
         assemble_ladder
         assemble_rank2
         assemble_xstate
-        canonical_vectors_rank2
         estimate_projection2
         estimate_pure
         estimate_rank2_degenerate
@@ -83,7 +80,6 @@ _EXPORTS = {
     "qstate": """
         BlochDecomposition
         DensityOperator
-        PureState
         assemble
         bell_state
         decompose

@@ -26,7 +26,6 @@ from .qstate import (
     _Guards,
     _math,
     _outer,
-    _one_or_block,
     _per_row,
     _vec4,
 )
@@ -126,6 +125,15 @@ def _payload(ab_angle, draws) -> dict:
     return cols
 
 
+def _check_weight_pair(guards: _Guards, lambda1, lambda2) -> None:
+    """The rank-4 weights: each nonnegative and their sum in [0, 1], within
+    1e-12; Rank4Mixture and the maximal rank-4 forms state them through this."""
+    _check_nonnegative(
+        guards, "lambda1 and lambda2 must be nonnegative", lambda1, lambda2, slack=1e-12
+    )
+    _check_unit_interval(guards, "lambda1 + lambda2", lambda1 + lambda2)
+
+
 @dataclass(frozen=True, kw_only=True)
 class _Mixture:
     """lam1 I/4 + lam2 Pi3/3 + (1 - lam1 - lam2)[mu rho_sep + (1 - mu)|psi><psi|].
@@ -183,14 +191,12 @@ class Rank3Mixture(_Mixture):
         return DensityOperator(self.matrix())
 
     @classmethod
-    def random(cls, seed=None, n=None) -> "Rank3Mixture":
-        """A random mixture, or a block of n drawn as n single calls draw them:
-        one row of uniforms each (the a/b angle, lam, then the payload)."""
-        rng = np.random.default_rng(seed)
+    def random(cls, rng, n: int) -> "Rank3Mixture":
+        """A block of n random mixtures: one row of uniforms each (the a/b
+        angle, lam, then the payload)."""
         highs = (math.pi / 2.0, 1.0) + _PAYLOAD_HIGHS
-        u = rng.uniform(0.0, highs, size=(1 if n is None else n, len(highs)))
-        block = cls(lam=u[:, 1], **_payload(u[:, 0], u[:, 2:]))
-        return _one_or_block(block, n)
+        u = rng.uniform(0.0, highs, size=(n, len(highs)))
+        return cls(lam=u[:, 1], **_payload(u[:, 0], u[:, 2:]))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -201,9 +207,7 @@ class Rank4Mixture(_Mixture):
     lambda2: float
 
     def _check_weights(self, guards: _Guards) -> None:
-        l1, l2 = self.lambda1, self.lambda2
-        _check_nonnegative(guards, "lambda1 and lambda2 must be nonnegative", l1, l2, slack=1e-12)
-        _check_unit_interval(guards, "lambda1 + lambda2", l1 + l2)
+        _check_weight_pair(guards, self.lambda1, self.lambda2)
 
     def _weights(self):
         return self.lambda1, self.lambda2
@@ -212,20 +216,17 @@ class Rank4Mixture(_Mixture):
         return DensityOperator(self.matrix())
 
     @classmethod
-    def random(cls, seed=None, n=None) -> "Rank4Mixture":
-        """A random mixture, or a block of n drawn as n single calls draw them:
-        one row of uniforms each (lambda1, lambda2 below 1 - lambda1, the a/b
-        angle, then the payload)."""
-        rng = np.random.default_rng(seed)
+    def random(cls, rng, n: int) -> "Rank4Mixture":
+        """A block of n random mixtures: one row of uniforms each (lambda1,
+        lambda2 below 1 - lambda1, the a/b angle, then the payload)."""
         highs = (1.0, 1.0, math.pi / 2.0) + _PAYLOAD_HIGHS
-        u = rng.uniform(0.0, highs, size=(1 if n is None else n, len(highs)))
+        u = rng.uniform(0.0, highs, size=(n, len(highs)))
         # a uniform draw on [0, h) is 0 + h U, and the one on [0, 1) is U
-        block = cls(
+        return cls(
             lambda1=u[:, 0],
             lambda2=(1.0 - u[:, 0]) * u[:, 1],
             **_payload(u[:, 2], u[:, 3:]),
         )
-        return _one_or_block(block, n)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +293,7 @@ def _rank4_guards(lambda1, lambda2) -> _Guards:
     """The maximal rank-4 forms' checks."""
     guards = _Guards()
     _check_finite(guards, lambda1=lambda1, lambda2=lambda2)
-    _check_nonnegative(guards, "lambda1 and lambda2 must be nonnegative", lambda1, lambda2)
-    _check_unit_interval(guards, "lambda1 + lambda2", lambda1 + lambda2)
+    _check_weight_pair(guards, lambda1, lambda2)
     return guards
 
 

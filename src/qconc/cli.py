@@ -116,7 +116,7 @@ _BELL_NAMES = {
 
 def _parse_named(name: str) -> DensityOperator:
     if name in _BELL_NAMES:
-        return bell_state(_BELL_NAMES[name]).density()
+        return bell_state(_BELL_NAMES[name])
     kind, _, arg = name.partition(":")
     try:
         if kind == "werner":

@@ -24,10 +24,6 @@ class NotAState(QconcError):
     """Bloch-style data does not assemble into a positive semidefinite operator."""
 
 
-class NotNormalized(QconcError):
-    """A state vector's norm deviates too far from one."""
-
-
 class EigSolveFailure(QconcError):
     """The oracle's LAPACK solver (the SVD of its rank-k block) did not converge."""
 

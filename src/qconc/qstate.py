@@ -15,12 +15,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import InvalidState, NotAState, NotNormalized, SamplerExhausted
+from .errors import InvalidState, NotAState, SamplerExhausted
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-PURE_NORM_TOL = 1e-12
 WEIGHT_TOL = 1e-10
 #: rho + this has a Cholesky factor only if rho's eigenvalues are above -PSD_TOL
 _CERTIFICATE_SHIFT = (PSD_TOL - 1e-14) * np.eye(4)
@@ -77,18 +76,6 @@ def _validated_matrix(rho) -> np.ndarray:
     if isinstance(rho, DensityOperator):
         return rho.matrix
     return DensityOperator(rho).matrix
-
-
-def _unit_vector(amplitudes, tol: float) -> np.ndarray:
-    """Four amplitudes as a complex vector; NotNormalized unless its squared
-    norm is within tol of one (a NaN one is not)."""
-    c = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if c.shape != (4,):
-        raise NotNormalized(f"expected 4 amplitudes, got {c.shape}")
-    norm2 = float(np.vdot(c, c).real)
-    if not abs(norm2 - 1.0) <= tol:
-        raise NotNormalized(f"squared norm is {norm2}, expected 1")
-    return c
 
 
 def _require_finite(*arrays) -> None:
@@ -177,12 +164,6 @@ def _record(block, i: int):
     return type(block)(
         **{f.name: getattr(block, f.name)[i].item() for f in fields(block)}
     )
-
-
-def _one_or_block(block, n):
-    """What a sampler called with n returns: the block, or for n=None its one
-    row as a single-state dataclass."""
-    return block if n is not None else _record(block, 0)
 
 
 class _Guards:
@@ -288,7 +269,7 @@ def check_states(mats) -> np.ndarray:
     herm = np.abs(m - m.conj().swapaxes(1, 2))
     tr = m.trace(axis1=1, axis2=2).real
     ok = herm.max(initial=0.0) <= HERMITICITY_TOL
-    if not (ok and all(abs(t - 1.0) <= TRACE_TOL for t in tr.tolist()) and _certified(m)):
+    if not (ok and (np.abs(tr - 1.0) <= TRACE_TOL).all() and _certified(m)):
         _raise_first_defect(m, herm.max(axis=(1, 2)), tr)
     m.flags.writeable = False
     return m
@@ -340,21 +321,6 @@ class DensityOperator:
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in ascending order, through eigvalsh."""
         return np.linalg.eigvalsh(self.matrix)
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Two-qubit state vector, amplitudes ordered |00>, |01>, |10>, |11>."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        c = _unit_vector(self.amplitudes, PURE_NORM_TOL)
-        object.__setattr__(self, "amplitudes", _freeze(c))
-
-    def density(self) -> DensityOperator:
-        c = self.amplitudes
-        return DensityOperator(np.outer(c, c.conj()))
 
 
 @dataclass(frozen=True)
@@ -505,17 +471,19 @@ _BELL_AMPLITUDES = {
 }
 
 
-def bell_state(kind: str) -> PureState:
-    """One of the four Bell states: "phi+", "phi-", "psi+", "psi-"."""
+def bell_state(kind: str) -> DensityOperator:
+    """The density operator |c><c| of one of the four Bell states: "phi+",
+    "phi-", "psi+", "psi-"."""
     try:
-        return PureState(_BELL_AMPLITUDES[kind])
+        c = np.asarray(_BELL_AMPLITUDES[kind], dtype=complex)
     except KeyError:
         raise ValueError(f"unknown Bell state {kind!r}") from None
+    return DensityOperator(np.outer(c, c.conj()))
 
 
 def werner_state(p: float) -> DensityOperator:
     """Mixture p |phi+><phi+| + (1 - p) 1/4."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("mixing weight must lie in [0, 1]")
-    bell = bell_state("phi+").density().matrix
+    bell = bell_state("phi+").matrix
     return DensityOperator(p * bell + (1.0 - p) * np.eye(4) / 4.0)

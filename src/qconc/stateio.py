@@ -13,6 +13,7 @@ files.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -47,14 +48,29 @@ def report_header(seed=None, tolerance=None, samples=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _complex_entry(value: complex) -> dict:
-    return {"re": float(value.real), "im": float(value.imag)}
+def _jsonable(value):
+    """A value as JSON data: a complex number as {"re", "im"}, an array or
+    tuple as a list, a dataclass as a dict of its fields, numpy scalars as
+    Python ones."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: _jsonable(getattr(value, f.name)) for f in fields(value)
+        }
+    if isinstance(value, complex):
+        return {"re": float(value.real), "im": float(value.imag)}
+    if isinstance(value, np.ndarray):
+        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    return value
 
 
 def state_to_dict(rho: DensityOperator) -> dict:
-    return {
-        "matrix": [[_complex_entry(v) for v in row] for row in rho.matrix]
-    }
+    return {"matrix": _jsonable(rho.matrix)}
 
 
 def _matrix_from_payload(payload) -> DensityOperator:

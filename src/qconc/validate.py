@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import os
 import signal
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -97,13 +97,13 @@ from .measurement import (
 from .qstate import (
     REJECTION_LIMIT,
     _cos_sin,
-    _one_or_block,
     _orthonormal,
     _record,
     batch_decompose,
     batch_random_mixed,
     check_states,
 )
+from .stateio import _jsonable
 
 
 # ---------------------------------------------------------------------------
@@ -143,24 +143,6 @@ class SuiteReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _jsonable(value):
-    if is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name)) for f in fields(value)
-        }
-    if isinstance(value, complex):
-        return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
 
 
 #: the worst states a report lists, most deviant first
@@ -347,25 +329,23 @@ def _clear_of_guards(params: Rank2Canonical):
     )
 
 
-def sample_nondegenerate_rank2(rng, n=None) -> Rank2Canonical:
-    """Canonical rank-2 parameters kept clear of every reconstruction guard.
+def sample_nondegenerate_rank2(rng, n: int) -> Rank2Canonical:
+    """A block of n canonical rank-2 parameters kept clear of every
+    reconstruction guard.
 
     Each try draws one row of five uniforms; a state takes the first try
     that clears the guards, and raises SamplerExhausted after
-    REJECTION_LIMIT tries. An int n gives a block of n states: rows are
-    drawn in blocks and the accepted ones kept in order, so the block holds
-    what n single calls return, and the generator ends where theirs would.
-    A single call is the n=1 call.
+    REJECTION_LIMIT tries. Rows are drawn in blocks and the accepted ones
+    kept in order.
     """
     exhausted = f"no rank-2 draw cleared the guards in {REJECTION_LIMIT} draws"
-    m = 1 if n is None else n
     lows, highs = np.array(_RANK2_DRAWS).T
     kept = []
     tries = 0  # tries of the state being drawn
-    while len(kept) < m:
+    while len(kept) < n:
         # at most one row per state still missing, so no row past the last
         # accepted one is ever drawn
-        rows = rng.uniform(lows, highs, size=(m - len(kept), len(lows)))
+        rows = rng.uniform(lows, highs, size=(n - len(kept), len(lows)))
         for row, ok in zip(rows, _clear_of_guards(Rank2Canonical(*rows.T))):
             tries += 1
             if ok:
@@ -373,59 +353,51 @@ def sample_nondegenerate_rank2(rng, n=None) -> Rank2Canonical:
                 tries = 0
             elif tries == REJECTION_LIMIT:
                 raise SamplerExhausted(exhausted)
-    block = Rank2Canonical(*np.array(kept).reshape(-1, len(lows)).T)
-    return _one_or_block(block, n)
+    return Rank2Canonical(*np.array(kept).reshape(-1, len(lows)).T)
 
 
-def sample_rank2_sep(rng, n=None) -> Rank2SepDecomp:
-    """Random separable-plus-pure rank-2 parameters, or a block of n: one row
-    of five uniforms each (the a/b angle, lam, mu, theta, phase)."""
+def sample_rank2_sep(rng, n: int) -> Rank2SepDecomp:
+    """A block of n random separable-plus-pure rank-2 parameters: one row of
+    five uniforms each (the a/b angle, lam, mu, theta, phase)."""
     lows = (0.05, 0.0, 0.0, 0.0, 0.0)
     highs = (math.pi / 2.0 - 0.05, 1.0, 1.0, math.pi / 2.0, 2.0 * math.pi)
-    u = rng.uniform(lows, highs, size=(1 if n is None else n, 5))
-    t, lam, mu, theta, phase = u.T
+    t, lam, mu, theta, phase = rng.uniform(lows, highs, size=(n, 5)).T
     cos_t, sin_t = _cos_sin(t)
-    block = Rank2SepDecomp(lam=lam, mu=mu, a=sin_t, b=cos_t, theta=theta, phase=phase)
-    return _one_or_block(block, n)
+    return Rank2SepDecomp(lam=lam, mu=mu, a=sin_t, b=cos_t, theta=theta, phase=phase)
 
 
-def sample_rank2_degenerate(rng, lam=None, n=None) -> Rank2Degenerate:
-    """Random degenerate-family parameters, or a block of n.
+def sample_rank2_degenerate(rng, n: int, lam=None) -> Rank2Degenerate:
+    """A block of n random degenerate-family parameters.
 
-    A block draws an (n, 3, 1) block of normals (each column made a unit
-    vector by _orthonormal, the psi amplitudes), then n phases and, unless
-    lam is given, n weights; a single call is the block's n=1 call.
+    Draws an (n, 3, 1) block of normals (each column made a unit vector by
+    _orthonormal, the psi amplitudes), then n phases and, unless lam is
+    given, n weights.
     """
-    m = 1 if n is None else n
-    v = _orthonormal(rng.normal(size=(m, 3, 1)))[:, :, 0]
-    phase = rng.uniform(0.0, 2.0 * math.pi, size=m)
-    weight = rng.uniform(0.0, 1.0, size=m) if lam is None else np.full(m, float(lam))
+    v = _orthonormal(rng.normal(size=(n, 3, 1)))[:, :, 0]
+    phase = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    weight = rng.uniform(0.0, 1.0, size=n) if lam is None else np.full(n, float(lam))
     r1, c, r2 = np.abs(v).T
-    block = Rank2Degenerate(lam=weight, r1=r1, r2=r2, c=c * np.exp(1j * phase))
-    return _one_or_block(block, n)
+    return Rank2Degenerate(lam=weight, r1=r1, r2=r2, c=c * np.exp(1j * phase))
 
 
-def sample_xstate(rng, rank3: bool = False, n=None) -> XState:
-    """Random X state, or a block of n; rank3=True zeroes one outer corner as
-    in the physical class.
+def sample_xstate(rng, n: int, rank3: bool = False) -> XState:
+    """A block of n random X states; rank3=True zeroes one outer corner as in
+    the physical class.
 
-    A block draws an (n, k) block of Dirichlet weights, then (for rank3) n
-    corner choices, n coherence radii bounded by sqrt(w1 w2) and n phases;
-    a single call is the block's n=1 call.
+    Draws an (n, k) block of Dirichlet weights, then (for rank3) n corner
+    choices, n coherence radii bounded by sqrt(w1 w2) and n phases.
     """
-    m = 1 if n is None else n
     if rank3:
-        w = rng.dirichlet(np.ones(3), size=m)
-        corner = rng.uniform(size=m) < 0.5
+        w = rng.dirichlet(np.ones(3), size=n)
+        corner = rng.uniform(size=n) < 0.5
         u_plus = np.where(corner, 0.0, w[:, 2])
         u_minus = np.where(corner, w[:, 2], 0.0)
         w1, w2 = w[:, 0], w[:, 1]
     else:
-        u_plus, w1, w2, u_minus = rng.dirichlet(np.ones(4), size=m).T
+        u_plus, w1, w2, u_minus = rng.dirichlet(np.ones(4), size=n).T
     r = rng.uniform(0.0, np.sqrt(w1 * w2))
-    phase = rng.uniform(0.0, 2.0 * math.pi, size=m)
-    block = XState(u_plus=u_plus, w1=w1, w2=w2, u_minus=u_minus, z=r * np.exp(1j * phase))
-    return _one_or_block(block, n)
+    phase = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    return XState(u_plus=u_plus, w1=w1, w2=w2, u_minus=u_minus, z=r * np.exp(1j * phase))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +475,7 @@ def _rank2_roundtrip(rng, n):
 
 
 def _invariant_xstate(rng, n):
-    states = sample_xstate(rng, rank3=True, n=n)
+    states = sample_xstate(rng, n, rank3=True)
     mats = check_states(xstate_matrix(states))
     value, guards = _xstate_invariant(_invariants(mats))
     value = guards.settle(value, (I1Zero, DomainError))
@@ -532,8 +504,8 @@ def _ladder(lams, n):
 
 def _bounds(rng, n):
     half = n // 2
-    m3 = Rank3Mixture.random(rng, n=half)
-    m4 = Rank4Mixture.random(rng, n=n - half)
+    m3 = Rank3Mixture.random(rng, half)
+    m4 = Rank4Mixture.random(rng, n - half)
     vals = np.concatenate([rank3_bound(m3), rank4_bound(m4)])
     oracle = batch_oracle(check_states(np.concatenate([m3.matrix(), m4.matrix()])))
     margins = vals - oracle
@@ -726,7 +698,7 @@ SUITES: dict[str, Callable] = {
     "rank2-degenerate": _chunked_suite(
         "rank2-degenerate",
         _family(
-            lambda rng, n: sample_rank2_degenerate(rng, n=n),
+            lambda rng, n: sample_rank2_degenerate(rng, n),
             lambda params: rank2_degenerate_matrix(params),
             lambda params, mats: estimate_rank2_degenerate(params),
         ),
@@ -736,7 +708,7 @@ SUITES: dict[str, Callable] = {
     "projection2": _chunked_suite(
         "projection2",
         _family(
-            lambda rng, n: sample_rank2_degenerate(rng, lam=0.5, n=n),
+            lambda rng, n: sample_rank2_degenerate(rng, n, lam=0.5),
             lambda params: rank2_degenerate_matrix(params),
             lambda params, mats: estimate_projection2(_invariants(mats)),
         ),
@@ -746,7 +718,7 @@ SUITES: dict[str, Callable] = {
     "xstate": _chunked_suite(
         "xstate",
         _family(
-            lambda rng, n: sample_xstate(rng, n=n),
+            lambda rng, n: sample_xstate(rng, n),
             lambda params: xstate_matrix(params),
             lambda params, mats: xstate_concurrence(params),
         ),

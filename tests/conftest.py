@@ -24,21 +24,17 @@ def wootters_reference(matrix: np.ndarray) -> float:
     return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
 
 
-#: how far from one a raw amplitude vector's squared norm may be for concurrence_pure
-NORM_TOL = 1e-8
-
-
-def concurrence_pure(psi) -> float:
-    """Concurrence of a pure state: 2 |c00 c11 - c01 c10|, a reference the
-    oracle shares no code with.
-
-    Accepts a PureState or a raw amplitude vector; raises NotNormalized when
-    the squared norm is not within 1e-8 of one (a NaN one is not).
-    """
-    from qconc.qstate import PureState, _unit_vector
-
-    c = psi.amplitudes if isinstance(psi, PureState) else _unit_vector(psi, NORM_TOL)
+def concurrence_pure(c) -> float:
+    """Concurrence of a pure state from its four unit-norm amplitudes:
+    2 |c00 c11 - c01 c10|, a reference the oracle shares no code with."""
     return float(2.0 * abs(c[0] * c[3] - c[1] * c[2]))
+
+
+def one_state(sampler, rng, **kwargs):
+    """The single-state dataclass of a sampler's n = 1 block."""
+    from qconc.qstate import _record
+
+    return _record(sampler(rng, 1, **kwargs), 0)
 
 
 #: just inside the acceptance tolerances of check_states (1e-10 each)
@@ -56,7 +52,7 @@ def edge_states(draw) -> np.ndarray:
     base = draw(
         st.one_of(
             st.sampled_from(["phi+", "phi-", "psi+", "psi-"]).map(
-                lambda kind: bell_state(kind).density().matrix
+                lambda kind: bell_state(kind).matrix
             ),
             st.builds(
                 lambda k, seed: random_rank_k(k, seed).matrix,

@@ -40,7 +40,7 @@ def test_criterion_1_oracle_closed_forms(acceptance):
         1, "oracle closed forms on bell, product, and werner states", budget=1.0
     ):
         for kind in ("phi+", "phi-", "psi+", "psi-"):
-            rho = bell_state(kind).density()
+            rho = bell_state(kind)
             assert abs(concurrence_oracle(rho).value - 1.0) <= 1e-12
 
         rng = np.random.default_rng(SEED)

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import one_state
+
 from qconc.bounds import (
     REGION_ENTANGLED,
     REGION_INFEASIBLE,
@@ -28,15 +30,25 @@ from qconc.qstate import rank_of
 _R = 1.0 / math.sqrt(2.0)
 
 
+#: every entry point that takes the rank-4 weights (lambda1, lambda2)
+_RANK4_WEIGHT_ENTRIES = {
+    "Rank4Mixture": lambda l1, l2: Rank4Mixture(
+        lambda1=l1, lambda2=l2, mu=0.5, a=_R, b=_R, theta=0.3, phi=0.1
+    ),
+    "rank4_max_concurrence": rank4_max_concurrence,
+    "rank4_max_matrix": rank4_max_matrix,
+}
+
+
 class TestMixtures:
     def test_rank3_mixture_is_valid_state(self):
         for seed in range(6):
-            m = Rank3Mixture.random(seed)
+            m = one_state(Rank3Mixture.random, np.random.default_rng(seed))
             rho = m.assemble()
             assert rank_of(rho) <= 3 or m.lam == 0.0
 
     def test_sep_matrix_is_separable(self):
-        m = Rank3Mixture.random(2)
+        m = one_state(Rank3Mixture.random, np.random.default_rng(2))
         sep = _sep_matrix(m)
         sep = sep / np.trace(sep).real
         assert concurrence_oracle(sep).value <= 1e-12
@@ -44,14 +56,14 @@ class TestMixtures:
     def test_rank3_dominance(self):
         rng = np.random.default_rng(77)
         for _ in range(300):
-            m = Rank3Mixture.random(rng)
+            m = one_state(Rank3Mixture.random, rng)
             gap = rank3_bound(m) - concurrence_oracle(m.assemble()).value
             assert gap >= -1e-9
 
     def test_rank4_dominance(self):
         rng = np.random.default_rng(78)
         for _ in range(300):
-            m = Rank4Mixture.random(rng)
+            m = one_state(Rank4Mixture.random, rng)
             gap = rank4_bound(m) - concurrence_oracle(m.assemble()).value
             assert gap >= -1e-9
 
@@ -61,10 +73,10 @@ class TestMixtures:
     )
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_fields_rejected(self, cls, field, bad):
-        m = cls.random(5)
+        m = one_state(cls.random, np.random.default_rng(5))
         with pytest.raises(ValueError, match="a\\^2|finite") as single:
             replace(m, **{field: bad})
-        block = cls.random(5, n=3)
+        block = cls.random(np.random.default_rng(5), 3)
         column = getattr(block, field).copy()
         column[1] = bad
         with pytest.raises(ValueError) as stacked:
@@ -75,7 +87,7 @@ class TestMixtures:
     def test_float_weights_broadcast_over_a_payload_block(self, cls):
         """Weights and a/b given as floats, other payload fields as (n,)
         arrays: the matrix is the (n, 4, 4) stack of the single mixtures."""
-        m = cls.random(5)
+        m = one_state(cls.random, np.random.default_rng(5))
         block = replace(m, mu=np.array([m.mu, 0.1]), theta=np.array([m.theta, 0.2]))
         rows = [m, replace(m, mu=0.1, theta=0.2)]
         np.testing.assert_array_equal(block.matrix(), [r.matrix() for r in rows])
@@ -85,6 +97,16 @@ class TestMixtures:
             Rank4Mixture(
                 lambda1=0.7, lambda2=0.5, mu=0.5, a=_R, b=_R, theta=0.3, phi=0.1
             )
+
+    @pytest.mark.parametrize("entry", sorted(_RANK4_WEIGHT_ENTRIES))
+    @pytest.mark.parametrize("slot", [0, 1], ids=["lambda1", "lambda2"])
+    def test_rank4_entry_points_share_one_weight_rule(self, entry, slot):
+        """A weight 1e-13 below zero passes and one 1e-11 below fails, alike
+        for the mixture and the maximal rank-4 forms."""
+        make = _RANK4_WEIGHT_ENTRIES[entry]
+        make(*[(-1e-13, 0.5), (0.5, -1e-13)][slot])
+        with pytest.raises(ValueError, match="lambda1 and lambda2 must be nonnegative"):
+            make(*[(-1e-11, 0.5), (0.5, -1e-11)][slot])
 
     @pytest.mark.parametrize("closed_form", [rank4_max_concurrence, rank4_max_matrix])
     @pytest.mark.parametrize("weights", [(math.nan, 0.1), (0.1, math.nan)])

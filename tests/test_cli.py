@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -36,6 +37,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+#: sha256 of the `gen --named` output of each named state. The Bell states'
+#: signed zeros come from bell_state's outer product of complex amplitudes;
+#: no BLAS call touches these bytes
+_NAMED_SHA256 = {
+    "bell-phi+": "4566ff1063e2317665a8eb380b08b1aee194f86ecb30a304c89ebd85fe5f8e45",
+    "bell-phi-": "c9a4604b913d35cce1793dd1776ed76207b6fc7095aefa689ed47c514d9ba318",
+    "bell-psi+": "74a33e01091663dede1ffc0067ede8983151ed01ef1e2f564fb516b5e0a39814",
+    "bell-psi-": "f4569427c2e01fba15841887c482c2c811af7143a563fb19f6e3374269165d16",
+    "werner:0.8": "660ecb9ac538860c4c882672761acef41c8eb3eaf77a608b2613d28cbb39841f",
+    "ladder:0.3": "e6318404ea6f4c21ce97f47ba0f6acbb855a0f3f12dd5a10c07f3c6e70cc1bfc",
+    "xstate:0.1,0.3,0.3,0.3,0.2": "3d967794bc9e534b1eab0510b77ee7ac59468fbd13c9529f1a5df6108a4a8a9a",
+}
+
+
 class TestGen:
     def test_named_bell_state(self, capsys):
         code, out, err = run(capsys, "gen", "--named", "bell-phi+")
@@ -44,6 +59,12 @@ class TestGen:
         assert "matrix" in payload
         assert "seed" not in payload["header"]  # deterministic state
         assert "rank=1" in err
+
+    @pytest.mark.parametrize("name", sorted(_NAMED_SHA256))
+    def test_named_state_bytes_are_pinned(self, capsys, name):
+        code, out, _ = run(capsys, "gen", "--named", name)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == _NAMED_SHA256[name]
 
     def test_random_state_records_its_seed(self, capsys):
         code, out, _ = run(capsys, "gen", "--rank", "3", "--seed", "17")

@@ -12,11 +12,10 @@ from qconc.concurrence import (
     batch_oracle,
     concurrence_oracle,
 )
-from qconc.errors import InvalidState, NotNormalized
+from qconc.errors import InvalidState
 from qconc.qstate import (
     DensityOperator,
     SIGMA_Y,
-    PureState,
     bell_state,
     check_states,
     random_rank_k,
@@ -28,7 +27,7 @@ from qconc.validate import batch_random_pure
 
 def test_bell_states_are_maximally_entangled():
     for kind in ("phi+", "phi-", "psi+", "psi-"):
-        diag = concurrence_oracle(bell_state(kind).density())
+        diag = concurrence_oracle(bell_state(kind))
         assert diag.value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -79,7 +78,7 @@ def test_diagnostics_from_lambdas_clamps_at_zero():
 
 def test_a_scaled_bell_state_gives_one_with_raw_lambdas():
     # trace 1 + 0.9e-10 passes validation; l1 - (l2 + l3 + l4) is 1 + 9e-11
-    m = bell_state("phi+").density().matrix * (1.0 + 0.9e-10)
+    m = bell_state("phi+").matrix * (1.0 + 0.9e-10)
     diag = concurrence_oracle(m)
     assert diag.value == 1.0 and batch_oracle(m[None])[0] == 1.0
     assert diag.lambdas[0] > 1.0
@@ -103,9 +102,9 @@ def test_edge_states_give_a_concurrence_in_the_unit_interval_or_raise(m):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_pure_formula_matches_oracle(seed):
-    psi = PureState(batch_random_pure(np.random.default_rng(seed), 1)[0])
-    direct = concurrence_pure(psi)
-    oracle = concurrence_oracle(psi.density()).value
+    c = batch_random_pure(np.random.default_rng(seed), 1)[0]
+    direct = concurrence_pure(c)
+    oracle = concurrence_oracle(DensityOperator(np.outer(c, c.conj()))).value
     assert direct == pytest.approx(oracle, abs=1e-10)
 
 
@@ -114,29 +113,13 @@ def test_concurrence_pure_accepts_raw_vector():
     assert concurrence_pure(c) == pytest.approx(1.0)
 
 
-def test_concurrence_pure_rejects_bad_norm():
-    with pytest.raises(NotNormalized):
-        concurrence_pure(np.array([1.0, 0.0, 0.0, 1.0]))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_concurrence_pure_rejects_non_finite_amplitudes(bad):
-    with pytest.raises(NotNormalized):
-        concurrence_pure(np.array([bad, 0.0, 0.0, 0.0]))
-
-
-def test_concurrence_pure_rejects_bad_shape():
-    with pytest.raises(NotNormalized):
-        concurrence_pure(np.array([1.0, 0.0]))
-
-
 def test_oracle_accepts_raw_matrix():
-    raw = bell_state("psi+").density().matrix
+    raw = bell_state("psi+").matrix
     assert concurrence_oracle(raw).value == pytest.approx(1.0, abs=1e-12)
 
 
 def _bell_matrix():
-    return bell_state("phi+").density().matrix.copy()
+    return bell_state("phi+").matrix.copy()
 
 
 def _non_hermitian_bell():
@@ -166,9 +149,7 @@ def test_oracle_rejects_a_state_payload_dict():
 def test_oracle_on_rank2_mixture_of_bells():
     # mixture of two Bell states: C = |2w - 1| for weights (w, 1 - w)
     for w in (0.1, 0.35, 0.5, 0.9):
-        m = w * bell_state("phi+").density().matrix + (1.0 - w) * bell_state(
-            "phi-"
-        ).density().matrix
+        m = w * bell_state("phi+").matrix + (1.0 - w) * bell_state("phi-").matrix
         assert concurrence_oracle(DensityOperator(m)).value == pytest.approx(
             abs(2.0 * w - 1.0), abs=1e-12
         )
@@ -202,7 +183,7 @@ def _pivots_above_the_cut(m):
 
 
 def _bell_mixture(*kinds):
-    return sum(bell_state(k).density().matrix for k in kinds) / len(kinds)
+    return sum(bell_state(k).matrix for k in kinds) / len(kinds)
 
 
 def _clamp_edge(factor):

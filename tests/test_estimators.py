@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import concurrence_pure
+from conftest import concurrence_pure, one_state
 
 from qconc.concurrence import concurrence_oracle
 from qconc.errors import (
@@ -48,7 +48,6 @@ from qconc.invariants import _invariants as invariants_of_fields
 from qconc.measurement import expectation
 from qconc.qstate import (
     DensityOperator,
-    PureState,
     _outer,
     bell_state,
     decompose,
@@ -74,9 +73,9 @@ def _invariants(rho) -> InvariantVector:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_estimate_pure_matches_amplitude_formula(seed):
-    psi = PureState(batch_random_pure(np.random.default_rng(seed), 1)[0])
-    est = estimate_pure(_invariants(psi.density()))
-    assert est == pytest.approx(concurrence_pure(psi), abs=1e-10)
+    c = batch_random_pure(np.random.default_rng(seed), 1)[0]
+    est = estimate_pure(_invariants(DensityOperator(np.outer(c, c.conj()))))
+    assert est == pytest.approx(concurrence_pure(c), abs=1e-10)
 
 
 def test_estimate_pure_rejects_mixed_state():
@@ -443,7 +442,7 @@ def test_ladder_range_checks():
 #: each invariant estimator, a state it evaluates to a finite value, and the
 #: invariants it reads
 _INVARIANT_ESTIMATORS = {
-    "pure": (estimate_pure, bell_state("phi+").density(), ("i1", "i2", "i6")),
+    "pure": (estimate_pure, bell_state("phi+"), ("i1", "i2", "i6")),
     "rank2-sep2": (estimate_rank2_sep2, werner_state(0.5), ("i1", "i2")),
     "projection2": (
         estimate_projection2,
@@ -524,27 +523,29 @@ def _xstate_entries(v) -> tuple:
 _READS = {
     "pure": (lambda rng: _outer(batch_random_pure(rng, 1)[0]), _PAULI, *_on_invariants("pure")),
     "rank2-reconstruction": (
-        lambda rng: rank2_matrix(sample_nondegenerate_rank2(rng)),
+        lambda rng: rank2_matrix(one_state(sample_nondegenerate_rank2, rng)),
         _LOCAL,
         lambda p, s: concurrence_oracle(assemble_rank2(reconstruct_rank2(p, s))).value,
         lambda v: ([v[a + "0"] for a in "xyz"], [v["0" + b] for b in "xyz"]),
     ),
     "projection2": (
-        lambda rng: rank2_degenerate_matrix(sample_rank2_degenerate(rng, lam=0.5)),
+        lambda rng: rank2_degenerate_matrix(one_state(sample_rank2_degenerate, rng, lam=0.5)),
         _LOCAL,
         *_on_invariants("projection2"),
     ),
     "rank2-sep2": (
-        lambda rng: rank2_sep_matrix(sample_rank2_sep(rng)), _LOCAL, *_on_invariants("rank2-sep2"),
+        lambda rng: rank2_sep_matrix(one_state(sample_rank2_sep, rng)),
+        _LOCAL,
+        *_on_invariants("rank2-sep2"),
     ),
     "xstate-direct": (
-        lambda rng: xstate_matrix(sample_xstate(rng, rank3=bool(rng.integers(2)))),
+        lambda rng: xstate_matrix(one_state(sample_xstate, rng, rank3=bool(rng.integers(2)))),
         ("z0", "0z", "zz", "xx", "yy", "xy", "yx"),
         lambda *x: xstate_concurrence(XState(*x)),
         _xstate_entries,
     ),
     "xstate-invariant": (
-        lambda rng: xstate_matrix(sample_xstate(rng, rank3=True)),
+        lambda rng: xstate_matrix(one_state(sample_xstate, rng, rank3=True)),
         _PAULI,
         *_on_invariants("xstate-invariant"),
     ),

@@ -16,7 +16,6 @@ from qconc.invariants import (
 from qconc.qstate import (
     BlochDecomposition,
     DensityOperator,
-    PureState,
     batch_decompose,
     bell_state,
     decompose,
@@ -34,7 +33,7 @@ def test_maximally_mixed_invariants_vanish():
 def test_bell_state_invariants():
     """Bell states have no local polarization but an orthogonal correlation
     matrix, so I6 = I8 = 3 and everything built from p or s vanishes."""
-    inv = invariant_vector(decompose(bell_state("phi+").density()))
+    inv = invariant_vector(decompose(bell_state("phi+")))
     assert inv.i1 == pytest.approx(0.0, abs=1e-14)
     assert inv.i2 == pytest.approx(0.0, abs=1e-14)
     assert inv.i6 == pytest.approx(3.0, abs=1e-12)
@@ -104,8 +103,8 @@ def _residuals(rho):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_purity_residuals_vanish_on_pure_states(seed):
-    psi = PureState(batch_random_pure(np.random.default_rng(seed), 1)[0])
-    r1, r2 = _residuals(psi.density())
+    c = batch_random_pure(np.random.default_rng(seed), 1)[0]
+    r1, r2 = _residuals(DensityOperator(np.outer(c, c.conj())))
     assert abs(r1) < 1e-12
     assert abs(r2) < 1e-12
 

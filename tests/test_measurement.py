@@ -35,7 +35,7 @@ _OBSERVABLES = [(i, j) for i in OBS_LABELS for j in OBS_LABELS if (i, j) != ("0"
 
 class TestExpectation:
     def test_bell_correlations(self):
-        rho = bell_state("phi+").density()
+        rho = bell_state("phi+")
         assert expectation(rho, ("x", "x")) == pytest.approx(1.0)
         assert expectation(rho, ("y", "y")) == pytest.approx(-1.0)
         assert expectation(rho, ("z", "z")) == pytest.approx(1.0)
@@ -61,7 +61,7 @@ class TestExpectation:
 
     def test_rejects_unknown_pair(self):
         with pytest.raises(ValueError, match="unknown observable"):
-            expectation(bell_state("phi+").density(), ("x", "q"))
+            expectation(bell_state("phi+"), ("x", "q"))
 
     def test_same_bits_as_the_kronecker_product(self):
         for rank, seed in ((1, 0), (2, 1), (3, 2), (4, 3)):
@@ -106,7 +106,7 @@ class TestSampling:
         assert a == b
 
     def test_std_error_is_the_binomial_plugin(self):
-        rec = sample_expectation(bell_state("psi-").density(), ("x", "z"), 400, seed=1)
+        rec = sample_expectation(bell_state("psi-"), ("x", "z"), 400, seed=1)
         assert rec.std_error == pytest.approx(
             math.sqrt((1.0 - rec.expectation**2) / 400)
         )
@@ -118,13 +118,13 @@ class TestSampling:
         assert abs(rec.expectation - exact) < 5.0 * rec.std_error + 1e-12
 
     def test_deterministic_outcome_has_zero_error(self):
-        rec = sample_expectation(bell_state("phi+").density(), ("x", "x"), 100, seed=0)
+        rec = sample_expectation(bell_state("phi+"), ("x", "x"), 100, seed=0)
         assert rec.expectation == 1.0
         assert rec.std_error == 0.0
 
     def test_shots_validated(self):
         with pytest.raises(ValueError):
-            sample_expectation(bell_state("phi+").density(), ("x", "x"), 0)
+            sample_expectation(bell_state("phi+"), ("x", "x"), 0)
 
 
 def _mixed_stack():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qconc.concurrence import concurrence_oracle
-from qconc.errors import InvalidState, NotAState, NotNormalized
+from qconc.errors import InvalidState, NotAState
 from qconc.qstate import (
     _PAULI_GRID,
     ID2,
@@ -16,7 +16,6 @@ from qconc.qstate import (
     SIGMA_Z,
     BlochDecomposition,
     DensityOperator,
-    PureState,
     assemble,
     batch_decompose,
     bell_state,
@@ -246,25 +245,6 @@ def test_check_states_accepts_exactly_when_every_state_does(mats):
     assert stacked == next((msg for msg in per_state if msg is not None), None)
 
 
-class TestPureState:
-    def test_norm_enforced(self):
-        with pytest.raises(NotNormalized):
-            PureState(np.array([1.0, 1.0, 0.0, 0.0]))
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(NotNormalized):
-            PureState(np.zeros(4))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_amplitude_rejected(self, bad):
-        with pytest.raises(NotNormalized):
-            PureState([bad, 0.0, 0.0, 0.0])
-
-    def test_density_is_projector(self):
-        rho = bell_state("psi-").density()
-        assert rho.purity() == pytest.approx(1.0)
-
-
 def test_pauli_pair_matches_kron():
     for i, a in enumerate((ID2,) + _SIGMAS):
         for j, b in enumerate((ID2,) + _SIGMAS):
@@ -272,7 +252,7 @@ def test_pauli_pair_matches_kron():
 
 
 def test_decompose_assemble_roundtrip_named_states():
-    for rho in (werner_state(0.0), werner_state(0.7), bell_state("phi-").density()):
+    for rho in (werner_state(0.0), werner_state(0.7), bell_state("phi-")):
         back = assemble(decompose(rho))
         np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-14)
 
@@ -298,7 +278,7 @@ def _decomposition_stacks():
     stacks = [batch_random_mixed(rng, 300, k) for k in (1, 2, 3, 4)]
     amps = batch_random_pure(rng, 300)
     stacks.append(np.einsum("ni,nj->nij", amps, amps.conj()))
-    named = [bell_state(k).density().matrix for k in ("phi+", "phi-", "psi+", "psi-")]
+    named = [bell_state(k).matrix for k in ("phi+", "phi-", "psi+", "psi-")]
     signed_zeros = np.full((4, 4), complex(-0.0, -0.0))
     np.fill_diagonal(signed_zeros, 0.25)
     stacks.append(np.stack(named + [werner_state(0.3).matrix, signed_zeros]))
@@ -388,7 +368,7 @@ def test_rank_of_exact_ranks():
 
 
 def test_rank_of_named_states():
-    assert rank_of(bell_state("phi+").density()) == 1
+    assert rank_of(bell_state("phi+")) == 1
     assert rank_of(werner_state(0.0)) == 4
     assert rank_of(werner_state(1.0)) == 1
 
@@ -430,6 +410,12 @@ def test_random_pure_is_deterministic_by_seed():
 def test_random_rank_k_validates_rank_argument():
     with pytest.raises(ValueError):
         random_rank_k(5, seed=0)
+
+
+def test_bell_state_is_a_projector():
+    rho = bell_state("psi-")
+    assert isinstance(rho, DensityOperator)
+    assert rho.purity() == pytest.approx(1.0)
 
 
 def test_bell_state_unknown_kind():

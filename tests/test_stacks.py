@@ -1,8 +1,4 @@
-"""Each single-state call is one row of the stacked call, bit for bit.
-
-The samplers that draw whole parameter blocks at once are the exception: a
-single call is their n=1 call, not a row of a larger block.
-"""
+"""Each single-state call is one row of the stacked call, bit for bit."""
 
 import math
 from dataclasses import fields, is_dataclass, replace
@@ -11,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from conftest import one_state
 from test_concurrence import _bell_mixture, _clamp_edge
 
 from qconc.bounds import (
@@ -182,7 +179,7 @@ def test_the_float_factor_gives_the_block_rows(block):
 
 
 def _rank2(rng):
-    params = [sample_nondegenerate_rank2(rng) for _ in range(6)]
+    params = [one_state(sample_nondegenerate_rank2, rng) for _ in range(6)]
     recs = [reconstruct_rank2(*local_observables_rank2(x)) for x in params]
     return [assemble_rank2(x) for x in params + recs]
 
@@ -190,12 +187,15 @@ def _rank2(rng):
 #: the state families the per-state validation suites stack, one list each
 _FAMILIES = {
     "rank2": _rank2,
-    "rank2-sep": lambda rng: [assemble_rank2_sep(sample_rank2_sep(rng)) for _ in range(12)],
+    "rank2-sep": lambda rng: [
+        assemble_rank2_sep(one_state(sample_rank2_sep, rng)) for _ in range(12)
+    ],
     "rank2-degenerate-half": lambda rng: [
-        assemble_rank2_degenerate(sample_rank2_degenerate(rng, lam=0.5)) for _ in range(12)
+        assemble_rank2_degenerate(one_state(sample_rank2_degenerate, rng, lam=0.5))
+        for _ in range(12)
     ],
     "xstate-rank3": lambda rng: [
-        assemble_xstate(sample_xstate(rng, rank3=True)) for _ in range(12)
+        assemble_xstate(one_state(sample_xstate, rng, rank3=True)) for _ in range(12)
     ],
     "ladder": lambda rng: [assemble_ladder(lam) for lam in np.linspace(0.0, 1.0, 9).tolist()],
 }
@@ -237,7 +237,7 @@ def test_stacked_suites_are_deterministic_at_small_sizes(samples):
 
 
 def _rank2_params(rng):
-    params = [sample_nondegenerate_rank2(rng) for _ in range(8)]
+    params = [one_state(sample_nondegenerate_rank2, rng) for _ in range(8)]
     return params + [reconstruct_rank2(*local_observables_rank2(x)) for x in params]
 
 
@@ -253,18 +253,18 @@ _BUILDERS = {
     "rank2-sep": (
         rank2_sep_matrix,
         assemble_rank2_sep,
-        lambda rng: [sample_rank2_sep(rng) for _ in range(8)],
+        lambda rng: [one_state(sample_rank2_sep, rng) for _ in range(8)],
     ),
     "rank2-degenerate": (
         rank2_degenerate_matrix,
         assemble_rank2_degenerate,
-        lambda rng: [sample_rank2_degenerate(rng) for _ in range(4)]
-        + [sample_rank2_degenerate(rng, lam=0.5) for _ in range(4)],
+        lambda rng: [one_state(sample_rank2_degenerate, rng) for _ in range(4)]
+        + [one_state(sample_rank2_degenerate, rng, lam=0.5) for _ in range(4)],
     ),
     "xstate": (
         xstate_matrix,
         assemble_xstate,
-        lambda rng: [sample_xstate(rng, rank3=k % 2 == 0) for k in range(8)],
+        lambda rng: [one_state(sample_xstate, rng, rank3=k % 2 == 0) for k in range(8)],
     ),
     "ladder": (
         ladder_matrix,
@@ -274,12 +274,12 @@ _BUILDERS = {
     "rank3-mixture": (
         Rank3Mixture.matrix,
         Rank3Mixture.assemble,
-        lambda rng: [Rank3Mixture.random(rng) for _ in range(8)],
+        lambda rng: [one_state(Rank3Mixture.random, rng) for _ in range(8)],
     ),
     "rank4-mixture": (
         Rank4Mixture.matrix,
         Rank4Mixture.assemble,
-        lambda rng: [Rank4Mixture.random(rng) for _ in range(8)],
+        lambda rng: [one_state(Rank4Mixture.random, rng) for _ in range(8)],
     ),
     "rank4-max": (
         lambda w: rank4_max_matrix(*w),
@@ -301,7 +301,7 @@ def test_rank4_mixture_matrix_keeps_the_rank3_payload_bits():
     Rank3Mixture; the shared helpers must give the same bits."""
     rng = np.random.default_rng(29)
     for _ in range(20):
-        m = Rank4Mixture.random(rng)
+        m = one_state(Rank4Mixture.random, rng)
         inner = Rank3Mixture(
             lam=0.0,
             mu=m.mu,
@@ -342,12 +342,12 @@ class _AlwaysRejected(np.random.Generator):
         return mid if size is None else np.full(size, mid)
 
 
-#: (sampler, generator calls per try); a single rank-2 call is the n=1 block
-#: call, which draws each try as one row of five uniforms
+#: (sampler, generator calls per try); the rank-2 sampler's n = 1 block
+#: draws each try as one row of five uniforms
 _SAMPLERS = {
     "random_rank_k": (lambda g: random_rank_k(3, g), 1),
     "batch_random_mixed": (lambda g: batch_random_mixed(g, 5, 3), 1),
-    "sample_nondegenerate_rank2": (sample_nondegenerate_rank2, 1),
+    "sample_nondegenerate_rank2": (lambda g: sample_nondegenerate_rank2(g, 1), 1),
 }
 
 
@@ -368,83 +368,38 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-#: samplers that give one state, or a block of n with n=..., with their
-#: keyword arguments
+#: the samplers, each with its keyword arguments and the validated
+#: single-state assembly of its family
 _BLOCK_SAMPLERS = {
-    "nondegenerate-rank2": (sample_nondegenerate_rank2, {}),
-    "rank2-sep": (sample_rank2_sep, {}),
-    "rank2-degenerate": (sample_rank2_degenerate, {}),
-    "rank2-degenerate-half": (sample_rank2_degenerate, {"lam": 0.5}),
-    "xstate": (sample_xstate, {}),
-    "xstate-rank3": (sample_xstate, {"rank3": True}),
-    "rank3-mixture": (Rank3Mixture.random, {}),
-    "rank4-mixture": (Rank4Mixture.random, {}),
-}
-
-
-#: samplers that draw each parameter for the whole block at once (Dirichlet
-#: or normal rows, then uniform columns), so a block is not n single calls;
-#: each with the validated single-state assembly of its family
-_WHOLE_BLOCK_SAMPLERS = {
-    "rank2-degenerate": assemble_rank2_degenerate,
-    "rank2-degenerate-half": assemble_rank2_degenerate,
-    "xstate": assemble_xstate,
-    "xstate-rank3": assemble_xstate,
+    "nondegenerate-rank2": (sample_nondegenerate_rank2, {}, assemble_rank2),
+    "rank2-sep": (sample_rank2_sep, {}, assemble_rank2_sep),
+    "rank2-degenerate": (sample_rank2_degenerate, {}, assemble_rank2_degenerate),
+    "rank2-degenerate-half": (sample_rank2_degenerate, {"lam": 0.5}, assemble_rank2_degenerate),
+    "xstate": (sample_xstate, {}, assemble_xstate),
+    "xstate-rank3": (sample_xstate, {"rank3": True}, assemble_xstate),
+    "rank3-mixture": (Rank3Mixture.random, {}, Rank3Mixture.assemble),
+    "rank4-mixture": (Rank4Mixture.random, {}, Rank4Mixture.assemble),
 }
 
 
 @pytest.mark.parametrize("n", [0, 1, 40])
 @pytest.mark.parametrize("sampler", sorted(_BLOCK_SAMPLERS))
-def test_block_samplers_draw_what_single_calls_draw(sampler, n):
-    """A block holds the parameters of n single calls, bit for bit, and leaves
-    the generator where they leave it; the rank-2 rejection sampler keeps
-    the accepted rows of the single calls' tries.
-
-    The whole-block samplers keep this up to n=1, since a single call is
-    their n=1 call; a larger block of theirs is a seeded block of family
-    states instead."""
-    if sampler in _WHOLE_BLOCK_SAMPLERS and n > 1:
-        _check_seeded_block_of_family_states(sampler, n)
-        return
-    draw, kwargs = _BLOCK_SAMPLERS[sampler]
-    block_rng, single_rng = np.random.default_rng(31), np.random.default_rng(31)
-    block = draw(block_rng, n=n, **kwargs)
-    singles = [draw(single_rng, **kwargs) for _ in range(n)]
-    for f in fields(block):
-        column = getattr(block, f.name)
-        assert column.shape == (n,)
-        assert _same_bits(column, np.array([getattr(x, f.name) for x in singles], column.dtype))
-    assert block_rng.bit_generator.state == single_rng.bit_generator.state
-    for k, single in enumerate(singles):
-        assert _record(block, k) == single
-
-
-def _check_seeded_block_of_family_states(sampler, n):
+def test_samplers_give_seeded_blocks_of_family_states(sampler, n):
     """The same seed gives the same block of n, bit for bit, and every row is
     a checked state of the family."""
-    draw, kwargs = _BLOCK_SAMPLERS[sampler]
-    block = draw(np.random.default_rng(31), n=n, **kwargs)
-    again = draw(np.random.default_rng(31), n=n, **kwargs)
+    draw, kwargs, assemble = _BLOCK_SAMPLERS[sampler]
+    block = draw(np.random.default_rng(31), n, **kwargs)
+    again = draw(np.random.default_rng(31), n, **kwargs)
     for f in fields(block):
         assert getattr(block, f.name).shape == (n,)
         assert _same_bits(getattr(block, f.name), getattr(again, f.name))
     for k in range(n):
         row = _record(block, k)  # runs the family's domain checks
-        _WHOLE_BLOCK_SAMPLERS[sampler](row)  # a valid density matrix
+        assemble(row)  # a valid density matrix
         if sampler == "rank2-degenerate-half":
             assert row.lam == 0.5
         if sampler == "xstate-rank3":
             assert min(row.u_plus, row.u_minus) == 0.0
-
-
-def test_rank2_block_sampler_meets_rejections():
-    """At seed 31 the 40 states take more than 40 tries of five uniforms each,
-    so the comparison above covers rejected rows."""
-    sampled = np.random.default_rng(31)
-    sample_nondegenerate_rank2(sampled, n=40)
-    accepted_only = np.random.default_rng(31)
-    accepted_only.uniform(size=(40, 5))
-    assert sampled.bit_generator.state != accepted_only.bit_generator.state
 
 
 def _max_weights(rng, n):
@@ -478,8 +433,8 @@ _ARRAY_BUILDERS = {
 @pytest.mark.parametrize("family", sorted(_ARRAY_BUILDERS))
 def test_array_builders_are_their_single_state_calls(family):
     build_block, build_one, sampler = _ARRAY_BUILDERS[family]
-    draw, kwargs = _BLOCK_SAMPLERS[sampler]
-    block = draw(np.random.default_rng(37), n=50, **kwargs)
+    draw, kwargs, _ = _BLOCK_SAMPLERS[sampler]
+    block = draw(np.random.default_rng(37), 50, **kwargs)
     stack = build_block(block)
     assert len(stack) == 50
     for k in range(50):
@@ -537,8 +492,8 @@ _FAMILY_STATES = {
     "rank2-sep": Rank2SepDecomp(lam=0.3, mu=0.4, a=0.6, b=0.8, theta=0.5, phase=1.0),
     "rank2-degenerate": Rank2Degenerate(lam=0.5, r1=0.6, r2=0.0, c=0.8j),
     "xstate": XState(u_plus=0.2, w1=0.3, w2=0.3, u_minus=0.2, z=0.1 + 0.05j),
-    "rank3-mixture": Rank3Mixture.random(5),
-    "rank4-mixture": Rank4Mixture.random(5),
+    "rank3-mixture": one_state(Rank3Mixture.random, np.random.default_rng(5)),
+    "rank4-mixture": one_state(Rank4Mixture.random, np.random.default_rng(5)),
 }
 
 
@@ -582,7 +537,7 @@ def test_block_rejection_sampler_stops_at_the_limit():
     that no try clears raises after REJECTION_LIMIT rows."""
     rng = _AlwaysRejected()
     with pytest.raises(SamplerExhausted, match=str(REJECTION_LIMIT)):
-        sample_nondegenerate_rank2(rng, n=4)
+        sample_nondegenerate_rank2(rng, 4)
     assert 4 * rng.draws == REJECTION_LIMIT
 
 
@@ -625,11 +580,14 @@ def _raised(outcome) -> bool:
 
 def _family_invariants(rng, n=12):
     """Single-call invariants of rank-2, rank-3 X and projection states."""
-    params = [sample_rank2_sep(rng) for _ in range(n)]
+    params = [one_state(sample_rank2_sep, rng) for _ in range(n)]
     states = [assemble_rank2_sep(x) for x in params]
-    states += [assemble_xstate(sample_xstate(rng, rank3=k % 2 == 0)) for k in range(n)]
     states += [
-        assemble_rank2_degenerate(sample_rank2_degenerate(rng, lam=0.5)) for _ in range(n)
+        assemble_xstate(one_state(sample_xstate, rng, rank3=k % 2 == 0)) for k in range(n)
+    ]
+    states += [
+        assemble_rank2_degenerate(one_state(sample_rank2_degenerate, rng, lam=0.5))
+        for _ in range(n)
     ]
     return [(invariant_vector(decompose(rho)),) for rho in states]
 
@@ -644,7 +602,7 @@ def _pure_invariants(rng, n=24):
 def _rank2_polarizations(rng, n=24):
     rows = []
     for _ in range(n):
-        p, s = local_observables_rank2(sample_nondegenerate_rank2(rng))
+        p, s = local_observables_rank2(one_state(sample_nondegenerate_rank2, rng))
         rows.append((p, s))
     # states of the degenerate set and outside the family, so that every
     # guard fails on some row
@@ -686,11 +644,11 @@ _CLOSED_FORMS = {
     "xstate_concurrence_invariant": (xstate_concurrence_invariant, _family_invariants),
     "estimate_rank2_degenerate": (
         estimate_rank2_degenerate,
-        lambda rng: [(sample_rank2_degenerate(rng),) for _ in range(24)],
+        lambda rng: [(one_state(sample_rank2_degenerate, rng),) for _ in range(24)],
     ),
     "xstate_concurrence": (
         xstate_concurrence,
-        lambda rng: [(sample_xstate(rng, rank3=k % 3 == 0),) for k in range(24)],
+        lambda rng: [(one_state(sample_xstate, rng, rank3=k % 3 == 0),) for k in range(24)],
     ),
     "reconstruct_rank2": (reconstruct_rank2, _rank2_polarizations),
     "ladder_concurrence": (
@@ -807,7 +765,9 @@ def test_blocks_raise_what_their_first_failing_row_raises(name, position):
     message."""
     fn, good, late, early = _GUARDED[name]
     if good is None:
-        good = local_observables_rank2(sample_nondegenerate_rank2(np.random.default_rng(5)))
+        good = local_observables_rank2(
+            one_state(sample_nondegenerate_rank2, np.random.default_rng(5))
+        )
     rows = [good] * 8
     rows[position] = late
     rows[position + 1] = early

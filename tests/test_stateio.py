@@ -49,7 +49,7 @@ class TestStatePayloads:
         np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-12)
 
     def test_json_text_is_reparseable(self):
-        rho = bell_state("psi+").density()
+        rho = bell_state("psi+")
         payload = json.loads(canonical_dumps(state_to_dict(rho)))
         back = state_from_dict(payload)
         np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-12)
@@ -63,7 +63,7 @@ class TestStatePayloads:
             state_from_dict({"rows": []})
 
     def test_rejects_malformed_matrix_entries(self):
-        payload = state_to_dict(bell_state("phi+").density())
+        payload = state_to_dict(bell_state("phi+"))
         del payload["matrix"][0][0]["im"]
         with pytest.raises(InvalidState, match="malformed matrix"):
             state_from_dict(payload)
@@ -73,7 +73,7 @@ class TestStatePayloads:
             state_from_dict({"bloch": {"p": [0, 0, 0], "s": [0, 0, 0]}})
 
     def test_rejects_unphysical_matrix(self):
-        payload = state_to_dict(bell_state("phi+").density())
+        payload = state_to_dict(bell_state("phi+"))
         payload["matrix"][0][0]["re"] = 0.9  # breaks the unit trace
         with pytest.raises(InvalidState):
             state_from_dict(payload)
