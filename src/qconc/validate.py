@@ -130,6 +130,8 @@ def batch_haar_u2(rng, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SuiteReport:
+    """One suite's report (_chunked_suite): passed implies violations == 0."""
+
     suite: str
     samples: int
     passed: bool
@@ -149,15 +151,17 @@ class SuiteReport:
 TOP_OFFENDERS = 3
 
 
+def _worst_first(keys: np.ndarray, item) -> list:
+    """item(i) for the TOP_OFFENDERS smallest keys, NaN first and the lowest
+    index first among equal keys, so that neither the chunking nor numpy's
+    sort dispatch moves them."""
+    return [item(int(i)) for i in np.lexsort((keys, ~np.isnan(keys)))[:TOP_OFFENDERS]]
+
+
 def _top_offenders(devs: np.ndarray, payload_fn) -> list:
-    """The largest positive deviations, the lowest index first among equal
-    ones, so that neither the chunking nor numpy's sort dispatch moves them."""
-    order = np.argsort(-devs, kind="stable")[:TOP_OFFENDERS]
-    return [
-        {"deviation": float(devs[i]), **payload_fn(int(i))}
-        for i in order
-        if devs[i] > 0.0
-    ]
+    """The largest positive deviations, NaN first (_worst_first)."""
+    worst = _worst_first(-devs, lambda i: {"deviation": float(devs[i]), **payload_fn(i)})
+    return [o for o in worst if not o["deviation"] <= 0.0]
 
 
 #: most states in one chunk: it bounds the size of a chunk's stacked arrays
@@ -204,25 +208,26 @@ def _tasks(suite, seq, samples: int) -> list:
 
 
 def _chunked_suite(
-    name: str, kernel: Callable, tolerance, notes: str, extra=None, passed=None,
+    name: str, kernel: Callable, tolerance, notes: str, extra=None, checks=None,
     chunks: Callable = _spawned, rank: Callable = lambda offender: -offender["deviation"],
 ):
     """The suite that merges the results of kernel(draw, n) on its chunks
     (chunks(seq, samples)), given in spawn order, into its one report: the
     deviations, the offenders, ranked by rank(offender) as each kernel ranked
-    its own and then by spawn order, and the kernels' own extras;
-    extra(devs, extras) gives the report's extras and passed(devs,
-    report_extras) its verdict, no violation of the tolerance by default."""
+    its own, then by spawn order (_worst_first), and the kernels' own extras,
+    extra(devs, extras) giving the report's. Each deviation not at or below the
+    tolerance, NaN too, is a violation; a pass needs none and checks(report_extras)."""
 
     def suite(results) -> SuiteReport:
         devs = np.concatenate([r[0] for r in results])
-        offenders = sorted((o for r in results for o in r[1]), key=rank)[:TOP_OFFENDERS]
+        pooled = [o for r in results for o in r[1]]
+        offenders = _worst_first(np.array([rank(o) for o in pooled]), pooled.__getitem__)
         merged = {} if extra is None else extra(devs, [r[2] for r in results if len(r) > 2])
-        violations = int((devs > tolerance).sum()) if tolerance is not None else 0
+        violations = int(np.count_nonzero(~(devs <= tolerance))) if tolerance is not None else 0
         return SuiteReport(
             suite=name,
             samples=int(devs.size),
-            passed=violations == 0 if passed is None else passed(devs, merged),
+            passed=violations == 0 and (checks is None or bool(checks(merged))),
             max_deviation=float(devs.max()) if devs.size else 0.0,
             mean_deviation=float(devs.mean()) if devs.size else 0.0,
             violations=violations,
@@ -425,12 +430,16 @@ def _lu_invariance(rng, n):
     ub = batch_haar_u2(rng, mats.shape[0])
     u = np.einsum("nij,nkl->nikjl", ua, ub).reshape(-1, 4, 4)
     rotated = u @ mats @ u.conj().transpose(0, 2, 1)
-    inv0 = batch_invariants(*batch_decompose(mats))
-    inv1 = batch_invariants(*batch_decompose(rotated))
-    c0 = batch_oracle(mats)
-    c1 = batch_oracle(rotated)
-    devs = np.maximum(np.abs(inv0 - inv1).max(axis=1), np.abs(c0 - c1))
-    return _graded(lambda i: {"matrix": mats[i]}, c1, c0, devs)
+    return _graded(lambda i: {"matrix": mats[i]}, *_changes(np.concatenate([mats, rotated])))
+
+
+def _changes(mats: np.ndarray):
+    """For a stack of 2n states: the oracle of the last n, of the first n, and
+    each pair i, n + i's largest change of I1..I9 and of the oracle."""
+    n = len(mats) // 2
+    inv = batch_invariants(*batch_decompose(mats))
+    c = batch_oracle(mats)
+    return c[n:], c[:n], np.maximum(np.abs(inv[:n] - inv[n:]).max(axis=1), np.abs(c[:n] - c[n:]))
 
 
 def _invariants(mats: np.ndarray) -> InvariantVector:
@@ -468,10 +477,7 @@ def _rank2_roundtrip(rng, n):
     params = sample_nondegenerate_rank2(rng, n)
     recs = reconstruct_rank2(*local_observables_rank2(params))
     mats = check_states(np.concatenate([rank2_matrix(params), rank2_matrix(recs)]))
-    inv = batch_invariants(*batch_decompose(mats))
-    c = batch_oracle(mats)
-    devs = np.maximum(np.abs(inv[:n] - inv[n:]).max(axis=1), np.abs(c[:n] - c[n:]))
-    return _graded(lambda i: _record(params, i), c[n:], c[:n], devs)
+    return _graded(lambda i: _record(params, i), *_changes(mats))
 
 
 def _invariant_xstate(rng, n):
@@ -510,18 +516,14 @@ def _bounds(rng, n):
     oracle = batch_oracle(check_states(np.concatenate([m3.matrix(), m4.matrix()])))
     margins = vals - oracle
     devs = np.maximum(0.0, -margins)
-    order = np.argsort(margins, kind="stable")[:TOP_OFFENDERS]
-    offenders = [
-        {
-            "deviation": float(devs[i]),
-            "margin": float(margins[i]),
-            "oracle": float(oracle[i]),
-            "estimate": float(vals[i]),
-            "state": _jsonable(_record(m3, i) if i < half else _record(m4, i - half)),
-        }
-        for i in order
-    ]
-    return devs, offenders
+    payload = lambda i: {
+        "deviation": float(devs[i]),
+        "margin": float(margins[i]),
+        "oracle": float(oracle[i]),
+        "estimate": float(vals[i]),
+        "state": _jsonable(_record(m3, i) if i < half else _record(m4, i - half)),
+    }
+    return devs, _worst_first(margins, payload)
 
 
 def _rank4_max(rng, n):
@@ -668,9 +670,7 @@ SUITES: dict[str, Callable] = {
             "max_purity_residual": max(residuals),
             "purity_residual_tolerance": 1e-10,
         },
-        passed=lambda devs, extra: bool(
-            devs.max() <= 1e-8 and extra["max_purity_residual"] <= 1e-10
-        ),
+        checks=lambda extra: extra["max_purity_residual"] <= extra["purity_residual_tolerance"],
     ),
     "lu-invariance": _chunked_suite(
         "lu-invariance", _lu_invariance, 1e-9,
@@ -753,10 +753,7 @@ SUITES: dict[str, Callable] = {
         "threshold", _threshold, 1e-12,
         "three-quarters threshold bracket and the closed-form root identity",
         extra=_threshold_bracket,
-        passed=lambda devs, extra: bool(
-            extra["oracle_at_0.74"] > 0.0 and extra["oracle_at_0.76"] <= 1e-12
-            and devs.max() <= 1e-12
-        ),
+        checks=lambda extra: extra["oracle_at_0.74"] > 0.0 and extra["oracle_at_0.76"] <= 1e-12,
         chunks=_grid(0.05, math.pi / 4.0),
     ),
     "region": _chunked_suite(
@@ -764,7 +761,7 @@ SUITES: dict[str, Callable] = {
         "grid classes against assembled-state oracle values; boundary "
         "cells must straddle the line within one cell's worth of 9 l1 + 8 l2",
         extra=lambda devs, chunks: chunks[0],
-        passed=lambda devs, extra: bool(
+        checks=lambda extra: (
             extra["mismatches"] == 0 and extra["boundary_margin"] < extra["boundary_budget"] + 1e-12
         ),
         chunks=_one_stack,
@@ -780,8 +777,8 @@ SUITES: dict[str, Callable] = {
         "standard errors in at least 99 percent of trials; infeasible "
         "pairs count as misses",
         extra=_shots_extra,
-        passed=lambda devs, extra: bool(
-            extra["lambda_success_rate"] >= 0.99 and extra["pair_success_rate"] >= 0.99
+        checks=lambda extra: (
+            min(extra["lambda_success_rate"], extra["pair_success_rate"]) >= extra["required_rate"]
         ),
     ),
 }

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import math
 import platform
 
 import numpy as np
 import pytest
 
 from qconc import validate
+from qconc.cli import main
 from qconc.concurrence import concurrence_oracle
 from qconc.errors import DomainError, I1Zero, Infeasible
 from qconc.estimators import assemble_xstate, xstate_concurrence_invariant
@@ -58,6 +60,8 @@ def test_each_suite_smokes(name):
     assert rep.samples >= 1
     assert rep.mean_deviation <= rep.max_deviation + 1e-15
     if rep.tolerance is not None:
+        # a gated suite passes only with no violation; on these streams its
+        # own checks hold too, so it passes exactly then
         assert rep.passed == (rep.violations == 0)
 
 
@@ -151,9 +155,12 @@ def test_chunks_are_the_fewest_within_the_cap_split_evenly(samples, sizes):
 
 def test_tied_deviations_rank_the_lowest_index_first(monkeypatch):
     """Equal deviations list the lowest index first, within a chunk and
-    across the chunks a suite merges, so the chunking does not move them."""
+    across the chunks a suite merges, so the chunking does not move them. A
+    NaN deviation, a state that could not be graded, heads the list."""
     devs = np.array([0.0, 2.0, 1.0, 2.0, 2.0, 1.0, 2.0])
     assert [o["index"] for o in validate._top_offenders(devs, lambda i: {"index": i})] == [1, 3, 4]
+    devs[5] = np.nan
+    assert [o["index"] for o in validate._top_offenders(devs, lambda i: {"index": i})] == [5, 1, 3]
 
     def tied(points, n):
         return np.ones(n), validate._top_offenders(np.ones(n), lambda i: {"point": points[i]})
@@ -166,6 +173,109 @@ def test_tied_deviations_rank_the_lowest_index_first(monkeypatch):
         assert len(tasks) == chunks
         report = suite([kernel(draw, n) for kernel, draw, n in tasks])
         assert [o["point"] for o in report.worst] == first
+
+
+@pytest.mark.parametrize(
+    "tolerance, checks, devs, violations, passed",
+    [
+        (0.5, None, [0.1, 0.5], 0, True),
+        (0.5, None, [0.1, np.nan], 1, False),
+        (0.5, None, [np.inf, 0.7], 2, False),
+        (0.5, lambda extra: True, [0.1, 0.7], 1, False),
+        (0.5, lambda extra: extra["ok"], [0.1, 0.2], 0, False),
+        (None, None, [0.1, np.nan], 0, True),
+        (None, lambda extra: extra["ok"], [0.1, 0.2], 0, False),
+    ],
+)
+def test_one_verdict_rule(tolerance, checks, devs, violations, passed):
+    """Every deviation that is not a number at or below the tolerance is a
+    violation, NaN included; a suite passes with none and its checks true,
+    and a check can only add a condition, never lift the tolerance."""
+    suite = validate._chunked_suite(
+        "rule", None, tolerance, "", extra=lambda devs, _: {"ok": False}, checks=checks
+    )
+    report = suite([(np.array(devs), [])])
+    assert (report.violations, report.passed) == (violations, passed)
+
+
+def _nan_in_last_row(fn):
+    """fn with the last row of each call's values made NaN."""
+
+    def call(*args, **kwargs):
+        values = np.array(fn(*args, **kwargs), dtype=float)
+        values[-1] = np.nan
+        return values
+
+    return call
+
+
+#: the gated suites whose deviations come from the oracle of a stack they
+#: grade; the last oracle row of each is a state the suite grades (region's
+#: last feasible cell, lambda1 = 1, is separable)
+_ORACLE_GRADED = [
+    "pure", "lu-invariance", "rank2-roundtrip", "rank2-degenerate", "projection2", "xstate",
+    "ladder", "bounds", "rank4-max", "region",
+]
+
+
+@pytest.mark.parametrize("name", _ORACLE_GRADED)
+def test_a_nan_oracle_value_fails_its_suite(monkeypatch, name):
+    """A state the oracle returns NaN for is a violation, and it heads the
+    offenders so that it can be replayed (region lists none)."""
+    monkeypatch.setattr(validate, "batch_oracle", _nan_in_last_row(validate.batch_oracle))
+    (rep,) = run_suites([name], samples=_SMOKE, seed=1)
+    assert rep.violations >= 1
+    assert not rep.passed
+    assert math.isnan(rep.max_deviation)
+    if name != "region":
+        assert math.isnan(rep.worst[0]["deviation"])
+
+
+@pytest.mark.parametrize("name", ["xstate", "bounds"])
+def test_a_nan_in_one_chunk_heads_the_merged_offenders(monkeypatch, name):
+    """The merge ranks a NaN offender of the second of three chunks ahead of
+    the numbers of all three, by deviation and by bounds' margin alike."""
+    oracle = validate.batch_oracle
+    with_nan = _nan_in_last_row(oracle)
+    calls = []
+
+    def nan_in_the_second_chunk(mats):
+        calls.append(len(mats))
+        return with_nan(mats) if len(calls) == 2 else oracle(mats)
+
+    monkeypatch.setattr(validate, "batch_oracle", nan_in_the_second_chunk)
+    # the spy counts in this process only, so the chunks run here
+    monkeypatch.setattr(validate, "_workers", lambda: 1)
+    monkeypatch.setattr(validate, "_CHUNK_CAP", 20)
+    (rep,) = run_suites([name], samples=60, seed=1)
+    assert calls == [20, 20, 20]
+    assert (rep.violations, rep.passed) == (1, False)
+    assert math.isnan(rep.worst[0]["deviation"])
+    assert not any(math.isnan(o["deviation"]) for o in rep.worst[1:])
+
+
+def _nan_xstate_estimate(monkeypatch):
+    monkeypatch.setattr(
+        validate, "xstate_concurrence", _nan_in_last_row(validate.xstate_concurrence)
+    )
+
+
+def test_a_nan_estimate_fails_xstate(monkeypatch):
+    _nan_xstate_estimate(monkeypatch)
+    (rep,) = run_suites(["xstate"], samples=_SMOKE, seed=1)
+    assert (rep.violations, rep.passed) == (1, False)
+    assert math.isnan(rep.max_deviation)
+    assert math.isnan(rep.worst[0]["estimate"])
+
+
+def test_validate_exits_2_on_a_nan_estimate(monkeypatch, tmp_path, capsys):
+    _nan_xstate_estimate(monkeypatch)
+    out = tmp_path / "xstate.json"
+    assert main(["validate", "--suite", "xstate", "--samples", "40", "--out", str(out)]) == 2
+    assert "suite(s) failed: xstate" in capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    assert payload["all_passed"] is False
+    assert payload["suites"][0]["violations"] == 1
 
 
 @pytest.mark.parametrize("name", ["ladder", "threshold"])
