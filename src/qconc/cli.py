@@ -9,7 +9,6 @@ runs record their seed in the report header.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -20,7 +19,6 @@ from .concurrence import ConcurrenceDiagnostics, batch_oracle, concurrence_oracl
 from .errors import (
     DomainError,
     I1Zero,
-    InvalidState,
     NotPure,
     QconcError,
 )
@@ -42,6 +40,7 @@ from .estimators import (
 from .invariants import InvariantVector, invariant_vector
 from .measurement import expectation
 from .qstate import (
+    _BELL_AMPLITUDES,
     BlochDecomposition,
     DensityOperator,
     bell_state,
@@ -52,10 +51,10 @@ from .qstate import (
     werner_state,
 )
 from .stateio import (
+    _read_stream,
     canonical_dumps,
     read_state,
     report_header,
-    state_from_dict,
     state_to_dict,
 )
 
@@ -84,18 +83,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _load_state(path: str | None) -> DensityOperator:
-    """Read a state file, or stdin for None or "-"; text that is not UTF-8,
-    not JSON, or nested past the parser's recursion limit raises InvalidState."""
-    try:
-        if path in (None, "-"):
-            return state_from_dict(json.load(sys.stdin))
-        return read_state(path)
-    except json.JSONDecodeError as exc:
-        raise InvalidState(f"input is not valid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InvalidState(f"input is not UTF-8 text: {exc}") from exc
-    except RecursionError as exc:
-        raise InvalidState(f"input is nested too deeply: {exc}") from exc
+    """Read a state file, or stdin for None or "-"."""
+    if path in (None, "-"):
+        return _read_stream(sys.stdin)
+    return read_state(path)
 
 
 def _fmt_float(x: float) -> str:
@@ -106,17 +97,10 @@ def _fmt_float(x: float) -> str:
 # named-state registry
 # ---------------------------------------------------------------------------
 
-_BELL_NAMES = {
-    "bell-phi+": "phi+",
-    "bell-phi-": "phi-",
-    "bell-psi+": "psi+",
-    "bell-psi-": "psi-",
-}
-
 
 def _parse_named(name: str) -> DensityOperator:
-    if name in _BELL_NAMES:
-        return bell_state(_BELL_NAMES[name])
+    if name.startswith("bell-") and name[5:] in _BELL_AMPLITUDES:
+        return bell_state(name[5:])
     kind, _, arg = name.partition(":")
     try:
         if kind == "werner":
@@ -133,7 +117,8 @@ def _parse_named(name: str) -> DensityOperator:
             return assemble_xstate(XState(*parts[:4], z=z))
     except (ValueError, QconcError) as exc:
         raise UsageError(f"invalid named state {name!r}: {exc}") from exc
-    known = ", ".join(sorted(_BELL_NAMES) + ["werner:p", "xstate:u+,w1,w2,u-,zre[,zim]", "ladder:lam"])
+    bells = sorted("bell-" + k for k in _BELL_AMPLITUDES)
+    known = ", ".join(bells + ["werner:p", "xstate:u+,w1,w2,u-,zre[,zim]", "ladder:lam"])
     raise UsageError(f"unknown named state {name!r}; choose from {known}")
 
 
@@ -160,44 +145,39 @@ def _applicable_estimates(
     diag: ConcurrenceDiagnostics, tol: float,
 ) -> list[dict]:
     """Family estimates that apply to rho, given its decomposition, invariants
-    and oracle diagnostics, each with its deviation from the oracle value."""
+    and oracle diagnostics, each with its deviation from the oracle value or
+    the error that the estimate raised, in the order of the table below."""
+    m = rho.matrix
+    rank2 = diag.rank == 2
+    # a state at validation's 1e-10 tolerances can fail a family's 1e-12 checks
+    xstate = _is_xstate(rho, tol)
+    ladder = _is_ladder(rho, tol)
+    # (name, applies, errors the estimate reports, estimate)
+    rows = (
+        ("pure", diag.rank == 1, NotPure, lambda: estimate_pure(inv)),
+        ("rank2-reconstruction", rank2, QconcError, lambda: concurrence_oracle(
+            assemble_rank2(reconstruct_rank2(bloch.p, bloch.s))).value),
+        # both top eigenvalues at 1/2; eigvalsh runs on rank-2 states only
+        ("projection2", rank2 and all(abs(e - 0.5) <= 1e-6 for e in rho.eigenvalues()[-2:]),
+         DomainError, lambda: estimate_projection2(inv)),
+        ("rank2-sep2", rank2, DomainError, lambda: estimate_rank2_sep2(inv)),
+        ("xstate-direct", xstate, ValueError, lambda: xstate_concurrence(
+            XState(*(float(m[k, k].real) for k in range(4)), complex(m[1, 2])))),
+        ("xstate-invariant", xstate, (I1Zero, DomainError),
+         lambda: xstate_concurrence_invariant(inv)),
+        ("ladder-rho11", ladder, (), lambda: ladder_concurrence(float(m[0, 0].real))),
+        ("ladder-szpz", ladder, ValueError, lambda: ladder_from_correlation(float(bloch.pi[2, 2]))),
+    )
     entries: list[dict] = []
-
-    def add(name: str, value: float) -> None:
-        entries.append(
-            {"name": name, "value": float(value), "deviation": float(abs(value - diag.value))}
-        )
-
-    def attempt(name: str, errors, estimate, *args) -> None:
+    for name, applies, errors, estimate in rows:
+        if not applies:
+            continue
         try:
-            add(name, estimate(*args))
+            value = float(estimate())
         except errors as exc:
             entries.append({"name": name, "error": f"{type(exc).__name__}: {exc}"})
-
-    def reconstructed() -> float:
-        return concurrence_oracle(assemble_rank2(reconstruct_rank2(bloch.p, bloch.s))).value
-
-    if diag.rank == 1:
-        attempt("pure", NotPure, estimate_pure, inv)
-
-    if diag.rank == 2:
-        attempt("rank2-reconstruction", QconcError, reconstructed)
-        eigs = rho.eigenvalues()
-        if abs(eigs[-1] - 0.5) <= 1e-6 and abs(eigs[-2] - 0.5) <= 1e-6:
-            attempt("projection2", DomainError, estimate_projection2, inv)
-        attempt("rank2-sep2", DomainError, estimate_rank2_sep2, inv)
-
-    # a state at validation's 1e-10 tolerances can fail a family's 1e-12 checks
-    if _is_xstate(rho, tol):
-        m = rho.matrix
-        x = [float(m[k, k].real) for k in range(4)] + [complex(m[1, 2])]
-        attempt("xstate-direct", ValueError, lambda: xstate_concurrence(XState(*x)))
-        attempt("xstate-invariant", (I1Zero, DomainError), xstate_concurrence_invariant, inv)
-
-    if _is_ladder(rho, tol):
-        add("ladder-rho11", ladder_concurrence(float(rho.matrix[0, 0].real)))
-        attempt("ladder-szpz", ValueError, ladder_from_correlation, float(bloch.pi[2, 2]))
-
+        else:
+            entries.append({"name": name, "value": value, "deviation": float(abs(value - diag.value))})
     return entries
 
 

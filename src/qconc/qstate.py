@@ -140,12 +140,6 @@ def _per_row(x, axes: int = 2):
 def _vec4(*entries) -> np.ndarray:
     """Complex 4-vector of four floats or complexes, or an (n, 4) block of
     vectors when any entry is an (n,) array."""
-    try:
-        v = np.array(entries, dtype=complex)
-        if v.ndim == 1:
-            return v
-    except ValueError:  # floats mixed with arrays
-        pass
     shape = np.broadcast_shapes(*(np.shape(e) for e in entries))
     v = np.empty(shape + (4,), dtype=complex)
     for k, e in enumerate(entries):

@@ -3,11 +3,11 @@
 Two interchangeable state payloads are supported: an explicit complex
 matrix, {"matrix": [[{"re": .., "im": ..} x4] x4]}, and a Bloch payload,
 {"bloch": {"p": [..], "s": [..], "pi": [[..]]}}. Readers accept either and
-turn any malformed, non-finite or unphysical payload into InvalidState (or
-NotAState for Bloch data that is no state); the writer emits the matrix
-form. All dumps are canonical (sorted keys, fixed indentation,
-trailing newline) so that a fixed seed and fixed flags give byte-identical
-files.
+turn text that is no UTF-8 JSON, and any malformed, non-finite or unphysical
+payload, into InvalidState (or NotAState for Bloch data that is no state);
+the writer emits the matrix form. All dumps are canonical (sorted keys, fixed
+indentation, trailing newline) so that a fixed seed and fixed flags give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -107,6 +107,20 @@ def state_from_dict(payload: dict) -> DensityOperator:
     raise InvalidState("state payload needs a 'matrix' or 'bloch' field")
 
 
-def read_state(path) -> DensityOperator:
-    with open(path, encoding="utf-8") as fh:
+def _read_stream(fh) -> DensityOperator:
+    """The state in an open text stream; text that is not UTF-8, not JSON, or
+    nested past the parser's recursion limit raises InvalidState."""
+    try:
         return state_from_dict(json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise InvalidState(f"input is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidState(f"input is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidState(f"input is nested too deeply: {exc}") from exc
+
+
+def read_state(path) -> DensityOperator:
+    """The state in a JSON file; unreadable text raises InvalidState."""
+    with open(path, encoding="utf-8") as fh:
+        return _read_stream(fh)

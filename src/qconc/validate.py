@@ -573,10 +573,8 @@ def _region(_, n):
     oracle = batch_oracle(rank4_max_matrix(l1[feasible], l2[feasible]))
     kinds = classes[feasible]
     separable = kinds == REGION_SEPARABLE
-    mismatches = int(
-        np.count_nonzero((kinds == REGION_ENTANGLED) & (oracle <= 1e-12))
-        + np.count_nonzero(separable & (oracle > 1e-12))
-    )
+    # the tolerance alone gates the separable cells' oracle
+    mismatches = int(np.count_nonzero((kinds == REGION_ENTANGLED) & (oracle <= 1e-12)))
     # a boundary cell has a feasible grid neighbour of the other class
     across = (classes[:-1] != classes[1:]) & feasible[:-1] & feasible[1:]
     along = (classes[:, :-1] != classes[:, 1:]) & feasible[:, :-1] & feasible[:, 1:]
@@ -788,6 +786,8 @@ def run_suites(names=None, samples: int = 1000, seed: int = 0) -> list[SuiteRepo
     """Run the named suites (all by default) with per-suite spawned seeds:
     plan every suite's chunks first, run them all (_chunk_results), then
     merge each suite's results."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]

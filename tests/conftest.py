@@ -72,6 +72,17 @@ def edge_states(draw) -> np.ndarray:
     return m + skew - skew.conj().T
 
 
+#: state inputs that are no JSON text a state can come from (cut off inside
+#: the payload, nested past the parser's recursion limit, bytes that are not
+#: UTF-8), each with the start of the InvalidState message that reading it
+#: ends in
+UNREADABLE = {
+    "truncated": (b'{"matrix": [[{"re": 0.5, "im"', "input is not valid JSON: "),
+    "nested": (b"[" * 100_000 + b"]" * 100_000, "input is nested too deeply: "),
+    "not-utf8": (b'{"matrix": "\xe9\xff"}', "input is not UTF-8 text: "),
+}
+
+
 def bloch_payload(rho) -> dict:
     """The Bloch form of a state file's payload, the one besides the matrix."""
     from qconc.qstate import decompose

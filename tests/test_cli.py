@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bloch_payload, edge_states, write_state
+from conftest import UNREADABLE, bloch_payload, edge_states, write_state
 
 import qconc.validate
 from qconc.cli import main
@@ -81,10 +81,14 @@ class TestGen:
         assert code == 1
         assert "exactly one" in err
 
-    def test_unknown_name_lists_the_choices(self, capsys):
-        code, _, err = run(capsys, "gen", "--named", "ghz")
-        assert code == 1
-        assert "bell-phi+" in err
+    @pytest.mark.parametrize("name", ["ghz", "bell-foo", "phi+", "bell-phi+:1"])
+    def test_unknown_name_lists_the_choices(self, capsys, name):
+        code, out, err = run(capsys, "gen", "--named", name)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: unknown named state {name!r}; choose from bell-phi+, bell-phi-, bell-psi+,"
+            " bell-psi-, werner:p, xstate:u+,w1,w2,u-,zre[,zim], ladder:lam\n"
+        )
 
     def test_bad_parameter_value(self, capsys):
         code, _, _ = run(capsys, "gen", "--named", "werner:1.5")
@@ -419,18 +423,10 @@ class TestStdinPath:
         assert json.loads(out)["oracle"] == pytest.approx(1.0, abs=1e-10)
 
 
-#: state inputs that are no JSON text a state can come from: nested past the
-#: parser's recursion limit, and bytes that are not UTF-8
-_UNREADABLE = {
-    "nested": b"[" * 100_000 + b"]" * 100_000,
-    "not-utf8": b'{"matrix": "\xe9\xff"}',
-}
-
-
 @pytest.mark.parametrize("source", ["file", "stdin"])
-@pytest.mark.parametrize("kind", sorted(_UNREADABLE))
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
 def test_unreadable_input_ends_in_an_error_line(capsys, monkeypatch, tmp_path, kind, source):
-    data = _UNREADABLE[kind]
+    data, message = UNREADABLE[kind]
     if source == "file":
         path = tmp_path / "state.json"
         path.write_bytes(data)
@@ -441,7 +437,7 @@ def test_unreadable_input_ends_in_an_error_line(capsys, monkeypatch, tmp_path, k
     code, out, err = run(capsys, "concurrence", arg)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: InvalidState: input is ")
+    assert err.startswith("error: InvalidState: " + message)
 
 
 # -- fuzzed state payloads ---------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import bloch_payload, write_state
+from conftest import UNREADABLE, bloch_payload, write_state
 
 from qconc.errors import InvalidState
 from qconc.qstate import bell_state, random_rank_k, werner_state
@@ -87,3 +87,12 @@ class TestStatePayloads:
         first = path.read_bytes()
         write_state(path, rho)
         assert path.read_bytes() == first
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE))
+    def test_unreadable_file_raises_invalid_state(self, tmp_path, kind):
+        data, message = UNREADABLE[kind]
+        path = tmp_path / "state.json"
+        path.write_bytes(data)
+        with pytest.raises(InvalidState) as caught:
+            read_state(path)
+        assert str(caught.value).startswith(message)

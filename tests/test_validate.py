@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qconc import validate
+from qconc.bounds import REGION_ENTANGLED, REGION_INFEASIBLE, REGION_SEPARABLE, rank4_region
 from qconc.cli import main
 from qconc.concurrence import concurrence_oracle
 from qconc.errors import DomainError, I1Zero, Infeasible
@@ -49,6 +50,12 @@ def test_registry_contents():
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError, match="no-such-suite"):
         run_suites(names=["no-such-suite"], samples=10)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_fewer_than_one_sample_is_refused(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        run_suites(names=["pure"], samples=samples)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -229,6 +236,27 @@ def test_a_nan_oracle_value_fails_its_suite(monkeypatch, name):
     assert math.isnan(rep.max_deviation)
     if name != "region":
         assert math.isnan(rep.worst[0]["deviation"])
+
+
+@pytest.mark.parametrize(
+    "kind, value, counts",
+    [(REGION_SEPARABLE, 1e-9, (1, 0)), (REGION_ENTANGLED, 0.0, (0, 1))],
+)
+def test_region_counts_a_failing_cell_once(monkeypatch, kind, value, counts):
+    """A separable cell above the tolerance is a violation and no class
+    mismatch; an entangled cell at zero is a mismatch. Either fails region."""
+    classes = rank4_region(101)[2]
+    cell = int(np.flatnonzero(classes[classes != REGION_INFEASIBLE] == kind)[0])
+    oracle = validate.batch_oracle
+
+    def patched(mats):
+        values = np.array(oracle(mats), dtype=float)
+        values[cell] = value
+        return values
+
+    monkeypatch.setattr(validate, "batch_oracle", patched)
+    (rep,) = run_suites(["region"], samples=_SMOKE)
+    assert (rep.violations, rep.extra["mismatches"], rep.passed) == (*counts, False)
 
 
 @pytest.mark.parametrize("name", ["xstate", "bounds"])
