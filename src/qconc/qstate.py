@@ -108,24 +108,40 @@ def _unit(x):
     return high(0.0, low(1.0, x))
 
 
+#: the numpy form of each function that gives every entry its single call's
+#: bits: sqrt is correctly rounded; max(a, b) keeps a unless b > a, min unless
+#: b < a, as Python's do at NaN and -0.0 ties; cos and sin match libm (tested)
+_UFUNCS = {
+    math.sqrt: np.sqrt, math.cos: np.cos, math.sin: np.sin,
+    max: lambda a, b: np.where(b > a, b, a), min: lambda a, b: np.where(b < a, b, a),
+}
+
+
 def _math(fn, *args):
     """A math-module (or builtin) function of floats, or of each entry of the
     equal-length 1-d arrays among its arguments (floats are shared by all).
 
-    Blocks map the same call over their entries instead of taking a numpy
-    ufunc, whose bits differ for some functions (arctan2, real exp, hypot,
-    x ** 2, the modulus of a complex number), so each row keeps its
-    single-state bits.
+    A block takes the function's _UFUNCS form, or else maps the same call
+    over its entries: the ufuncs of the others give other bits (arctan2,
+    atan, hypot, x ** 2, the modulus of a complex number). Either way each
+    row keeps its single-state bits, and an entry outside the function's
+    domain (a negative sqrt, cos of inf) raises the math module's ValueError.
     """
     for a in args:
         if isinstance(a, np.ndarray):
+            if fn in _UFUNCS:
+                try:
+                    with np.errstate(invalid="raise"):
+                        return _UFUNCS[fn](*args)
+                except FloatingPointError:
+                    pass  # the map below raises what the single call raises
             cols = [b.tolist() if isinstance(b, np.ndarray) else repeat(b) for b in args]
             return np.fromiter(map(fn, *cols), dtype=float, count=len(a))
     return fn(*args)
 
 
 def _cos_sin(x):
-    """(cos x, sin x) of a float, or of each entry of an array, through libm."""
+    """(cos x, sin x) of a float, or of each entry of an array, with libm's bits."""
     return _math(math.cos, x), _math(math.sin, x)
 
 

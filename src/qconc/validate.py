@@ -21,9 +21,10 @@ builds its raw (n, 4, 4) stack, validates it with one check_states call
 invariants, the oracle and the closed form under test on it, one call each;
 the family suites share that kernel (_family). The samplers draw (n, k)
 blocks: uniform rows, or a Dirichlet or normal block followed by uniform
-blocks; only the rank-2 rejection sampler walks its rows, to keep each
-state's first accepted try. Parameter dataclasses of single states are built
-only for the offenders a report prints. run_suites plans every requested
+blocks; the rank-2 rejection sampler draws rounds of rows and scans each
+round's runs of rejections at once, so each state keeps its first accepted
+try. Parameter dataclasses of single states are built only for the
+offenders a report prints. run_suites plans every requested
 suite's chunks first (_tasks) and runs them (_chunk_results): in this process
 when every suite has one chunk, when one CPU is usable or when the platform
 cannot fork, and otherwise on one pool of forked workers, one per usable
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 import os
 import signal
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -144,7 +145,9 @@ class SuiteReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as they are: the kernels' offenders and the merged extras
+        are JSON data already, so nothing is copied or converted."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 #: the worst states a report lists, most deviant first
@@ -232,7 +235,7 @@ def _chunked_suite(
             mean_deviation=float(devs.mean()) if devs.size else 0.0,
             violations=violations,
             tolerance=tolerance,
-            worst=_jsonable(offenders),
+            worst=offenders,
             extra=_jsonable(merged),
             notes=notes,
         )
@@ -340,25 +343,25 @@ def sample_nondegenerate_rank2(rng, n: int) -> Rank2Canonical:
 
     Each try draws one row of five uniforms; a state takes the first try
     that clears the guards, and raises SamplerExhausted after
-    REJECTION_LIMIT tries. Rows are drawn in blocks and the accepted ones
+    REJECTION_LIMIT tries. Rows are drawn in rounds and the accepted ones
     kept in order.
     """
     exhausted = f"no rank-2 draw cleared the guards in {REJECTION_LIMIT} draws"
     lows, highs = np.array(_RANK2_DRAWS).T
-    kept = []
-    tries = 0  # tries of the state being drawn
-    while len(kept) < n:
+    kept = [np.empty((0, len(lows)))]
+    missing, tries = n, 0  # tries: the rejections since the last accepted row
+    while missing:
         # at most one row per state still missing, so no row past the last
         # accepted one is ever drawn
-        rows = rng.uniform(lows, highs, size=(n - len(kept), len(lows)))
-        for row, ok in zip(rows, _clear_of_guards(Rank2Canonical(*rows.T))):
-            tries += 1
-            if ok:
-                kept.append(row)
-                tries = 0
-            elif tries == REJECTION_LIMIT:
-                raise SamplerExhausted(exhausted)
-    return Rank2Canonical(*np.array(kept).reshape(-1, len(lows)).T)
+        rows = rng.uniform(lows, highs, size=(missing, len(lows)))
+        ok = _clear_of_guards(Rank2Canonical(*rows.T))
+        # each run of rejections: before each accepted row, then after the last
+        runs = np.diff(np.concatenate(([-1 - tries], np.flatnonzero(ok), [missing]))) - 1
+        if runs.max() >= REJECTION_LIMIT:
+            raise SamplerExhausted(exhausted)
+        kept.append(rows[ok])
+        missing, tries = missing - len(runs) + 1, int(runs[-1])
+    return Rank2Canonical(*np.concatenate(kept).T)
 
 
 def sample_rank2_sep(rng, n: int) -> Rank2SepDecomp:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -15,6 +16,8 @@ from qconc.qstate import (
     SIGMA_Y,
     SIGMA_Z,
     BlochDecomposition,
+    _cos_sin,
+    _math,
     DensityOperator,
     assemble,
     batch_decompose,
@@ -25,7 +28,12 @@ from qconc.qstate import (
     rank_of,
     werner_state,
 )
-from qconc.validate import batch_haar_u2, batch_random_mixed, batch_random_pure
+from qconc.validate import (
+    batch_haar_u2,
+    batch_random_mixed,
+    batch_random_pure,
+    sample_nondegenerate_rank2,
+)
 
 _SIGMAS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
@@ -431,3 +439,87 @@ def test_werner_weight_range():
 def test_werner_interpolates_purity():
     assert werner_state(0.0).purity() == pytest.approx(0.25)
     assert werner_state(1.0).purity() == pytest.approx(1.0)
+
+
+# -- block math ---------------------------------------------------------------
+
+
+def _per_entry(fn, *args) -> np.ndarray:
+    """fn called once per entry: the bits a block's rows must keep."""
+    n = next(len(a) for a in args if isinstance(a, np.ndarray))
+    cols = [a.tolist() if isinstance(a, np.ndarray) else [a] * n for a in args]
+    return np.array([fn(*row) for row in zip(*cols)], dtype=float)
+
+
+def _bits(x) -> list:
+    """The IEEE bit patterns of a float array, so signed zeros and NaNs count."""
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+def _rank2_doubled_angles() -> np.ndarray:
+    """2 alpha and 2 beta of sampled rank-2 states, the angles whose cosines
+    local_observables_rank2 takes."""
+    params = sample_nondegenerate_rank2(np.random.default_rng(0), 5000)
+    return np.concatenate([2.0 * params.alpha, 2.0 * params.beta])
+
+
+_LIBM_ANGLES = {
+    "uniform-0-2pi": lambda: np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, 100_000),
+    "rank2-doubled": _rank2_doubled_angles,
+    "edges": lambda: np.array([0.0, -0.0, math.pi / 4.0, math.pi / 2.0, math.pi]),
+}
+
+
+@pytest.mark.parametrize("angles", list(_LIBM_ANGLES))
+def test_numpy_cos_sin_have_libm_bits(angles):
+    """Blocks take np.cos and np.sin only because they give math.cos and
+    math.sin's bits on every angle; numpy does not promise this, and its SIMD
+    dispatch could change it, so it is checked here."""
+    x = _LIBM_ANGLES[angles]()
+    assert _bits(np.cos(x)) == _bits(_per_entry(math.cos, x))
+    assert _bits(np.sin(x)) == _bits(_per_entry(math.sin, x))
+    assert [_bits(v) for v in _cos_sin(x)] == [_bits(np.cos(x)), _bits(np.sin(x))]
+
+
+_EDGE_VALUES = [0.0, -0.0, math.nan, -math.nan, 1.0, -1.0, 0.5, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("fn", [max, min])
+def test_block_max_min_keep_python_ties(fn):
+    a = np.repeat(_EDGE_VALUES, len(_EDGE_VALUES))
+    b = np.tile(_EDGE_VALUES, len(_EDGE_VALUES))
+    for args in [(a, b), (b, a), (a, 0.0), (0.0, a), (a, -0.0), (-0.0, a), (math.nan, a), (a, math.nan)]:
+        assert _bits(_math(fn, *args)) == _bits(_per_entry(fn, *args))
+
+
+def test_block_max_keeps_the_first_of_a_tie_or_a_nan():
+    assert _bits(_math(max, 0.0, np.array([math.nan]))) == _bits([0.0])
+    assert _bits(_math(max, np.array([-0.0]), 0.0)) == _bits([-0.0])
+    assert _bits(_math(min, np.array([0.0]), -0.0)) == _bits([0.0])
+    assert np.isnan(_math(max, np.array([math.nan]), 0.0)).all()
+
+
+def test_block_sqrt_cos_sin_match_the_per_entry_call():
+    rng = np.random.default_rng(3)
+    spread = rng.uniform(0.0, 1.0, 10_000) * 10.0 ** rng.integers(-300, 300, 10_000)
+    edges = np.array([0.0, -0.0, math.nan, math.inf, 5e-324, 0.25, 2.0, 1.7976931348623157e308])
+    for x in (spread, edges):
+        assert _bits(_math(math.sqrt, x)) == _bits(_per_entry(math.sqrt, x))
+    for x in (rng.uniform(-50.0, 50.0, 10_000), np.array([0.0, -0.0, math.nan, 1e300])):
+        for fn in (math.cos, math.sin):
+            assert _bits(_math(fn, x)) == _bits(_per_entry(fn, x))
+
+
+@pytest.mark.parametrize(
+    "fn, bad", [(math.sqrt, -1.0), (math.sqrt, -math.inf), (math.cos, math.inf), (math.sin, -math.inf)]
+)
+def test_block_outside_the_domain_raises_the_math_error(fn, bad):
+    """A block with one entry outside the domain raises the ValueError of that
+    entry's single call, not numpy's NaN and RuntimeWarning."""
+    with pytest.raises(ValueError) as single:
+        fn(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as block:
+            _math(fn, np.array([1.0, bad, 2.0]))
+    assert str(block.value) == str(single.value)

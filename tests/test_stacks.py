@@ -10,6 +10,7 @@ from numpy.testing import assert_array_equal
 from conftest import one_state
 from test_concurrence import _bell_mixture, _clamp_edge
 
+from qconc import validate
 from qconc.bounds import (
     Rank3Mixture,
     Rank4Mixture,
@@ -539,6 +540,87 @@ def test_block_rejection_sampler_stops_at_the_limit():
     with pytest.raises(SamplerExhausted, match=str(REJECTION_LIMIT)):
         sample_nondegenerate_rank2(rng, 4)
     assert 4 * rng.draws == REJECTION_LIMIT
+
+
+def _rank2_row_walk(rng, n: int) -> np.ndarray:
+    """The rank-2 rejection sampler as a walk over its rows, one try at a
+    time, drawing the same rounds: the reference its vectorized scan keeps."""
+    limit = validate.REJECTION_LIMIT
+    lows, highs = np.array(validate._RANK2_DRAWS).T
+    kept, tries = [], 0
+    while len(kept) < n:
+        rows = rng.uniform(lows, highs, size=(n - len(kept), len(lows)))
+        for row, ok in zip(rows, validate._clear_of_guards(Rank2Canonical(*rows.T))):
+            tries += 1
+            if ok:
+                kept.append(row)
+                tries = 0
+            elif tries == limit:
+                raise SamplerExhausted(f"no rank-2 draw cleared the guards in {limit} draws")
+    return np.array(kept).reshape(-1, len(lows))
+
+
+def _sampled(sample, rng, n):
+    """(block or exception message, generator state) of one sampler call."""
+    try:
+        out = sample(rng, n)
+    except SamplerExhausted as exc:
+        return str(exc), rng.bit_generator.state
+    if not isinstance(out, np.ndarray):
+        out = np.stack([getattr(out, f.name) for f in fields(out)], axis=1)
+    return out.tobytes(), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 7, 200])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 11])
+def test_rank2_scan_keeps_the_row_walk(n, seed):
+    """Same rows, same generator state after the call."""
+    assert _sampled(sample_nondegenerate_rank2, np.random.default_rng(seed), n) == _sampled(
+        _rank2_row_walk, np.random.default_rng(seed), n
+    )
+
+
+class _AcceptedRows:
+    """A stand-in for the rank-2 guards that clears exactly the rows whose
+    index, counted over every row it is shown, is in accepted."""
+
+    def __init__(self, accepted):
+        self.accepted, self.shown = sorted(accepted), 0
+
+    def __call__(self, params):
+        index = np.arange(self.shown, self.shown + len(params.alpha))
+        self.shown += len(index)
+        assert self.shown < 1000, "the sampler did not stop at its limit"
+        return np.isin(index, self.accepted)
+
+
+@pytest.mark.parametrize(
+    "accepted, exhausted",
+    [
+        # rounds of 4, 2, 2 rows: the run of rows 2-6 reaches the limit of 5
+        # in the third round
+        ({0, 1}, True),
+        # the same run stops at rows 2-5, one short, and row 6 is kept
+        ({0, 1, 6, 8}, False),
+        # a run from the last row of the first round over four rounds of one
+        # row: rows 3-7 reach the limit, rows 3-6 stop one short
+        ({0, 1, 2}, True),
+        ({0, 1, 2, 7}, False),
+        (set(), True),
+    ],
+)
+def test_rank2_scan_exhausts_at_the_row_walks_row(monkeypatch, accepted, exhausted):
+    """Runs of rejections that cross a round boundary raise SamplerExhausted
+    on the same round, after the same rows, as the row walk."""
+    monkeypatch.setattr(validate, "REJECTION_LIMIT", 5)
+    outcomes = []
+    for sample in (sample_nondegenerate_rank2, _rank2_row_walk):
+        guard = _AcceptedRows(accepted)
+        monkeypatch.setattr(validate, "_clear_of_guards", guard)
+        outcomes.append((_sampled(sample, np.random.default_rng(0), 4), guard.shown))
+    assert outcomes[0] == outcomes[1]
+    (result, _), _ = outcomes[0]
+    assert (result == "no rank-2 draw cleared the guards in 5 draws") == exhausted
 
 
 # -- closed forms on blocks ---------------------------------------------------

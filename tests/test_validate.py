@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -98,6 +99,27 @@ def test_to_dict_is_json_ready():
     assert back["samples"] == rep.samples
     assert isinstance(back["worst"], list)
     assert isinstance(back["extra"], dict)
+
+
+def _plain_json(value) -> bool:
+    """Whether value is built of Python's own JSON types only (no numpy
+    scalars, tuples or dataclasses)."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain_json(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_plain_json(v) for v in value)
+    return value is None or type(value) in (str, int, float, bool)
+
+
+def test_to_dict_equals_asdict():
+    """to_dict hands out the fields without asdict's deep copy, and the
+    merge keeps the kernels' offenders as they are: on every suite the
+    report equals asdict's and is plain JSON data."""
+    reports = run_suites(None, 200, seed=0)
+    assert len(reports) == len(SUITES) == 15
+    for rep in reports:
+        assert rep.to_dict() == dataclasses.asdict(rep)
+        assert _plain_json(rep.to_dict())
 
 
 def test_seed_determines_the_report():
