@@ -16,12 +16,7 @@ import sys
 import numpy as np
 
 from .concurrence import ConcurrenceDiagnostics, batch_oracle, concurrence_oracle
-from .errors import (
-    DomainError,
-    I1Zero,
-    NotPure,
-    QconcError,
-)
+from .errors import QconcError
 from .estimators import (
     XState,
     assemble_ladder,
@@ -146,35 +141,35 @@ def _applicable_estimates(
 ) -> list[dict]:
     """Family estimates that apply to rho, given its decomposition, invariants
     and oracle diagnostics, each with its deviation from the oracle value or
-    the error that the estimate raised, in the order of the table below."""
+    the QconcError or ValueError that the estimate raised, in the order of
+    the table below."""
     m = rho.matrix
     rank2 = diag.rank == 2
     # a state at validation's 1e-10 tolerances can fail a family's 1e-12 checks
     xstate = _is_xstate(rho, tol)
     ladder = _is_ladder(rho, tol)
-    # (name, applies, errors the estimate reports, estimate)
+    # (name, applies, estimate)
     rows = (
-        ("pure", diag.rank == 1, NotPure, lambda: estimate_pure(inv)),
-        ("rank2-reconstruction", rank2, QconcError, lambda: concurrence_oracle(
+        ("pure", diag.rank == 1, lambda: estimate_pure(inv)),
+        ("rank2-reconstruction", rank2, lambda: concurrence_oracle(
             assemble_rank2(reconstruct_rank2(bloch.p, bloch.s))).value),
         # both top eigenvalues at 1/2; eigvalsh runs on rank-2 states only
         ("projection2", rank2 and all(abs(e - 0.5) <= 1e-6 for e in rho.eigenvalues()[-2:]),
-         DomainError, lambda: estimate_projection2(inv)),
-        ("rank2-sep2", rank2, DomainError, lambda: estimate_rank2_sep2(inv)),
-        ("xstate-direct", xstate, ValueError, lambda: xstate_concurrence(
+         lambda: estimate_projection2(inv)),
+        ("rank2-sep2", rank2, lambda: estimate_rank2_sep2(inv)),
+        ("xstate-direct", xstate, lambda: xstate_concurrence(
             XState(*(float(m[k, k].real) for k in range(4)), complex(m[1, 2])))),
-        ("xstate-invariant", xstate, (I1Zero, DomainError),
-         lambda: xstate_concurrence_invariant(inv)),
-        ("ladder-rho11", ladder, (), lambda: ladder_concurrence(float(m[0, 0].real))),
-        ("ladder-szpz", ladder, ValueError, lambda: ladder_from_correlation(float(bloch.pi[2, 2]))),
+        ("xstate-invariant", xstate, lambda: xstate_concurrence_invariant(inv)),
+        ("ladder-rho11", ladder, lambda: ladder_concurrence(float(m[0, 0].real))),
+        ("ladder-szpz", ladder, lambda: ladder_from_correlation(float(bloch.pi[2, 2]))),
     )
     entries: list[dict] = []
-    for name, applies, errors, estimate in rows:
+    for name, applies, estimate in rows:
         if not applies:
             continue
         try:
             value = float(estimate())
-        except errors as exc:
+        except (QconcError, ValueError) as exc:
             entries.append({"name": name, "error": f"{type(exc).__name__}: {exc}"})
         else:
             entries.append({"name": name, "value": value, "deviation": float(abs(value - diag.value))})

@@ -54,7 +54,7 @@ class Infeasible(QconcError):
 
 
 class SamplerExhausted(QconcError):
-    """A rejection sampler rejected REJECTION_LIMIT draws in a row."""
+    """A rejection sampler gave up after REJECTION_LIMIT rounds."""
 
 
 class WorkerLost(QconcError):

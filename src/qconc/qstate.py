@@ -23,8 +23,8 @@ PSD_TOL = 1e-10
 WEIGHT_TOL = 1e-10
 #: rho + this has a Cholesky factor only if rho's eigenvalues are above -PSD_TOL
 _CERTIFICATE_SHIFT = (PSD_TOL - 1e-14) * np.eye(4)
-#: draws (or redraw rounds) a rejection sampler makes before it raises
-#: SamplerExhausted; every sampler accepts well over a third of its draws
+#: rounds a rejection sampler draws before it raises SamplerExhausted; every
+#: sampler accepts well over a third of its draws
 REJECTION_LIMIT = 1000
 
 ID2 = np.eye(2, dtype=complex)

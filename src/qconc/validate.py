@@ -21,9 +21,9 @@ builds its raw (n, 4, 4) stack, validates it with one check_states call
 invariants, the oracle and the closed form under test on it, one call each;
 a family suite's kernel (_xstate, say) is just those calls. The samplers
 draw (n, k) blocks: uniform rows, or a Dirichlet or normal block followed by
-uniform blocks; the rank-2 rejection sampler draws rounds of rows and scans
-each round's runs of rejections at once, so each state keeps its first
-accepted try. Parameter dataclasses of single states are built only for the
+uniform blocks; both rejection samplers draw in rounds and give up after
+REJECTION_LIMIT rounds, the rank-2 one keeping the first n accepted rows.
+Parameter dataclasses of single states are built only for the
 offenders a report prints. run_suites plans every requested suite's chunks
 first, as (kernel, draw, size) tasks, and runs them (_chunk_results): in
 this process when every suite has one chunk, when one CPU is usable or when
@@ -336,27 +336,19 @@ def sample_nondegenerate_rank2(rng, n: int) -> Rank2Canonical:
     """A block of n canonical rank-2 parameters kept clear of every
     reconstruction guard.
 
-    Each try draws one row of five uniforms; a state takes the first try
-    that clears the guards, and raises SamplerExhausted after
-    REJECTION_LIMIT tries. Rows are drawn in rounds and the accepted ones
-    kept in order.
+    Each round draws an (n, 5) block of uniform rows and keeps the rows that
+    clear the guards; the block is the first n kept rows in draw order, so
+    each state takes the first row of the stream that clears them. Raises
+    SamplerExhausted after REJECTION_LIMIT rounds.
     """
-    exhausted = f"no rank-2 draw cleared the guards in {REJECTION_LIMIT} draws"
     lows, highs = np.array(_RANK2_DRAWS).T
-    kept = [np.empty((0, len(lows)))]
-    missing, tries = n, 0  # tries: the rejections since the last accepted row
-    while missing:
-        # at most one row per state still missing, so no row past the last
-        # accepted one is ever drawn
-        rows = rng.uniform(lows, highs, size=(missing, len(lows)))
-        ok = _clear_of_guards(Rank2Canonical(*rows.T))
-        # each run of rejections: before each accepted row, then after the last
-        runs = np.diff(np.concatenate(([-1 - tries], np.flatnonzero(ok), [missing]))) - 1
-        if runs.max() >= REJECTION_LIMIT:
-            raise SamplerExhausted(exhausted)
-        kept.append(rows[ok])
-        missing, tries = missing - len(runs) + 1, int(runs[-1])
-    return Rank2Canonical(*np.concatenate(kept).T)
+    kept = []
+    for _ in range(REJECTION_LIMIT):
+        rows = rng.uniform(lows, highs, size=(n, len(lows)))
+        kept.append(rows[_clear_of_guards(Rank2Canonical(*rows.T))])
+        if sum(map(len, kept)) >= n:
+            return Rank2Canonical(*np.concatenate(kept)[:n].T)
+    raise SamplerExhausted(f"{REJECTION_LIMIT} rounds kept fewer than {n} rank-2 rows")
 
 
 def sample_rank2_sep(rng, n: int) -> Rank2SepDecomp:

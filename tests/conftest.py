@@ -43,10 +43,11 @@ EDGE = 0.99e-10
 
 @st.composite
 def edge_states(draw) -> np.ndarray:
-    """A matrix at the edges of what validation accepts: a Bell state or a
-    random state of rank 1-4, with its smallest eigenvalue set in [-EDGE, 0],
-    its trace scaled to within EDGE of 1 and an anti-Hermitian part whose
-    residual |m - m^H| is up to EDGE at one entry."""
+    """A matrix at the edges of what validation accepts: a Bell state, a
+    computational basis state or a random state of rank 1-4, with its
+    smallest eigenvalue set in [-EDGE, 0], its trace scaled to within EDGE
+    of 1 and an anti-Hermitian part whose residual |m - m^H| is up to EDGE
+    at one entry."""
     from qconc.qstate import bell_state, random_rank_k
 
     base = draw(
@@ -54,6 +55,7 @@ def edge_states(draw) -> np.ndarray:
             st.sampled_from(["phi+", "phi-", "psi+", "psi-"]).map(
                 lambda kind: bell_state(kind).matrix
             ),
+            st.integers(0, 3).map(lambda k: np.diag(np.eye(4)[k])),
             st.builds(
                 lambda k, seed: random_rank_k(k, seed).matrix,
                 st.integers(1, 4),

@@ -88,7 +88,7 @@ def test_pool_and_inline_give_the_same_bytes(monkeypatch, names):
     "error",
     [
         InvalidState("state 2: not positive semidefinite", lowest_eigenvalue=-0.25),
-        SamplerExhausted("no rank-2 draw cleared the guards in 1000 draws"),
+        SamplerExhausted("1000 rounds kept fewer than 2500 rank-2 rows"),
         MemoryError("Unable to allocate 7.11 PiB for an array"),
     ],
     ids=lambda e: type(e).__name__,

@@ -20,9 +20,10 @@ from conftest import UNREADABLE, bloch_payload, edge_states, write_state
 import qconc.validate
 from qconc.cli import main
 from qconc.concurrence import concurrence_oracle
+from qconc.errors import InvalidState
 from qconc.estimators import Rank2Canonical, assemble_rank2
 from qconc.invariants import invariant_vector
-from qconc.qstate import DensityOperator, decompose, random_rank_k, werner_state
+from qconc.qstate import DensityOperator, check_states, decompose, random_rank_k, werner_state
 from qconc.stateio import (
     canonical_dumps,
     read_state,
@@ -212,6 +213,21 @@ class TestConcurrence:
         assert code == 1
         assert out == ""
         assert "error: InvalidState" in err
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_a_basis_state_at_the_trace_tolerance_gets_a_report(capsys, tmp_path, k):
+    """Basis state k with trace 1 + 0.9e-10 passes validation, and I1 =
+    (1 + 0.9e-10)^2 takes the pure estimate's radicand to -1.8e-10, beyond
+    its 1e-10 tolerance: the report exits 0 with that error as the pure
+    entry."""
+    path = tmp_path / "basis.json"
+    write_state(path, DensityOperator(np.diag(np.eye(4)[k]) * (1.0 + 0.9e-10)))
+    code, out, _ = run(capsys, "concurrence", str(path), "--format", "json")
+    assert code == 0
+    pure = [e for e in json.loads(out)["estimates"] if e["name"] == "pure"]
+    assert len(pure) == 1 and set(pure[0]) == {"name", "error"}
+    assert pure[0]["error"].startswith("DomainError: radicand ")
 
 
 #: estimate rows of three family reports, as the report path wrote them when
@@ -546,9 +562,9 @@ def _scaled_singlet(factor):
 @given(edge_states())
 def test_edge_states_end_in_a_unit_interval_oracle_or_an_error(tmp_path_factory, m):
     """A state at the acceptance tolerances of validation ends in exit 0 with
-    an oracle and every estimate in [0, 1], or in exit 1 with an error line;
-    the family estimates whose checks are tighter than validation's report
-    an error."""
+    an oracle and every estimate in [0, 1], or, only when validation rejects
+    it, in exit 1 with an error line; the family estimates whose checks are
+    tighter than validation's report an error."""
     folder = tmp_path_factory.getbasetemp()
     state, report = folder / "edge-state.json", folder / "edge-report.json"
     matrix = [[{"re": v.real, "im": v.imag} for v in row] for row in m]
@@ -566,6 +582,8 @@ def test_edge_states_end_in_a_unit_interval_oracle_or_an_error(tmp_path_factory,
     else:
         assert code == 1
         assert err.getvalue().startswith("error: ")
+        with pytest.raises(InvalidState):
+            check_states(m[None])
 
 
 # -- command lines -----------------------------------------------------------

@@ -67,6 +67,25 @@ def test_readme_quick_start_prints_its_comments():
         assert [float(x) for x in _NUMBER.findall(line)] == pytest.approx(numbers, abs=1e-12)
 
 
+def test_readme_cli_report_is_the_clis(capsys, monkeypatch, tmp_path):
+    """The README's `gen --named ladder:0.3` and `concurrence` commands, run
+    through cli.main, print the README's text block, and the report of
+    `werner:0.8` ends in `estimate    none applicable`."""
+    from qconc.cli import main
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```text\n(.*?)```", readme.split("qconc concurrence l.json", 1)[1], re.S)
+    monkeypatch.chdir(tmp_path)
+    for argv in (["gen", "--named", "ladder:0.3", "--out", "l.json"], ["concurrence", "l.json"]):
+        assert f"qconc {' '.join(argv)}\n" in readme
+        assert main(argv) == 0
+    assert capsys.readouterr().out == block.group(1)
+    assert main(["gen", "--named", "werner:0.8", "--out", "w.json"]) == 0
+    capsys.readouterr()
+    assert main(["concurrence", "w.json"]) == 0
+    assert capsys.readouterr().out.endswith("\nestimate    none applicable\n")
+
+
 def _declared_version() -> str:
     """[project] version from pyproject.toml, read without tomllib (absent
     before Python 3.11)."""

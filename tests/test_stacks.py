@@ -343,8 +343,8 @@ class _AlwaysRejected(np.random.Generator):
         return mid if size is None else np.full(size, mid)
 
 
-#: (sampler, generator calls per try); the rank-2 sampler's n = 1 block
-#: draws each try as one row of five uniforms
+#: (sampler, generator calls per round); the rank-2 sampler's n = 1 block
+#: draws each round as one row of five uniforms
 _SAMPLERS = {
     "random_rank_k": (lambda g: random_rank_k(3, g), 1),
     "batch_random_mixed": (lambda g: batch_random_mixed(g, 5, 3), 1),
@@ -354,13 +354,13 @@ _SAMPLERS = {
 
 @pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
 def test_rejection_samplers_stop_at_the_limit(sampler):
-    draw, draws_per_try = _SAMPLERS[sampler]
+    draw, draws_per_round = _SAMPLERS[sampler]
     rng = _AlwaysRejected()
     with pytest.raises(SamplerExhausted, match=str(REJECTION_LIMIT)):
         draw(rng)
     # random_rank_k is batch_random_mixed's n=1 call: the first full draw
     extra = 1 if sampler in ("batch_random_mixed", "random_rank_k") else 0
-    assert rng.draws == draws_per_try * REJECTION_LIMIT + extra
+    assert rng.draws == draws_per_round * REJECTION_LIMIT + extra
 
 
 def _same_bits(a, b) -> bool:
@@ -534,93 +534,37 @@ def test_a_block_raises_its_first_failing_row_not_its_first_failing_rule():
 
 
 def test_block_rejection_sampler_stops_at_the_limit():
-    """The block sampler draws one row per missing state and round; a state
-    that no try clears raises after REJECTION_LIMIT rows."""
+    """The block sampler draws one (n, 5) block per round and raises after
+    REJECTION_LIMIT rounds that keep fewer than n rows."""
     rng = _AlwaysRejected()
     with pytest.raises(SamplerExhausted, match=str(REJECTION_LIMIT)):
         sample_nondegenerate_rank2(rng, 4)
-    assert 4 * rng.draws == REJECTION_LIMIT
+    assert rng.draws == REJECTION_LIMIT
 
 
 def _rank2_row_walk(rng, n: int) -> np.ndarray:
     """The rank-2 rejection sampler as a walk over its rows, one try at a
-    time, drawing the same rounds: the reference its vectorized scan keeps."""
-    limit = validate.REJECTION_LIMIT
+    time, each round drawing one row per state still missing: the reference
+    whose rows the block sampler keeps."""
     lows, highs = np.array(validate._RANK2_DRAWS).T
-    kept, tries = [], 0
+    kept = []
     while len(kept) < n:
         rows = rng.uniform(lows, highs, size=(n - len(kept), len(lows)))
         for row, ok in zip(rows, validate._clear_of_guards(Rank2Canonical(*rows.T))):
-            tries += 1
             if ok:
                 kept.append(row)
-                tries = 0
-            elif tries == limit:
-                raise SamplerExhausted(f"no rank-2 draw cleared the guards in {limit} draws")
     return np.array(kept).reshape(-1, len(lows))
 
 
-def _sampled(sample, rng, n):
-    """(block or exception message, generator state) of one sampler call."""
-    try:
-        out = sample(rng, n)
-    except SamplerExhausted as exc:
-        return str(exc), rng.bit_generator.state
-    if not isinstance(out, np.ndarray):
-        out = np.stack([getattr(out, f.name) for f in fields(out)], axis=1)
-    return out.tobytes(), rng.bit_generator.state
-
-
-@pytest.mark.parametrize("n", [1, 7, 200])
+@pytest.mark.parametrize("n", [1, 7, 200, 2500])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 11])
-def test_rank2_scan_keeps_the_row_walk(n, seed):
-    """Same rows, same generator state after the call."""
-    assert _sampled(sample_nondegenerate_rank2, np.random.default_rng(seed), n) == _sampled(
-        _rank2_row_walk, np.random.default_rng(seed), n
-    )
-
-
-class _AcceptedRows:
-    """A stand-in for the rank-2 guards that clears exactly the rows whose
-    index, counted over every row it is shown, is in accepted."""
-
-    def __init__(self, accepted):
-        self.accepted, self.shown = sorted(accepted), 0
-
-    def __call__(self, params):
-        index = np.arange(self.shown, self.shown + len(params.alpha))
-        self.shown += len(index)
-        assert self.shown < 1000, "the sampler did not stop at its limit"
-        return np.isin(index, self.accepted)
-
-
-@pytest.mark.parametrize(
-    "accepted, exhausted",
-    [
-        # rounds of 4, 2, 2 rows: the run of rows 2-6 reaches the limit of 5
-        # in the third round
-        ({0, 1}, True),
-        # the same run stops at rows 2-5, one short, and row 6 is kept
-        ({0, 1, 6, 8}, False),
-        # a run from the last row of the first round over four rounds of one
-        # row: rows 3-7 reach the limit, rows 3-6 stop one short
-        ({0, 1, 2}, True),
-        ({0, 1, 2, 7}, False),
-        (set(), True),
-    ],
-)
-def test_rank2_scan_exhausts_at_the_row_walks_row(monkeypatch, accepted, exhausted):
-    """Runs of rejections that cross a round boundary raise SamplerExhausted
-    on the same round, after the same rows, as the row walk."""
-    monkeypatch.setattr(validate, "REJECTION_LIMIT", 5)
-    outcomes = []
-    for sample in (sample_nondegenerate_rank2, _rank2_row_walk):
-        guard = _AcceptedRows(accepted)
-        monkeypatch.setattr(validate, "_clear_of_guards", guard)
-        outcomes.append((_sampled(sample, np.random.default_rng(0), 4), guard.shown))
-    assert outcomes[0] == outcomes[1]
-    (result, _), _ = outcomes[0]
-    assert (result == "no rank-2 draw cleared the guards in 5 draws") == exhausted
+def test_rank2_rounds_keep_the_row_walk(n, seed):
+    """The same rows, bit for bit: uniform fills a block's rows in stream
+    order, so rounds of n rows keep the rows that rounds of the missing
+    count keep."""
+    block = sample_nondegenerate_rank2(np.random.default_rng(seed), n)
+    rows = np.stack([getattr(block, f.name) for f in fields(block)], axis=1)
+    assert _same_bits(rows, _rank2_row_walk(np.random.default_rng(seed), n))
 
 
 # -- closed forms on blocks ---------------------------------------------------
