@@ -34,7 +34,6 @@ _EXPORTS = {
         DomainError
         EigSolveFailure
         I1Zero
-        I3Mismatch
         Infeasible
         InvalidState
         NotAState

@@ -36,11 +36,6 @@ class ConcurrenceDiagnostics:
     value: float
     rank: int
 
-    @classmethod
-    def from_lambdas(cls, lambdas, rank: int) -> "ConcurrenceDiagnostics":
-        lam = tuple(sorted(map(float, lambdas), reverse=True))
-        return cls(lambdas=lam, value=_value(*lam), rank=rank)
-
 
 def _value(l1, l2, l3, l4):
     """Concurrence of descending roots (floats or (n,) arrays), held to [0, 1]."""
@@ -237,9 +232,9 @@ def concurrence_oracle(rho) -> ConcurrenceDiagnostics:
     """Exact concurrence for any two-qubit density operator.
 
     A raw array is validated first and raises InvalidState if unphysical;
-    the factor and the roots are those of :func:`batch_lambdas`, on floats.
+    the roots are :func:`batch_lambdas`' on floats, descending from _roots.
     """
     parts = _float_parts(_validated_matrix(rho))
     columns = [(lr, li) for _, lr, li in _pivoted_factor(parts[0::2], parts[1::2])]
-    roots = _roots(columns)
-    return ConcurrenceDiagnostics.from_lambdas(roots + [0.0] * (4 - len(roots)), len(roots))
+    lam = tuple(map(float, _roots(columns))) + (0.0,) * (4 - len(columns))
+    return ConcurrenceDiagnostics(lambdas=lam, value=_value(*lam), rank=len(columns))

@@ -28,10 +28,6 @@ class EigSolveFailure(QconcError):
     """The oracle's LAPACK solver (the SVD of its rank-k block) did not converge."""
 
 
-class I3Mismatch(QconcError):
-    """The two equivalent contractions for the third invariant disagree."""
-
-
 class NotPure(QconcError):
     """Purity residuals are too large for a pure-state-only formula."""
 

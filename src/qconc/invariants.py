@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import I3Mismatch
-from .qstate import BlochDecomposition, _Guards
-
-I3_TOL = 1e-8
+from .qstate import BlochDecomposition
 
 
 @dataclass(frozen=True)
@@ -49,22 +46,15 @@ def _cross(x, y) -> list:
 def _invariants(p, s, pi) -> list:
     """The nine invariants from p, s and the rows of pi, as 3-lists of floats
     for one state or of (n,) arrays for a stack, whose rows then get the
-    single-state bits: every product and sum is one IEEE operation.
-
-    I3 is taken along both contractions, p . (pi s) and s . (pi^T p), equal
-    for any pi; a gap beyond I3_TOL means corrupted input and raises
-    I3Mismatch (a stack's first mismatched row's)."""
+    single-state bits: every product and sum is one IEEE operation."""
     cols = list(zip(*pi))
     a = [_dot(row, s) for row in pi]
     b = [_dot(col, p) for col in cols]
     t = [[_dot(x, y) for y in pi] for x in pi]
-    i3, i3_sb = _dot(p, a), _dot(s, b)
-    guards = _Guards()
-    guards.check(abs(i3 - i3_sb) > I3_TOL, I3Mismatch, "p.a = {} but s.b = {}", i3, i3_sb)
     alpha_pi = [_dot(_cross(p, a), col) for col in cols]
     i6, i8 = t[0][0] + t[1][1] + t[2][2], _dot(t[0], t[0]) + _dot(t[1], t[1]) + _dot(t[2], t[2])
     i7, i9 = _dot([_dot(a, col) for col in cols], b), _dot(alpha_pi, _cross(s, b))
-    return guards.settle([_dot(p, p), _dot(s, s), i3, _dot(a, a), _dot(b, b), i6, i7, i8, i9])
+    return [_dot(p, p), _dot(s, s), _dot(p, a), _dot(a, a), _dot(b, b), i6, i7, i8, i9]
 
 
 def batch_invariants(p: np.ndarray, s: np.ndarray, pi: np.ndarray) -> np.ndarray:

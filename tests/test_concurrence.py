@@ -7,7 +7,7 @@ from conftest import concurrence_pure, edge_states
 
 from qconc.concurrence import (
     EIG_CLAMP,
-    ConcurrenceDiagnostics,
+    _value,
     batch_lambdas,
     batch_oracle,
     concurrence_oracle,
@@ -71,9 +71,36 @@ def test_diagnostics_spectrum_sorted_and_consistent():
     assert diag.value == recomputed
 
 
-def test_diagnostics_from_lambdas_clamps_at_zero():
-    diag = ConcurrenceDiagnostics.from_lambdas([0.3, 0.3, 0.2, 0.2], rank=4)
-    assert diag.value == 0.0 and diag.rank == 4
+def test_value_of_roots_clamps_at_zero():
+    assert _value(0.3, 0.3, 0.2, 0.2) == 0.0
+
+
+def _descending(lam) -> bool:
+    return all(x >= y for x, y in zip(lam, lam[1:]))
+
+
+def _assert_roots_descend(mats):
+    """The single-state oracle and every row of batch_lambdas give the roots
+    non-increasing, as _roots returns them and _value reads them."""
+    for m, row in zip(mats, batch_lambdas(mats)):
+        assert _descending(concurrence_oracle(m).lambdas)
+        assert _descending(row.tolist())
+
+
+def test_roots_descend_on_states_of_every_rank_and_at_ties():
+    ranks = [random_rank_k(k, seed).matrix for k in (1, 2, 3, 4) for seed in range(25)]
+    ties = [werner_state(0.0).matrix, bell_state("psi-").matrix, werner_state(1.0 / 3.0).matrix]
+    _assert_roots_descend(np.stack(ranks + ties))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_states())
+def test_roots_descend_on_edge_states(m):
+    try:
+        mats = check_states(m[None])
+    except InvalidState:
+        return
+    _assert_roots_descend(mats)
 
 
 def test_a_scaled_bell_state_gives_one_with_raw_lambdas():
