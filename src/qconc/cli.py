@@ -33,7 +33,6 @@ from .estimators import (
     xstate_concurrence_invariant,
 )
 from .invariants import InvariantVector, invariant_vector
-from .measurement import expectation
 from .qstate import (
     _BELL_AMPLITUDES,
     BlochDecomposition,
@@ -73,8 +72,8 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(out_path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
 
 
 def _load_state(path: str | None) -> DensityOperator:
@@ -282,6 +281,8 @@ def cmd_region(resolution, out_path, fmt):
 
 def cmd_ladder(resolution, out_path, fmt):
     """Sweep the singlet ladder line and emit (lam, C, <sz pz>, rho11)."""
+    from .measurement import expectation
+
     # i / (resolution - 1) for each i, with the bits of the Python division
     lams = np.arange(resolution) / (resolution - 1)
     mats = check_states(ladder_matrix(lams))

@@ -32,7 +32,17 @@ class InvariantVector:
         return np.array([getattr(self, f"i{k}") for k in range(1, 10)])
 
     def to_dict(self) -> dict:
-        return {f"i{k}": float(v) for k, v in enumerate(self.as_array(), start=1)}
+        return {
+            "i1": float(self.i1),
+            "i2": float(self.i2),
+            "i3": float(self.i3),
+            "i4": float(self.i4),
+            "i5": float(self.i5),
+            "i6": float(self.i6),
+            "i7": float(self.i7),
+            "i8": float(self.i8),
+            "i9": float(self.i9),
+        }
 
 
 def _dot(x, y):

@@ -54,12 +54,6 @@ _BLOCH_TERMS = [
 ]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
-    a.flags.writeable = False
-    return a
-
-
 def _complex_matrix(raw) -> np.ndarray:
     """A raw input as a complex 4x4 array; anything else raises InvalidState."""
     try:
@@ -347,14 +341,15 @@ class BlochDecomposition:
     pi: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).reshape(3)
-        s = np.asarray(self.s, dtype=float).reshape(3)
-        pi = np.asarray(self.pi, dtype=float)
+        p = np.array(self.p, dtype=float).reshape(3)
+        s = np.array(self.s, dtype=float).reshape(3)
+        pi = np.array(self.pi, dtype=float)
         if pi.shape != (3, 3):
             raise InvalidState(f"correlation matrix must be 3x3, got {pi.shape}")
         _require_finite(p, s, pi)
         for name, x in (("p", p), ("s", s), ("pi", pi)):
-            object.__setattr__(self, name, _freeze(x))
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
 
 
 def _bloch_fields(parts, terms=_BLOCH_TERMS) -> list:

@@ -5,15 +5,19 @@ matrix, {"matrix": [[{"re": .., "im": ..} x4] x4]}, and a Bloch payload,
 {"bloch": {"p": [..], "s": [..], "pi": [[..]]}}. Readers accept either and
 turn text that is no UTF-8 JSON, and any malformed, non-finite or unphysical
 payload, into InvalidState (or NotAState for Bloch data that is no state);
-the writer emits the matrix form. All dumps are canonical (sorted keys, fixed
-indentation, trailing newline) so that a fixed seed and fixed flags give
-byte-identical files.
+the writer emits the matrix form.
+
+Every report is canonical JSON, so that a fixed seed and fixed flags give
+byte-identical files: the bytes of json.dumps(payload, sort_keys=True,
+indent=2) plus a newline, with str keys only. canonical_dumps writes them in
+one pass; json's own indenting encoder is pure Python and slower.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -26,9 +30,51 @@ TOOL_NAME = "qconc"
 TOOL_VERSION = "0.1.0"
 
 
+_INF = float("inf")
+
+
+def _encode(value, newline: str) -> str:
+    """The text json.dumps(value, sort_keys=True, indent=2) gives for a value
+    that starts a line after newline (a line break and the value's indent).
+    Checks run in json's order; anything json would not write, and any key
+    that is no str, raises TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # _quote raises TypeError on a key that is no str
+        items = [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def canonical_dumps(payload) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, final newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: the bytes of json.dumps(payload, sort_keys=True,
+    indent=2) plus a final newline, written in one pass; str keys only."""
+    return _encode(payload, "\n") + "\n"
 
 
 def report_header(seed=None, tolerance=None, samples=None) -> dict:

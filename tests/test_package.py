@@ -110,11 +110,12 @@ def _loaded_after(statement: str) -> list[str]:
 def test_cli_import_leaves_click_out():
     """The CLI parses with the standard library; its one runtime dependency
     is numpy. The package loads no submodule until a name is used, and the
-    CLI loads the suites and the bounds only for the commands that run them."""
+    CLI loads the suites, the bounds and the measurement model only for the
+    commands that run them."""
     assert _loaded_after("import qconc") == ["qconc"]
     loaded = _loaded_after("import qconc.cli")
     assert "qconc.cli" in loaded
-    assert not {"qconc.validate", "qconc.bounds", "click"} & set(loaded)
+    assert not {"qconc.validate", "qconc.bounds", "qconc.measurement", "click"} & set(loaded)
 
 
 def test_single_chunk_validate_leaves_process_machinery_out(tmp_path):

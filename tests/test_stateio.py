@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import UNREADABLE, bloch_payload, write_state
 
@@ -34,6 +37,48 @@ class TestCanonicalText:
         assert header["samples"] == 100
         assert "tolerance" not in header
         assert "version" in header
+
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1)
+_FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
+#: st.text draws non-ASCII and control characters as well as plain ones
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from((2**70, -(2**70)))
+    | _FLOATS
+    | _FLOATS.map(np.float64)
+    | st.text()
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda kids: (
+        st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), kids, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example({"\u00e9\x00\n\u2028\U0001f600": ["\x1f\"\\\ud800", [], {}, ()]})
+@example([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 2**70, True, None])
+@example({"b": np.float64(0.1), "a": (np.float64(-math.inf), np.float64(math.nan))})
+@given(_PAYLOADS)
+def test_canonical_dumps_writes_the_bytes_of_json(payload):
+    assert canonical_dumps(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"x": np.int64(1)}, [np.zeros(2)], {"x": {1.0}}, {1: "one"}, {"x": [{2: 1}]}],
+    ids=["numpy-int64", "ndarray", "set", "int-key", "nested-int-key"],
+)
+def test_canonical_dumps_rejects_what_json_would_not_write_under_str_keys(payload):
+    with pytest.raises(TypeError):
+        canonical_dumps(payload)
 
 
 class TestStatePayloads:
