@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 
@@ -71,9 +72,15 @@ class _Exit(Exception):
 def _emit(text: str, out_path: str | None) -> None:
     if out_path in (None, "-"):
         sys.stdout.write(text)
-    else:
-        with open(out_path, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+        return
+    # one unbuffered write, repeated only if the kernel takes part of it
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _load_state(path: str | None) -> DensityOperator:
@@ -218,7 +225,7 @@ def cmd_concurrence(state_path, tol, out_path, fmt):
         "lambdas     " + " ".join(_fmt_float(v) for v in diag.lambdas),
         f"rank        {diag.rank}",
         "invariants  "
-        + " ".join(f"I{k}={_fmt_float(v)}" for k, v in enumerate(inv.as_array(), start=1)),
+        + " ".join(f"{name.upper()}={_fmt_float(v)}" for name, v in inv.to_dict().items()),
     ]
     if estimates:
         for e in estimates:
@@ -337,16 +344,19 @@ def _number(kind, low, high=None):
     return parse
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser, and each command's own parser by command word."""
     parser = _Parser(
         prog="qconc", description="Two-qubit concurrence toolkit.", allow_abbrev=False
     )
     commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    parsers = {}
 
     def command(name, func):
         doc = func.__doc__
         sub = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
         sub.set_defaults(run=func)
+        parsers[name] = sub
         return sub
 
     def out(sub):
@@ -394,18 +404,27 @@ def _build_parser() -> _Parser:
         out(grid)
         fmt(grid, "csv", "json")
 
-    return parser
+    return parser, parsers
 
 
-#: built once per process; every main call parses with it
-_PARSER = _build_parser()
+#: built once per process
+_PARSER, _COMMAND_PARSERS = _build_parser()
 
 
 def main(argv=None) -> int:
     """Entry point mapping errors to exit codes: 1 bad input or usage, or a
-    request too large to allocate, 2 validation failure."""
+    request too large to allocate, 2 validation failure.
+
+    The first word of the command line picks the parser: a command word
+    hands the rest to that command's own parser, which is the one the
+    top-level parser would hand it to, and any other line (--help, an empty
+    line, an unknown word) goes to the top-level parser."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = vars(_PARSER.parse_args(argv))
+        if argv and argv[0] in _COMMAND_PARSERS:
+            args = vars(_COMMAND_PARSERS[argv[0]].parse_args(argv[1:]))
+        else:
+            args = vars(_PARSER.parse_args(argv))
         args.pop("run")(**args)
     except _Exit as exc:
         if exc.message:

@@ -176,12 +176,20 @@ def _roots(columns) -> list:
         return [np.sqrt(re * re + im * im)]
     if len(columns) == 2:
         return list(_rank2_roots(*columns))
-    b = np.empty(np.shape(columns[0][0][0]) + (len(columns),) * 2, dtype=complex)
-    for i, u in enumerate(columns):
-        for j, v in enumerate(columns[: i + 1]):
-            re, im = _flip(u, v)
-            b.real[..., i, j] = b.real[..., j, i] = re
-            b.imag[..., i, j] = b.imag[..., j, i] = im
+    k = len(columns)
+    if isinstance(columns[0][0][0], np.ndarray):
+        b = np.empty(columns[0][0][0].shape + (k, k), dtype=complex)
+        for i, u in enumerate(columns):
+            for j, v in enumerate(columns[: i + 1]):
+                re, im = _flip(u, v)
+                b.real[..., i, j] = b.real[..., j, i] = re
+                b.imag[..., i, j] = b.imag[..., j, i] = im
+    else:  # one state: B as Python complex numbers, made an array once
+        b = [[0j] * k for _ in range(k)]
+        for i, u in enumerate(columns):
+            for j, v in enumerate(columns[: i + 1]):
+                b[i][j] = b[j][i] = complex(*_flip(u, v))
+        b = np.array(b)
     try:
         return list(np.linalg.svd(b, compute_uv=False).T)
     except np.linalg.LinAlgError as exc:

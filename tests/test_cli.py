@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import UNREADABLE, bloch_payload, edge_states, write_state
 
+import qconc.cli
 import qconc.validate
 from qconc.cli import main
 from qconc.concurrence import concurrence_oracle
@@ -439,6 +440,65 @@ class TestStdinPath:
         assert json.loads(out)["oracle"] == pytest.approx(1.0, abs=1e-10)
 
 
+class TestOutPath:
+    #: a report of each kind; STATE stands for a rank-3 state file
+    LINES = [
+        ["concurrence", "STATE"],
+        ["concurrence", "STATE", "--format", "json"],
+        ["gen", "--rank", "3"],
+        ["region", "--format", "json"],
+        ["validate", "--suite", "pure", "--samples", "5"],
+    ]
+
+    @pytest.mark.parametrize("argv", LINES, ids=" ".join)
+    def test_out_gets_the_bytes_of_stdout(self, capsys, tmp_path, argv):
+        state, path = tmp_path / "state.json", tmp_path / "report.out"
+        write_state(state, random_rank_k(3, 1))
+        argv = [str(state) if arg == "STATE" else arg for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", err)
+        assert path.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("where", ["directory", "inside-a-missing-directory"])
+    def test_an_unwritable_out_ends_in_one_error_line(self, capsys, tmp_path, where):
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "report.out"
+        code, out, err = run(capsys, "gen", "--rank", "3", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_a_report_written_in_short_pieces_is_whole(self, capsys, monkeypatch, tmp_path):
+        """os.write may take only part of what it is given; the report goes
+        out in as many writes as that takes."""
+        argv = ["validate", "--suite", "pure", "--samples", "5"]
+        _, out, _ = run(capsys, *argv)
+        write, sizes = os.write, []
+
+        def short_write(fd, data):
+            sizes.append(write(fd, data[:7]))
+            return sizes[-1]
+
+        monkeypatch.setattr(os, "write", short_write)
+        path = tmp_path / "report.out"
+        assert run(capsys, *argv, "--out", str(path))[0] == 0
+        assert path.read_bytes() == out.encode()
+        assert max(sizes) == 7
+
+
+def test_a_failed_svd_ends_in_an_error_line(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "rank4.json"
+    write_state(path, random_rank_k(4, 1))
+
+    def failed_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failed_svd)
+    code, out, err = run(capsys, "concurrence", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: EigSolveFailure: SVD did not converge\n"
+
+
 @pytest.mark.parametrize("source", ["file", "stdin"])
 @pytest.mark.parametrize("kind", sorted(UNREADABLE))
 def test_unreadable_input_ends_in_an_error_line(capsys, monkeypatch, tmp_path, kind, source):
@@ -640,6 +700,43 @@ def test_usage_errors_exit_one(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+#: command lines whose first word is not a command, each command's help,
+#: the usage errors above (an unknown command word among them), and lines
+#: argparse reads in less common ways
+_ROUTED_LINES = [
+    [], ["--help"], ["-h", "gen"], ["--", "gen", "--rank", "1"], ["gen", "--", "--rank"],
+    *([command, flag] for command in _COMMANDS for flag in ("-h", "--help")),
+    *_USAGE_ERRORS,
+    ["concurrence", "--tol", "-1e-5"], ["gen", "--rank=2"], ["concurrence", "a", "b"],
+]
+#: lines that parse, with a command word first
+_PARSED_LINES = [
+    ["gen", "--rank=2"],
+    ["concurrence"],
+    ["concurrence", "-", "--tol", "0", "--format", "json", "--out", "r.json"],
+    ["validate", "--suite", "pure", "--suite", "bounds", "--samples", "5", "--seed", "3"],
+    ["region", "--resolution", "3", "--format", "json"],
+    ["ladder", "--out", "-"],
+]
+
+
+@pytest.mark.parametrize("argv", _ROUTED_LINES, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_the_command_parser_answers_as_the_top_level_parser(capsys, monkeypatch, argv):
+    """main parses a line that starts with a command word with that
+    command's own parser; with no command parsers to pick from it parses
+    every line with the top-level parser, and each line gives the same exit
+    code, output and error line either way."""
+    picked = run(capsys, *argv)
+    monkeypatch.setattr(qconc.cli, "_COMMAND_PARSERS", {})
+    assert run(capsys, *argv) == picked
+
+
+@pytest.mark.parametrize("argv", _PARSED_LINES, ids=" ".join)
+def test_the_command_parser_gives_the_top_level_namespace(argv):
+    command = qconc.cli._COMMAND_PARSERS[argv[0]]
+    assert command.parse_args(argv[1:]) == qconc.cli._PARSER.parse_args(argv)
 
 
 # -- fuzzed command lines ----------------------------------------------------

@@ -12,7 +12,7 @@ from qconc.concurrence import (
     batch_oracle,
     concurrence_oracle,
 )
-from qconc.errors import InvalidState
+from qconc.errors import EigSolveFailure, InvalidState
 from qconc.qstate import (
     DensityOperator,
     SIGMA_Y,
@@ -266,3 +266,23 @@ def test_roots_beyond_the_kept_rank_are_exact_zeros(case):
         # the kept pivot of 4e-13 gives third and fourth roots of 3e-7, about
         # its square root: the leak the cut stops just below it
         assert lam[3] > 1e-13
+
+
+def _failed_svd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_a_failed_svd_raises_eig_solve_failure(monkeypatch, rank):
+    rho = random_rank_k(rank, 5)
+    monkeypatch.setattr(np.linalg, "svd", _failed_svd)
+    with pytest.raises(EigSolveFailure, match="SVD did not converge"):
+        concurrence_oracle(rho)
+
+
+@pytest.mark.parametrize("ranks", [(3,), (4,), (3, 4)])
+def test_a_failed_svd_raises_eig_solve_failure_on_a_stack(monkeypatch, ranks):
+    mats = check_states(np.stack([random_rank_k(k, 5).matrix for k in ranks]))
+    monkeypatch.setattr(np.linalg, "svd", _failed_svd)
+    with pytest.raises(EigSolveFailure, match="SVD did not converge"):
+        batch_lambdas(mats)
