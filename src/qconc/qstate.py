@@ -439,9 +439,12 @@ def _orthonormal(z: np.ndarray) -> np.ndarray:
     q = np.empty_like(z)
     for j in range(z.shape[2]):
         v = z[:, :, j]
-        for _ in range(2 if j else 0):
-            dots = np.einsum("nij,ni->nj", q[:, :, :j].conj(), v)
-            v = v - np.einsum("nij,nj->ni", q[:, :, :j], dots)
+        if j:
+            done = q[:, :, :j]
+            conj = done.conj()
+            for _ in range(2):
+                dots = np.einsum("nij,ni->nj", conj, v)
+                v = v - np.einsum("nij,nj->ni", done, dots)
         norm = np.sqrt((v.real * v.real + v.imag * v.imag).sum(axis=1))
         q[:, :, j] = v / norm[:, None]
     return q

@@ -27,19 +27,23 @@ Parameter dataclasses of single states are built only for the
 offenders a report prints. run_suites plans every requested suite's chunks
 first, as (kernel, draw, size) tasks, and runs them (_chunk_results): in
 this process when every suite has one chunk, when one CPU is usable or when
-the platform cannot fork, and otherwise on one pool of forked workers, one
-per usable CPU, that inherit the chunk kernels. Once every chunk has run,
-each suite (_chunked_suite) merges its chunks' results in spawn order and
-ranks offenders by deviation, then by the lowest index, so results depend
-only on the seed and the sample count, not on where or in how many chunks
-the states ran. A chunk's result is its deviations, a few offenders and its extras, so
-a process holds one chunk's stack at a time, and a float per state.
+the platform cannot fork, and otherwise split round-robin between this
+process and forked workers, one process per usable CPU in all, which inherit
+the chunk kernels and send their results back through pipes while this
+process runs its own share. Once every chunk has run, each suite
+(_chunked_suite) merges its chunks' results in spawn order and ranks
+offenders by deviation, then by the lowest index, so results depend only on
+the seed and the sample count, not on where or in how many chunks the
+states ran. A chunk's result is its deviations, a few offenders and its
+extras, so a process holds one chunk's stack at a time, and a float per
+state.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 import signal
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -240,8 +244,8 @@ def _chunked_suite(
 
 
 def _workers() -> int:
-    """The processes a multi-chunk run may use: one per CPU this process may
-    run on, or one where the platform cannot fork."""
+    """The processes a multi-chunk run may use, the calling one included: one
+    per CPU this process may run on, or one where the platform cannot fork."""
     if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -249,53 +253,99 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-#: a worker's copy of the running call's tasks, see _chunk_results
-_TASKS: list = []
+def _share(tasks: list, first: int, step: int) -> tuple:
+    """The results of tasks first, first + step, ... in order, up to the
+    first that raises, and that task's (index, exception), or None."""
+    results = []
+    for index in range(first, len(tasks), step):
+        kernel, draw, n = tasks[index]
+        try:
+            results.append(kernel(draw, n))
+        except Exception as exc:
+            return results, (index, exc)
+    return results, None
 
 
-def _adopt(tasks: list) -> None:
-    """Start a worker: keep its forked copy of the tasks, and leave SIGINT to
-    the parent, which cancels what has not started and waits for the rest."""
-    global _TASKS
-    _TASKS = tasks
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _run_task(index: int):
-    kernel, draw, n = _TASKS[index]
-    return kernel(draw, n)
+def _work(tasks: list, first: int, step: int, write: int, mask) -> None:
+    """A forked worker: ignore SIGINT, which is the caller's to handle, and
+    restore the signal mask, run its share, write the pickled outcome to the
+    pipe and end the process. It never returns into the caller's stack, runs
+    no atexit handler and flushes no inherited buffer. An outcome that
+    cannot be pickled is sent as a WorkerLost."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        outcome = _share(tasks, first, step)
+        try:
+            data = pickle.dumps(outcome)
+        except Exception as exc:
+            lost = WorkerLost(f"a worker process could not send its chunk results: {exc!r}")
+            data = pickle.dumps(([], (first, lost)))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _chunk_results(tasks: list, multi_chunk: bool) -> list:
     """The tasks' results, (devs, offenders[, extras]) each, in task order.
     They are computed in this process when no suite has more than one chunk,
-    when one CPU is usable or when the platform cannot fork. Otherwise one
-    pool of forked workers, one per usable CPU and at most one per task,
-    runs them all: the workers inherit the tasks with their kernels, which
-    are never pickled, so only task indices go out and results come back. A
-    worker's exception is raised here as it was raised there; a worker that
-    dies raises WorkerLost. No worker outlives the call."""
+    when one CPU is usable or when the platform cannot fork. Otherwise the
+    call forks W - 1 workers, W = _workers() at most one per task, and task i
+    runs in process i mod W, this one being process 0: the workers inherit
+    the tasks with their kernels, which are never pickled, and each sends its
+    results back pickled through its own pipe while this process runs its
+    share. The error raised is that of the first failing task, as inline:
+    each process stops at its first failure, and the lowest index wins. A
+    worker that ends without sending its results counts as failing at its
+    first task with WorkerLost. No worker outlives the call: an interrupt or
+    any other error here kills every worker still running."""
     workers = min(_workers(), len(tasks)) if multi_chunk else 1
     if workers < 2:
         return [kernel(draw, n) for kernel, draw, n in tasks]
-    # imported here, so that a single-chunk run loads no process machinery
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # fork, not spawn: a kernel may be a closure (a test's spy), which cannot
-    # be pickled, and a spawned worker would import numpy and qconc again; a
-    # fork context hands the initializer's arguments to the child unpickled
-    context = multiprocessing.get_context("fork")
-    pool = ProcessPoolExecutor(
-        workers, mp_context=context, initializer=_adopt, initargs=(tasks,)
-    )
+    running = {}  # pid -> the read end of its pipe, for each worker not yet reaped
     try:
-        return list(pool.map(_run_task, range(len(tasks))))
-    except BrokenProcessPool as exc:
-        raise WorkerLost(f"a worker process ended before returning its chunk: {exc}") from None
+        for first in range(1, workers):
+            read, write = os.pipe()
+            # an interrupt waits until the worker is in `running`, where it
+            # is killed if need be
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(tasks, first, workers, write, mask)
+                running[pid] = open(read, "rb")
+            except OSError:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        outcomes = [_share(tasks, 0, workers)]
+        for first, (pid, pipe) in enumerate(list(running.items()), 1):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del running[pid]
+            try:
+                outcomes.append(pickle.loads(data))
+            except (EOFError, pickle.UnpicklingError):
+                code = os.waitstatus_to_exitcode(status)
+                lost = WorkerLost(
+                    f"a worker process ended before returning its chunk (exit status {code})"
+                )
+                outcomes.append(([], (first, lost)))
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, pipe in running.items():
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [outcomes[i % workers][0][i // workers] for i in range(len(tasks))]
 
 
 def _summed(counts: list) -> dict:

@@ -118,14 +118,18 @@ def test_cli_import_leaves_click_out():
     assert not {"qconc.validate", "qconc.bounds", "qconc.measurement", "click"} & set(loaded)
 
 
-def test_single_chunk_validate_leaves_process_machinery_out(tmp_path):
+def test_validate_leaves_process_machinery_out(tmp_path):
     """A validate run whose suites have one chunk each runs its chunks in
-    this process and loads no multiprocessing or concurrent.futures module."""
+    this process, and a multi-chunk run on two processes forks its worker
+    directly: neither loads a multiprocessing or concurrent.futures module."""
     out = str(tmp_path / "validate.json")
     probe = (
-        "import json, sys; from qconc.cli import main; "
-        f"code = main(['validate', '--samples', '200', '--seed', '0', '--out', {out!r}]); "
-        "print(json.dumps([code] + sorted("
+        "import json, sys; from qconc import validate; from qconc.cli import main; "
+        f"codes = [main(['validate', '--samples', '200', '--seed', '0', '--out', {out!r}])]; "
+        "validate._CHUNK_CAP = 7; validate._workers = lambda: 2; "
+        "codes.append(main(['validate', '--samples', '20', '--suite', 'pure', "
+        f"'--suite', 'lu-invariance', '--out', {out!r}])); "
+        "print(json.dumps(codes + sorted("
         "m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))))"
     )
-    assert json.loads(_run_fresh(probe)) == [0]
+    assert json.loads(_run_fresh(probe)) == [0, 0]
