@@ -1,9 +1,10 @@
 """Command-line surface: state generation, concurrence reports, Monte-Carlo
 validation, region and ladder sweeps.
 
-Exit codes: 0 success, 1 bad input or usage, 2 validation failure. Given the
-same seed and flags every command writes byte-identical output; stochastic
-runs record their seed in the report header.
+Exit codes: 0 success, 1 bad input or usage, 2 validation failure, 130
+interrupted. Given the same seed and flags every command writes
+byte-identical output; stochastic runs record their seed in the report
+header.
 """
 
 from __future__ import annotations
@@ -413,7 +414,8 @@ _PARSER, _COMMAND_PARSERS = _build_parser()
 
 def main(argv=None) -> int:
     """Entry point mapping errors to exit codes: 1 bad input or usage, or a
-    request too large to allocate, 2 validation failure.
+    request too large to allocate, 2 validation failure, 130 an interrupt
+    (Ctrl-C), the shell's code for SIGINT.
 
     The first word of the command line picks the parser: a command word
     hands the rest to that command's own parser, which is the one the
@@ -439,6 +441,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -54,6 +54,31 @@ _BLOCH_TERMS = [
 ]
 
 
+def _assemble_terms() -> list:
+    """The inverse of _PAULI_TERMS: for each of the 32 floats of 4 rho, the
+    four terms of its sum as positions in the 15 Bloch fields + [1.0, 0.0],
+    plus 17 when negated. A sum starts from 1.0 on the diagonal's real parts
+    and +0.0 elsewhere, adds each field whose Pauli product is nonzero there
+    in the grid's order (p_i, s_i, then row i of pi, for i = x, y, z), and
+    is padded with +0.0.
+
+    Field times Pauli product, with products of +-1 or +-i, is exact, and a
+    zero product or the padding leaves a sum from 1.0 or +0.0 as it was (it
+    never holds -0.0), so each sum has the bits of accumulating field times
+    Pauli product over the grid."""
+    one, zero = 15, 16
+    terms = [[one if k in (0, 10, 20, 30) else zero] for k in range(32)]
+    for i in range(3):
+        # the grid's order: p_i, s_i, then row i of pi
+        for field in (i, 3 + i, 6 + 3 * i, 7 + 3 * i, 8 + 3 * i):
+            for code in _BLOCH_TERMS[field]:
+                terms[code % 32].append(field + 17 * (code >= 32))
+    return [t + [zero] * (4 - len(t)) for t in terms]
+
+
+_ASSEMBLE_TERMS = _assemble_terms()
+
+
 def _complex_matrix(raw) -> np.ndarray:
     """A raw input as a complex 4x4 array; anything else raises InvalidState."""
     try:
@@ -347,13 +372,27 @@ class BlochDecomposition:
         if pi.shape != (3, 3):
             raise InvalidState(f"correlation matrix must be 3x3, got {pi.shape}")
         _require_finite(p, s, pi)
+        self._set(p, s, pi)
+
+    def _set(self, p, s, pi) -> None:
         for name, x in (("p", p), ("s", s), ("pi", pi)):
             x.flags.writeable = False
             object.__setattr__(self, name, x)
 
+    @classmethod
+    def _of_state(cls, f: list) -> BlochDecomposition:
+        """The decomposition whose fields are the 15 floats f, in _BLOCH_TERMS
+        order, of a validated state. Each is a sum of four of its entries,
+        all bounded, so it skips the constructor's finiteness check."""
+        x = np.array(f)
+        bloch = object.__new__(cls)
+        bloch._set(x[:3], x[3:6], x[6:].reshape(3, 3))
+        return bloch
+
 
 def _bloch_fields(parts, terms=_BLOCH_TERMS) -> list:
-    """Pauli expectations, by default the 15 Bloch fields, from rho's 32
+    """Sums of four signed parts, each term a position in parts plus
+    len(parts) when negated: by default the 15 Bloch fields from rho's 32
     floats, for one state, or from (n,) arrays of them for a stack, whose
     rows then get the single-state bits. Sums start from +0.0, so a zero
     field is +0.0 whatever zeros it sums."""
@@ -389,33 +428,30 @@ def decompose(rho) -> BlochDecomposition:
     :func:`assemble`. A raw array is validated first and raises InvalidState
     if unphysical.
     """
-    f = _bloch_fields(_float_parts(_validated_matrix(rho)))
-    return BlochDecomposition(p=f[:3], s=f[3:6], pi=[f[6:9], f[9:12], f[12:]])
+    return BlochDecomposition._of_state(_bloch_fields(_float_parts(_validated_matrix(rho))))
 
 
-# huge finite entries may overflow the sum to inf or NaN, which is rejected
+# huge finite fields may overflow a sum to inf, or to NaN once scaled
 @np.errstate(over="ignore", invalid="ignore")
 def assemble(bloch: BlochDecomposition) -> DensityOperator:
     """Rebuild the density operator from Bloch data.
 
-    Raises InvalidState when huge entries overflow the sum, and NotAState
-    when the data does not correspond to a positive semidefinite unit-trace
-    operator.
+    Each float of 4 rho is the signed sum of its fields in _ASSEMBLE_TERMS,
+    scaled by 1/4 with numpy's complex multiply, which gives the bits of
+    accumulating field times Pauli product over the grid. Raises
+    InvalidState when huge entries overflow the sum, and NotAState when the
+    data does not correspond to a positive semidefinite unit-trace operator.
     """
-    m = np.array(_PAULI_GRID[0, 0], dtype=complex)
-    for i in range(3):
-        m += bloch.p[i] * _PAULI_GRID[i + 1, 0]
-        m += bloch.s[i] * _PAULI_GRID[0, i + 1]
-        for j in range(3):
-            m += bloch.pi[i, j] * _PAULI_GRID[i + 1, j + 1]
+    f = bloch.p.tolist() + bloch.s.tolist() + bloch.pi.ravel().tolist()
+    m = np.array(_bloch_fields(f + [1.0, 0.0], _ASSEMBLE_TERMS)).view(complex).reshape(4, 4)
     m *= 0.25
-    _require_finite(m)
     try:
         return DensityOperator(m)
     except InvalidState as exc:
-        # m is finite, so its check took the spectrum that names the eigenvalue
+        # the check of a finite m took the spectrum that names its eigenvalue;
+        # a non-finite m fails as "entries must be finite", with none
         lowest = exc.lowest_eigenvalue
-        if lowest < -PSD_TOL:
+        if lowest is not None and lowest < -PSD_TOL:
             raise NotAState(
                 f"assembled matrix has eigenvalue {lowest}; data is unphysical"
             ) from None

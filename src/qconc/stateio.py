@@ -153,20 +153,44 @@ def state_from_dict(payload: dict) -> DensityOperator:
     raise InvalidState("state payload needs a 'matrix' or 'bloch' field")
 
 
-def _read_stream(fh) -> DensityOperator:
-    """The state in an open text stream; text that is not UTF-8, not JSON, or
-    nested past the parser's recursion limit raises InvalidState."""
+def _state_from_text(text: str) -> DensityOperator:
+    """The state in JSON text; text that is not JSON, or nested past the
+    parser's recursion limit, raises InvalidState."""
     try:
-        return state_from_dict(json.load(fh))
+        return state_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise InvalidState(f"input is not valid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InvalidState(f"input is not UTF-8 text: {exc}") from exc
     except RecursionError as exc:
         raise InvalidState(f"input is nested too deeply: {exc}") from exc
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> InvalidState:
+    return InvalidState(f"input is not UTF-8 text: {exc}")
+
+
+def _read_stream(fh) -> DensityOperator:
+    """The state in an open text stream; text that is not UTF-8 raises
+    InvalidState, as does anything _state_from_text refuses."""
+    try:
+        text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc) from exc
+    return _state_from_text(text)
+
+
 def read_state(path) -> DensityOperator:
-    """The state in a JSON file; unreadable text raises InvalidState."""
-    with open(path, encoding="utf-8") as fh:
-        return _read_stream(fh)
+    """The state in a JSON file; unreadable text raises InvalidState.
+
+    The file is read as bytes in one unbuffered read and decoded once. Line
+    endings are then translated as a text-mode read translates them, CRLF
+    and lone CR to LF, so a JSON error names the line, column and character
+    that reading the file as text would name."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc) from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return _state_from_text(text)

@@ -369,10 +369,10 @@ _RANK2_DRAWS = (
 )
 
 
-def _clear_of_guards(params: Rank2Canonical):
-    """Whether canonical rank-2 parameters (or each row of a block) keep clear
-    of every reconstruction guard."""
-    p, s = local_observables_rank2(params)
+def _clear_of_guards(params: Rank2Canonical, p, s):
+    """Whether canonical rank-2 parameters (or each row of a block), with
+    their polarizations p, s from local_observables_rank2, keep clear of
+    every reconstruction guard."""
     ca, sa = _cos_sin(params.alpha)
     return (
         (abs(params.gamma - math.pi) >= 0.15)
@@ -382,9 +382,10 @@ def _clear_of_guards(params: Rank2Canonical):
     )
 
 
-def sample_nondegenerate_rank2(rng, n: int) -> Rank2Canonical:
-    """A block of n canonical rank-2 parameters kept clear of every
-    reconstruction guard.
+def sample_nondegenerate_rank2(rng, n: int) -> tuple[Rank2Canonical, np.ndarray, np.ndarray]:
+    """(block, p, s): a block of n canonical rank-2 parameters kept clear of
+    every reconstruction guard, and its (n, 3) polarizations from
+    local_observables_rank2, which the guards computed.
 
     Each round draws an (n, 5) block of uniform rows and keeps the rows that
     clear the guards; the block is the first n kept rows in draw order, so
@@ -395,9 +396,13 @@ def sample_nondegenerate_rank2(rng, n: int) -> Rank2Canonical:
     kept = []
     for _ in range(REJECTION_LIMIT):
         rows = rng.uniform(lows, highs, size=(n, len(lows)))
-        kept.append(rows[_clear_of_guards(Rank2Canonical(*rows.T))])
-        if sum(map(len, kept)) >= n:
-            return Rank2Canonical(*np.concatenate(kept)[:n].T)
+        params = Rank2Canonical(*rows.T)
+        p, s = local_observables_rank2(params)
+        keep = _clear_of_guards(params, p, s)
+        kept.append((rows[keep], p[keep], s[keep]))
+        if sum(len(k[0]) for k in kept) >= n:
+            rows, p, s = (np.concatenate(x)[:n] for x in zip(*kept))
+            return Rank2Canonical(*rows.T), p, s
     raise SamplerExhausted(f"{REJECTION_LIMIT} rounds kept fewer than {n} rank-2 rows")
 
 
@@ -529,8 +534,8 @@ def _xstate(rng, n):
 
 
 def _rank2_roundtrip(rng, n):
-    params = sample_nondegenerate_rank2(rng, n)
-    recs = reconstruct_rank2(*local_observables_rank2(params))
+    params, p, s = sample_nondegenerate_rank2(rng, n)
+    recs = reconstruct_rank2(p, s)
     mats = check_states(np.concatenate([rank2_matrix(params), rank2_matrix(recs)]))
     return _graded(lambda i: _record(params, i), *_changes(mats))
 

@@ -6,6 +6,7 @@ path with the library oracle, at the price of about 1e-8 of noise on
 eigenvalues near zero, so comparisons against it use tolerances around 1e-6.
 """
 
+import platform
 import time
 from contextlib import contextmanager
 
@@ -35,6 +36,23 @@ def one_state(sampler, rng, **kwargs):
     from qconc.qstate import _record
 
     return _record(sampler(rng, 1, **kwargs), 0)
+
+
+#: marks a test whose digest takes bits from BLAS or LAPACK, which depend on
+#: the numpy build and the CPU's kernels: it runs on the build it was
+#: recorded with
+RECORDED_BUILD = pytest.mark.skipif(
+    np.__version__ != "2.4.6" or platform.machine() != "x86_64",
+    reason="digest recorded with numpy 2.4.6 on x86-64",
+)
+
+
+def rank2_block(rng, n: int):
+    """The parameter block of sample_nondegenerate_rank2, without the
+    polarizations it hands back."""
+    from qconc.validate import sample_nondegenerate_rank2
+
+    return sample_nondegenerate_rank2(rng, n)[0]
 
 
 #: just inside the acceptance tolerances of check_states (1e-10 each)

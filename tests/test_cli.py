@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import UNREADABLE, bloch_payload, edge_states, write_state
+from conftest import RECORDED_BUILD, UNREADABLE, bloch_payload, edge_states, write_state
 
 import qconc.cli
 import qconc.validate
@@ -51,6 +51,58 @@ _NAMED_SHA256 = {
     "ladder:0.3": "e6318404ea6f4c21ce97f47ba0f6acbb855a0f3f12dd5a10c07f3c6e70cc1bfc",
     "xstate:0.1,0.3,0.3,0.3,0.2": "3d967794bc9e534b1eab0510b77ee7ac59468fbd13c9529f1a5df6108a4a8a9a",
 }
+
+
+_Z = -0.0
+#: Bloch-form state files, each with the sha256 of its
+#: `concurrence --format json` report: the decompositions of
+#: random_rank_k(k, 1) in canonical text, fields with signed zeros (phi+,
+#: |00>, and the Werner state of weight 1/2), and phi+ as integers. The
+#: lambdas of the states of rank 3 and 4, that Werner state's included, come
+#: from LAPACK's SVD
+_BLOCH_REPORTS = {
+    "rank1": (1, "01f67d37041ac86e6d94e6279756b0465b396f87838b495756fc2b9f3db5785d"),
+    "rank2": (2, "41bc871e04346f4800dcc149e67a5c86c89121f5832087d4e3ac8282dc65e7bc"),
+    "rank3": (3, "c0b64782d6c29a17ee0e048f6da207dc60cb9f1a31cd7b048d4bbc5248be0246"),
+    "rank4": (4, "c10419ceb0a3e4d0c4fccc920db388a1733dca5ca2116e853efbef305e37e190"),
+    "phi+-signed-zeros": (
+        {"p": [_Z] * 3, "s": [_Z] * 3, "pi": [[1.0, _Z, _Z], [_Z, -1.0, _Z], [_Z, _Z, 1.0]]},
+        "4b343596ec1d20a9ba09860fc25eb2e1497ec6d77e906d1020cf6372292138d9",
+    ),
+    "00-signed-zeros": (
+        {"p": [_Z, _Z, 1.0], "s": [_Z, _Z, 1.0], "pi": [[_Z] * 3, [_Z] * 3, [_Z, _Z, 1.0]]},
+        "779c23dedd4c320b7b41977dedb657ce2d6ff4e371629fe4a455843bab57e89c",
+    ),
+    "werner-signed-zeros": (
+        {"p": [_Z, 0.0, _Z], "s": [0.0, _Z, _Z],
+         "pi": [[0.5, _Z, 0.0], [_Z, -0.5, _Z], [0.0, _Z, 0.5]]},
+        "efe6c2a2cfbca6fcbf382ffb5b911414f1dd42a92b8a334406dfc6d31fa4ded4",
+    ),
+    "phi+-integers": (
+        '{"bloch": {"p": [0, 0, 0], "s": [0, 0, 0], "pi": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}}\n',
+        "4b343596ec1d20a9ba09860fc25eb2e1497ec6d77e906d1020cf6372292138d9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=RECORDED_BUILD) if name in ("rank3", "rank4", "werner-signed-zeros")
+    else name
+    for name in _BLOCH_REPORTS
+])
+def test_bloch_form_report_bytes_are_pinned(capsys, tmp_path, name):
+    """The reports of Bloch-form files keep their bytes: the file is decoded
+    once and its matrix is the signed sum of its fields."""
+    state, digest = _BLOCH_REPORTS[name]
+    if isinstance(state, int):
+        state = canonical_dumps(bloch_payload(random_rank_k(state, 1)))
+    elif isinstance(state, dict):
+        state = json.dumps({"bloch": state})
+    path = tmp_path / "state.json"
+    path.write_text(state)
+    code, out, _ = run(capsys, "concurrence", str(path), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestGen:
@@ -497,6 +549,19 @@ def test_a_failed_svd_ends_in_an_error_line(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "concurrence", str(path))
     assert (code, out) == (1, "")
     assert err == "error: EigSolveFailure: SVD did not converge\n"
+
+
+def test_an_interrupt_ends_in_one_error_line_and_exit_130(capsys, monkeypatch):
+    """Ctrl-C raises KeyboardInterrupt in the running command; main reports
+    it in one line, with no traceback, and returns the shell's SIGINT code."""
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(qconc.validate, "run_suites", interrupted)
+    assert run(capsys, "validate", "--suite", "pure", "--samples", "5") == (
+        130, "", "error: interrupted\n"
+    )
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])

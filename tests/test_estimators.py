@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import concurrence_pure, one_state
+from conftest import concurrence_pure, one_state, rank2_block
 
 from qconc.concurrence import concurrence_oracle
 from qconc.errors import (
@@ -56,7 +56,6 @@ from qconc.qstate import (
 )
 from qconc.validate import (
     batch_random_pure,
-    sample_nondegenerate_rank2,
     sample_rank2_degenerate,
     sample_rank2_sep,
     sample_xstate,
@@ -523,7 +522,7 @@ def _xstate_entries(v) -> tuple:
 _READS = {
     "pure": (lambda rng: _outer(batch_random_pure(rng, 1)[0]), _PAULI, *_on_invariants("pure")),
     "rank2-reconstruction": (
-        lambda rng: rank2_matrix(one_state(sample_nondegenerate_rank2, rng)),
+        lambda rng: rank2_matrix(one_state(rank2_block, rng)),
         _LOCAL,
         lambda p, s: concurrence_oracle(assemble_rank2(reconstruct_rank2(p, s))).value,
         lambda v: ([v[a + "0"] for a in "xyz"], [v["0" + b] for b in "xyz"]),

@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
-from test_validate import _RECORDED_BUILD
+from conftest import RECORDED_BUILD
 
 from qconc.concurrence import _rank2_roots, batch_lambdas, concurrence_oracle
 from qconc.qstate import SIGMA_Y, _orthonormal, batch_random_mixed, random_rank_k
@@ -183,14 +183,14 @@ _RANK1_ROOTS_SHA256 = "14dc7add02ffcf07be059b7d4b128114c581228ded5a6ed5e8ac4559c
 _RANK_K_STATES_SHA256 = "b1f52d028079ce8b8b1789d2fe304418f007dedfae4611d15a9734a5846600e8"
 
 
-@_RECORDED_BUILD
+@RECORDED_BUILD
 def test_rank1_root_bits_are_pinned():
     mats = batch_random_mixed(np.random.default_rng(35), 3000, 1)
     lam = np.ascontiguousarray(batch_lambdas(mats), dtype="<f8")
     assert hashlib.sha256(lam.tobytes()).hexdigest() == _RANK1_ROOTS_SHA256
 
 
-@_RECORDED_BUILD
+@RECORDED_BUILD
 def test_random_rank_k_bits_are_pinned():
     mats = [random_rank_k(k, seed).matrix for k in (1, 2, 3, 4) for seed in range(50)]
     data = np.ascontiguousarray(mats, dtype="<c16")

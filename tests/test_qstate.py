@@ -309,6 +309,78 @@ def test_decompose_matches_the_pauli_grid_contraction_bit_for_bit(stack):
             assert got.tobytes() == want[k].tobytes()
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _grid_matrix(bloch):
+    """The matrix as assemble built it before the float sums: field times
+    Pauli product accumulated over the grid from the identity, then scaled."""
+    m = np.array(_PAULI_GRID[0, 0], dtype=complex)
+    for i in range(3):
+        m += bloch.p[i] * _PAULI_GRID[i + 1, 0]
+        m += bloch.s[i] * _PAULI_GRID[0, i + 1]
+        for j in range(3):
+            m += bloch.pi[i, j] * _PAULI_GRID[i + 1, j + 1]
+    m *= 0.25
+    return m
+
+
+#: Bloch fields at the edges of the sums: signed zeros, and (a Werner state
+#: with A polarized along y) an entry whose real sum is the smallest negative
+#: subnormal next to a negative imaginary part. numpy's complex scaling by
+#: 1/4 takes that to -0.0 in its FMA loops and to +0.0 with its SIMD dispatch
+#: off; assemble scales with the same multiply, so it matches either way
+_EDGE_FIELDS = [
+    ([-0.0] * 3, [-0.0] * 3, [[1.0, -0.0, -0.0], [-0.0, -1.0, -0.0], [-0.0, -0.0, 1.0]]),
+    ([-0.0, -0.0, 1.0], [0.0, -0.0, 1.0], [[-0.0] * 3, [-0.0] * 3, [-0.0, -0.0, 1.0]]),
+    ([-5e-324, 1e-3, 0.0], [0.0] * 3, [[0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 0.5]]),
+]
+
+
+@pytest.mark.parametrize(
+    "stack", range(7), ids=["rank1", "rank2", "rank3", "rank4", "pure", "named", "edges"]
+)
+def test_assemble_matches_the_pauli_grid_accumulation_bit_for_bit(stack):
+    """Each float of the assembled matrix, a signed sum of fields scaled by
+    1/4, has the bits of the former grid accumulation, signed zeros included."""
+    if stack < 6:
+        blochs = [decompose(m) for m in _decomposition_stacks()[stack]]
+    else:
+        blochs = [BlochDecomposition(p=p, s=s, pi=pi) for p, s, pi in _EDGE_FIELDS]
+    for bloch in blochs:
+        assert assemble(bloch).matrix.tobytes() == _grid_matrix(bloch).tobytes()
+
+
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+def test_assemble_of_overflowing_fields_raises_entries_must_be_finite(where):
+    """Huge finite fields overflow a sum to inf, and the scaling makes a NaN
+    next to it; the validation check names it, with no spectrum."""
+    big = 1.7e308
+    if where == "diagonal":
+        bloch = BlochDecomposition(p=[0.0, 0.0, big], s=[0.0, 0.0, big], pi=np.zeros((3, 3)))
+    else:
+        pi = [[0.0] * 3, [0.0] * 3, [big, 0.0, 0.0]]
+        bloch = BlochDecomposition(p=np.zeros(3), s=[big, 0.0, 0.0], pi=pi)
+    assert not np.isfinite(_grid_matrix(bloch)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidState, match="^entries must be finite$") as caught:
+            assemble(bloch)
+    assert caught.value.lowest_eigenvalue is None
+
+
+def test_decompose_builds_the_fields_the_constructor_would():
+    """decompose skips the constructor's finiteness check, not its form:
+    read-only float arrays of shapes (3,), (3,) and (3, 3) with the same bits."""
+    for k in (1, 2, 3, 4):
+        bloch = decompose(random_rank_k(k, seed=k))
+        built = BlochDecomposition(p=bloch.p, s=bloch.s, pi=bloch.pi)
+        for got, want in zip((bloch.p, bloch.s, bloch.pi), (built.p, built.s, built.pi)):
+            assert got.shape == want.shape and got.dtype == want.dtype == float
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+
+
 def test_density_operator_takes_its_spectrum_on_demand():
     """eigenvalues() is eigvalsh of the matrix, a fresh array on each call,
     and rank_of counts the oracle's factor columns, for an operator or its
@@ -459,7 +531,7 @@ def _bits(x) -> list:
 def _rank2_doubled_angles() -> np.ndarray:
     """2 alpha and 2 beta of sampled rank-2 states, the angles whose cosines
     local_observables_rank2 takes."""
-    params = sample_nondegenerate_rank2(np.random.default_rng(0), 5000)
+    params, _, _ = sample_nondegenerate_rank2(np.random.default_rng(0), 5000)
     return np.concatenate([2.0 * params.alpha, 2.0 * params.beta])
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from conftest import one_state
+from conftest import one_state, rank2_block
 from test_concurrence import _bell_mixture, _clamp_edge
 
 from qconc import validate
@@ -180,7 +180,7 @@ def test_the_float_factor_gives_the_block_rows(block):
 
 
 def _rank2(rng):
-    params = [one_state(sample_nondegenerate_rank2, rng) for _ in range(6)]
+    params = [one_state(rank2_block, rng) for _ in range(6)]
     recs = [reconstruct_rank2(*local_observables_rank2(x)) for x in params]
     return [assemble_rank2(x) for x in params + recs]
 
@@ -238,7 +238,7 @@ def test_stacked_suites_are_deterministic_at_small_sizes(samples):
 
 
 def _rank2_params(rng):
-    params = [one_state(sample_nondegenerate_rank2, rng) for _ in range(8)]
+    params = [one_state(rank2_block, rng) for _ in range(8)]
     return params + [reconstruct_rank2(*local_observables_rank2(x)) for x in params]
 
 
@@ -372,7 +372,7 @@ def _same_bits(a, b) -> bool:
 #: the samplers, each with its keyword arguments and the validated
 #: single-state assembly of its family
 _BLOCK_SAMPLERS = {
-    "nondegenerate-rank2": (sample_nondegenerate_rank2, {}, assemble_rank2),
+    "nondegenerate-rank2": (rank2_block, {}, assemble_rank2),
     "rank2-sep": (sample_rank2_sep, {}, assemble_rank2_sep),
     "rank2-degenerate": (sample_rank2_degenerate, {}, assemble_rank2_degenerate),
     "rank2-degenerate-half": (sample_rank2_degenerate, {"lam": 0.5}, assemble_rank2_degenerate),
@@ -550,7 +550,9 @@ def _rank2_row_walk(rng, n: int) -> np.ndarray:
     kept = []
     while len(kept) < n:
         rows = rng.uniform(lows, highs, size=(n - len(kept), len(lows)))
-        for row, ok in zip(rows, validate._clear_of_guards(Rank2Canonical(*rows.T))):
+        params = Rank2Canonical(*rows.T)
+        clear = validate._clear_of_guards(params, *local_observables_rank2(params))
+        for row, ok in zip(rows, clear):
             if ok:
                 kept.append(row)
     return np.array(kept).reshape(-1, len(lows))
@@ -562,9 +564,17 @@ def test_rank2_rounds_keep_the_row_walk(n, seed):
     """The same rows, bit for bit: uniform fills a block's rows in stream
     order, so rounds of n rows keep the rows that rounds of the missing
     count keep."""
-    block = sample_nondegenerate_rank2(np.random.default_rng(seed), n)
+    block = rank2_block(np.random.default_rng(seed), n)
     rows = np.stack([getattr(block, f.name) for f in fields(block)], axis=1)
     assert _same_bits(rows, _rank2_row_walk(np.random.default_rng(seed), n))
+
+
+@pytest.mark.parametrize("n", [1, 200, 2500])
+def test_rank2_sampler_hands_back_the_polarizations_of_its_block(n):
+    """The p and s the guards computed on the drawn rows are the kept rows'
+    local_observables_rank2, bit for bit."""
+    block, p, s = sample_nondegenerate_rank2(np.random.default_rng(n), n)
+    assert all(_same_bits(x, y) for x, y in zip((p, s), local_observables_rank2(block)))
 
 
 # -- closed forms on blocks ---------------------------------------------------
@@ -628,7 +638,7 @@ def _pure_invariants(rng, n=24):
 def _rank2_polarizations(rng, n=24):
     rows = []
     for _ in range(n):
-        p, s = local_observables_rank2(one_state(sample_nondegenerate_rank2, rng))
+        p, s = local_observables_rank2(one_state(rank2_block, rng))
         rows.append((p, s))
     # states of the degenerate set and outside the family, so that every
     # guard fails on some row
@@ -792,7 +802,7 @@ def test_blocks_raise_what_their_first_failing_row_raises(name, position):
     fn, good, late, early = _GUARDED[name]
     if good is None:
         good = local_observables_rank2(
-            one_state(sample_nondegenerate_rank2, np.random.default_rng(5))
+            one_state(rank2_block, np.random.default_rng(5))
         )
     rows = [good] * 8
     rows[position] = late

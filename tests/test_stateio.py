@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -11,6 +12,7 @@ from conftest import UNREADABLE, bloch_payload, write_state
 from qconc.errors import InvalidState
 from qconc.qstate import bell_state, random_rank_k, werner_state
 from qconc.stateio import (
+    _read_stream,
     canonical_dumps,
     read_state,
     report_header,
@@ -141,3 +143,92 @@ class TestStatePayloads:
         with pytest.raises(InvalidState) as caught:
             read_state(path)
         assert str(caught.value).startswith(message)
+
+
+#: a state file cut off after six lines, with LF line endings
+_TRUNCATED = b'{\n  "matrix": [\n    [\n      {\n        "re": 0.5,\n        "im"'
+
+#: the InvalidState message of reading each file; the positions of a JSON
+#: error are those of the text with CRLF and lone CR read as LF
+_READ_MESSAGES = {
+    "lf": (_TRUNCATED, "input is not valid JSON: Expecting ':' delimiter: line 6 column 13 (char 61)"),
+    "crlf": (
+        _TRUNCATED.replace(b"\n", b"\r\n"),
+        "input is not valid JSON: Expecting ':' delimiter: line 6 column 13 (char 61)",
+    ),
+    "cr": (
+        _TRUNCATED.replace(b"\n", b"\r"),
+        "input is not valid JSON: Expecting ':' delimiter: line 6 column 13 (char 61)",
+    ),
+    "mixed": (
+        b'{\r\n\r"matrix":\n\r\n [1, 2,\r\r\n',
+        "input is not valid JSON: Expecting value: line 7 column 1 (char 23)",
+    ),
+    "truncated": (
+        UNREADABLE["truncated"][0],
+        "input is not valid JSON: Expecting ':' delimiter: line 1 column 30 (char 29)",
+    ),
+    "not-utf8": (
+        UNREADABLE["not-utf8"][0],
+        "input is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 12:"
+        " invalid continuation byte",
+    ),
+    "crlf-not-utf8": (
+        b'{\r\n"matrix": "\xe9\xff"}',
+        "input is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 14:"
+        " invalid continuation byte",
+    ),
+    "cut-utf8": (
+        b'{"matrix": "\xc3',
+        "input is not UTF-8 text: 'utf-8' codec can't decode byte 0xc3 in position 12:"
+        " unexpected end of data",
+    ),
+}
+
+
+def _message(read, *args) -> str:
+    with pytest.raises(InvalidState) as caught:
+        read(*args)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("kind", sorted(_READ_MESSAGES))
+def test_read_state_messages_are_pinned(tmp_path, kind):
+    data, message = _READ_MESSAGES[kind]
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    assert _message(read_state, path) == message
+
+
+@pytest.mark.parametrize("kind", sorted(_READ_MESSAGES) + sorted(UNREADABLE))
+def test_read_state_gives_the_messages_of_a_text_stream(tmp_path, kind):
+    """read_state decodes the bytes itself and translates line endings as a
+    text-mode read does, so each message is the one the same bytes give read
+    through a UTF-8 text stream, as stdin is."""
+    data = _READ_MESSAGES[kind][0] if kind in _READ_MESSAGES else UNREADABLE[kind][0]
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    assert _message(read_state, path) == _message(_read_stream, stream)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_line_endings_do_not_change_the_state_read(tmp_path, newline):
+    rho = random_rank_k(3, 11)
+    path = tmp_path / "state.json"
+    path.write_bytes(canonical_dumps(state_to_dict(rho)).replace("\n", newline).encode())
+    assert read_state(path).matrix.tobytes() == rho.matrix.tobytes()
+
+
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+def test_overflowing_bloch_fields_end_in_entries_must_be_finite(tmp_path, where):
+    """Huge finite fields pass the payload's checks and overflow the
+    assembled sums; reading them ends in the message of a non-finite matrix."""
+    big, zeros = 1.7e308, [0.0] * 3
+    if where == "diagonal":
+        bloch = {"p": [0.0, 0.0, big], "s": [0.0, 0.0, big], "pi": [zeros] * 3}
+    else:
+        bloch = {"p": zeros, "s": [big, 0.0, 0.0], "pi": [zeros, zeros, [big, 0.0, 0.0]]}
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"bloch": bloch}))
+    assert _message(read_state, path) == "entries must be finite"

@@ -2,10 +2,11 @@ import dataclasses
 import hashlib
 import json
 import math
-import platform
 
 import numpy as np
 import pytest
+
+from conftest import RECORDED_BUILD
 
 from qconc import validate
 from qconc.bounds import REGION_ENTANGLED, REGION_INFEASIBLE, REGION_SEPARABLE, rank4_region
@@ -383,17 +384,11 @@ def test_bounds_lists_the_thinnest_margins_of_all_chunks(monkeypatch):
 _STACKED_20K_SHA256 = "46ead74e2687fe919058f0033f39530c65e621135be81aea1a1daea59ab549dc"
 
 
-_RECORDED_BUILD = pytest.mark.skipif(
-    np.__version__ != "2.4.6" or platform.machine() != "x86_64",
-    reason="digest recorded with numpy 2.4.6 on x86-64",
-)
-
-
 def _sha256(reports) -> str:
     return hashlib.sha256(canonical_dumps([r.to_dict() for r in reports]).encode()).hexdigest()
 
 
-@_RECORDED_BUILD
+@RECORDED_BUILD
 def test_capped_chunks_keep_the_stacked_suites_bytes_at_20000():
     """At 20000 samples the cap gives the same eight chunks of 2500 as the
     fixed layout did, so the stacked suites keep every byte."""
@@ -417,7 +412,7 @@ def test_capped_chunks_keep_the_stacked_suites_bytes_at_20000():
 _ALL_200_SHA256 = "2de637623cf8d64de2acb21685ac52c30e222d5e2a41aba4cc1b520d839a9062"
 
 
-@_RECORDED_BUILD
+@RECORDED_BUILD
 def test_every_suite_keeps_its_bytes_at_200():
     assert _sha256(run_suites(None, 200, seed=0)) == _ALL_200_SHA256
 
