@@ -20,6 +20,7 @@ import numpy as np
 from .concurrence import ConcurrenceDiagnostics, batch_oracle, concurrence_oracle
 from .errors import QconcError
 from .estimators import (
+    _LADDER_TERMS,
     XState,
     assemble_ladder,
     assemble_rank2,
@@ -130,16 +131,25 @@ def _parse_named(name: str) -> DensityOperator:
 
 
 def _is_ladder(rho: DensityOperator, tol: float) -> bool:
-    lam = float(rho.matrix[0, 0].real)
+    re, im = rho._parts[0::2], rho._parts[1::2]
+    lam = re[0]
     if not 0.0 <= lam <= 1.0:
         return False
-    return bool(np.abs(rho.matrix - ladder_matrix(lam)).max() <= tol)
+    # each entry's gap to ladder_matrix(lam)'s, by libm's hypot; numpy's array
+    # absolute is within edge of it, so within edge of tol the matrix decides
+    edge = 1e-12 * tol + 1e-300
+    for x, y, (a, b) in zip(re, im, _LADDER_TERMS):
+        gap = abs(complex(x - (lam * a + (1.0 - lam) * b), y))
+        if gap >= tol - edge:
+            return gap <= tol + edge and bool(np.abs(rho.matrix - ladder_matrix(lam)).max() <= tol)
+    return True
 
 
 def _is_xstate(rho: DensityOperator, tol: float) -> bool:
-    m = rho.matrix
-    off = [m[0, 1], m[0, 2], m[0, 3], m[1, 3], m[2, 3]]
-    return bool(max(abs(v) for v in off) <= tol and abs(m[1, 2]) > tol)
+    # abs(complex) is libm's hypot, as abs of a numpy complex scalar is
+    re, im = rho._parts[0::2], rho._parts[1::2]
+    off = all(abs(complex(re[k], im[k])) <= tol for k in (1, 2, 3, 7, 11))
+    return off and abs(complex(re[6], im[6])) > tol
 
 
 def _applicable_estimates(
@@ -150,7 +160,7 @@ def _applicable_estimates(
     and oracle diagnostics, each with its deviation from the oracle value or
     the QconcError or ValueError that the estimate raised, in the order of
     the table below."""
-    m = rho.matrix
+    re, im = rho._parts[0::2], rho._parts[1::2]
     rank2 = diag.rank == 2
     # a state at validation's 1e-10 tolerances can fail a family's 1e-12 checks
     xstate = _is_xstate(rho, tol)
@@ -165,9 +175,9 @@ def _applicable_estimates(
          lambda: estimate_projection2(inv)),
         ("rank2-sep2", rank2, lambda: estimate_rank2_sep2(inv)),
         ("xstate-direct", xstate, lambda: xstate_concurrence(
-            XState(*(float(m[k, k].real) for k in range(4)), complex(m[1, 2])))),
+            XState(*re[0::5], complex(re[6], im[6])))),
         ("xstate-invariant", xstate, lambda: xstate_concurrence_invariant(inv)),
-        ("ladder-rho11", ladder, lambda: ladder_concurrence(float(m[0, 0].real))),
+        ("ladder-rho11", ladder, lambda: ladder_concurrence(re[0])),
         ("ladder-szpz", ladder, lambda: ladder_from_correlation(float(bloch.pi[2, 2]))),
     )
     entries: list[dict] = []

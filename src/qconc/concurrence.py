@@ -19,13 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigSolveFailure
-from .qstate import _float_parts, _unit, _validated_matrix
+from .qstate import _LOWER, _float_parts, _parts_of, _unit
 
 #: pivots at or below this fraction of the largest diagonal entry count as zero
 EIG_CLAMP = 1e-12
-
-#: flat row-major positions of (i, j) below the diagonal and of (j, i), then i, j
-_LOWER = [(4 * i + j, 4 * j + i, i, j) for i in range(1, 4) for j in range(i)]
 
 
 @dataclass(frozen=True)
@@ -173,7 +170,7 @@ def _roots(columns) -> list:
     trailing roots, exact zeros, are left out."""
     if len(columns) == 1:
         re, im = _flip(columns[0], columns[0])
-        return [np.sqrt(re * re + im * im)]
+        return [(np.sqrt if isinstance(re, np.ndarray) else math.sqrt)(re * re + im * im)]
     if len(columns) == 2:
         return list(_rank2_roots(*columns))
     k = len(columns)
@@ -242,7 +239,7 @@ def concurrence_oracle(rho) -> ConcurrenceDiagnostics:
     A raw array is validated first and raises InvalidState if unphysical;
     the roots are :func:`batch_lambdas`' on floats, descending from _roots.
     """
-    parts = _float_parts(_validated_matrix(rho))
+    parts = _parts_of(rho)
     columns = [(lr, li) for _, lr, li in _pivoted_factor(parts[0::2], parts[1::2])]
     lam = tuple(map(float, _roots(columns))) + (0.0,) * (4 - len(columns))
     return ConcurrenceDiagnostics(lambdas=lam, value=_value(*lam), rank=len(columns))

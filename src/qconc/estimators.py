@@ -447,6 +447,8 @@ def _xstate_invariant(inv: InvariantVector):
 
 _SINGLET = _outer(np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0))
 _SINGLET.flags.writeable = False
+#: the real parts of the two matrices ladder_matrix mixes, which are real
+_LADDER_TERMS = list(zip(_P00.real.ravel().tolist(), _SINGLET.real.ravel().tolist()))
 
 
 def _check_ladder_lam(lam) -> None:

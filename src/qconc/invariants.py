@@ -28,9 +28,6 @@ class InvariantVector:
     i8: float
     i9: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f"i{k}") for k in range(1, 10)])
-
     def to_dict(self) -> dict:
         return {
             "i1": float(self.i1),

@@ -77,12 +77,14 @@ def _assemble_terms() -> list:
 
 
 _ASSEMBLE_TERMS = _assemble_terms()
+#: flat row-major positions of (i, j) below the diagonal and of (j, i), then i, j
+_LOWER = [(4 * i + j, 4 * j + i, i, j) for i in range(1, 4) for j in range(i)]
 
 
 def _complex_matrix(raw) -> np.ndarray:
-    """A raw input as a complex 4x4 array; anything else raises InvalidState."""
+    """A raw input as a new complex 4x4 array; anything else raises InvalidState."""
     try:
-        m = np.asarray(raw, dtype=complex)
+        m = np.array(raw, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise InvalidState(f"expected a numeric 4x4 matrix: {exc}") from None
     if m.shape != (4, 4):
@@ -90,11 +92,9 @@ def _complex_matrix(raw) -> np.ndarray:
     return m
 
 
-def _validated_matrix(rho) -> np.ndarray:
-    """Matrix of a DensityOperator, or of a raw array after validating it."""
-    if isinstance(rho, DensityOperator):
-        return rho.matrix
-    return DensityOperator(rho).matrix
+def _parts_of(rho) -> list:
+    """The 32 floats of a DensityOperator, or of a raw array after validating it."""
+    return (rho if isinstance(rho, DensityOperator) else DensityOperator(rho))._parts
 
 
 def _require_finite(*arrays) -> None:
@@ -305,6 +305,21 @@ def check_states(mats) -> np.ndarray:
     return m
 
 
+def _clears(parts: list) -> bool:
+    """Whether rho's 32 floats pass check_states' Hermiticity and trace checks
+    by 2e-15, more than rounding moves them: the residuals differ only in the
+    modulus (math.hypot here), by a few ulps of 1e-10, and the trace in the
+    order, by < 2 gamma_3 sum |rho_ii| < 7e-16 (Higham 2002, Sec. 4.2) once the
+    certificate holds, as then rho_ii > -PSD_TOL. Non-finite entries fail `<=`."""
+    re, im = parts[0::2], parts[1::2]
+    limit = HERMITICITY_TOL - 2e-15
+    return (
+        abs(re[0] + re[5] + re[10] + re[15] - 1.0) <= TRACE_TOL - 2e-15
+        and all(abs(2.0 * im[k]) <= limit for k in (0, 5, 10, 15))
+        and all(math.hypot(re[a] - re[b], im[a] + im[b]) <= limit for a, b, _, _ in _LOWER)
+    )
+
+
 def _certified(m: np.ndarray) -> bool:
     """Whether every rho + _CERTIFICATE_SHIFT of the stack has a Cholesky factor."""
     try:
@@ -334,15 +349,22 @@ def _raise_first_defect(m: np.ndarray, herm: np.ndarray, tr: np.ndarray) -> None
 class DensityOperator:
     """Validated, immutable two-qubit density matrix.
 
-    Construction checks that the input is a numeric 4x4 array, then runs it
-    as a one-state stack through :func:`check_states`; either raises
-    InvalidState.
+    Construction checks that the input is a numeric 4x4 array and accepts it
+    when its 32 floats pass _clears and its certificate holds; check_states
+    decides any other, raising InvalidState. The oracle, decompose and the
+    CLI's family detectors read the kept floats.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", check_states(_complex_matrix(self.matrix)[None])[0])
+        m = _complex_matrix(self.matrix)
+        parts = m.ravel().view(float).tolist()
+        if not (_clears(parts) and _certified(m[None])):
+            check_states(m[None])
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_parts", parts)
 
     def purity(self) -> float:
         m = self.matrix
@@ -428,28 +450,25 @@ def decompose(rho) -> BlochDecomposition:
     :func:`assemble`. A raw array is validated first and raises InvalidState
     if unphysical.
     """
-    return BlochDecomposition._of_state(_bloch_fields(_float_parts(_validated_matrix(rho))))
+    return BlochDecomposition._of_state(_bloch_fields(_parts_of(rho)))
 
 
-# huge finite fields may overflow a sum to inf, or to NaN once scaled
-@np.errstate(over="ignore", invalid="ignore")
 def assemble(bloch: BlochDecomposition) -> DensityOperator:
     """Rebuild the density operator from Bloch data.
 
     Each float of 4 rho is the signed sum of its fields in _ASSEMBLE_TERMS,
-    scaled by 1/4 with numpy's complex multiply, which gives the bits of
-    accumulating field times Pauli product over the grid. Raises
-    InvalidState when huge entries overflow the sum, and NotAState when the
-    data does not correspond to a positive semidefinite unit-trace operator.
+    with the bits of accumulating field times Pauli product over the grid,
+    scaled by 1/4 in Python floats, so no bit depends on numpy's SIMD dispatch.
+    Raises InvalidState when huge entries overflow the sum, and NotAState when
+    the data does not correspond to a positive semidefinite unit-trace operator.
     """
     f = bloch.p.tolist() + bloch.s.tolist() + bloch.pi.ravel().tolist()
-    m = np.array(_bloch_fields(f + [1.0, 0.0], _ASSEMBLE_TERMS)).view(complex).reshape(4, 4)
-    m *= 0.25
+    parts = [0.25 * x for x in _bloch_fields(f + [1.0, 0.0], _ASSEMBLE_TERMS)]
     try:
-        return DensityOperator(m)
+        return DensityOperator(np.array(parts).view(complex).reshape(4, 4))
     except InvalidState as exc:
-        # the check of a finite m took the spectrum that names its eigenvalue;
-        # a non-finite m fails as "entries must be finite", with none
+        # the check of a finite matrix took the spectrum that names its
+        # eigenvalue; a non-finite one fails as "entries must be finite"
         lowest = exc.lowest_eigenvalue
         if lowest is not None and lowest < -PSD_TOL:
             raise NotAState(

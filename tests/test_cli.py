@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -22,12 +23,13 @@ import qconc.validate
 from qconc.cli import main
 from qconc.concurrence import concurrence_oracle
 from qconc.errors import InvalidState
-from qconc.estimators import Rank2Canonical, assemble_rank2
+from qconc.estimators import Rank2Canonical, XState, assemble_rank2, ladder_matrix, xstate_matrix
 from qconc.invariants import invariant_vector
 from qconc.qstate import DensityOperator, check_states, decompose, random_rank_k, werner_state
 from qconc.stateio import (
     canonical_dumps,
     read_state,
+    state_from_dict,
     state_to_dict,
 )
 from qconc.validate import SuiteReport
@@ -368,6 +370,93 @@ def test_family_json_reports_are_unchanged(capsys, tmp_path, family):
             assert set(entry) == {"name", "value", "deviation"}
             assert entry["value"] == pytest.approx(expected, abs=1e-12)
             assert entry["deviation"] == abs(entry["value"] - payload["oracle"])
+
+
+def _matrix_is_ladder(rho, tol) -> bool:
+    """The ladder detector as it read the matrix with numpy."""
+    lam = float(rho.matrix[0, 0].real)
+    if not 0.0 <= lam <= 1.0:
+        return False
+    return bool(np.abs(rho.matrix - ladder_matrix(lam)).max() <= tol)
+
+
+def _matrix_is_xstate(rho, tol) -> bool:
+    """The X-state detector as it read the matrix with numpy."""
+    m = rho.matrix
+    off = [m[0, 1], m[0, 2], m[0, 3], m[1, 3], m[2, 3]]
+    return bool(max(abs(v) for v in off) <= tol and abs(m[1, 2]) > tol)
+
+
+def _assert_detectors_agree(rho, tol) -> tuple:
+    got = (qconc.cli._is_xstate(rho, tol), qconc.cli._is_ladder(rho, tol))
+    assert got == (_matrix_is_xstate(rho, tol), _matrix_is_ladder(rho, tol))
+    return got
+
+
+def test_the_detectors_decide_the_benchmark_corpus_as_the_matrix_forms():
+    """make_corpus seeds 0-9, in the matrix and the Bloch payload forms, at
+    the default tolerance, the largest and none; each family is detected."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from workloads import make_corpus
+    finally:
+        sys.path.pop(0)
+    found = set()
+    for seed in range(10):
+        for kind, payload, _ in make_corpus(seed, 400):
+            rho = state_from_dict(payload)
+            for tol in (1e-10, 1e-3, 0.0):
+                xstate, ladder = _assert_detectors_agree(rho, tol)
+                found.update({(kind, "xstate")} if xstate else set())
+                found.update({(kind, "ladder")} if ladder else set())
+    assert {("xstate", "xstate"), ("ladder", "ladder"), ("ladder-bloch", "ladder")} <= found
+
+
+def _around(x: float) -> list:
+    return [x - math.ulp(x), x, x + math.ulp(x)] if x else [0.0, 5e-324]
+
+
+#: the phases of the off-pattern entries: the axes, and 60 others
+_PHASES = [0.0, 0.5 * math.pi] + [0.1 * k for k in range(1, 61)]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-7, 1e-3, 0.0])
+def test_the_x_state_detector_decides_at_tol_as_the_matrix_form(tol):
+    """An X state with one off-pattern coherence of modulus tol, or tol +- 1
+    ulp, at each of its five places; and one whose own coherence is there."""
+    base = xstate_matrix(XState(0.25, 0.25, 0.25, 0.25, z=0.1))
+    for r, phase in itertools.product(_around(tol), _PHASES):
+        v = r * complex(math.cos(phase), math.sin(phase))
+        for i, j in [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (1, 2)]:
+            m = base.copy()
+            m[i, j] = v
+            m[j, i] = v.conjugate()
+            _assert_detectors_agree(DensityOperator(m), tol)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-7, 1e-3, 0.0])
+def test_the_ladder_detector_decides_at_tol_as_the_matrix_form(tol):
+    """A ladder state whose gap to ladder_matrix(lam) is tol, or tol +- 1
+    ulp, at one entry: a coherence between |00> and |11> (with |11>'s weight
+    taken from the singlet, to stay a state), |11>'s weight, or a singlet
+    entry."""
+    lam = 0.375
+    for r, phase in itertools.product(_around(tol), _PHASES):
+        v = r * complex(math.cos(phase), math.sin(phase))
+        for where in ("coherence", "weight", "singlet"):
+            m = ladder_matrix(lam)
+            if where == "coherence":
+                m[0, 3], m[3, 0] = v, v.conjugate()
+                w = r * r / lam
+            else:
+                w = r
+            if where == "singlet":
+                m[1, 2] += r
+                m[2, 1] += r
+            else:
+                m[3, 3] += w
+                m[1:3, 1:3] -= 0.5 * w * np.array([[1.0, -1.0], [-1.0, 1.0]])
+            _assert_detectors_agree(DensityOperator(m), tol)
 
 
 class TestValidateCommand:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qconc.qstate as qstate
+from conftest import edge_states
 from qconc.concurrence import concurrence_oracle
 from qconc.errors import InvalidState, NotAState
 from qconc.qstate import (
@@ -253,6 +255,155 @@ def test_check_states_accepts_exactly_when_every_state_does(mats):
     assert stacked == next((msg for msg in per_state if msg is not None), None)
 
 
+def _verdict(fn, m):
+    """What fn(m) does: the type, message and lowest_eigenvalue of what it
+    raises, or the bytes of the matrix it returns."""
+    try:
+        out = fn(m)
+    except Exception as exc:  # the type is part of the verdict
+        return type(exc), str(exc), getattr(exc, "lowest_eigenvalue", None)
+    return out.tobytes()
+
+
+def _one_acceptance_rule(m):
+    """Assert that DensityOperator(m) accepts what check_states(m[None])
+    accepts, with the same matrix, and raises what it raises otherwise, and
+    that it keeps its matrix's 32 floats; return the verdict."""
+    m = np.asarray(m, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = _verdict(lambda x: DensityOperator(x).matrix, m)
+        stacked = _verdict(lambda x: check_states(x[None])[0], m)
+    assert single == stacked
+    if isinstance(single, bytes):
+        assert np.array(DensityOperator(m)._parts).tobytes() == single
+    return single
+
+
+def _ulps(x: float, n: int) -> list:
+    """x and the n floats on either side of it."""
+    return [x] + [y for k in range(1, n + 1) for y in (x - k * math.ulp(x), x + k * math.ulp(x))]
+
+
+_INTERIOR = werner_state(0.5).matrix
+
+
+@pytest.mark.parametrize("direction", [1.0, 1j, "diagonal"] + [np.exp(0.3j * k) for k in range(1, 21)])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_hermiticity_residuals_at_the_tolerance_take_one_rule(direction, at):
+    """One entry moved so that its Hermiticity residual is 1e-10, or the
+    clearance edge 1e-10 - 2e-15, or a few ulps either side: by r times a
+    unit direction off the diagonal, or by i r / 2 on it. Both verdicts
+    occur."""
+    verdicts = set()
+    for r in _ulps(1e-10, 8) + _ulps(1e-10 - 2e-15, 8):
+        m = _INTERIOR.copy()
+        if isinstance(direction, str):
+            m[at, at] += 0.5j * r
+        else:
+            m[[(0, 1), (2, 1), (3, 2)][at]] += r * direction  # entries that are zero
+        verdict = _one_acceptance_rule(m)
+        verdicts.add(verdict[1] if isinstance(verdict, tuple) else "accepted")
+    assert verdicts == {"accepted", "matrix is not Hermitian within tolerance"}
+
+
+#: the first three diagonal entries of the trace tests: dyadic ones, and
+#: random ones whose sums round differently in different orders
+_HEADS = [(0.25, 0.25, 0.25)] + np.random.default_rng(36).dirichlet(np.ones(4), 40)[:, :3].tolist()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_trace_residuals_at_the_tolerance_take_one_rule(sign):
+    """Traces 1 +- 1e-10 and 1 +- (1e-10 - 2e-15), reached through the last
+    diagonal entry and a few ulps of it either side. Both verdicts occur."""
+    verdicts = set()
+    for head in _HEADS:
+        for gap in (1e-10, 1e-10 - 2e-15):
+            for last in _ulps(1.0 - sum(head) + sign * gap, 12):
+                m = np.diag([*head, last]).astype(complex)
+                verdict = _one_acceptance_rule(m)
+                verdicts.add(verdict[1].split(" is ")[0] if isinstance(verdict, tuple) else "accepted")
+    assert verdicts == {"accepted", "trace"}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_entry_anywhere_takes_one_rule(value):
+    """Every real and imaginary part of every entry, in turn."""
+    for k in range(32):
+        m = _INTERIOR.copy()
+        m.view(float).reshape(32)[k] = value
+        assert _one_acceptance_rule(m) == (InvalidState, "entries must be finite", None)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_smallest_eigenvalue_near_the_psd_tolerance_takes_one_rule(seed):
+    """lambda_min around -PSD_TOL and around the certificate's shift
+    -(PSD_TOL - 1e-14), inside and outside."""
+    for low in (-PSD_TOL * (1 + 1e-3), -PSD_TOL * (1 - 1e-3), -PSD_TOL * (1 - 1e-5),
+                -(PSD_TOL - 1e-14) * (1 + 1e-4), -(PSD_TOL - 1e-14) * (1 - 1e-4), -1e-12):
+        _one_acceptance_rule(_psd_edge_state(low, seed))
+
+
+@st.composite
+def _near_the_edges(draw) -> np.ndarray:
+    """A random state with one part of one entry moved by up to 3e-10 (so
+    with a Hermiticity residual up to there), its diagonal scaled by up to
+    1 +- 3e-10, or one part replaced by a non-finite value."""
+    m = random_rank_k(draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**32 - 1))).matrix.copy()
+    parts = m.view(float).reshape(32)
+    k = draw(st.integers(0, 31))
+    kind = draw(st.sampled_from(["nudge", "scale", "non-finite"]))
+    if kind == "nudge":
+        parts[k] += draw(st.floats(-3e-10, 3e-10))
+    elif kind == "scale":
+        m *= 1.0 + draw(st.floats(-3e-10, 3e-10))
+    else:
+        parts[k] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(edge_states(), _near_the_edges()))
+def test_density_operator_accepts_exactly_what_check_states_does(m):
+    _one_acceptance_rule(m)
+
+
+def test_only_a_state_the_float_checks_do_not_clear_meets_check_states(monkeypatch):
+    """A state well inside the tolerances is accepted on its floats and its
+    certificate; one at the Hermiticity tolerance goes to check_states, which
+    accepts it."""
+    calls = []
+
+    def counting(mats, check=qstate.check_states):
+        calls.append(np.shape(mats))
+        return check(mats)
+
+    monkeypatch.setattr(qstate, "check_states", counting)
+    for k in (1, 2, 3, 4):
+        DensityOperator(random_rank_k(k, seed=k).matrix)
+    assert calls == []
+    m = _INTERIOR.copy()
+    m[0, 1] += 1e-10
+    DensityOperator(m)
+    assert calls == [(1, 4, 4)]
+
+
+def test_the_caller_cannot_change_a_state_after_construction():
+    """The matrix is a read-only copy that shares no memory with the
+    caller's array, and the oracle and decompose read the floats it was
+    checked on."""
+    m = random_rank_k(3, seed=3).matrix.copy()
+    rho = DensityOperator(m)
+    want = (rho.matrix.tobytes(), concurrence_oracle(rho), decompose(rho).pi.tobytes())
+    assert not np.shares_memory(rho.matrix, m)
+    m[:] = np.eye(4) / 4.0
+    assert (rho.matrix.tobytes(), concurrence_oracle(rho), decompose(rho).pi.tobytes()) == want
+    assert np.array(rho._parts).tobytes() == want[0]
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 1.0
+    assert "_parts" not in repr(rho)
+
+
 def test_pauli_pair_matches_kron():
     for i, a in enumerate((ID2,) + _SIGMAS):
         for j, b in enumerate((ID2,) + _SIGMAS):
@@ -312,22 +463,20 @@ def test_decompose_matches_the_pauli_grid_contraction_bit_for_bit(stack):
 @np.errstate(over="ignore", invalid="ignore")
 def _grid_matrix(bloch):
     """The matrix as assemble built it before the float sums: field times
-    Pauli product accumulated over the grid from the identity, then scaled."""
+    Pauli product accumulated over the grid from the identity, then scaled
+    by 1/4 as assemble scales, in Python floats."""
     m = np.array(_PAULI_GRID[0, 0], dtype=complex)
     for i in range(3):
         m += bloch.p[i] * _PAULI_GRID[i + 1, 0]
         m += bloch.s[i] * _PAULI_GRID[0, i + 1]
         for j in range(3):
             m += bloch.pi[i, j] * _PAULI_GRID[i + 1, j + 1]
-    m *= 0.25
-    return m
+    return np.array([0.25 * x for x in m.ravel().view(float).tolist()]).view(complex).reshape(4, 4)
 
 
 #: Bloch fields at the edges of the sums: signed zeros, and (a Werner state
 #: with A polarized along y) an entry whose real sum is the smallest negative
-#: subnormal next to a negative imaginary part. numpy's complex scaling by
-#: 1/4 takes that to -0.0 in its FMA loops and to +0.0 with its SIMD dispatch
-#: off; assemble scales with the same multiply, so it matches either way
+#: subnormal next to a negative imaginary part, which scales to -0.0
 _EDGE_FIELDS = [
     ([-0.0] * 3, [-0.0] * 3, [[1.0, -0.0, -0.0], [-0.0, -1.0, -0.0], [-0.0, -0.0, 1.0]]),
     ([-0.0, -0.0, 1.0], [0.0, -0.0, 1.0], [[-0.0] * 3, [-0.0] * 3, [-0.0, -0.0, 1.0]]),
@@ -347,6 +496,22 @@ def test_assemble_matches_the_pauli_grid_accumulation_bit_for_bit(stack):
         blochs = [BlochDecomposition(p=p, s=s, pi=pi) for p, s, pi in _EDGE_FIELDS]
     for bloch in blochs:
         assert assemble(bloch).matrix.tobytes() == _grid_matrix(bloch).tobytes()
+
+
+@pytest.mark.parametrize(
+    "p, part", [([-5e-324, 1e-3, 0.0], "real"), ([1e-3, 5e-324, 0.0], "imag")]
+)
+def test_assemble_zero_signs_hold_on_every_simd_build(p, part):
+    """A Werner state with A polarized in the x-y plane, whose sums at (0, 2)
+    and (1, 3) have a negative subnormal real or imaginary part. Scaled by
+    1/4 in Python floats, each is -0.0 with numpy's SIMD dispatch on or off.
+    numpy's complex multiply gave the real part -0.0 in its FMA loops and
+    +0.0 with them off, and the imaginary part +0.0 on both."""
+    pi = [[0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 0.5]]
+    m = assemble(BlochDecomposition(p=p, s=[0.0] * 3, pi=pi)).matrix
+    for at in ((0, 2), (1, 3)):
+        x = getattr(m[at], part)
+        assert x == 0.0 and math.copysign(1.0, x) == -1.0
 
 
 @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])

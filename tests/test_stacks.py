@@ -108,7 +108,7 @@ def test_single_state_calls_are_rows_of_the_stacked_call(layout):
         assert_array_equal(bloch.p, p[k])
         assert_array_equal(bloch.s, s[k])
         assert_array_equal(bloch.pi, pi[k])
-        assert_array_equal(invariant_vector(bloch).as_array(), inv[k])
+        assert_array_equal(list(invariant_vector(bloch).to_dict().values()), inv[k])
         diag = concurrence_oracle(m)
         assert_array_equal(diag.lambdas, lam[k])
         assert_array_equal(diag.value, value[k])
@@ -213,7 +213,7 @@ def test_family_stacks_match_single_state_calls(family):
         bloch = decompose(rho)
         assert_array_equal(np.concatenate([bloch.p, bloch.s]), np.concatenate([p[k], s[k]]))
         assert_array_equal(bloch.pi, pi[k])
-        assert_array_equal(invariant_vector(bloch).as_array(), inv[k])
+        assert_array_equal(list(invariant_vector(bloch).to_dict().values()), inv[k])
         assert_array_equal(concurrence_oracle(rho).value, value[k])
 
 
