@@ -152,6 +152,16 @@ def _is_xstate(rho: DensityOperator, tol: float) -> bool:
     return off and abs(complex(re[6], im[6])) > tol
 
 
+def _rank2_spectrum(rho: DensityOperator) -> tuple:
+    """The nonzero eigenvalues of a rank-2 state, those of the Gram matrix
+    [[a, b], [b*, c]] of its factor's columns: (a + c)/2 -+ hypot((a - c)/2, |b|)."""
+    x, y = ([complex(*z) for z in zip(*column)] for column in rho._columns)
+    a, c = (sum(u.real * u.real + u.imag * u.imag for u in z) for z in (x, y))
+    b = abs(sum(u.conjugate() * v for u, v in zip(x, y)))
+    mean, half = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+    return mean - half, mean + half
+
+
 def _applicable_estimates(
     rho: DensityOperator, bloch: BlochDecomposition, inv: InvariantVector,
     diag: ConcurrenceDiagnostics, tol: float,
@@ -170,8 +180,8 @@ def _applicable_estimates(
         ("pure", diag.rank == 1, lambda: estimate_pure(inv)),
         ("rank2-reconstruction", rank2, lambda: concurrence_oracle(
             assemble_rank2(reconstruct_rank2(bloch.p, bloch.s))).value),
-        # both top eigenvalues at 1/2; eigvalsh runs on rank-2 states only
-        ("projection2", rank2 and all(abs(e - 0.5) <= 1e-6 for e in rho.eigenvalues()[-2:]),
+        # both nonzero eigenvalues at 1/2, read off the factor of a rank-2 state
+        ("projection2", rank2 and all(abs(e - 0.5) <= 1e-6 for e in _rank2_spectrum(rho)),
          lambda: estimate_projection2(inv)),
         ("rank2-sep2", rank2, lambda: estimate_rank2_sep2(inv)),
         ("xstate-direct", xstate, lambda: xstate_concurrence(

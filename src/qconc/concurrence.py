@@ -6,9 +6,9 @@ state, so neither an eigenproblem nor a non-Hermitian product is solved and
 states of any rank stay well conditioned. W comes from an outer-product
 Cholesky with complete diagonal pivoting: pivots at or below EIG_CLAMP times
 the largest diagonal entry count as zero, and the factorization stops once
-no state has a pivot left above that cut. The factor and the roots are
-written once each, over the matrix entries split into real and imaginary
-parts, which are floats for one state or (n,) arrays for a stack.
+no state has a pivot left above that cut. The factor (in qstate, which
+certifies one state on it) and the roots are written once each, over the
+matrix entries split in real and imaginary parts: floats or (n,) arrays.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigSolveFailure
-from .qstate import _LOWER, _float_parts, _parts_of, _unit
-
-#: pivots at or below this fraction of the largest diagonal entry count as zero
-EIG_CLAMP = 1e-12
+# EIG_CLAMP, named in this module's docs, stays importable from it
+from .qstate import EIG_CLAMP, _float_parts, _operator, _pivoted_factor, _unit  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -37,93 +35,6 @@ class ConcurrenceDiagnostics:
 def _value(l1, l2, l3, l4):
     """Concurrence of descending roots (floats or (n,) arrays), held to [0, 1]."""
     return _unit(l1 - (l2 + l3 + l4))
-
-
-def _pivot(diag):
-    """Position and value of the largest of four diagonal entries, the first
-    on ties."""
-    value = max(diag)
-    return diag.index(value), value
-
-
-def _column(at, entries) -> list:
-    """Column `at` of 16 row-major entries."""
-    return entries[at::4]
-
-
-def _block_pivot(diag):
-    """_pivot row by row for (n,) arrays: a selector for _block_column (the
-    winners of the first pair, of the second pair, and between the pairs) and
-    the pivots."""
-    d0, d1, d2, d3 = diag
-    first, second = d1 > d0, d3 > d2
-    low, high = np.where(first, d1, d0), np.where(second, d3, d2)
-    upper = high > low
-    return (first, second, upper), np.where(upper, high, low)
-
-
-def _block_column(at, entries) -> list:
-    """_column row by row for (n,) arrays, at a selector of _block_pivot."""
-    first, second, upper = at
-    return [
-        np.where(upper, np.where(second, x3, x2), np.where(first, x1, x0))
-        for x0, x1, x2, x3 in (entries[0:4], entries[4:8], entries[8:12], entries[12:16])
-    ]
-
-
-#: the steps that depend on the entry type: pivot, column, square root and
-#: whether any pivot passes, for floats and for (n,) arrays
-_FLOAT_STEPS = (_pivot, _column, math.sqrt, bool)
-_BLOCK_STEPS = (_block_pivot, _block_column, np.sqrt, np.ndarray.any)
-
-
-def _pivoted_factor(re, im):
-    """Columns of a factor W W^dagger = rho by outer-product Cholesky with
-    complete diagonal pivoting, up to the last pivot above EIG_CLAMP times
-    the largest diagonal entry.
-
-    re and im are rho's 16 row-major entries split in real and imaginary
-    parts, each a float or an (n,) array, so the arithmetic is real and a
-    block's rows get their single-state bits; only the lower triangle and
-    the real diagonal are read, and both lists are overwritten with the
-    Schur complements. Each step takes the largest diagonal entry of the
-    Schur complement as pivot and stops once no row's pivot is above the
-    cut. It yields each column as (kept, real parts, imaginary parts), with
-    lists of four entries: kept is True for one state, and for a block marks
-    the rows whose pivot passed, so it sums to their ranks. The Schur
-    complement's diagonal never grows, so a row that has stopped never
-    passes the cut again, and the columns past its rank, computed for the
-    rows still running, are never read.
-    """
-    pivot_of, column, sqrt, passes = (
-        _BLOCK_STEPS if isinstance(re[0], np.ndarray) else _FLOAT_STEPS
-    )
-    for k in (0, 5, 10, 15):
-        im[k] = 0.0
-    for low, up, _, _ in _LOWER:
-        re[up], im[up] = re[low], -im[low]
-    last = None
-    for step in range(4):
-        at, pivot = pivot_of(re[::5])
-        if last is None:
-            cut = EIG_CLAMP * pivot
-        kept = pivot > cut
-        if not passes(kept):
-            return
-        if last is not None:  # the last column's outer product, off the diagonal
-            lr, li = last
-            for low, up, i, j in _LOWER:
-                re[low] = re[up] = re[low] - (lr[i] * lr[j] + li[i] * li[j])
-                x = im[low] - (li[i] * lr[j] - lr[i] * li[j])
-                im[low], im[up] = x, -x
-        root = sqrt(pivot)
-        lr = [x / root for x in column(at, re)]
-        li = [x / root for x in column(at, im)]
-        yield kept, lr, li
-        if step < 3:  # the diagonal of the next Schur complement
-            for k, a, b in zip((0, 5, 10, 15), lr, li):
-                re[k] = re[k] - (a * a + b * b)
-        last = lr, li
 
 
 def _flip(u, v):
@@ -237,9 +148,8 @@ def concurrence_oracle(rho) -> ConcurrenceDiagnostics:
     """Exact concurrence for any two-qubit density operator.
 
     A raw array is validated first and raises InvalidState if unphysical;
-    the roots are :func:`batch_lambdas`' on floats, descending from _roots.
+    the roots are :func:`batch_lambdas`' on the factor DensityOperator kept.
     """
-    parts = _parts_of(rho)
-    columns = [(lr, li) for _, lr, li in _pivoted_factor(parts[0::2], parts[1::2])]
+    columns = _operator(rho)._columns
     lam = tuple(map(float, _roots(columns))) + (0.0,) * (4 - len(columns))
     return ConcurrenceDiagnostics(lambdas=lam, value=_value(*lam), rank=len(columns))

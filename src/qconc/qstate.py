@@ -21,6 +21,8 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 WEIGHT_TOL = 1e-10
+#: pivots at or below this fraction of the largest diagonal entry count as zero
+EIG_CLAMP = 1e-12
 #: rho + this has a Cholesky factor only if rho's eigenvalues are above -PSD_TOL
 _CERTIFICATE_SHIFT = (PSD_TOL - 1e-14) * np.eye(4)
 #: rounds a rejection sampler draws before it raises SamplerExhausted; every
@@ -92,14 +94,119 @@ def _complex_matrix(raw) -> np.ndarray:
     return m
 
 
-def _parts_of(rho) -> list:
-    """The 32 floats of a DensityOperator, or of a raw array after validating it."""
-    return (rho if isinstance(rho, DensityOperator) else DensityOperator(rho))._parts
+def _operator(rho) -> DensityOperator:
+    """A DensityOperator as it is, or a raw array after validating it."""
+    return rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
 
 
 def _require_finite(*arrays) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise InvalidState("entries must be finite")
+
+
+def _pivot(diag):
+    """Position and value of the largest of four diagonal entries, the first
+    on ties."""
+    value = max(diag)
+    return diag.index(value), value
+
+
+def _column(at, entries) -> list:
+    """Column `at` of 16 row-major entries."""
+    return entries[at::4]
+
+
+def _block_pivot(diag):
+    """_pivot row by row for (n,) arrays: a selector for _block_column (the
+    winners of the first pair, of the second pair, and between the pairs) and
+    the pivots."""
+    d0, d1, d2, d3 = diag
+    first, second = d1 > d0, d3 > d2
+    low, high = np.where(first, d1, d0), np.where(second, d3, d2)
+    upper = high > low
+    return (first, second, upper), np.where(upper, high, low)
+
+
+def _block_column(at, entries) -> list:
+    """_column row by row for (n,) arrays, at a selector of _block_pivot."""
+    first, second, upper = at
+    return [
+        np.where(upper, np.where(second, x3, x2), np.where(first, x1, x0))
+        for x0, x1, x2, x3 in (entries[0:4], entries[4:8], entries[8:12], entries[12:16])
+    ]
+
+
+#: the steps that depend on the entry type: pivot, column, square root and
+#: whether any pivot passes, for floats and for (n,) arrays
+_FLOAT_STEPS = (_pivot, _column, math.sqrt, bool)
+_BLOCK_STEPS = (_block_pivot, _block_column, np.sqrt, np.ndarray.any)
+
+
+def _pivoted_factor(re, im):
+    """Columns of a factor W W^dagger = rho by outer-product Cholesky with
+    complete diagonal pivoting, up to the last pivot above EIG_CLAMP times
+    the largest diagonal entry.
+
+    re and im are rho's 16 row-major entries split in real and imaginary
+    parts, each a float or an (n,) array, so the arithmetic is real and a
+    block's rows get their single-state bits; only the lower triangle and
+    the real diagonal are read, and both lists are overwritten with the
+    Schur complements. Each step takes the largest diagonal entry of the
+    Schur complement as pivot and stops once no row's pivot is above the
+    cut. It yields each column as (kept, real parts, imaginary parts), with
+    lists of four entries: kept is True for one state, and for a block marks
+    the rows whose pivot passed, so it sums to their ranks. The Schur
+    complement's diagonal never grows, so a row that has stopped never
+    passes the cut again, and the columns past its rank, computed for the
+    rows still running, are never read.
+    """
+    pivot_of, column, sqrt, passes = (
+        _BLOCK_STEPS if isinstance(re[0], np.ndarray) else _FLOAT_STEPS
+    )
+    for k in (0, 5, 10, 15):
+        im[k] = 0.0
+    for low, up, _, _ in _LOWER:
+        re[up], im[up] = re[low], -im[low]
+    last = None
+    for step in range(4):
+        at, pivot = pivot_of(re[::5])
+        if last is None:
+            cut = EIG_CLAMP * pivot
+        kept = pivot > cut
+        if not passes(kept):
+            return
+        if last is not None:  # the last column's outer product, off the diagonal
+            lr, li = last
+            for low, up, i, j in _LOWER:
+                re[low] = re[up] = re[low] - (lr[i] * lr[j] + li[i] * li[j])
+                x = im[low] - (li[i] * lr[j] - lr[i] * li[j])
+                im[low], im[up] = x, -x
+        root = sqrt(pivot)
+        lr = [x / root for x in column(at, re)]
+        li = [x / root for x in column(at, im)]
+        yield kept, lr, li
+        if step < 3:  # the diagonal of the next Schur complement
+            for k, a, b in zip((0, 5, 10, 15), lr, li):
+                re[k] = re[k] - (a * a + b * b)
+        last = lr, li
+
+
+def _factor_certified(re, im, columns) -> bool:
+    """Whether one state's factor columns and the Schur complement S left in
+    re and im prove that rho = W W^dagger + S + E (E the rounding, bounded as
+    in check_states) has eigenvalues above -PSD_TOL: by four passing pivots,
+    or by Gershgorin on S, once finished with the last column's off-diagonal
+    update that the factor skips, and Weyl's inequality. NaN fails."""
+    if len(columns) == 4:
+        return True
+    lr, li = columns[-1]
+    rows = re[::5]
+    for low, _, i, j in _LOWER:
+        x = math.hypot(re[low] - (lr[i] * lr[j] + li[i] * li[j]),
+                       im[low] - (li[i] * lr[j] - lr[i] * li[j]))
+        rows[i] -= x
+        rows[j] -= x
+    return all(x >= 1e-14 - PSD_TOL for x in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +393,7 @@ def check_states(mats) -> np.ndarray:
     multiple of it in complex arithmetic), so ||E||_2 <= g tr A / (1 - g) + u tr A,
     u tr A bounding the rounded shift and tr A < 1 + 5e-10: about 1e-15, under
     the 1e-14 margin, so rho's eigenvalues exceed -PSD_TOL. Else eigvalsh decides.
+    (One state is certified on its own factor first, in DensityOperator.)
     """
     try:
         m = np.array(mats, dtype=complex)
@@ -350,9 +458,10 @@ class DensityOperator:
     """Validated, immutable two-qubit density matrix.
 
     Construction checks that the input is a numeric 4x4 array and accepts it
-    when its 32 floats pass _clears and its certificate holds; check_states
-    decides any other, raising InvalidState. The oracle, decompose and the
-    CLI's family detectors read the kept floats.
+    when its 32 floats pass _clears and the oracle's factor of them passes
+    _factor_certified; check_states decides any other, raising InvalidState.
+    decompose and the CLI read the kept floats, the oracle the factor's
+    columns. Operators with equal entries are equal.
     """
 
     matrix: np.ndarray
@@ -360,19 +469,27 @@ class DensityOperator:
     def __post_init__(self):
         m = _complex_matrix(self.matrix)
         parts = m.ravel().view(float).tolist()
-        if not (_clears(parts) and _certified(m[None])):
+        cleared = _clears(parts)
+        if not cleared:
+            check_states(m[None])
+        re, im = parts[0::2], parts[1::2]
+        columns = [(lr, li) for _, lr, li in _pivoted_factor(re, im)]
+        if cleared and not _factor_certified(re, im, columns):
             check_states(m[None])
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_columns", columns)
+
+    def __eq__(self, other):
+        return isinstance(other, DensityOperator) and self._parts == other._parts
+
+    def __hash__(self):
+        return hash(tuple(self._parts))
 
     def purity(self) -> float:
         m = self.matrix
         return float(np.einsum("ij,ji->", m, m).real)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order, through eigvalsh."""
-        return np.linalg.eigvalsh(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -380,7 +497,8 @@ class BlochDecomposition:
     """Polarizations p (qubit A), s (qubit B) and correlation matrix pi.
 
     pi[i, j] is the expectation of sigma_i on A times sigma_j on B for
-    i, j in (x, y, z). Non-finite entries raise InvalidState.
+    i, j in (x, y, z). Non-finite entries raise InvalidState; equal fields
+    compare equal.
     """
 
     p: np.ndarray
@@ -395,6 +513,15 @@ class BlochDecomposition:
             raise InvalidState(f"correlation matrix must be 3x3, got {pi.shape}")
         _require_finite(p, s, pi)
         self._set(p, s, pi)
+
+    def _fields(self) -> tuple:
+        return tuple(self.p.tolist() + self.s.tolist() + self.pi.ravel().tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, BlochDecomposition) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def _set(self, p, s, pi) -> None:
         for name, x in (("p", p), ("s", s), ("pi", pi)):
@@ -450,7 +577,7 @@ def decompose(rho) -> BlochDecomposition:
     :func:`assemble`. A raw array is validated first and raises InvalidState
     if unphysical.
     """
-    return BlochDecomposition._of_state(_bloch_fields(_parts_of(rho)))
+    return BlochDecomposition._of_state(_bloch_fields(_operator(rho)._parts))
 
 
 def assemble(bloch: BlochDecomposition) -> DensityOperator:
@@ -479,9 +606,7 @@ def assemble(bloch: BlochDecomposition) -> DensityOperator:
 
 def rank_of(rho) -> int:
     """Numerical rank, the oracle's factor columns; a raw array is validated first."""
-    from .concurrence import concurrence_oracle
-
-    return concurrence_oracle(rho).rank
+    return len(_operator(rho)._columns)
 
 
 def _orthonormal(z: np.ndarray) -> np.ndarray:

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from conftest import RECORDED_BUILD, UNREADABLE, bloch_payload, edge_states, write_state
 
 import qconc.cli
+import qconc.concurrence
+import qconc.qstate
 import qconc.validate
 from qconc.cli import main
 from qconc.concurrence import concurrence_oracle
@@ -638,6 +640,49 @@ def test_a_failed_svd_ends_in_an_error_line(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "concurrence", str(path))
     assert (code, out) == (1, "")
     assert err == "error: EigSolveFailure: SVD did not converge\n"
+
+
+def _gen_file(capsys, tmp_path, name):
+    """The state file `gen` writes for "rank<k>" (seed 1) or a named state."""
+    path = tmp_path / "state.json"
+    argv = ("--rank", name[4:], "--seed", "1") if name.startswith("rank") else ("--named", name)
+    assert run(capsys, "gen", *argv, "--out", str(path))[0] == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["rank1", "rank2", "bell-phi+", "ladder:0.3", "ladder:0.5"])
+def test_rank1_and_rank2_reports_make_no_lapack_call(capsys, monkeypatch, tmp_path, name):
+    """A rank-1 or rank-2 state is accepted on its factor, its roots are
+    closed forms and the projection2 detector reads the factor's Gram
+    matrix (ladder:0.5 passes it), so the report is the same with
+    np.linalg's Cholesky, eigvalsh and SVD raising."""
+    path = _gen_file(capsys, tmp_path, name)
+    want = run(capsys, "concurrence", path, "--format", "json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for fn in ("cholesky", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, fn, refuse)
+    assert run(capsys, "concurrence", path, "--format", "json") == want
+    assert want[0] == 0 and json.loads(want[1])["rank"] in (1, 2)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_a_report_factors_its_state_once(capsys, monkeypatch, tmp_path, rank):
+    """The certificate and the oracle share one pivoted factor of the state."""
+    path = _gen_file(capsys, tmp_path, f"rank{rank}")
+    calls = []
+
+    def spy(re, im, factor=qconc.qstate._pivoted_factor):
+        calls.append(len(re))
+        return factor(re, im)
+
+    monkeypatch.setattr(qconc.qstate, "_pivoted_factor", spy)
+    monkeypatch.setattr(qconc.concurrence, "_pivoted_factor", spy)
+    code, out, _ = run(capsys, "concurrence", path, "--format", "json")
+    assert (code, json.loads(out)["rank"]) == (0, rank)
+    assert calls == [16]
 
 
 def test_an_interrupt_ends_in_one_error_line_and_exit_130(capsys, monkeypatch):

@@ -401,7 +401,66 @@ def test_the_caller_cannot_change_a_state_after_construction():
     assert np.array(rho._parts).tobytes() == want[0]
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 1.0
-    assert "_parts" not in repr(rho)
+    assert "_parts" not in repr(rho) and "_columns" not in repr(rho)
+
+
+def _pushed_states(rank: int, eps: float, seed: int) -> np.ndarray:
+    """300 batch_random_mixed states of a rank, with the smallest eigenvalue
+    set to -eps and what it loses added to the largest, so the trace stays
+    one."""
+    w, v = np.linalg.eigh(batch_random_mixed(np.random.default_rng(seed), 300, rank))
+    w[:, -1] += w[:, 0] + eps
+    w[:, 0] = -eps
+    m = np.einsum("nik,nk,njk->nij", v, w, v.conj())
+    return (m + m.conj().swapaxes(1, 2)) / 2
+
+
+def _factor_certifies(m) -> bool:
+    """Whether one state's floats clear the float checks and its factor
+    certifies it, with no check_states call."""
+    parts = m.ravel().view(float).tolist()
+    re, im = parts[0::2], parts[1::2]
+    columns = [(lr, li) for _, lr, li in qstate._pivoted_factor(re, im)]
+    return qstate._clears(parts) and qstate._factor_certified(re, im, columns)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 5e-11, 9.9e-11, 1e-10, 1.01e-10, 2e-10])
+def test_the_factor_certificate_is_sound_at_the_psd_edge(eps):
+    """States of ranks 1-4 pushed to lambda_min = -eps: DensityOperator
+    accepts exactly what check_states accepts, with the same message and
+    lowest_eigenvalue otherwise, and the factor certifies no state that
+    check_states rejects: well inside the margin it certifies them all, and
+    near the edge none, leaving them to check_states."""
+    certified = 0
+    for rank in (1, 2, 3, 4):
+        for m in _pushed_states(rank, eps, seed=rank):
+            verdict = _one_acceptance_rule(m)
+            if _factor_certifies(m):
+                assert isinstance(verdict, bytes)
+                certified += 1
+    if eps == 1e-12:
+        assert certified == 1200
+    if eps >= 9.9e-11:
+        assert certified == 0
+
+
+def test_states_and_decompositions_compare_by_value():
+    """Operators and decompositions are equal when their entries are, -0.0
+    and 0.0 alike, with equal hashes; different ones are unequal, and no
+    comparison raises."""
+    a, b, c = werner_state(0.5), werner_state(0.5), werner_state(0.4)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != c and not a == c
+    assert a != "werner" and len({a, b, c, DensityOperator(a.matrix)}) == 2
+    pa, pb, pc = decompose(a), decompose(b), decompose(c)
+    assert pa == pb and not pa != pb and hash(pa) == hash(pb)
+    assert pa != pc and pa != a and len({pa, pb, pc}) == 2
+    zero, signed = np.zeros(3), np.array([-0.0, 0.0, -0.0])
+    left = BlochDecomposition(p=zero, s=zero, pi=np.eye(3))
+    right = BlochDecomposition(p=signed, s=signed, pi=np.eye(3))
+    assert left == right and hash(left) == hash(right)
+    basis = [DensityOperator(np.diag([1.0, 0.0, z, 0.0])) for z in (0.0, -0.0)]
+    assert basis[0] == basis[1] and hash(basis[0]) == hash(basis[1])
 
 
 def test_pauli_pair_matches_kron():
@@ -546,16 +605,11 @@ def test_decompose_builds_the_fields_the_constructor_would():
                 got[0] = 1.0
 
 
-def test_density_operator_takes_its_spectrum_on_demand():
-    """eigenvalues() is eigvalsh of the matrix, a fresh array on each call,
-    and rank_of counts the oracle's factor columns, for an operator or its
+def test_rank_of_counts_the_oracles_factor_columns():
+    """rank_of counts the oracle's factor columns, for an operator or its
     matrix."""
     for k in (1, 2, 3, 4):
         rho = random_rank_k(k, seed=k)
-        evals = rho.eigenvalues()
-        assert evals.tobytes() == np.linalg.eigvalsh(rho.matrix).tobytes()
-        evals[:] = 0.0
-        assert rho.eigenvalues().tobytes() == np.linalg.eigvalsh(rho.matrix).tobytes()
         assert rank_of(rho) == rank_of(rho.matrix) == concurrence_oracle(rho).rank == k
 
 
@@ -590,7 +644,7 @@ def eigvalsh_shapes(monkeypatch):
 
 
 def test_assemble_takes_no_spectrum_of_a_valid_payload(eigvalsh_shapes):
-    """The DensityOperator check accepts a valid payload by its Cholesky
+    """The DensityOperator check accepts a valid payload by its factor's
     certificate, with no eigvalsh; assemble takes a spectrum only to name a
     negative eigenvalue."""
     rho = assemble(decompose(random_rank_k(3, seed=3)))
